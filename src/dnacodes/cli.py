@@ -160,7 +160,14 @@ def cmd_capacity(args) -> int:
     return 0
 
 
+_REDUNDANCY_NEEDS = {"balance": ("a",), "runlength": ("m",), "combined": ("m", "a")}
+
+
 def cmd_redundancy(args) -> int:
+    missing = [f"--{name}" for name in _REDUNDANCY_NEEDS[args.family]
+               if getattr(args, name) is None]
+    if missing:
+        raise ValueError(f"redundancy --family {args.family} needs {' and '.join(missing)}")
     if args.family == "balance":
         value = counting.balance_redundancy(args.n, args.a, args.boundary)
     elif args.family == "runlength":

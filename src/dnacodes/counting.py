@@ -2,8 +2,11 @@
 
 All counts are exact Python ints: balance counts by binomial summation,
 run-length-limited counts by recurrence and by generating-function
-coefficient extraction, and combined weight-plus-run counts through a
-bivariate series (binary) or the four-state transfer matrix (quaternary).
+coefficient extraction, and combined weight-plus-run counts by one
+run-state recurrence for both alphabets.  That recurrence tracks the
+class of the last symbol (weighted AT/'1' or unweighted GC/'0') and its
+current run length, with one count per weight in each state, so a
+length-n row costs O(n**2 * m) big-int additions.
 Everything here is a pure function; the cached weight rows are guarded
 by functools.lru_cache and safe for concurrent use.
 """
@@ -15,12 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .series import (
-    TransferMatrix,
-    TruncatedSeries,
-    run_polynomial,
-    weighted_run_polynomial,
-)
+from .series import TruncatedSeries
 
 __all__ = [
     "WeightProfile",
@@ -67,19 +65,21 @@ def unbalance_bound(a) -> Fraction:
 
 
 def admitted_weights(n: int, a, boundary: str = "strict") -> list[int]:
-    """Weights w with |w/n - 1/2| < a (strict) or <= a (inclusive)."""
+    """Weights w with |w/n - 1/2| < a (strict) or <= a (inclusive).
+
+    With a = p/d, |w/n - 1/2| < p/d is |2w - n| * d < 2n * p, so the test
+    runs on ints.
+    """
     if n < 1:
         raise ValueError("length must be at least 1")
     if boundary not in BOUNDARY_MODES:
         raise ValueError(f"boundary must be one of {BOUNDARY_MODES}")
     bound = unbalance_bound(a)
-    half = Fraction(1, 2)
-    admitted = []
-    for w in range(n + 1):
-        gap = abs(Fraction(w, n) - half)
-        if gap < bound or (boundary == "inclusive" and gap == bound):
-            admitted.append(w)
-    return admitted
+    limit = 2 * n * bound.numerator
+    d = bound.denominator
+    if boundary == "inclusive":
+        return [w for w in range(n + 1) if abs(2 * w - n) * d <= limit]
+    return [w for w in range(n + 1) if abs(2 * w - n) * d < limit]
 
 
 def near_balanced_count(n: int, a, boundary: str = "strict") -> int:
@@ -132,24 +132,30 @@ def rll_count_gf(q: int, m: int, n: int) -> int:
     return series.coefficient(n)
 
 
-@lru_cache(maxsize=64)
-def _binary_weight_row(m: int, n: int) -> tuple[int, ...]:
-    """Coefficients over w of the n-th x-degree of the binary run/weight series."""
-    t = run_polynomial(m, n)
-    t1 = weighted_run_polynomial(m, n)
-    t1t = t1 * t
-    series = (t1 + t + 2 * t1t) * t1t.quasi_inverse()
-    row = series.row(n)
-    return row + (0,) * (n + 1 - len(row))
+@lru_cache(maxsize=128)
+def _weight_row(q: int, m: int, n: int) -> tuple[int, ...]:
+    """Counts over weight w of the q-ary (q = 2 or 4) length-n words with max run m.
 
-
-@lru_cache(maxsize=64)
-def _quaternary_weight_row(m: int, n: int) -> tuple[int, ...]:
-    """Coefficients over w of the n-th x-degree of the quaternary run/weight count."""
-    raw = TransferMatrix.build(m, n).cumulative_entry_sum().row(n)
-    assert all(c % 3 == 0 for c in raw), "transfer-matrix entry sum not divisible by 3"
-    counts = tuple(c // 3 for c in raw)
-    return counts + (0,) * (n + 1 - len(counts))
+    runs[c][r - 1][w] counts the words that end in one fixed symbol of
+    class c (0 unweighted, 1 weighted) with a run of exactly r, and have
+    weight w.  The q/2 symbols of a class are interchangeable, so one
+    symbol stands for all of them.  A step either extends a run, or
+    starts a new one after any word that ends in a different symbol; a
+    weighted symbol shifts the weight by one.  Every list has length
+    L + 1 at word length L.
+    """
+    if m < 1:
+        raise ValueError("maximum run must be at least 1")
+    k = q // 2
+    m = min(m, n)
+    runs = [[[1, 0]] + [[0, 0]] * (m - 1), [[0, 1]] + [[0, 0]] * (m - 1)]
+    for _ in range(n - 1):
+        ends = [[sum(col) for col in zip(*states)] for states in runs]
+        for c in (0, 1):
+            start = [k * a + (k - 1) * b for a, b in zip(ends[1 - c], ends[c])]
+            grown = [start] + runs[c][:-1]
+            runs[c] = [[0] + s for s in grown] if c else [s + [0] for s in grown]
+    return tuple(k * sum(col) for col in zip(*runs[0], *runs[1]))
 
 
 def rll_weight_count_binary(m: int, w: int, n: int) -> int:
@@ -160,7 +166,7 @@ def rll_weight_count_binary(m: int, w: int, n: int) -> int:
         raise ValueError("maximum run must be at least 1")
     if not 0 <= w <= n:
         raise ValueError(f"weight {w} out of range 0..{n}")
-    return _binary_weight_row(m, n)[w]
+    return _weight_row(2, m, n)[w]
 
 
 def rll_weight_count_quaternary(m: int, w: int, n: int) -> int:
@@ -171,7 +177,7 @@ def rll_weight_count_quaternary(m: int, w: int, n: int) -> int:
         raise ValueError("maximum run must be at least 1")
     if not 0 <= w <= n:
         raise ValueError(f"weight {w} out of range 0..{n}")
-    return _quaternary_weight_row(m, n)[w]
+    return _weight_row(4, m, n)[w]
 
 
 @dataclass(frozen=True)
@@ -199,12 +205,12 @@ def weight_profile(kind: str, m: int | None, n: int) -> WeightProfile:
         if m is None:
             counts = tuple(math.comb(n, w) for w in range(n + 1))
         else:
-            counts = _binary_weight_row(m, n)
+            counts = _weight_row(2, m, n)
     elif kind == "quaternary":
         if m is None:
             counts = tuple(binomial_weight_count(n, w) for w in range(n + 1))
         else:
-            counts = _quaternary_weight_row(m, n)
+            counts = _weight_row(4, m, n)
     else:
         raise ValueError(f"unknown profile kind {kind!r}")
     return WeightProfile(kind=kind, m=m, n=n, counts=counts)

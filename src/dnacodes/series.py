@@ -3,25 +3,15 @@
 Coefficients are Python ints, so coefficient extraction stays exact at
 any length.  A series is truncated at a fixed maximum x-degree; products
 silently drop higher-order terms.  Instances are immutable and safe to
-share across threads.
-
-The bivariate series stores one dense y-coefficient row per x-degree,
-which keeps the counting workloads (quasi-inverses and repeated products
-with short unit-coefficient polynomials) linear passes over flat lists.
+share across threads.  The counting code uses them for the
+generating-function cross-check of the run-length-limited counts.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 
-__all__ = ["TruncatedSeries", "BiSeries", "TransferMatrix"]
-
-
-def _trimmed(row: Sequence[int]) -> tuple[int, ...]:
-    last = len(row)
-    while last > 0 and row[last - 1] == 0:
-        last -= 1
-    return tuple(row[:last])
+__all__ = ["TruncatedSeries"]
 
 
 class TruncatedSeries:
@@ -111,252 +101,3 @@ class TruncatedSeries:
 
     def __repr__(self) -> str:
         return f"TruncatedSeries({list(self.coeffs)!r}, n_max={self.n_max})"
-
-
-# -- bivariate kernels -------------------------------------------------------
-#
-# Rows are plain lists of ints, rows[dx][dy]; trailing zeros are allowed
-# while a row is under construction and trimmed when frozen.
-
-
-def _add_scaled_row(dst: list[int], src: Sequence[int], offset: int, scale: int) -> None:
-    need = offset + len(src)
-    if len(dst) < need:
-        dst.extend([0] * (need - len(dst)))
-    if scale == 1:
-        window = dst[offset:need]
-        dst[offset:need] = [a + b for a, b in zip(window, src)]
-    else:
-        for j, v in enumerate(src):
-            if v:
-                dst[offset + j] += scale * v
-
-
-def _mul_rows(
-    a_rows: Sequence[Sequence[int]], b_rows: Sequence[Sequence[int]], n_max: int
-) -> list[list[int]]:
-    out: list[list[int]] = [[] for _ in range(n_max + 1)]
-    for db, brow in enumerate(b_rows):
-        if not brow or db > n_max:
-            continue
-        for jb, cb in enumerate(brow):
-            if cb == 0:
-                continue
-            for da, arow in enumerate(a_rows[: n_max + 1 - db]):
-                if arow:
-                    _add_scaled_row(out[da + db], arow, jb, cb)
-    return out
-
-
-class BiSeries:
-    """Bivariate power series, exact int coefficients, truncated at x-degree n_max.
-
-    The y-variable is never truncated; in this package the y-degree of
-    every stored term is at most its x-degree, so rows stay short.
-    """
-
-    __slots__ = ("rows", "n_max")
-
-    def __init__(self, rows: Sequence[Sequence[int]], n_max: int):
-        if n_max < 0:
-            raise ValueError("n_max must be non-negative")
-        frozen = [_trimmed(row) for row in rows[: n_max + 1]]
-        frozen.extend([()] * (n_max + 1 - len(frozen)))
-        self.rows: tuple[tuple[int, ...], ...] = tuple(frozen)
-        self.n_max = n_max
-
-    @classmethod
-    def from_terms(cls, terms: Mapping[tuple[int, int], int], n_max: int) -> "BiSeries":
-        rows: list[list[int]] = [[] for _ in range(n_max + 1)]
-        for (dx, dy), value in terms.items():
-            if dx < 0 or dy < 0:
-                raise ValueError("negative degree")
-            if dx <= n_max:
-                _add_scaled_row(rows[dx], [value], dy, 1)
-        return cls(rows, n_max)
-
-    def coefficient(self, dx: int, dy: int) -> int:
-        """Extract the coefficient of x**dx * y**dy."""
-        if not 0 <= dx <= self.n_max:
-            raise ValueError(f"x-degree {dx} outside truncation range 0..{self.n_max}")
-        if dy < 0:
-            raise ValueError("negative y-degree")
-        row = self.rows[dx]
-        return row[dy] if dy < len(row) else 0
-
-    def row(self, dx: int) -> tuple[int, ...]:
-        """All y-coefficients of x**dx, lowest degree first."""
-        if not 0 <= dx <= self.n_max:
-            raise ValueError(f"x-degree {dx} outside truncation range 0..{self.n_max}")
-        return self.rows[dx]
-
-    def _check_compatible(self, other: "BiSeries") -> None:
-        if self.n_max != other.n_max:
-            raise ValueError("series have different truncation degrees")
-
-    def __add__(self, other: "BiSeries") -> "BiSeries":
-        self._check_compatible(other)
-        rows = []
-        for a, b in zip(self.rows, other.rows):
-            row = list(a)
-            _add_scaled_row(row, b, 0, 1)
-            rows.append(row)
-        return BiSeries(rows, self.n_max)
-
-    def __sub__(self, other: "BiSeries") -> "BiSeries":
-        self._check_compatible(other)
-        rows = []
-        for a, b in zip(self.rows, other.rows):
-            row = list(a)
-            _add_scaled_row(row, b, 0, -1)
-            rows.append(row)
-        return BiSeries(rows, self.n_max)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return BiSeries(
-                [[other * c for c in row] for row in self.rows], self.n_max
-            )
-        self._check_compatible(other)
-        return BiSeries(_mul_rows(self.rows, other.rows, self.n_max), self.n_max)
-
-    __rmul__ = __mul__
-
-    def quasi_inverse(self) -> "BiSeries":
-        """Return (1 - self)**-1 as a truncated series; requires self(0, .) = 0."""
-        if self.rows[0]:
-            raise ValueError("quasi-inverse requires a zero constant-in-x row")
-        n_max = self.n_max
-        f_rows = self.rows
-        out: list[list[int]] = [[1]]
-        for d in range(1, n_max + 1):
-            row: list[int] = []
-            for k in range(1, d + 1):
-                frow = f_rows[k]
-                if not frow:
-                    continue
-                grow = out[d - k]
-                if not grow:
-                    continue
-                for jf, cf in enumerate(frow):
-                    if cf:
-                        _add_scaled_row(row, grow, jf, cf)
-            out.append(row)
-        return BiSeries(out, n_max)
-
-    def is_zero(self) -> bool:
-        return not any(self.rows)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BiSeries):
-            return NotImplemented
-        return self.n_max == other.n_max and self.rows == other.rows
-
-    def __hash__(self):
-        return hash((self.rows, self.n_max))
-
-    def __repr__(self) -> str:
-        terms = sum(len(r) for r in self.rows)
-        return f"<BiSeries n_max={self.n_max} stored_coeffs={terms}>"
-
-
-def run_polynomial(m: int, n_max: int) -> BiSeries:
-    """x + x**2 + ... + x**m: one run of 1..m symbols, no weight tracking."""
-    if m < 1:
-        raise ValueError("maximum run must be at least 1")
-    return BiSeries.from_terms({(k, 0): 1 for k in range(1, m + 1)}, n_max)
-
-
-def weighted_run_polynomial(m: int, n_max: int) -> BiSeries:
-    """x*y + (x*y)**2 + ... + (x*y)**m: a run whose symbols all count toward weight."""
-    if m < 1:
-        raise ValueError("maximum run must be at least 1")
-    return BiSeries.from_terms({(k, k): 1 for k in range(1, m + 1)}, n_max)
-
-
-class TransferMatrix:
-    """One-step state-transition matrix of the four-symbol constrained source.
-
-    State i emits a run of 1..m copies of symbol i and then hands over to
-    a different state.  Rows for the two AT states carry the weighted run
-    polynomial, rows for the two GC states the plain one; the diagonal is
-    zero.  Entry (i, j) of the matrix power counts, by length and weight,
-    the run sequences emitted along state paths from i to j.
-    """
-
-    __slots__ = ("entries", "m", "n_max")
-
-    def __init__(self, entries: Sequence[Sequence[BiSeries]], m: int, n_max: int):
-        rows = tuple(tuple(row) for row in entries)
-        if len(rows) != 4 or any(len(row) != 4 for row in rows):
-            raise ValueError("transfer matrix must be 4x4")
-        self.entries = rows
-        self.m = m
-        self.n_max = n_max
-
-    @classmethod
-    def build(cls, m: int, n_max: int) -> "TransferMatrix":
-        if m < 1:
-            raise ValueError("maximum run must be at least 1")
-        a0 = run_polynomial(m, n_max)
-        a1 = weighted_run_polynomial(m, n_max)
-        zero = BiSeries([], n_max)
-        emit = (a0, a0, a1, a1)
-        entries = [
-            [zero if i == j else emit[i] for j in range(4)] for i in range(4)
-        ]
-        return cls(entries, m, n_max)
-
-    def _row_values(self) -> tuple[BiSeries, ...]:
-        # The off-diagonal entries of each row are identical by construction;
-        # the cumulative sum below relies on that shape.
-        emit = []
-        for i in range(4):
-            value = self.entries[i][(i + 1) % 4]
-            for j in range(4):
-                expected = value if i != j else None
-                if expected is None:
-                    if not self.entries[i][j].is_zero():
-                        raise ValueError("transfer matrix diagonal must be zero")
-                elif self.entries[i][j] != expected:
-                    raise ValueError("transfer matrix rows must be constant off-diagonal")
-            emit.append(value)
-        return tuple(emit)
-
-    def cumulative_entry_sum(self) -> BiSeries:
-        """Sum of all entries of D + D**2 + ... + D**n_max, truncated at x-degree n_max.
-
-        Computed by iterating a row vector: with r_l = 1^T D^l, the result
-        is sum_l r_l 1.  Each step multiplies by short unit-coefficient
-        polynomials only, so this costs O(n_max) cheap passes instead of
-        O(log n_max) full series-matrix products.
-        """
-        emit = self._row_values()
-        n_max = self.n_max
-        # r[i] holds the rows of component i of the current 1^T D^l.
-        r: list[list[list[int]]] = [[[1]] + [[] for _ in range(n_max)] for _ in range(4)]
-        acc: list[list[int]] = [[] for _ in range(n_max + 1)]
-        for _ in range(n_max):
-            scaled = [_mul_rows(r[i], emit[i].rows, n_max) for i in range(4)]
-            total: list[list[int]] = [[] for _ in range(n_max + 1)]
-            for part in scaled:
-                for d, row in enumerate(part):
-                    if row:
-                        _add_scaled_row(total[d], row, 0, 1)
-            new_r = []
-            for j in range(4):
-                comp = [list(row) for row in total]
-                for d, row in enumerate(scaled[j]):
-                    if row:
-                        _add_scaled_row(comp[d], row, 0, -1)
-                new_r.append(comp)
-            r = new_r
-            live = False
-            for comp in r:
-                for d, row in enumerate(comp):
-                    if row and any(row):
-                        live = True
-                        _add_scaled_row(acc[d], row, 0, 1)
-            if not live:
-                break
-        return BiSeries(acc, n_max)

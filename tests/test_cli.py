@@ -112,6 +112,22 @@ class TestScalarCommands:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize(
+        "family,args,missing",
+        [
+            pytest.param("balance", ("--n", "4"), "--a", id="balance-no-a"),
+            pytest.param("runlength", ("--n", "4"), "--m", id="runlength-no-m"),
+            pytest.param("combined", ("--n", "4", "--a", "0.1"), "--m", id="combined-no-m"),
+            pytest.param("combined", ("--n", "4", "--m", "2"), "--a", id="combined-no-a"),
+            pytest.param("combined", ("--n", "4"), "--m and --a", id="combined-neither"),
+        ],
+    )
+    def test_redundancy_missing_parameter_is_usage_error(self, capsys, family, args, missing):
+        code, out, err = run_cli(capsys, "redundancy", "--family", family, *args)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: redundancy --family {family} needs {missing}\n"
+
     def test_precision_flag(self, capsys):
         _, out, _ = run_cli(capsys, "capacity", "--q", "4", "--m", "1", "--precision", "8")
         assert out.strip() == "1.58496250"

@@ -1,11 +1,12 @@
 import itertools
 import math
+from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from dnacodes import counting
+from dnacodes import counting, oracle
 
 
 def brute_quaternary_weight(n, w):
@@ -72,6 +73,20 @@ class TestNearBalancedCount:
     def test_negative_bound_rejected(self):
         with pytest.raises(ValueError):
             counting.near_balanced_count(4, -0.1)
+
+
+class TestAdmittedWeights:
+    @pytest.mark.parametrize("boundary", counting.BOUNDARY_MODES)
+    @pytest.mark.parametrize("a", [0, 0.05, 0.1, 0.15, 1 / 3, 0.5, 1])
+    def test_integer_rule_matches_fraction_rule(self, a, boundary):
+        bound = counting.unbalance_bound(a)
+        for n in range(1, 301):
+            expected = []
+            for w in range(n + 1):
+                gap = abs(Fraction(w, n) - Fraction(1, 2))
+                if gap < bound or (boundary == "inclusive" and gap == bound):
+                    expected.append(w)
+            assert counting.admitted_weights(n, a, boundary) == expected
 
 
 class TestBalanceRedundancy:
@@ -162,6 +177,41 @@ class TestWeightCounts:
         assert counting.rll_weight_count_quaternary(
             m, w, n
         ) == counting.rll_weight_count_quaternary(m, n - w, n)
+
+
+class TestWeightRowKernel:
+    def test_hand_case(self):
+        # w=0: GC, CG; w=1: one of A/T and one of G/C, in either order,
+        # 2*2*2 = 8; w=2: AT, TA.
+        assert counting._weight_row(4, 1, 2) == (2, 8, 2)
+
+    @pytest.mark.parametrize("n", (200, 400))
+    @pytest.mark.parametrize("q", (2, 4))
+    def test_row_sum_is_rll_count(self, q, n):
+        assert sum(counting._weight_row(q, 3, n)) == counting.rll_count(q, 3, n)
+
+    @pytest.mark.parametrize("q,m,n", [(2, 2, 31), (4, 1, 20), (4, 3, 57)])
+    def test_row_is_symmetric(self, q, m, n):
+        counts = counting._weight_row(q, m, n)
+        assert all(counts[w] == counts[n - w] for w in range(n + 1))
+
+    @pytest.mark.parametrize("q,m,n", [(2, 5, 5), (2, 9, 4), (4, 6, 6), (4, 100, 7)])
+    def test_unconstrained_when_m_reaches_n(self, q, m, n):
+        scale = 2**n if q == 4 else 1
+        assert counting._weight_row(q, m, n) == tuple(
+            math.comb(n, w) * scale for w in range(n + 1)
+        )
+
+    def test_rejects_zero_run(self):
+        with pytest.raises(ValueError):
+            counting.weight_profile("quaternary", 0, 5)
+
+    @settings(deadline=None)
+    @given(st.sampled_from((2, 4)), st.integers(1, 5), st.integers(1, 7))
+    def test_matches_brute_force(self, q, m, n):
+        assert counting._weight_row(q, m, n) == tuple(
+            oracle.brute_weight_count(q, m, w, n) for w in range(n + 1)
+        )
 
 
 class TestWeightProfile:
