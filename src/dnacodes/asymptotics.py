@@ -4,7 +4,9 @@ The dominant root of the run-length characteristic equation drives
 everything here: capacity, the leading coefficient of the count
 asymptote, and the run-length distributions behind the weight-variance
 factors.  All quantities are 64-bit floats; exact counts are folded in
-through log2 so nothing overflows.  Pure functions throughout.
+through log2 so nothing overflows: count estimates are computed as log2
+(the log2_* forms), and their plain forms read inf once a count leaves
+the float range.  Pure functions throughout.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ __all__ = [
     "gaussian_weight_approx",
     "gaussian_weight_model",
     "leading_coefficient",
+    "log2_balance_count_approx",
     "q_function",
     "rll_count_approx",
     "rll_redundancy",
@@ -37,6 +40,8 @@ __all__ = [
 ]
 
 _NEWTON_CAP = 200
+# Largest binary exponent kept clear of float overflow (max is about 2**1024).
+_FLOAT_EXP_LIMIT = 1000
 
 
 @dataclass(frozen=True)
@@ -78,7 +83,8 @@ def capacity(q: int, m: int) -> CapacityResult:
     """Capacity C_q(m) = log2 of the largest real characteristic root.
 
     Bisection brackets the root in (q-1, q), a Newton polish finishes it;
-    m=1 is the exact root q-1 (so the binary m=1 channel has capacity 0).
+    m=1 is the exact root q-1 (so the binary m=1 channel has capacity 0),
+    and once q**m leaves the float range the root rounds to q.
     """
     if q < 2:
         raise ValueError("alphabet size must be at least 2")
@@ -87,6 +93,12 @@ def capacity(q: int, m: int) -> CapacityResult:
     if m == 1:
         lam = float(q - 1)
         return CapacityResult(q, m, lam, math.log2(lam), abs(_char_residual(q, m, lam)))
+    if m > _FLOAT_EXP_LIMIT / math.log2(q):
+        # x**m overflows near the root, which lies within (q-1) * (q-1/2)**-m
+        # of q (the root exceeds q - 1/2 for m >= 2): far less than half
+        # an ulp, so the root is q itself.  There the characteristic
+        # polynomial x**m * (x - q) + q - 1 is exactly q - 1.
+        return CapacityResult(q, m, float(q), math.log2(q), float(q - 1))
     lo, hi = float(q - 1), float(q)
     if not (_deflated(q, m, lo) < 0 < _deflated(q, m, hi)):
         raise ArithmeticError(f"root bracket invalid for q={q}, m={m}")
@@ -241,22 +253,44 @@ def q_function(x: float) -> float:
     return 0.5 * math.erfc(x / math.sqrt(2.0))
 
 
+def _exp2(x: float) -> float:
+    """2**x, or inf where that leaves the float range."""
+    try:
+        return 2.0**x
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class GaussianApprox:
-    """Gaussian model of a weight distribution: count ~ total * density(w)."""
+    """Gaussian model of a weight distribution: count ~ total * density(w).
+
+    The total is kept as its log2, so models of any length stay finite;
+    the log2_* methods give estimates that never overflow.
+    """
 
     mean: float
     variance: float
-    total: float
+    log2_total: float
+
+    @property
+    def total(self) -> float:
+        return _exp2(self.log2_total)
 
     def density(self, u: float) -> float:
+        return _exp2(self.log2_density(u))
+
+    def log2_density(self, u: float) -> float:
         if self.variance <= 0:
             raise ValueError("variance must be positive")
-        z = (u - self.mean) / math.sqrt(self.variance)
-        return math.exp(-0.5 * z * z) / math.sqrt(2 * math.pi * self.variance)
+        z2 = (u - self.mean) ** 2 / self.variance
+        return -(0.5 * z2 + 0.5 * math.log(2 * math.pi * self.variance)) / math.log(2)
+
+    def log2_estimate(self, w: float) -> float:
+        return self.log2_total + self.log2_density(w)
 
     def estimate(self, w: float) -> float:
-        return self.total * self.density(w)
+        return _exp2(self.log2_estimate(w))
 
 
 def gaussian_weight_model(
@@ -273,17 +307,17 @@ def gaussian_weight_model(
     if n < 1:
         raise ValueError("length must be at least 1")
     if kind == "balance":
-        return GaussianApprox(mean=n / 2, variance=n / 4, total=float(4**n))
+        return GaussianApprox(mean=n / 2, variance=n / 4, log2_total=2.0 * n)
     if kind == "binary-rll":
         if m is None:
             raise ValueError("binary-rll model needs m")
         gamma = 1.0 if plain_variance else gamma_binary(m)
-        return GaussianApprox(n / 2, gamma * n / 4, float(counting.rll_count(2, m, n)))
+        return GaussianApprox(n / 2, gamma * n / 4, math.log2(counting.rll_count(2, m, n)))
     if kind == "quaternary-rll":
         if m is None:
             raise ValueError("quaternary-rll model needs m")
         gamma = 1.0 if plain_variance else gamma_quaternary(m)
-        return GaussianApprox(n / 2, gamma * n / 4, float(counting.rll_count(4, m, n)))
+        return GaussianApprox(n / 2, gamma * n / 4, math.log2(counting.rll_count(4, m, n)))
     raise ValueError(f"unknown model kind {kind!r}")
 
 
@@ -292,11 +326,21 @@ def gaussian_weight_approx(kind: str, m: int | None, w: int, n: int) -> float:
     return gaussian_weight_model(kind, m, n).estimate(w)
 
 
-def balance_count_approx(n: int, a: float) -> float:
-    """Gaussian estimate 4**n * (1 - 2*Q(2*a*sqrt(n))) of the near-balanced count."""
+def log2_balance_count_approx(n: int, a: float) -> float:
+    """log2 of the Gaussian near-balanced count: 2n + log2(1 - 2*Q(2*a*sqrt(n)))."""
     if n < 1:
         raise ValueError("length must be at least 1")
-    return float(4**n) * (1.0 - 2.0 * q_function(2.0 * float(a) * math.sqrt(n)))
+    admitted = 1.0 - 2.0 * q_function(2.0 * float(a) * math.sqrt(n))
+    return 2.0 * n + math.log2(admitted) if admitted > 0 else -math.inf
+
+
+def balance_count_approx(n: int, a: float) -> float:
+    """Gaussian estimate 4**n * (1 - 2*Q(2*a*sqrt(n))) of the near-balanced count.
+
+    inf once the count leaves the float range; log2_balance_count_approx
+    stays finite.
+    """
+    return _exp2(log2_balance_count_approx(n, a))
 
 
 def _gamma_for(kind: str, m: int) -> float:

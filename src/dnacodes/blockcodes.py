@@ -1,71 +1,47 @@
-"""Run-constrained block codes built from explicit codeword tables.
+"""Run-constrained block codes, encoded by unranking and decoded by ranking.
 
-Three table codes live here.  The binary two-mode code alternates the
+Three block codes live here.  The binary two-mode code alternates the
 first bit against the previous block's last bit.  The state-independent
 quaternary code gives every source index two codewords with different
 first symbols and decodes from the received block alone.  The
-state-dependent quaternary code keeps one table per encoder state (the
-previous block's last symbol) holding only words that do not start with
-that symbol; decoding needs the state as well.
+state-dependent quaternary code keeps one codebook per encoder state
+(the previous block's last symbol) holding only words that do not start
+with that symbol; decoding needs the state as well.
 
-Tables are truncated to power-of-two sizes; indices always follow
-lexicographic codeword order.  n is capped because table sizes grow as
-4**n.
+Every codebook is a power-of-two set of max-run-m words indexed in
+lexicographic order, so no table is stored (Cover's enumerative coding):
+encoding finds the index-th codeword and decoding counts the codewords
+below the received one, both by one walk down a graph of prefix states
+whose edges carry codeword counts.  The graph has O(n * m) nodes, or
+O(n**2 * m) for the state-dependent code, whose states also carry the
+AT-content so far.  Each codec memoises its walks in a bounded LRU.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_right
 from functools import lru_cache
 
 from . import counting
-from .words import Bits, Oligo, at_weight
+from .words import Bits, Oligo
 
 __all__ = [
-    "BlockCodebook",
-    "CODEBOOK_MAX_N",
+    "MEMO_SIZE",
     "StateDependentCode",
     "StateIndependentCode",
     "TwoModeRllCode",
-    "constrained_words",
     "rate_state_dependent",
     "rate_state_independent",
     "rate_two_mode",
     "state_dependent_table_capacity",
 ]
 
-CODEBOOK_MAX_N = 14
-
 # Encoder state at stream start: no previous symbol has been emitted.
 STREAM_START = None
 
-
-@lru_cache(maxsize=32)
-def constrained_words(q: int, m: int, n: int) -> tuple[tuple[int, ...], ...]:
-    """All q-ary length-n words with max run m, in lexicographic order."""
-    if n > CODEBOOK_MAX_N:
-        raise ValueError(f"codebooks are limited to n <= {CODEBOOK_MAX_N} (got {n})")
-    if n < 1:
-        raise ValueError("length must be at least 1")
-    if m < 1:
-        raise ValueError("maximum run must be at least 1")
-    words: list[tuple[int, ...]] = []
-    word: list[int] = []
-
-    def extend(last: int, run: int) -> None:
-        if len(word) == n:
-            words.append(tuple(word))
-            return
-        for s in range(q):
-            new_run = run + 1 if s == last else 1
-            if new_run > m:
-                continue
-            word.append(s)
-            extend(s, new_run)
-            word.pop()
-
-    extend(-1, 0)
-    return tuple(words)
+# Entries in each codec's encode and decode memo.  At 2**17 the memo
+# holds every (state, index) pair of a 15-bit quaternary code.
+MEMO_SIZE = 2**17
 
 
 def _floor_log2(value: int) -> int:
@@ -74,48 +50,195 @@ def _floor_log2(value: int) -> int:
     return value.bit_length() - 1
 
 
-@dataclass(frozen=True, eq=False)
-class BlockCodebook:
-    """Indexed codeword tables of one block code.
-
-    modes[mode][index] is a codeword; every mode holds the same
-    power-of-two number of words, one per source index.
-    """
-
-    n: int
-    q: int
-    source_bits: int
-    modes: tuple[tuple[tuple[int, ...], ...], ...]
-    constraint: str
-
-    @property
-    def mode_count(self) -> int:
-        return len(self.modes)
-
-    @property
-    def size(self) -> int:
-        return len(self.modes[0])
-
-    def __post_init__(self):
-        expected = 2**self.source_bits
-        for mode in self.modes:
-            if len(mode) != expected:
-                raise ValueError("mode size must equal 2**source_bits")
-            if len(set(mode)) != len(mode):
-                raise ValueError("duplicate codeword within a mode")
+# Byte translations between bit values (0, 1) and binary digits ("0", "1");
+# any other byte becomes "x", which int() rejects.
+_DIGIT_OF_BIT = b"01" + b"x" * 254
+_BIT_OF_DIGIT = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def _bits_to_index(bits: Bits) -> int:
-    value = 0
-    for b in bits:
-        if b not in (0, 1):
-            raise ValueError("source bits must be 0 or 1")
-        value = value << 1 | b
-    return value
+    try:
+        return int(bytes(bits).translate(_DIGIT_OF_BIT), 2)
+    except (TypeError, ValueError):
+        raise ValueError("source bits must be 0 or 1") from None
 
 
 def _index_to_bits(value: int, width: int) -> Bits:
-    return tuple(value >> (width - 1 - i) & 1 for i in range(width))
+    return tuple(format(value, f"0{width}b").encode().translate(_BIT_OF_DIGIT))
+
+
+class _Enumerator:
+    """Lexicographic rank and unrank over the kept words of one block code.
+
+    A node stands for every prefix with the same future: its length, last
+    symbol and run, the AT-content so far when a weight window is set,
+    and whether boundary words below it are kept.  It holds its children
+    in lex order as (starts, symbols, children), where starts[k] counts
+    the kept words under the smaller symbols, so unranking takes one
+    bisect per symbol and ranking one lookup.  Children without kept
+    words are left out, so a word that breaks the run limit, the window
+    or the first-symbol rule has no path.
+
+    With `unbalance` = D, the kept words are those with |2w - n| < D plus
+    the boundary words (|2w - n| == D) from a given boundary rank on:
+    the lexicographically smallest boundary words are the dropped ones.
+    """
+
+    def __init__(self, q: int, m: int, n: int, unbalance: int | None = None):
+        self.q, self.m, self.n = q, m, n
+        self.unbalance = unbalance
+        # Per node: (starts, symbols, children) and the number of kept words
+        # below it.  Node 0 is the complete kept word.
+        self._steps: list[tuple[tuple[int, ...], ...]] = [((), (), ())]
+        self._sizes = [1]
+        # _levels[p] maps (last, run, weight, above) to the node of a length-p prefix.
+        self._levels = [{} for _ in range(n + 1)]
+        self._build()
+        self.unrank = lru_cache(maxsize=MEMO_SIZE)(self._unrank)
+        self.rank = lru_cache(maxsize=MEMO_SIZE)(self._rank)
+
+    def _weight(self, symbol: int) -> int:
+        # Only the window needs the weight; without one every prefix has weight 0.
+        return symbol // (self.q // 2) if self.unbalance is not None else 0
+
+    def _add(self, children: list[tuple[int, int | None]]) -> int | None:
+        children = [(s, c) for s, c in children if c is not None]
+        if not children:
+            return None
+        starts, total = [], 0
+        for _, child in children:
+            starts.append(total)
+            total += self._sizes[child]
+        self._steps.append(
+            (tuple(starts), tuple(s for s, _ in children), tuple(c for _, c in children))
+        )
+        self._sizes.append(total)
+        return len(self._sizes) - 1
+
+    def _child(self, p: int, last: int, run: int, weight: int, above: bool, s: int):
+        """Node reached by appending s to a length-p prefix, or None."""
+        if s == last:
+            if run == self.m:
+                return None
+            run += 1
+        else:
+            run = 1
+        return self._levels[p + 1].get((s, run, weight + self._weight(s), above))
+
+    def _build(self) -> None:
+        q, m, n, d = self.q, self.m, self.n, self.unbalance
+        if d is None:
+            flags, low, high = (True,), 0, 0
+        else:
+            # Nodes with and without boundary words, and the final weights in the window.
+            flags, low, high = (False, True), (n - d + 1) // 2, (n + d) // 2
+        for w in range(low, high + 1):
+            for above in flags:
+                # A boundary word (|2w - n| == d) is kept only where boundary words are.
+                if above or abs(2 * w - n) < d:
+                    for s in range(q):
+                        for run in range(1, m + 1):
+                            self._levels[n][(s, run, w, above)] = 0
+        for p in range(n - 1, 0, -1):
+            weights = range(max(0, low - (n - p)), min(p, high) + 1)
+            level = self._levels[p]
+            for last in range(q):
+                for run in range(1, min(m, p) + 1):
+                    for w in weights:
+                        for above in flags:
+                            node = self._add([
+                                (s, self._child(p, last, run, w, above, s)) for s in range(q)
+                            ])
+                            if node is not None:
+                                level[(last, run, w, above)] = node
+
+    def root(self, first_symbols: tuple[int, ...], skip: int = 0) -> int:
+        """Node of the empty prefix whose codewords start with first_symbols.
+
+        skip drops that many boundary words, the lexicographically
+        smallest; it needs a weight window.
+        """
+        if self.unbalance is None:
+            if skip:
+                raise ValueError("skipping boundary words needs a weight window")
+            node = self._add([(s, self._child(0, None, 0, 0, True, s)) for s in first_symbols])
+        else:
+            node = self._boundary_chain(first_symbols, skip)
+        if node is None:
+            raise ValueError("no codewords start with these symbols")
+        return node
+
+    def _boundary_chain(self, first_symbols: tuple[int, ...], skip: int) -> int | None:
+        """Root with the skip lexicographically smallest boundary words dropped.
+
+        The first kept boundary word x is found by unranking skip over
+        boundary counts alone.  Each prefix of x gets its own node: past
+        it, smaller symbols lead to nodes without boundary words and
+        larger ones to nodes with all of them.
+        """
+
+        def kept(p: int, key: tuple) -> int:
+            node = self._levels[p].get(key)
+            return 0 if node is None else self._sizes[node]
+
+        word: list[int] = []
+        prefixes: list[tuple] = [(None, 0, 0)]  # (last, run, weight) of x[:p]
+        for p in range(self.n):
+            last, run, weight = prefixes[-1]
+            for s in first_symbols if p == 0 else range(self.q):
+                if s == last and run == self.m:
+                    continue
+                key = (s, run + 1 if s == last else 1, weight + self._weight(s))
+                count = kept(p + 1, key + (True,)) - kept(p + 1, key + (False,))
+                if skip < count:
+                    break
+                skip -= count
+            else:
+                raise ValueError("skip exceeds the number of boundary words")
+            word.append(s)
+            prefixes.append(key)
+        node = 0  # x itself is kept
+        for p in range(self.n - 1, -1, -1):
+            last, run, weight = prefixes[p]
+            node = self._add([
+                (s, node if s == word[p] else self._child(p, last, run, weight, s > word[p], s))
+                for s in (first_symbols if p == 0 else range(self.q))
+            ])
+        return node
+
+    def size(self, root: int) -> int:
+        return self._sizes[root]
+
+    def _unrank(self, root: int, index: int) -> Oligo:
+        if not 0 <= index < self._sizes[root]:
+            raise ValueError(f"index {index} out of range")
+        steps = self._steps
+        word = []
+        node = root
+        for _ in range(self.n):
+            starts, symbols, children = steps[node]
+            k = bisect_right(starts, index) - 1
+            index -= starts[k]
+            word.append(symbols[k])
+            node = children[k]
+        return tuple(word)
+
+    def _rank(self, root: int, word: Oligo) -> int | None:
+        """Index of word under root, or None when it is not a codeword there."""
+        if len(word) != self.n:
+            return None
+        steps = self._steps
+        index = 0
+        node = root
+        for s in word:
+            starts, symbols, children = steps[node]
+            try:
+                k = symbols.index(s)
+            except ValueError:
+                return None
+            index += starts[k]
+            node = children[k]
+        return index
 
 
 def rate_two_mode(m: int, n: int) -> float:
@@ -144,45 +267,49 @@ def rate_state_dependent(m: int, n: int) -> float:
     return _floor_log2(state_dependent_table_capacity(m, n)) / n
 
 
+def _check_shape(m: int, n: int) -> None:
+    if n < 1:
+        raise ValueError("length must be at least 1")
+    if m < 1:
+        raise ValueError("maximum run must be at least 1")
+
+
 class TwoModeRllCode:
     """Binary block code whose first bit always differs from the previous last bit.
 
-    Mode 0 holds words starting with 0 and is used after a block ending
-    in 1, and vice versa; concatenated blocks therefore never extend a
-    run across a boundary.  Decoding reads the mode off the first bit.
+    Mode 0 holds the first 2**source_bits words starting with 0, in lex
+    order, and is used after a block ending in 1, and vice versa;
+    concatenated blocks therefore never extend a run across a boundary.
+    Decoding reads the mode off the first bit.
     """
 
     def __init__(self, m: int, n: int):
-        words = constrained_words(2, m, n)
-        if len(words) < 4:
+        _check_shape(m, n)
+        total = counting.rll_count(2, m, n)
+        if total < 4:
             raise ValueError(f"too few constrained words for a two-mode code (m={m}, n={n})")
         self.m = m
         self.n = n
-        self.source_bits = _floor_log2(len(words)) - 1
-        keep = 2**self.source_bits
-        modes = tuple(
-            tuple(w for w in words if w[0] == first)[:keep] for first in (0, 1)
-        )
-        self.codebook = BlockCodebook(
-            n=n, q=2, source_bits=self.source_bits, modes=modes,
-            constraint=f"binary, max run {m}",
-        )
-        self._reverse = {
-            word: index for mode in modes for index, word in enumerate(mode)
-        }
+        self.source_bits = _floor_log2(total) - 1
+        self._keep = 2**self.source_bits
+        self._words = _Enumerator(2, m, n)
+        self._roots = (self._words.root((0,)), self._words.root((1,)))
 
     def encode_block(self, bits: Bits, last_bit: int | None = STREAM_START) -> Bits:
         """Encode source_bits bits given the previous block's final bit."""
         if len(bits) != self.source_bits:
             raise ValueError(f"expected {self.source_bits} source bits, got {len(bits)}")
         first = 0 if last_bit in (STREAM_START, 1) else 1
-        return self.codebook.modes[first][_bits_to_index(bits)]
+        return self._words.unrank(self._roots[first], _bits_to_index(bits))
 
     def decode_block(self, word: Bits, last_bit: int | None = STREAM_START) -> Bits:
         # last_bit is accepted for interface uniformity and ignored: the
         # mode is visible in the word's first bit.
-        index = self._reverse.get(tuple(word))
-        if index is None:
+        word = tuple(word)
+        index = None
+        if word and word[0] in (0, 1):
+            index = self._words.rank(self._roots[word[0]], word)
+        if index is None or index >= self._keep:
             raise ValueError("not a codeword of this two-mode code")
         return _index_to_bits(index, self.source_bits)
 
@@ -190,74 +317,87 @@ class TwoModeRllCode:
 class StateIndependentCode:
     """Quaternary block code with two codewords per index, decoded without state.
 
-    Words starting with G pair with words starting with A, C-words with
-    T-words, so the two representations of an index always differ at the
-    first symbol and one of them is safe to append to any previous block.
+    Index i < N/4 maps to the i-th words starting with G and with A, and
+    i >= N/4 to the (i - N/4)-th words starting with C and with T, so the
+    two representations of an index always differ at the first symbol
+    and one of them is safe to append to any previous block.  Mode 0 is
+    thus the first 2**source_bits G- or C-words in lex order, mode 1 the
+    A- or T-words.
     """
 
     def __init__(self, m: int, n: int):
-        words = constrained_words(4, m, n)
-        if len(words) < 8:
+        _check_shape(m, n)
+        total = counting.rll_count(4, m, n)
+        if total < 8:
             raise ValueError(f"too few constrained words (m={m}, n={n})")
         self.m = m
         self.n = n
         self.oligo_len = n
-        self.source_bits = _floor_log2(len(words)) - 1
-        keep = 2**self.source_bits
-        by_first = [[w for w in words if w[0] == s] for s in range(4)]
-        assert len({len(group) for group in by_first}) == 1, (
-            "symbol relabeling must split the words evenly"
-        )
-        pairs = list(zip(by_first[0], by_first[2])) + list(zip(by_first[1], by_first[3]))
-        pairs = pairs[:keep]
-        modes = (
-            tuple(p[0] for p in pairs),
-            tuple(p[1] for p in pairs),
-        )
-        self.codebook = BlockCodebook(
-            n=n, q=4, source_bits=self.source_bits, modes=modes,
-            constraint=f"quaternary, max run {m}",
-        )
-        self._reverse: dict[Oligo, int] = {}
-        for mode in modes:
-            for index, word in enumerate(mode):
-                assert word not in self._reverse, "representations must be distinct words"
-                self._reverse[word] = index
+        self.source_bits = _floor_log2(total) - 1
+        self._keep = 2**self.source_bits
+        self._quarter = total // 4  # words per first symbol
+        self._words = _Enumerator(4, m, n)
+        self._roots = (self._words.root((0, 1)), self._words.root((2, 3)))
 
     def encode_block(self, bits: Bits, last_symbol: int | None = STREAM_START) -> Oligo:
         """Encode source_bits bits; picks the representation safe after last_symbol."""
         if len(bits) != self.source_bits:
             raise ValueError(f"expected {self.source_bits} source bits, got {len(bits)}")
         index = _bits_to_index(bits)
-        first_choice = self.codebook.modes[0][index]
-        if last_symbol is STREAM_START or first_choice[0] != last_symbol:
-            return first_choice
-        return self.codebook.modes[1][index]
+        mode_0_first = 0 if index < self._quarter else 1
+        mode = 1 if last_symbol == mode_0_first else 0
+        return self._words.unrank(self._roots[mode], index)
 
     def decode_block(self, word: Oligo, last_symbol: int | None = STREAM_START) -> Bits:
         # last_symbol is accepted for interface uniformity and ignored:
         # decoding is state-independent.
-        index = self._reverse.get(tuple(word))
-        if index is None:
+        word = tuple(word)
+        index = None
+        if word and word[0] in (0, 1, 2, 3):
+            index = self._words.rank(self._roots[word[0] >> 1], word)
+        if index is None or index >= self._keep:
             raise ValueError("not a codeword of this state-independent code")
         return _index_to_bits(index, self.source_bits)
 
 
-class StateDependentCode:
-    """Quaternary block code with one table per previous-last-symbol state.
+def _pruning_boundary(m: int, n: int, drop: int) -> tuple[int, int]:
+    """Unbalance D of the boundary words and how many of them are dropped.
 
-    Table a holds only words that do not start with symbol a.  The table
-    is pruned to a power of two by dropping the words of highest
-    relative unbalance first (ties dropped in lexicographic order), per
-    the freedom the construction leaves in discarding excess words.
-    Decoding needs the received block and the previous block's last
-    symbol; the stream starts in state G.
+    Dropping drop words of highest |2w - n| removes every word beyond D
+    and r words at D.  A state's candidates are three quarters of the
+    words at each unbalance: the relabelings G<->C, A<->T and G<->A,
+    C<->T keep the unbalance and permute the first symbols.
+    """
+    by_unbalance: dict[int, int] = {}
+    for w, count in enumerate(counting.weight_profile("quaternary", m, n).counts):
+        u = abs(2 * w - n)
+        by_unbalance[u] = by_unbalance.get(u, 0) + count
+    for u in sorted(by_unbalance, reverse=True):
+        assert by_unbalance[u] % 4 == 0, "first symbols must split each unbalance evenly"
+        here = 3 * by_unbalance[u] // 4
+        if drop < here:
+            return u, drop
+        drop -= here
+    raise AssertionError("drop count exceeds the candidates")
+
+
+class StateDependentCode:
+    """Quaternary block code with one codebook per previous-last-symbol state.
+
+    Codebook a holds only words that do not start with symbol a, in lex
+    order.  It is pruned to a power of two by dropping the words of
+    highest relative unbalance first (ties dropped in lexicographic
+    order), per the freedom the construction leaves in discarding excess
+    words: every kept word has |2w - n| < max_unbalance, or equals it and
+    is not among the lexicographically first boundary words.  Decoding
+    needs the received block and the previous block's last symbol; the
+    stream starts in state G.
     """
 
     START_STATE = 0
 
     def __init__(self, m: int, n: int):
-        words = constrained_words(4, m, n)
+        _check_shape(m, n)
         capacity = state_dependent_table_capacity(m, n)
         self.m = m
         self.n = n
@@ -266,20 +406,13 @@ class StateDependentCode:
         if self.source_bits < 1:
             raise ValueError(f"table too small for a useful code (m={m}, n={n})")
         keep = 2**self.source_bits
-        modes = []
-        for state in range(4):
-            candidates = [w for w in words if w[0] != state]
-            assert len(candidates) == capacity
-            removal_order = sorted(candidates, key=lambda w: (-abs(2 * at_weight(w) - n), w))
-            dropped = set(removal_order[: len(candidates) - keep])
-            modes.append(tuple(w for w in candidates if w not in dropped))
-        self.codebook = BlockCodebook(
-            n=n, q=4, source_bits=self.source_bits, modes=tuple(modes),
-            constraint=f"quaternary, max run {m}, state-dependent",
+        self.max_unbalance, skip = _pruning_boundary(m, n, capacity - keep)
+        self._words = _Enumerator(4, m, n, unbalance=self.max_unbalance)
+        self._roots = tuple(
+            self._words.root(tuple(s for s in range(4) if s != state), skip)
+            for state in range(4)
         )
-        self._reverse = tuple(
-            {word: index for index, word in enumerate(mode)} for mode in modes
-        )
+        assert all(self._words.size(root) == keep for root in self._roots)
 
     def _state(self, last_symbol: int | None) -> int:
         return self.START_STATE if last_symbol is STREAM_START else last_symbol
@@ -287,10 +420,10 @@ class StateDependentCode:
     def encode_block(self, bits: Bits, last_symbol: int | None = STREAM_START) -> Oligo:
         if len(bits) != self.source_bits:
             raise ValueError(f"expected {self.source_bits} source bits, got {len(bits)}")
-        return self.codebook.modes[self._state(last_symbol)][_bits_to_index(bits)]
+        return self._words.unrank(self._roots[self._state(last_symbol)], _bits_to_index(bits))
 
     def decode_block(self, word: Oligo, last_symbol: int | None = STREAM_START) -> Bits:
-        index = self._reverse[self._state(last_symbol)].get(tuple(word))
+        index = self._words.rank(self._roots[self._state(last_symbol)], tuple(word))
         if index is None:
             raise ValueError("not a codeword of this state-dependent code for this state")
         return _index_to_bits(index, self.source_bits)

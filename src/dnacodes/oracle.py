@@ -1,10 +1,11 @@
 """Brute-force ground truth by direct enumeration.
 
-Counts come from odometer scans over whole sequence spaces, and codec
-checks re-validate every emitted block with local scanners.  Nothing in
-this module is imported from the counting code, and the run/weight
-scanners are deliberate reimplementations rather than imports, so a bug
-in the formulas cannot hide here.
+Counts come from odometer scans over whole sequence spaces, block-code
+tables from explicit lists of every constrained word, and codec checks
+re-validate every emitted block with local scanners and against those
+tables.  Nothing in this module is imported from the counting code, and
+the run/weight scanners are deliberate reimplementations rather than
+imports, so a bug in the formulas cannot hide here.
 """
 
 from __future__ import annotations
@@ -44,7 +45,19 @@ def _check_space(q: int, n: int) -> None:
         raise ValueError(f"search space {q}**{n} exceeds the {SEARCH_CAP} word cap")
 
 
-@lru_cache(maxsize=8)
+def _largest_length(q: int) -> int:
+    n = 0
+    while q ** (n + 1) <= SEARCH_CAP:
+        n += 1
+    return n
+
+
+# One histogram per (q, n) that a scan may reach for the weight alphabets,
+# so a grid over m and n scans each space once.
+_HISTOGRAM_SLOTS = sum(_largest_length(q) for q in (2, 4))
+
+
+@lru_cache(maxsize=_HISTOGRAM_SLOTS)
 def _run_weight_histogram(q: int, n: int) -> dict[tuple[int, int], int]:
     """(max run, weight) -> word count, from one scan of all q**n words."""
     _check_space(q, n)
@@ -95,6 +108,113 @@ def brute_balance_count(n: int, a, boundary: str = "strict") -> int:
     return total
 
 
+@lru_cache(maxsize=32)
+def constrained_words(q: int, m: int, n: int) -> tuple[tuple[int, ...], ...]:
+    """All q-ary length-n words with max run m, in lexicographic order."""
+    _check_space(q, n)
+    if n < 1:
+        raise ValueError("length must be at least 1")
+    if m < 1:
+        raise ValueError("maximum run must be at least 1")
+    words: list[tuple[int, ...]] = []
+    word: list[int] = []
+
+    def extend(last: int, run: int) -> None:
+        if len(word) == n:
+            words.append(tuple(word))
+            return
+        for s in range(q):
+            new_run = run + 1 if s == last else 1
+            if new_run > m:
+                continue
+            word.append(s)
+            extend(s, new_run)
+            word.pop()
+
+    extend(-1, 0)
+    return tuple(words)
+
+
+def _floor_log2(value: int) -> int:
+    return value.bit_length() - 1
+
+
+def _check_modes(modes):
+    size = len(modes[0])
+    assert size & (size - 1) == 0, "mode size must be a power of two"
+    for mode in modes:
+        assert len(mode) == size, "modes must have equal sizes"
+        assert len(set(mode)) == size, "duplicate codeword within a mode"
+    return modes
+
+
+def two_mode_tables(m: int, n: int):
+    """Codeword tables of the binary two-mode code: modes[first bit][index]."""
+    words = constrained_words(2, m, n)
+    if len(words) < 4:
+        raise ValueError(f"too few constrained words for a two-mode code (m={m}, n={n})")
+    keep = 2 ** (_floor_log2(len(words)) - 1)
+    return _check_modes(tuple(
+        tuple(w for w in words if w[0] == first)[:keep] for first in (0, 1)
+    ))
+
+
+def state_independent_tables(m: int, n: int):
+    """Codeword tables of the state-independent code: modes[representation][index]."""
+    words = constrained_words(4, m, n)
+    if len(words) < 8:
+        raise ValueError(f"too few constrained words (m={m}, n={n})")
+    keep = 2 ** (_floor_log2(len(words)) - 1)
+    by_first = [[w for w in words if w[0] == s] for s in range(4)]
+    assert len({len(group) for group in by_first}) == 1, (
+        "symbol relabeling must split the words evenly"
+    )
+    pairs = list(zip(by_first[0], by_first[2])) + list(zip(by_first[1], by_first[3]))
+    pairs = pairs[:keep]
+    return _check_modes((
+        tuple(p[0] for p in pairs),
+        tuple(p[1] for p in pairs),
+    ))
+
+
+def state_dependent_tables(m: int, n: int):
+    """Codeword tables of the state-dependent code: modes[state][index].
+
+    Each state's table drops the words of highest |2w - n| first, ties in
+    lexicographic order, down to a power of two.
+    """
+    words = constrained_words(4, m, n)
+    capacity = len(words) - len(words) // 4
+    if _floor_log2(capacity) < 1:
+        raise ValueError(f"table too small for a useful code (m={m}, n={n})")
+    keep = 2 ** _floor_log2(capacity)
+    modes = []
+    for state in range(4):
+        candidates = [w for w in words if w[0] != state]
+        assert len(candidates) == capacity
+        removal_order = sorted(candidates, key=lambda w: (-abs(2 * _scan_weight(4, w) - n), w))
+        dropped = set(removal_order[: len(candidates) - keep])
+        modes.append(tuple(w for w in candidates if w not in dropped))
+    return _check_modes(tuple(modes))
+
+
+def table_codeword(codec_id: str, modes, index: int, state):
+    """The word a table code emits for index after a block that ended in state."""
+    if codec_id == "two_mode":
+        return modes[0 if state in (None, 1) else 1][index]
+    if codec_id == "state_independent":
+        first_choice = modes[0][index]
+        return first_choice if state is None or first_choice[0] != state else modes[1][index]
+    return modes[0 if state is None else state][index]
+
+
+TABLES = {
+    "two_mode": two_mode_tables,
+    "state_independent": state_independent_tables,
+    "state_dependent": state_dependent_tables,
+}
+
+
 @dataclass
 class BruteForceReport:
     """Outcome of one exhaustive validation run."""
@@ -127,12 +247,17 @@ def _alpha_gap(word) -> Fraction:
     return abs(Fraction(w, len(word)) - Fraction(1, 2))
 
 
-def _validate_block_code(report, codec, m: int, states, stream_blocks: int):
-    """Round-trip every (source, state), re-scan constraints, and stream-test."""
-    for bits in _all_sources(codec.source_bits):
+def _validate_block_code(report, codec, m: int, states, stream_blocks: int, table=None):
+    """Round-trip every (source, state), re-scan constraints, and stream-test.
+
+    table(index, state), when given, is the word the codec must emit.
+    """
+    for index, bits in enumerate(_all_sources(codec.source_bits)):
         for state in states:
             word = codec.encode_block(bits, state)
             report.cases += 1
+            if table is not None and tuple(word) != table(index, state):
+                report.failures.append(f"table mismatch: bits={bits} state={state} word={word}")
             if _scan_max_run(word) > m:
                 report.failures.append(f"run violation: bits={bits} state={state} word={word}")
             if state is not None and word[0] == state:
@@ -187,18 +312,19 @@ def validate_codec(codec_id: str, **params) -> BruteForceReport:
     start = time.perf_counter()
     stream_blocks = params.pop("stream_blocks", 10_000)
 
-    if codec_id == "two_mode":
+    if codec_id in TABLES:
         m, n = params.pop("m"), params.pop("n")
-        codec = blockcodes.TwoModeRllCode(m, n)
-        _validate_block_code(report, codec, m, [None, 0, 1], stream_blocks)
-    elif codec_id == "state_independent":
-        m, n = params.pop("m"), params.pop("n")
-        codec = blockcodes.StateIndependentCode(m, n)
-        _validate_block_code(report, codec, m, [None, 0, 1, 2, 3], stream_blocks)
-    elif codec_id == "state_dependent":
-        m, n = params.pop("m"), params.pop("n")
-        codec = blockcodes.StateDependentCode(m, n)
-        _validate_block_code(report, codec, m, [None, 0, 1, 2, 3], stream_blocks)
+        codec_class, states = {
+            "two_mode": (blockcodes.TwoModeRllCode, [None, 0, 1]),
+            "state_independent": (blockcodes.StateIndependentCode, [None, 0, 1, 2, 3]),
+            "state_dependent": (blockcodes.StateDependentCode, [None, 0, 1, 2, 3]),
+        }[codec_id]
+        codec = codec_class(m, n)
+        modes = TABLES[codec_id](m, n)
+        _validate_block_code(
+            report, codec, m, states, stream_blocks,
+            lambda index, state: table_codeword(codec_id, modes, index, state),
+        )
     elif codec_id == "knuth":
         n = params.pop("n")
         balancer = balancing.KnuthBalancer(n)

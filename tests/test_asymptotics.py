@@ -190,6 +190,61 @@ class TestGaussianModels:
             asymptotics.gaussian_weight_model("ternary", 2, 10)
 
 
+def _float_balance_count(n, a):
+    """The former float-domain estimate, valid while 4**n fits a float."""
+    return float(4**n) * (1.0 - 2.0 * asymptotics.q_function(2.0 * a * math.sqrt(n)))
+
+
+def _float_estimate(kind, m, w, n):
+    """The former float-domain Gaussian estimate: total * density."""
+    model = asymptotics.gaussian_weight_model(kind, m, n)
+    total = {
+        "balance": lambda: float(4**n),
+        "binary-rll": lambda: float(counting.rll_count(2, m, n)),
+        "quaternary-rll": lambda: float(counting.rll_count(4, m, n)),
+    }[kind]()
+    z = (w - model.mean) / math.sqrt(model.variance)
+    return total * math.exp(-0.5 * z * z) / math.sqrt(2 * math.pi * model.variance)
+
+
+MODEL_KINDS = [("balance", None), ("binary-rll", 3), ("quaternary-rll", 3)]
+
+
+class TestLargeLengths:
+    @pytest.mark.parametrize("n", [600, 1000])
+    def test_balance_count_stays_finite_in_log2(self, n):
+        log2_count = asymptotics.log2_balance_count_approx(n, 0.05)
+        assert math.isfinite(log2_count)
+        assert 2 * n - 1 < log2_count < 2 * n
+        assert asymptotics.balance_count_approx(n, 0.05) == math.inf
+
+    @pytest.mark.parametrize("n", [600, 1000])
+    @pytest.mark.parametrize("kind,m", MODEL_KINDS)
+    def test_gaussian_models_stay_finite_in_log2(self, kind, m, n):
+        model = asymptotics.gaussian_weight_model(kind, m, n)
+        assert math.isfinite(model.log2_total)
+        assert math.isfinite(model.log2_estimate(n // 2))
+        assert model.density(n // 2) > 0
+
+    @pytest.mark.parametrize("n", [1, 10, 100, 300, 511])
+    @pytest.mark.parametrize("a", [0.01, 0.05, 0.15])
+    def test_balance_count_agrees_with_float_form(self, n, a):
+        old = _float_balance_count(n, a)
+        assert asymptotics.log2_balance_count_approx(n, a) == pytest.approx(
+            math.log2(old), rel=1e-9
+        )
+        assert asymptotics.balance_count_approx(n, a) == pytest.approx(old, rel=1e-9)
+
+    @pytest.mark.parametrize("n", [10, 100, 300, 500])
+    @pytest.mark.parametrize("kind,m", MODEL_KINDS)
+    def test_gaussian_estimates_agree_with_float_form(self, kind, m, n):
+        model = asymptotics.gaussian_weight_model(kind, m, n)
+        for w in (n // 2, n // 3):
+            old = _float_estimate(kind, m, w, n)
+            assert model.log2_estimate(w) == pytest.approx(math.log2(old), rel=1e-9)
+            assert model.estimate(w) == pytest.approx(old, rel=1e-9)
+
+
 class TestCombinedRedundancy:
     def test_balance_term_vanishes_for_loose_bound(self):
         assert asymptotics.balance_penalty("binary", 2, 0.5, 400) == pytest.approx(0, abs=1e-9)

@@ -1,9 +1,12 @@
 import itertools
 import random
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
-from dnacodes import blockcodes, counting
+from dnacodes import blockcodes, counting, oracle
 from dnacodes.words import at_weight, max_run
 
 
@@ -15,17 +18,28 @@ def brute_words(q, m, n):
     ]
 
 
+def index_bits(index, width):
+    return tuple(index >> (width - 1 - i) & 1 for i in range(width))
+
+
+def codewords(code, state):
+    """Every codeword the code emits after state, in index order."""
+    k = code.source_bits
+    return [code.encode_block(index_bits(i, k), state) for i in range(2**k)]
+
+
 class TestConstrainedWords:
     @pytest.mark.parametrize("q,m,n", [(2, 2, 6), (4, 1, 4), (4, 3, 5)])
     def test_matches_brute_enumeration(self, q, m, n):
-        assert list(blockcodes.constrained_words(q, m, n)) == brute_words(q, m, n)
+        words = blockcodes._Enumerator(q, m, n)
+        root = words.root(tuple(range(q)))
+        listed = [words.unrank(root, i) for i in range(words.size(root))]
+        assert listed == brute_words(q, m, n)
+        assert [words.rank(root, w) for w in listed] == list(range(len(listed)))
 
     def test_count_matches_formula(self):
-        assert len(blockcodes.constrained_words(4, 3, 5)) == counting.rll_count(4, 3, 5)
-
-    def test_size_cap(self):
-        with pytest.raises(ValueError):
-            blockcodes.constrained_words(4, 3, 15)
+        words = blockcodes._Enumerator(4, 3, 5)
+        assert words.size(words.root((0, 1, 2, 3))) == counting.rll_count(4, 3, 5)
 
 
 class TestRates:
@@ -79,13 +93,15 @@ class TestTwoModeCode:
     def test_source_bits(self):
         code = blockcodes.TwoModeRllCode(3, 5)
         assert code.source_bits == 3  # floor(log2 26) - 1
-        assert code.codebook.mode_count == 2
-        assert code.codebook.size == 8
+        modes = oracle.two_mode_tables(3, 5)
+        assert len(modes) == 2
+        assert len(modes[0]) == 8
 
     def test_modes_split_by_first_bit(self):
         code = blockcodes.TwoModeRllCode(2, 6)
-        assert all(w[0] == 0 for w in code.codebook.modes[0])
-        assert all(w[0] == 1 for w in code.codebook.modes[1])
+        # mode 0 (first bit 0) follows a block ending in 1, and vice versa
+        assert all(w[0] == 0 for w in codewords(code, 1))
+        assert all(w[0] == 1 for w in codewords(code, 0))
 
     def test_exhaustive_round_trip(self):
         code = blockcodes.TwoModeRllCode(2, 6)
@@ -114,19 +130,21 @@ class TestTwoModeCode:
 class TestStateIndependentCode:
     def test_representations_differ_in_first_symbol(self):
         code = blockcodes.StateIndependentCode(3, 5)
-        for idx in range(code.codebook.size):
-            w0 = code.codebook.modes[0][idx]
-            w1 = code.codebook.modes[1][idx]
+        for idx in range(2**code.source_bits):
+            bits = index_bits(idx, code.source_bits)
+            w0 = code.encode_block(bits)
+            w1 = code.encode_block(bits, w0[0])
             assert w0[0] != w1[0]
+            assert code.decode_block(w0) == code.decode_block(w1) == bits
 
     def test_rate_example(self):
         code = blockcodes.StateIndependentCode(3, 5)
         assert code.source_bits == 8
-        assert code.codebook.size == 256
+        assert len(oracle.state_independent_tables(3, 5)[0]) == 256
 
     def test_decoding_ignores_state(self):
         code = blockcodes.StateIndependentCode(2, 4)
-        for idx in range(code.codebook.size):
+        for idx in range(2**code.source_bits):
             bits = tuple(idx >> (code.source_bits - 1 - i) & 1 for i in range(code.source_bits))
             for state in (None, 0, 1, 2, 3):
                 word = code.encode_block(bits, state)
@@ -148,25 +166,28 @@ class TestStateDependentCode:
     def test_tables_exclude_state_symbol(self):
         code = blockcodes.StateDependentCode(3, 5)
         for state in range(4):
-            assert all(w[0] != state for w in code.codebook.modes[state])
+            assert all(w[0] != state for w in codewords(code, state))
 
     def test_example_sizes(self):
         code = blockcodes.StateDependentCode(3, 5)
         assert code.source_bits == 9
-        assert code.codebook.size == 512
-        assert code.codebook.mode_count == 4
+        modes = oracle.state_dependent_tables(3, 5)
+        assert len(modes) == 4
+        assert all(len(mode) == 512 for mode in modes)
 
     def test_pruning_drops_highest_unbalance(self):
         code = blockcodes.StateDependentCode(3, 5)
-        kept_worst = max(abs(2 * at_weight(w) - 5) for w in code.codebook.modes[0])
-        candidates = [w for w in blockcodes.constrained_words(4, 3, 5) if w[0] != 0]
-        dropped = sorted(set(candidates) - set(code.codebook.modes[0]))
+        kept = codewords(code, 0)
+        kept_worst = max(abs(2 * at_weight(w) - 5) for w in kept)
+        assert kept_worst == code.max_unbalance
+        candidates = [w for w in oracle.constrained_words(4, 3, 5) if w[0] != 0]
+        dropped = sorted(set(candidates) - set(kept))
         assert dropped
         assert min(abs(2 * at_weight(w) - 5) for w in dropped) >= kept_worst
 
     def test_exhaustive_all_states(self):
         code = blockcodes.StateDependentCode(3, 5)
-        for idx in range(code.codebook.size):
+        for idx in range(2**code.source_bits):
             bits = tuple(idx >> (code.source_bits - 1 - i) & 1 for i in range(code.source_bits))
             for state in (None, 0, 1, 2, 3):
                 word = code.encode_block(bits, state)
@@ -198,18 +219,155 @@ class TestCodebookInvariants:
     )
     def test_power_of_two_sizes(self, code, bits):
         assert code.source_bits == bits
-        assert code.codebook.size == 2**bits
+        for state in (None, 0, 1):
+            words = codewords(code, state)
+            assert len(set(words)) == len(words) == 2**bits
 
     def test_all_words_satisfy_constraint(self):
         code = blockcodes.StateDependentCode(2, 5)
-        for mode in code.codebook.modes:
-            for word in mode:
+        for state in range(4):
+            for word in codewords(code, state):
                 assert max_run(word) <= 2
 
     def test_reverse_maps_are_inverse(self):
         code = blockcodes.TwoModeRllCode(3, 5)
-        for mode in code.codebook.modes:
+        for mode in oracle.two_mode_tables(3, 5):
             for idx, word in enumerate(mode):
                 assert code.decode_block(word) == tuple(
                     idx >> (code.source_bits - 1 - i) & 1 for i in range(code.source_bits)
                 )
+
+
+# The states that select every table of each code: two-mode keys off the
+# last bit, state-independent only on whether the state equals the first
+# symbol of the mode-0 word, state-dependent on all four symbols.
+CODES = {
+    "two_mode": (blockcodes.TwoModeRllCode, (0, 1)),
+    "state_independent": (blockcodes.StateIndependentCode, (None, 0, 1)),
+    "state_dependent": (blockcodes.StateDependentCode, (0, 1, 2, 3)),
+}
+
+
+def _built(kind, m, n):
+    try:
+        return CODES[kind][0](m, n)
+    except ValueError:
+        return None
+
+
+class TestEnumerativeCodes:
+    @pytest.mark.parametrize("kind", sorted(CODES))
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_strands_match_oracle_tables(self, kind, n):
+        for m in range(1, n + 1):
+            code = _built(kind, m, n)
+            try:
+                modes = oracle.TABLES[kind](m, n)
+            except ValueError:
+                assert code is None
+                continue
+            assert code.source_bits == (len(modes[0]) - 1).bit_length()
+            for state in CODES[kind][1]:
+                expected = [
+                    oracle.table_codeword(kind, modes, i, state) for i in range(len(modes[0]))
+                ]
+                assert codewords(code, state) == expected, (kind, m, n, state)
+
+    @pytest.mark.parametrize(
+        "code,states",
+        [
+            (blockcodes.StateDependentCode(3, 9), (0, 1, 2, 3)),
+            (blockcodes.StateIndependentCode(3, 10), (None, 0, 1)),
+            (blockcodes.TwoModeRllCode(4, 12), (0, 1)),
+        ],
+        ids=["sd-m3n9", "si-m3n10", "two-mode-m4n12"],
+    )
+    def test_every_index_of_the_benchmark_routes(self, code, states):
+        k = code.source_bits
+        sources = [index_bits(i, k) for i in range(2**k)]
+        for state in states:
+            words = [code.encode_block(bits, state) for bits in sources]
+            assert len(set(words)) == 2**k
+            assert all(w[0] != state and max_run(w) <= code.m for w in words)
+            assert [code.decode_block(w, state) for w in words] == sources
+            if state is None or not isinstance(code, blockcodes.StateIndependentCode):
+                # one table per state, indexed in lex order
+                assert words == sorted(words)
+
+    def test_lifted_length_limit(self):
+        for code in (
+            blockcodes.TwoModeRllCode(3, 32),
+            blockcodes.StateIndependentCode(3, 32),
+            blockcodes.StateDependentCode(3, 32),
+        ):
+            rng = random.Random(3)
+            bits = tuple(rng.randrange(2) for _ in range(code.source_bits))
+            word = code.encode_block(bits, 0)
+            assert len(word) == 32 and word[0] != 0 and max_run(word) <= 3
+            assert code.decode_block(word, 0) == bits
+
+    def test_decode_rejects_dropped_boundary_word(self):
+        m, n = 3, 5
+        code = blockcodes.StateDependentCode(m, n)
+        kept = set(oracle.state_dependent_tables(m, n)[0])
+        dropped_at_boundary = [
+            w for w in oracle.constrained_words(4, m, n)
+            if w[0] != 0 and w not in kept and abs(2 * at_weight(w) - n) == code.max_unbalance
+        ]
+        assert dropped_at_boundary
+        for word in dropped_at_boundary:
+            with pytest.raises(ValueError):
+                code.decode_block(word, 0)
+
+    def test_decode_rejects_wrong_state(self):
+        code = blockcodes.StateDependentCode(3, 5)
+        word = code.encode_block((1,) * code.source_bits, 0)
+        with pytest.raises(ValueError):
+            code.decode_block(word, word[0])
+
+    @pytest.mark.parametrize("kind", sorted(CODES))
+    def test_decode_rejects_long_run(self, kind):
+        code = CODES[kind][0](2, 6)
+        with pytest.raises(ValueError):
+            code.decode_block((1, 1, 1, 0, 1, 0), 0)
+
+    def test_decode_rejects_wrong_length(self):
+        code = blockcodes.StateDependentCode(3, 5)
+        word = code.encode_block((0,) * code.source_bits, 1)
+        with pytest.raises(ValueError):
+            code.decode_block(word + (0,), 1)
+        with pytest.raises(ValueError):
+            code.decode_block(word[:-1], 1)
+
+
+@lru_cache(maxsize=None)
+def _code(kind, m, n):
+    # Cached across examples; each example encodes one block, so the
+    # codes' memos stay small.
+    return _built(kind, m, n)
+
+
+class TestEnumerativeProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(sorted(CODES)),
+        st.integers(1, 4),
+        st.integers(1, 32),
+        st.integers(0, 3),
+        st.randoms(use_true_random=False),
+    )
+    def test_rank_unrank_and_constraints(self, kind, m, n, state, rng):
+        code = _code(kind, m, n)
+        if code is None:
+            return
+        if kind == "two_mode":
+            state &= 1
+        index = rng.randrange(2**code.source_bits)
+        bits = index_bits(index, code.source_bits)
+        word = code.encode_block(bits, state)
+        assert len(word) == n
+        assert word[0] != state
+        assert max_run(word) <= m
+        assert code.decode_block(word, state) == bits
+        if kind == "state_dependent":
+            assert abs(2 * at_weight(word) - n) <= code.max_unbalance

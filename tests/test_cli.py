@@ -95,6 +95,12 @@ class TestScalarCommands:
         _, out, _ = run_cli(capsys, "capacity", "--q", "2", "--m", "2", "--full")
         assert out.startswith("lambda,1.618")
 
+    def test_capacity_near_the_alphabet_limit(self, capsys):
+        code, out, err = run_cli(capsys, "capacity", "--q", "4", "--m", "100000", "--full")
+        assert code == 0
+        assert err == ""
+        assert out.splitlines()[:2] == ["lambda,4.0", "capacity_bits,2.0000"]
+
     def test_redundancy_balance(self, capsys):
         _, out, _ = run_cli(capsys, "redundancy", "--family", "balance", "--n", "4", "--a", "0.2")
         assert out.strip() == "1.4150"

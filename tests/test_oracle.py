@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from dnacodes import counting, oracle
@@ -85,3 +87,44 @@ class TestValidateCodec:
     def test_source_cap(self):
         with pytest.raises(ValueError, match="cap"):
             oracle.validate_codec("knuth", n=22)
+
+
+class TestConstrainedWords:
+    @pytest.mark.parametrize("q,m,n", [(2, 2, 6), (4, 1, 4), (4, 3, 5)])
+    def test_matches_brute_enumeration(self, q, m, n):
+        words = [
+            w for w in itertools.product(range(q), repeat=n)
+            if max(len(list(g)) for _, g in itertools.groupby(w)) <= m
+        ]
+        assert list(oracle.constrained_words(q, m, n)) == words
+
+    def test_size_cap(self):
+        with pytest.raises(ValueError):
+            oracle.constrained_words(4, 3, 15)
+
+    @pytest.mark.parametrize("kind", sorted(oracle.TABLES))
+    def test_tables_are_power_of_two_prefixes(self, kind):
+        modes = oracle.TABLES[kind](3, 6)
+        size = len(modes[0])
+        assert size & (size - 1) == 0
+        assert all(len(mode) == size == len(set(mode)) for mode in modes)
+
+    def test_validate_codec_catches_a_table_mismatch(self, monkeypatch):
+        modes = oracle.state_dependent_tables(3, 5)
+        swapped = (modes[0][1], modes[0][0]) + modes[0][2:]
+        monkeypatch.setitem(
+            oracle.TABLES, "state_dependent", lambda m, n: (swapped,) + modes[1:]
+        )
+        report = oracle.validate_codec("state_dependent", m=3, n=5, stream_blocks=10)
+        assert any("table mismatch" in f for f in report.failures)
+
+
+class TestHistogramCache:
+    def test_verify_grid_scans_each_space_once(self, capsys):
+        from dnacodes import cli
+
+        oracle._run_weight_histogram.cache_clear()
+        assert cli.main(["verify", "--m-max", "3", "--n-max", "10", "--stream-blocks", "10"]) == 0
+        info = oracle._run_weight_histogram.cache_info()
+        assert info.misses == len({(q, n) for q in (2, 4) for n in range(1, 11)})
+        assert info.currsize == info.misses
