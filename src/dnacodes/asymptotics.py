@@ -46,7 +46,11 @@ _FLOAT_EXP_LIMIT = 1000
 
 @dataclass(frozen=True)
 class CapacityResult:
-    """Dominant root and capacity of the max-run-m q-ary constraint."""
+    """Dominant root and capacity of the max-run-m q-ary constraint.
+
+    residual is |lam**(m+1) - q*lam**m + q - 1| / lam**m, evaluated
+    exactly: about the root's absolute error, whatever q**m is.
+    """
 
     q: int
     m: int
@@ -56,9 +60,14 @@ class CapacityResult:
 
 
 def _char_residual(q: int, m: int, x: float) -> float:
-    """Exact-rational evaluation of x**(m+1) - q*x**m + q - 1 at a float point."""
+    """Exact-rational evaluation of (x**(m+1) - q*x**m + q - 1) / x**m at a float point.
+
+    Dividing by x**m makes the residual scale-free: its slope in x is
+    1 - m*(q-1)/x**(m+1), at most 1, so it reads about the root's
+    absolute error rather than growing with q**m.
+    """
     fx = Fraction(x)
-    return float(fx**m * (fx - q) + q - 1)
+    return float(fx - q + (q - 1) / fx**m)
 
 
 def _deflated(q: int, m: int, x: float) -> float:
@@ -97,8 +106,12 @@ def capacity(q: int, m: int) -> CapacityResult:
         # x**m overflows near the root, which lies within (q-1) * (q-1/2)**-m
         # of q (the root exceeds q - 1/2 for m >= 2): far less than half
         # an ulp, so the root is q itself.  There the characteristic
-        # polynomial x**m * (x - q) + q - 1 is exactly q - 1.
-        return CapacityResult(q, m, float(q), math.log2(q), float(q - 1))
+        # polynomial x**m * (x - q) + q - 1 is exactly q - 1, and the
+        # residual (q - 1) / q**m, taken in floating point (it underflows
+        # to 0) rather than by building q**m exactly.
+        lam = float(q)
+        residual = (q - 1) * 2.0 ** (-m * math.log2(q))
+        return CapacityResult(q, m, lam, math.log2(lam), residual)
     lo, hi = float(q - 1), float(q)
     if not (_deflated(q, m, lo) < 0 < _deflated(q, m, hi)):
         raise ArithmeticError(f"root bracket invalid for q={q}, m={m}")

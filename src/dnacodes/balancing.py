@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
-from .words import Bits, bit_weight
+from .words import Bits, bit_weight, bits_to_int, int_to_bits
 
 __all__ = [
     "KnuthBalancer",
@@ -27,6 +28,10 @@ __all__ = [
     "weak_knuth_decode",
     "weak_knuth_encode",
 ]
+
+
+# Bit inversion of a word held one bit per byte.
+_FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 
 
 def unrank_balanced(length: int, weight: int, index: int) -> Bits:
@@ -63,12 +68,22 @@ def rank_balanced(word: Bits) -> int:
 
 
 def _flip_prefix(word: Bits, k: int) -> Bits:
-    return tuple(1 - b for b in word[:k]) + word[k:]
+    return tuple(bytes(word[:k]).translate(_FLIP)) + tuple(word[k:])
 
 
 def _prefix_bits(p0: int) -> int:
     """Length of the balanced prefix word that carries a p0-bit index."""
     return 2 * p0
+
+
+@lru_cache(maxsize=None)
+def _index_prefix(p0: int, index: int) -> Bits:
+    return unrank_balanced(_prefix_bits(p0), p0, index)
+
+
+@lru_cache(maxsize=None)
+def _prefix_index(prefix: Bits) -> int:
+    return rank_balanced(prefix)
 
 
 def knuth_encode(u: Bits) -> tuple[Bits, Bits]:
@@ -82,19 +97,21 @@ def knuth_encode(u: Bits) -> tuple[Bits, Bits]:
     if n < 2 or n % 2:
         raise ValueError("word length must be even and at least 2")
     half = n // 2
-    weight = bit_weight(u)
-    k0 = None
-    for k in range(1, n + 1):
-        # flipping one more bit moves the weight by +-1
-        weight += 1 if u[k - 1] == 0 else -1
-        if weight == half:
-            k0 = k
+    x = bits_to_int(u)
+    weight = x.bit_count()
+    # Flipping k bits leaves weight + k - 2 * (ones among them); each
+    # further flip moves it by one, so no k closer than the current gap
+    # can balance, and the search jumps by the gap.
+    k0 = abs(weight - half) or 1
+    while k0 <= n:
+        gap = abs(weight + k0 - 2 * (x >> (n - k0)).bit_count() - half)
+        if gap == 0:
             break
-    if k0 is None:  # unreachable: the weight walk must cross n/2
+        k0 += gap
+    else:  # unreachable: the weight walk must cross n/2
         raise AssertionError("no balancing index found")
     p0 = max(1, (n - 1).bit_length())
-    prefix = unrank_balanced(_prefix_bits(p0), p0, k0 - 1)
-    return prefix, _flip_prefix(u, k0)
+    return _index_prefix(p0, k0 - 1), int_to_bits(x ^ ((1 << k0) - 1) << (n - k0), n)
 
 
 def knuth_decode(prefix: Bits, body: Bits) -> Bits:
@@ -107,7 +124,7 @@ def knuth_decode(prefix: Bits, body: Bits) -> Bits:
         raise ValueError(f"prefix must have {_prefix_bits(p0)} bits, got {len(prefix)}")
     if bit_weight(prefix) != p0:
         raise ValueError("prefix is not a balanced word")
-    k0 = rank_balanced(prefix) + 1
+    k0 = _prefix_index(tuple(prefix)) + 1
     if k0 > n:
         raise ValueError("prefix decodes to an out-of-range flip index")
     return _flip_prefix(body, k0)
@@ -117,6 +134,12 @@ def _balancing_positions(n: int, p0: int) -> list[int]:
     m0 = 2**p0
     step = -(-n // m0)  # ceil(n / m0)
     return [min(1 + i * step, n) for i in range(m0)]
+
+
+@lru_cache(maxsize=None)
+def _flip_masks(n: int, p0: int) -> tuple[int, ...]:
+    """XOR masks of the graded flip lengths, first bit most significant."""
+    return tuple(((1 << b) - 1) << (n - b) for b in _balancing_positions(n, p0))
 
 
 def weak_knuth_encode(u: Bits, p0: int) -> tuple[Bits, Bits]:
@@ -132,15 +155,11 @@ def weak_knuth_encode(u: Bits, p0: int) -> tuple[Bits, Bits]:
         raise ValueError("prefix size must be at least 1 bit")
     if 2**p0 > n:
         raise ValueError(f"2**p0 = {2**p0} exceeds the word length {n}")
-    positions = _balancing_positions(n, p0)
-    best_i = None
-    best_gap = None
-    for i, b in enumerate(positions):
-        gap = abs(2 * bit_weight(_flip_prefix(u, b)) - n)
-        if best_gap is None or gap < best_gap:
-            best_i, best_gap = i, gap
-    prefix = unrank_balanced(_prefix_bits(p0), p0, best_i)
-    return prefix, _flip_prefix(u, positions[best_i])
+    x = bits_to_int(u)
+    masks = _flip_masks(n, p0)
+    gaps = [abs(2 * (x ^ mask).bit_count() - n) for mask in masks]
+    best_i = gaps.index(min(gaps))
+    return _index_prefix(p0, best_i), int_to_bits(x ^ masks[best_i], n)
 
 
 def weak_knuth_decode(prefix: Bits, body: Bits, p0: int) -> Bits:
@@ -150,7 +169,7 @@ def weak_knuth_decode(prefix: Bits, body: Bits, p0: int) -> Bits:
         raise ValueError(f"prefix must have {_prefix_bits(p0)} bits, got {len(prefix)}")
     if bit_weight(prefix) != p0:
         raise ValueError("prefix is not a balanced word")
-    i = rank_balanced(prefix)
+    i = _prefix_index(tuple(prefix))
     if i >= 2**p0:
         raise ValueError("prefix decodes to an out-of-range position index")
     return _flip_prefix(body, _balancing_positions(n, p0)[i])

@@ -23,7 +23,7 @@ from bisect import bisect_right
 from functools import lru_cache
 
 from . import counting
-from .words import Bits, Oligo
+from .words import Bits, Oligo, bits_to_int, int_to_bits
 
 __all__ = [
     "MEMO_SIZE",
@@ -48,23 +48,6 @@ def _floor_log2(value: int) -> int:
     if value < 1:
         raise ValueError("value must be positive")
     return value.bit_length() - 1
-
-
-# Byte translations between bit values (0, 1) and binary digits ("0", "1");
-# any other byte becomes "x", which int() rejects.
-_DIGIT_OF_BIT = b"01" + b"x" * 254
-_BIT_OF_DIGIT = bytes.maketrans(b"01", b"\x00\x01")
-
-
-def _bits_to_index(bits: Bits) -> int:
-    try:
-        return int(bytes(bits).translate(_DIGIT_OF_BIT), 2)
-    except (TypeError, ValueError):
-        raise ValueError("source bits must be 0 or 1") from None
-
-
-def _index_to_bits(value: int, width: int) -> Bits:
-    return tuple(format(value, f"0{width}b").encode().translate(_BIT_OF_DIGIT))
 
 
 class _Enumerator:
@@ -300,7 +283,7 @@ class TwoModeRllCode:
         if len(bits) != self.source_bits:
             raise ValueError(f"expected {self.source_bits} source bits, got {len(bits)}")
         first = 0 if last_bit in (STREAM_START, 1) else 1
-        return self._words.unrank(self._roots[first], _bits_to_index(bits))
+        return self._words.unrank(self._roots[first], bits_to_int(bits))
 
     def decode_block(self, word: Bits, last_bit: int | None = STREAM_START) -> Bits:
         # last_bit is accepted for interface uniformity and ignored: the
@@ -311,7 +294,7 @@ class TwoModeRllCode:
             index = self._words.rank(self._roots[word[0]], word)
         if index is None or index >= self._keep:
             raise ValueError("not a codeword of this two-mode code")
-        return _index_to_bits(index, self.source_bits)
+        return int_to_bits(index, self.source_bits)
 
 
 class StateIndependentCode:
@@ -343,7 +326,7 @@ class StateIndependentCode:
         """Encode source_bits bits; picks the representation safe after last_symbol."""
         if len(bits) != self.source_bits:
             raise ValueError(f"expected {self.source_bits} source bits, got {len(bits)}")
-        index = _bits_to_index(bits)
+        index = bits_to_int(bits)
         mode_0_first = 0 if index < self._quarter else 1
         mode = 1 if last_symbol == mode_0_first else 0
         return self._words.unrank(self._roots[mode], index)
@@ -357,7 +340,7 @@ class StateIndependentCode:
             index = self._words.rank(self._roots[word[0] >> 1], word)
         if index is None or index >= self._keep:
             raise ValueError("not a codeword of this state-independent code")
-        return _index_to_bits(index, self.source_bits)
+        return int_to_bits(index, self.source_bits)
 
 
 def _pruning_boundary(m: int, n: int, drop: int) -> tuple[int, int]:
@@ -420,10 +403,10 @@ class StateDependentCode:
     def encode_block(self, bits: Bits, last_symbol: int | None = STREAM_START) -> Oligo:
         if len(bits) != self.source_bits:
             raise ValueError(f"expected {self.source_bits} source bits, got {len(bits)}")
-        return self._words.unrank(self._roots[self._state(last_symbol)], _bits_to_index(bits))
+        return self._words.unrank(self._roots[self._state(last_symbol)], bits_to_int(bits))
 
     def decode_block(self, word: Oligo, last_symbol: int | None = STREAM_START) -> Bits:
         index = self._words.rank(self._roots[self._state(last_symbol)], tuple(word))
         if index is None:
             raise ValueError("not a codeword of this state-dependent code for this state")
-        return _index_to_bits(index, self.source_bits)
+        return int_to_bits(index, self.source_bits)

@@ -3,6 +3,9 @@
 Subcommands: tables, figure1, count, capacity, redundancy, encode,
 decode, verify.  CSV goes to stdout unless --out is given; relative
 --out paths are resolved against $DNACODES_OUTDIR when it is set.
+encode and decode stream their files in chunks of payload.CHUNK_BYTES;
+a decode error names the strand's line (and block), and --out appears
+only once the whole file has been written.
 Exit codes: 0 success, 1 data or validation failure, 2 usage error.
 """
 
@@ -10,12 +13,18 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
+import shutil
 import sys
+from collections.abc import Iterator
+from contextlib import contextmanager, suppress
+from functools import partial
+from itertools import chain
 
 from . import asymptotics, blockcodes, counting, oracle
 from .constructions import make_codec
-from .payload import decode_bytes, encode_bytes
-from .words import at_weight, max_run, oligo_to_text, text_to_oligo
+from .payload import CHUNK_BYTES, decode_stream, encode_stream
+from .words import Oligo, oligo_to_text, text_to_oligo
 
 TABLE_IDS = (
     "capacity",
@@ -198,50 +207,104 @@ def _build_codec(args):
     return make_codec(args.construction, m=args.m, n=args.n)
 
 
+@contextmanager
+def _output(out: str | None, binary: bool):
+    """Stdout, or --out; a regular file there appears only once the writer succeeds.
+
+    A new or regular --out is written to a temporary file beside it and
+    renamed into place on success, keeping an existing file's mode.  A
+    symlink, device or FIFO (/dev/null, process substitution) is
+    written through, as it cannot be replaced without changing what it
+    is.
+    """
+    if out is None:
+        yield sys.stdout.buffer if binary else sys.stdout
+        return
+    path = _resolve_out(out)
+    mode = "wb" if binary else "w"
+    encoding = None if binary else "ascii"
+    exists = os.path.lexists(path)
+    if exists and (os.path.islink(path) or not os.path.isfile(path)):
+        with open(path, mode, encoding=encoding) as fh:
+            yield fh
+        return
+    part = f"{path}.{os.getpid()}.part"
+    try:
+        with open(part, mode, encoding=encoding) as fh:
+            yield fh
+        if exists:
+            shutil.copymode(path, part)
+        os.replace(part, path)
+    except BaseException:
+        with suppress(OSError):
+            os.remove(part)
+        raise
+
+
 def cmd_encode(args) -> int:
     codec = _build_codec(args)
-    with open(args.infile, "rb") as fh:
-        data = fh.read()
-    blocks = encode_bytes(codec, data)
-    _emit([oligo_to_text(b) for b in blocks], args.out)
+    with open(args.infile, "rb") as src, _output(args.out, binary=False) as dst:
+        chunks = iter(partial(src.read, CHUNK_BYTES), b"")
+        dst.writelines(f"{oligo_to_text(word)}\n" for word in encode_stream(codec, chunks))
     return 0
+
+
+def _strands(fh, codec) -> Iterator[tuple[int, Oligo]]:
+    """Parse and check a binary-mode strand file: (line number, word), skipping blank lines.
+
+    The file is read a chunk at a time, and a line longer than a chunk
+    is an error, so a damaged file without newlines is not held in
+    memory whole.  Length, run and AT checks read the line's text; a
+    failure raises DataError naming the line.
+    """
+    n = codec.oligo_len
+    run_cap = getattr(codec, "m", None)
+    long_run = re.compile(rb"(.)\1{%d}" % run_cap).search if run_cap is not None else None
+    weight_bound = getattr(codec, "weight_bound", None)
+    lineno = 0
+    rest = b""  # the last line read so far, not yet ended by a newline
+    for chunk in chain(iter(partial(fh.read, CHUNK_BYTES), b""), (b"\n",)):
+        lines = (rest + chunk).split(b"\n")
+        rest = lines.pop()
+        for line in lines:
+            lineno += 1
+            line = line.strip()
+            if not line:
+                continue
+            if len(line) != n:
+                raise DataError(f"line {lineno}: expected {n} symbols, got {len(line)}")
+            try:
+                word = text_to_oligo(line)
+            except ValueError as exc:
+                raise DataError(f"line {lineno}: {exc}") from exc
+            line = line.upper()
+            if long_run is not None and long_run(line):
+                raise DataError(f"line {lineno}: homopolymer run exceeds {run_cap}")
+            if weight_bound is not None:
+                gap = abs(2 * (line.count(b"A") + line.count(b"T")) - n)
+                if gap > 2 * weight_bound:
+                    raise DataError(f"line {lineno}: AT/GC unbalance exceeds the code bound")
+            yield lineno, word
+        if len(rest) > CHUNK_BYTES:
+            raise DataError(f"line {lineno + 1}: longer than {CHUNK_BYTES} bytes")
 
 
 def cmd_decode(args) -> int:
     codec = _build_codec(args)
-    with open(args.infile, "r", encoding="ascii") as fh:
-        raw_lines = fh.read().splitlines()
-    blocks = []
-    run_cap = getattr(codec, "m", None)
-    weight_bound = getattr(codec, "weight_bound", None)
-    for lineno, line in enumerate(raw_lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
+    line = 0  # line of the last strand handed to the decoder
+
+    def words(src) -> Iterator[Oligo]:
+        nonlocal line
+        for line, word in _strands(src, codec):
+            yield word
+
+    with open(args.infile, "rb") as src, _output(args.out, binary=True) as dst:
+        pieces = decode_stream(codec, words(src))  # a bad block size is a usage error
         try:
-            word = text_to_oligo(line)
+            for piece in pieces:
+                dst.write(piece)
         except ValueError as exc:
-            raise DataError(f"line {lineno}: {exc}") from exc
-        if len(word) != codec.oligo_len:
-            raise DataError(
-                f"line {lineno}: expected {codec.oligo_len} symbols, got {len(word)}"
-            )
-        if run_cap is not None and max_run(word) > run_cap:
-            raise DataError(f"line {lineno}: homopolymer run exceeds {run_cap}")
-        if weight_bound is not None:
-            gap = abs(2 * at_weight(word) - codec.oligo_len)
-            if gap > 2 * weight_bound:
-                raise DataError(f"line {lineno}: AT/GC unbalance exceeds the code bound")
-        blocks.append(word)
-    try:
-        data = decode_bytes(codec, blocks)
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
-    if args.out is None:
-        sys.stdout.buffer.write(data)
-    else:
-        with open(_resolve_out(args.out), "wb") as fh:
-            fh.write(data)
+            raise DataError(f"line {max(line, 1)}: {exc}") from exc
     return 0
 
 

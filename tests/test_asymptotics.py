@@ -22,10 +22,24 @@ class TestCapacity:
         assert asymptotics.capacity(q, m).residual < 1e-10
 
     def test_residual_float_floor(self):
-        # At q=4, m=10 the derivative of the characteristic polynomial is
-        # ~1e6, so a double-precision root cannot push the residual below
-        # roughly 2.5e-10 no matter how it is refined.
+        # At q=4, m=10 the derivative of the unscaled characteristic
+        # polynomial is ~1e6, so its value at a double-precision root was
+        # about 2.5e-10; the residual divided by lam**m stays far below.
         assert asymptotics.capacity(4, 10).residual < 4e-10
+
+    @pytest.mark.parametrize("q", (2, 4))
+    def test_residual_scale_free_up_to_m_1000(self, q):
+        # Once the root rounds to within ulps of q (m >= 26 for q = 4), the
+        # unscaled polynomial reads about q - 1 even for a correct root.
+        residuals = [asymptotics.capacity(q, m).residual for m in range(2, 1001)]
+        assert max(residuals) < 1e-10
+
+    @pytest.mark.parametrize("m", (100000, 10**9, 10**12))
+    def test_residual_past_the_float_range(self, m):
+        # Answered in constant time: q**m is never built exactly.
+        result = asymptotics.capacity(4, m)
+        assert result.lam == 4.0
+        assert result.residual < 1e-10
 
     @pytest.mark.parametrize("q", (2, 4))
     def test_monotone_in_m(self, q):

@@ -95,6 +95,13 @@ class TestScalarCommands:
         _, out, _ = run_cli(capsys, "capacity", "--q", "2", "--m", "2", "--full")
         assert out.startswith("lambda,1.618")
 
+    def test_capacity_full_residual_is_scale_free(self, capsys):
+        code, out, _ = run_cli(capsys, "capacity", "--q", "4", "--m", "30", "--full")
+        assert code == 0
+        residual = out.splitlines()[2]
+        assert residual.startswith("residual,")
+        assert float(residual.split(",")[1]) < 1e-10
+
     def test_capacity_near_the_alphabet_limit(self, capsys):
         code, out, err = run_cli(capsys, "capacity", "--q", "4", "--m", "100000", "--full")
         assert code == 0
@@ -192,6 +199,38 @@ class TestEncodeDecode:
         captured = capsys.readouterr()
         assert code == 1
         assert "line 2" in captured.err
+
+    SD = ("--construction", "state-dependent", "--m", "3", "--n", "5")
+
+    def test_out_to_devnull(self, tmp_path):
+        src = tmp_path / "p.bin"
+        src.write_bytes(b"payload")
+        mode = os.stat(os.devnull).st_mode
+        assert cli.main(["encode", *self.SD, "--in", str(src), "--out", os.devnull]) == 0
+        assert os.stat(os.devnull).st_mode == mode
+        assert not list(tmp_path.glob("*.part"))
+
+    def test_out_writes_through_symlink(self, tmp_path):
+        src = tmp_path / "p.bin"
+        target = tmp_path / "target.txt"
+        link = tmp_path / "link.txt"
+        src.write_bytes(b"payload")
+        target.write_text("old\n")
+        link.symlink_to(target)
+        assert cli.main(["encode", *self.SD, "--in", str(src), "--out", str(link)]) == 0
+        assert link.is_symlink()
+        assert set(target.read_text()) <= set("ACGT\n")
+        assert target.read_text() != "old\n"
+
+    def test_out_keeps_existing_mode(self, tmp_path):
+        src = tmp_path / "p.bin"
+        out = tmp_path / "strands.txt"
+        src.write_bytes(b"payload")
+        out.write_text("old\n")
+        out.chmod(0o640)
+        assert cli.main(["encode", *self.SD, "--in", str(src), "--out", str(out)]) == 0
+        assert out.stat().st_mode & 0o777 == 0o640
+        assert out.read_text() != "old\n"
 
     def test_outdir_env(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("DNACODES_OUTDIR", str(tmp_path))

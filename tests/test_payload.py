@@ -1,0 +1,347 @@
+"""Streaming framer and CLI encode/decode: chunk edges, identity, damage, memory."""
+
+import contextlib
+import functools
+import io
+import os
+import random
+import re
+import tempfile
+import tracemalloc
+
+import hypothesis.strategies as st
+import pytest
+from hypothesis import HealthCheck, given, settings
+
+from dnacodes import cli, payload
+from dnacodes.blockcodes import STREAM_START
+from dnacodes.constructions import make_codec
+
+CHUNK = payload.CHUNK_BYTES
+
+ROUTES = {
+    "c1-knuth": ("construction1", "--ell", "64"),
+    "c1-weak": ("construction1", "--ell", "64", "--balancer", "weak-knuth", "--p0", "3"),
+    "c2": ("construction2", "--m", "3", "--n", "10"),
+    "si": ("state-independent", "--m", "3", "--n", "8"),
+    "sd": ("state-dependent", "--m", "3", "--n", "8"),
+}
+
+CODECS = {
+    "c1-knuth": dict(construction="construction1", ell=8),
+    "c1-weak": dict(construction="construction1", ell=8, balancer="weak-knuth", p0=3),
+    "c2": dict(construction="construction2", m=2, n=6),
+    "si": dict(construction="state-independent", m=2, n=6),
+    "sd": dict(construction="state-dependent", m=3, n=5),
+}
+
+
+def _codec(name):
+    params = dict(CODECS[name])
+    return make_codec(params.pop("construction"), **params)
+
+
+# The per-bit framer the streaming one replaced, kept here as the reference.
+def _reference_bytes_to_bits(data):
+    bits = []
+    for byte in data:
+        bits.extend(byte >> (7 - i) & 1 for i in range(8))
+    return bits
+
+
+def _reference_encode(codec, data):
+    k = codec.source_bits
+    bits = _reference_bytes_to_bits(data)
+    pad = (-(len(bits) + 8)) % k
+    bits.extend([0] * pad)
+    bits.extend(_reference_bytes_to_bits(bytes([pad])))
+    blocks = []
+    state = STREAM_START
+    for i in range(0, len(bits), k):
+        word = codec.encode_block(tuple(bits[i : i + k]), state)
+        blocks.append(word)
+        state = word[-1]
+    return blocks
+
+
+def _codec_of_route(route):
+    construction, *rest = ROUTES[route]
+    flags = dict(zip(rest[::2], rest[1::2]))
+    params = {key.lstrip("-"): value if key == "--balancer" else int(value)
+              for key, value in flags.items()}
+    return make_codec(construction, **params)
+
+
+def _split(data, cuts):
+    edges = sorted({0, len(data), *(c % (len(data) + 1) for c in cuts)})
+    return [data[a:b] for a, b in zip(edges, edges[1:])]
+
+
+class TestChunkEdges:
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    def test_cli_round_trip_at_chunk_edges(self, tmp_path, route):
+        rng = random.Random(route)
+        for size in (0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7):
+            data = rng.randbytes(size)
+            src, strands, back = tmp_path / "in.bin", tmp_path / "s.txt", tmp_path / "out.bin"
+            src.write_bytes(data)
+            args = ("--construction", *ROUTES[route])
+            assert cli.main(["encode", *args, "--in", str(src), "--out", str(strands)]) == 0
+            blocks = payload.encode_bytes(_codec_of_route(route), data)
+            expected = "".join(f"{''.join('GCAT'[s] for s in b)}\n" for b in blocks)
+            assert strands.read_text() == expected
+            assert cli.main(["decode", *args, "--in", str(strands), "--out", str(back)]) == 0
+            assert back.read_bytes() == data, size
+
+
+class TestReferenceIdentity:
+    @pytest.mark.parametrize("name", sorted(CODECS))
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.binary(max_size=300), cuts=st.lists(st.integers(0, 300), max_size=4))
+    def test_blocks_match_per_bit_framer(self, name, data, cuts):
+        codec = _codec(name)
+        expected = _reference_encode(codec, data)
+        assert payload.encode_bytes(codec, data) == expected
+        assert list(payload.encode_stream(codec, _split(data, cuts))) == expected
+        assert payload.decode_bytes(codec, expected) == data
+
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    def test_large_random_payload_matches(self, route):
+        codec = _codec_of_route(route)
+        data = random.Random(11).randbytes(2 * CHUNK + 123)
+        expected = _reference_encode(codec, data)
+        assert list(payload.encode_stream(codec, _split(data, [5, CHUNK, 2 * CHUNK]))) == expected
+        assert b"".join(payload.decode_stream(codec, iter(expected))) == data
+
+    def test_decode_pieces_hold_back_the_trailer(self):
+        codec = _codec_of_route("c1-knuth")
+        data = bytes(range(256)) * (CHUNK // 64)
+        pieces = list(payload.decode_stream(codec, payload.encode_bytes(codec, data)))
+        assert len(pieces) > 1
+        assert b"".join(pieces) == data
+
+
+class TestStreamErrors:
+    def test_block_size_checked_on_call(self):
+        class Fat:
+            source_bits = 300
+
+        with pytest.raises(ValueError, match="block size"):
+            payload.encode_stream(Fat(), [])
+        with pytest.raises(ValueError, match="block size"):
+            payload.decode_stream(Fat(), [])
+
+    def test_rejected_block_is_numbered(self):
+        codec = _codec("sd")
+        blocks = payload.encode_bytes(codec, b"hello world")
+        blocks[2] = (2,) * len(blocks[2])  # a run longer than m
+        with pytest.raises(ValueError, match=r"^block 3: "):
+            payload.decode_bytes(codec, blocks)
+
+    def test_no_blocks(self):
+        with pytest.raises(ValueError, match="no blocks"):
+            payload.decode_bytes(_codec("sd"), [])
+
+    def test_truncated_stream_names_the_last_block(self):
+        codec = _codec("c1-knuth")
+        blocks = payload.encode_bytes(codec, b"a longer payload of bytes")
+        with pytest.raises(ValueError, match=rf"^block {len(blocks) - 1}: "):
+            payload.decode_bytes(codec, blocks[:-1])
+
+
+def _encode_file(tmp_path, route, data):
+    src, strands = tmp_path / "in.bin", tmp_path / "s.txt"
+    src.write_bytes(data)
+    assert cli.main(["encode", "--construction", *ROUTES[route],
+                     "--in", str(src), "--out", str(strands)]) == 0
+    return strands
+
+
+def _decode(capsys, route, strands, out):
+    code = cli.main(["decode", "--construction", *ROUTES[route],
+                     "--in", str(strands), "--out", str(out)])
+    return code, capsys.readouterr().err
+
+
+class TestDecodeErrors:
+    def test_non_codeword_names_line_and_block(self, tmp_path, capsys):
+        strands = _encode_file(tmp_path, "sd", b"some payload bytes")
+        lines = strands.read_text().splitlines()
+        # Prepend a blank line so the file line and the block number differ.
+        lines[3] = lines[2]  # a valid word, but for the wrong state or not at all
+        strands.write_text("\n" + "\n".join(lines) + "\n")
+        code, err = _decode(capsys, "sd", strands, tmp_path / "out.bin")
+        assert code == 1
+        assert err.startswith("error: line 5: block 4: ")
+
+    def test_non_ascii_byte_is_a_data_error(self, tmp_path, capsys):
+        strands = _encode_file(tmp_path, "si", b"payload")
+        raw = strands.read_bytes().splitlines(keepends=True)
+        raw[1] = raw[1][:3] + b"\xc3\xa9" + raw[1][5:]
+        strands.write_bytes(b"".join(raw))
+        code, err = _decode(capsys, "si", strands, tmp_path / "out.bin")
+        assert code == 1
+        assert err == "error: line 2: non-ASCII byte 0xc3 at position 3\n"
+
+    def test_pad_trailer_error_names_the_last_line(self, tmp_path, capsys):
+        strands = _encode_file(tmp_path, "c1-knuth", b"payload long enough for blocks")
+        lines = strands.read_text().splitlines()
+        strands.write_text("\n".join(lines[:-1]) + "\n\n")
+        code, err = _decode(capsys, "c1-knuth", strands, tmp_path / "out.bin")
+        assert code == 1
+        assert err.startswith(f"error: line {len(lines) - 1}: block {len(lines) - 1}: ")
+        assert "pad" in err
+
+    def test_overlong_line_is_not_read_whole(self, tmp_path, capsys):
+        strands = tmp_path / "long.txt"
+        strands.write_bytes(b"GCAT" * CHUNK + b"\n")
+        tracemalloc.start()
+        try:
+            code, err = _decode(capsys, "sd", strands, tmp_path / "out.bin")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert err == f"error: line 1: longer than {CHUNK} bytes\n"
+        assert peak < 2 * CHUNK + (1 << 20)
+
+    def test_empty_file(self, tmp_path, capsys):
+        strands = tmp_path / "empty.txt"
+        strands.write_text("")
+        code, err = _decode(capsys, "sd", strands, tmp_path / "out.bin")
+        assert code == 1
+        assert err == "error: line 1: no blocks to decode\n"
+
+    def test_failed_decode_leaves_no_file(self, tmp_path, capsys):
+        data = random.Random(5).randbytes(3 * CHUNK)
+        strands = _encode_file(tmp_path, "c1-knuth", data)
+        lines = strands.read_text().splitlines()
+        lines[-2] = "G" * len(lines[-2])  # late damage: earlier pieces are already decoded
+        strands.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out.bin"
+        code, err = _decode(capsys, "c1-knuth", strands, out)
+        assert code == 1
+        assert err.startswith(f"error: line {len(lines) - 1}: ")
+        assert not out.exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.bin", "s.txt"]
+
+    @pytest.mark.parametrize("command", ["encode", "decode"])
+    def test_oversize_block_is_a_usage_error(self, tmp_path, capsys, command):
+        src = tmp_path / "in"
+        src.write_bytes(b"")
+        out = tmp_path / "out"
+        code = cli.main([command, "--construction", "construction2", "--m", "3", "--n", "140",
+                         "--in", str(src), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: block size ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in"]
+
+    def test_failed_decode_keeps_an_existing_file(self, tmp_path, capsys):
+        strands = tmp_path / "bad.txt"
+        strands.write_text("ACGTX\n")
+        out = tmp_path / "out.bin"
+        out.write_bytes(b"previous")
+        code, _ = _decode(capsys, "sd", strands, out)
+        assert code == 1
+        assert out.read_bytes() == b"previous"
+
+
+@functools.lru_cache(maxsize=None)
+def _fuzz_strands(route):
+    blocks = payload.encode_bytes(_codec(route), bytes(range(40, 100)))
+    return tuple("".join("GCAT"[s] for s in b) for b in blocks)
+
+
+def _cli_args(route):
+    params = dict(CODECS[route])
+    args = ["--construction", params.pop("construction")]
+    for key, value in params.items():
+        args += [f"--{key}", str(value)]
+    return args
+
+
+_damage = st.one_of(
+    st.tuples(st.just("substitute"), st.integers(0, 10**6), st.sampled_from("GCATacgtNX- ")),
+    st.tuples(st.just("truncate"), st.integers(0, 10**6)),
+    st.tuples(st.just("drop"), st.integers(0, 10**6)),
+    st.tuples(st.just("swap"), st.integers(0, 10**6), st.integers(0, 10**6)),
+    st.tuples(st.just("duplicate"), st.integers(0, 10**6)),
+    st.tuples(st.just("lengthen"), st.integers(0, 10**6), st.sampled_from("GCAT")),
+    st.tuples(st.just("shorten"), st.integers(0, 10**6)),
+    st.tuples(st.just("non-ascii"), st.integers(0, 10**6), st.integers(0x80, 0xFF)),
+)
+
+
+def _apply(text, damage):
+    """One damage to a strand file's text (latin-1, so any byte is one character)."""
+    kind, at, *extra = damage
+    if kind == "truncate":
+        return text[: at % (len(text) + 1)]
+    if kind == "non-ascii":
+        pos = at % (len(text) + 1)
+        return text[:pos] + chr(extra[0]) + text[pos:]
+    lines = text.split("\n")
+    i = at % len(lines)
+    if kind == "substitute" and lines[i]:
+        j = (at // 7) % len(lines[i])
+        lines[i] = lines[i][:j] + extra[0] + lines[i][j + 1 :]
+    elif kind == "drop":
+        del lines[i]
+    elif kind == "swap":
+        j = extra[0] % len(lines)
+        lines[i], lines[j] = lines[j], lines[i]
+    elif kind == "duplicate":
+        lines.insert(i, lines[i])
+    elif kind == "lengthen":
+        lines[i] += extra[0]
+    elif kind == "shorten":
+        lines[i] = lines[i][:-1]
+    return "\n".join(lines)
+
+
+class TestDecodeFuzz:
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(route=st.sampled_from(sorted(CODECS)), damages=st.lists(_damage, min_size=1, max_size=3))
+    def test_damaged_files_exit_cleanly(self, route, damages):
+        text = "\n".join(_fuzz_strands(route)) + "\n"
+        for damage in damages:
+            text = _apply(text, damage)
+        with tempfile.TemporaryDirectory() as tmp:
+            strands = os.path.join(tmp, "s.txt")
+            out = os.path.join(tmp, "out.bin")
+            with open(strands, "wb") as fh:
+                fh.write(text.encode("latin-1"))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = cli.main(["decode", *_cli_args(route), "--in", strands, "--out", out])
+            message = err.getvalue()
+            assert code in (0, 1)
+            assert "Traceback" not in message
+            if code == 1:
+                assert re.match(r"error: line [1-9][0-9]*: ", message), message
+                assert not os.path.exists(out)
+            else:
+                assert message == ""
+                assert os.path.exists(out)
+
+
+def _peak_of_round_trip(tmp_path, size):
+    src, strands, back = tmp_path / "in.bin", tmp_path / "s.txt", tmp_path / "out.bin"
+    src.write_bytes(random.Random(size).randbytes(size))
+    args = ["--construction", "construction1", "--ell", "112"]
+    tracemalloc.start()
+    try:
+        assert cli.main(["encode", *args, "--in", str(src), "--out", str(strands)]) == 0
+        assert cli.main(["decode", *args, "--in", str(strands), "--out", str(back)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.read_bytes() == src.read_bytes()
+    return peak
+
+
+def test_memory_flat_in_input_size(tmp_path):
+    small = _peak_of_round_trip(tmp_path, 1 << 20)
+    large = _peak_of_round_trip(tmp_path, 4 << 20)
+    assert abs(large - small) < 1 << 20, (small, large)

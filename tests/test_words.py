@@ -35,6 +35,43 @@ def test_plane_round_trip(symbols):
     assert words.at_weight(word) == words.bit_weight(high)
 
 
+def test_text_to_oligo_reads_ascii_bytes():
+    assert words.text_to_oligo(b"gcAT") == (0, 1, 2, 3)
+    with pytest.raises(ValueError, match="invalid nucleotide 'N' at position 1"):
+        words.text_to_oligo(b"ANT")
+    with pytest.raises(ValueError, match="non-ASCII byte 0xc3 at position 2"):
+        words.text_to_oligo("GC\u00e9".encode())
+    with pytest.raises(ValueError, match="invalid nucleotide '\u00e9' at position 2"):
+        words.text_to_oligo("GC\u00e9")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: words.oligo_to_text((0, 4)),
+        lambda: words.oligo_to_text((-1,)),
+        lambda: words.oligo_to_text(3),
+        lambda: words.split_planes((0, 4)),
+        lambda: words.split_planes(3),
+        lambda: words.merge_planes((0, 2), (0, 0)),
+        lambda: words.merge_planes((0,), (-1,)),
+        lambda: words.bits_to_int((0, 2)),
+        lambda: words.bits_to_int(3),
+    ],
+)
+def test_conversions_reject_bad_values(call):
+    with pytest.raises(ValueError):
+        call()
+
+
+@given(st.integers(0, 2**70), st.integers(0, 8))
+def test_int_bits_round_trip(value, extra):
+    width = max(1, value.bit_length()) + extra
+    bits = words.int_to_bits(value, width)
+    assert len(bits) == width and set(bits) <= {0, 1}
+    assert words.bits_to_int(bits) == value
+
+
 def test_phi():
     assert [words.phi(u) for u in range(4)] == [0, 0, 1, 1]
     with pytest.raises(ValueError):
