@@ -3,7 +3,8 @@
 Three block codes live here.  The binary two-mode code alternates the
 first bit against the previous block's last bit.  The state-independent
 quaternary code gives every source index two codewords with different
-first symbols and decodes from the received block alone.  The
+first symbols and decodes from the received block alone; it is the
+quaternary form of the two-mode code, and the two share one class.  The
 state-dependent quaternary code keeps one codebook per encoder state
 (the previous block's last symbol) holding only words that do not start
 with that symbol; decoding needs the state as well.
@@ -26,10 +27,12 @@ from . import counting
 from .words import Bits, Oligo, bits_to_int, int_to_bits
 
 __all__ = [
+    "MAX_BLOCK_BITS",
     "MEMO_SIZE",
     "StateDependentCode",
     "StateIndependentCode",
     "TwoModeRllCode",
+    "check_block_size",
     "rate_state_dependent",
     "rate_state_independent",
     "rate_two_mode",
@@ -38,6 +41,10 @@ __all__ = [
 
 # Encoder state at stream start: no previous symbol has been emitted.
 STREAM_START = None
+
+# Largest block of source bits: the one-byte pad trailer of the payload
+# framing counts at most 255 pad bits.
+MAX_BLOCK_BITS = 256
 
 # Entries in each codec's encode and decode memo.  At 2**17 the memo
 # holds every (state, index) pair of a 15-bit quaternary code.
@@ -48,6 +55,15 @@ def _floor_log2(value: int) -> int:
     if value < 1:
         raise ValueError("value must be positive")
     return value.bit_length() - 1
+
+
+def check_block_size(k: int) -> int:
+    """k, or ValueError when k source bits are not a block the framing supports."""
+    if not 1 <= k <= MAX_BLOCK_BITS:
+        raise ValueError(
+            f"block size {k} outside 1..{MAX_BLOCK_BITS} supported by the one-byte pad trailer"
+        )
+    return k
 
 
 class _Enumerator:
@@ -257,90 +273,79 @@ def _check_shape(m: int, n: int) -> None:
         raise ValueError("maximum run must be at least 1")
 
 
-class TwoModeRllCode:
-    """Binary block code whose first bit always differs from the previous last bit.
+class _TwoModeCode:
+    """Block code with two codewords per index whose first symbols differ.
 
-    Mode 0 holds the first 2**source_bits words starting with 0, in lex
-    order, and is used after a block ending in 1, and vice versa;
-    concatenated blocks therefore never extend a run across a boundary.
-    Decoding reads the mode off the first bit.
+    Mode 0 holds the words that start in the lower half of the alphabet,
+    mode 1 those that start in the upper half, each in lex order and cut
+    to 2**source_bits words.  By symmetry each first symbol starts the
+    same number of words, so the index-th words of the two modes always
+    differ at the first symbol and one of them is safe to append to any
+    previous block.  Decoding reads the mode off the first symbol and
+    needs no state.
     """
+
+    q: int
+    kind: str
 
     def __init__(self, m: int, n: int):
         _check_shape(m, n)
-        total = counting.rll_count(2, m, n)
-        if total < 4:
-            raise ValueError(f"too few constrained words for a two-mode code (m={m}, n={n})")
-        self.m = m
-        self.n = n
-        self.source_bits = _floor_log2(total) - 1
+        total = counting.rll_count(self.q, m, n)
+        if total < 2 * self.q:
+            raise ValueError(f"too few constrained words for a {self.kind} code (m={m}, n={n})")
+        self.m = self.max_run = m
+        self.n = self.oligo_len = n
+        self.source_bits = check_block_size(_floor_log2(total) - 1)
         self._keep = 2**self.source_bits
-        self._words = _Enumerator(2, m, n)
-        self._roots = (self._words.root((0,)), self._words.root((1,)))
-
-    def encode_block(self, bits: Bits, last_bit: int | None = STREAM_START) -> Bits:
-        """Encode source_bits bits given the previous block's final bit."""
-        if len(bits) != self.source_bits:
-            raise ValueError(f"expected {self.source_bits} source bits, got {len(bits)}")
-        first = 0 if last_bit in (STREAM_START, 1) else 1
-        return self._words.unrank(self._roots[first], bits_to_int(bits))
-
-    def decode_block(self, word: Bits, last_bit: int | None = STREAM_START) -> Bits:
-        # last_bit is accepted for interface uniformity and ignored: the
-        # mode is visible in the word's first bit.
-        word = tuple(word)
-        index = None
-        if word and word[0] in (0, 1):
-            index = self._words.rank(self._roots[word[0]], word)
-        if index is None or index >= self._keep:
-            raise ValueError("not a codeword of this two-mode code")
-        return int_to_bits(index, self.source_bits)
-
-
-class StateIndependentCode:
-    """Quaternary block code with two codewords per index, decoded without state.
-
-    Index i < N/4 maps to the i-th words starting with G and with A, and
-    i >= N/4 to the (i - N/4)-th words starting with C and with T, so the
-    two representations of an index always differ at the first symbol
-    and one of them is safe to append to any previous block.  Mode 0 is
-    thus the first 2**source_bits G- or C-words in lex order, mode 1 the
-    A- or T-words.
-    """
-
-    def __init__(self, m: int, n: int):
-        _check_shape(m, n)
-        total = counting.rll_count(4, m, n)
-        if total < 8:
-            raise ValueError(f"too few constrained words (m={m}, n={n})")
-        self.m = m
-        self.n = n
-        self.oligo_len = n
-        self.source_bits = _floor_log2(total) - 1
-        self._keep = 2**self.source_bits
-        self._quarter = total // 4  # words per first symbol
-        self._words = _Enumerator(4, m, n)
-        self._roots = (self._words.root((0, 1)), self._words.root((2, 3)))
+        self._per_symbol = total // self.q  # words per first symbol
+        half = self.q // 2
+        self._words = _Enumerator(self.q, m, n)
+        self._roots = tuple(
+            self._words.root(tuple(range(first, first + half))) for first in (0, half)
+        )
+        self._root_of_first = {s: self._roots[s // half] for s in range(self.q)}
 
     def encode_block(self, bits: Bits, last_symbol: int | None = STREAM_START) -> Oligo:
-        """Encode source_bits bits; picks the representation safe after last_symbol."""
+        """Encode source_bits bits; picks the mode whose word may follow last_symbol."""
         if len(bits) != self.source_bits:
             raise ValueError(f"expected {self.source_bits} source bits, got {len(bits)}")
         index = bits_to_int(bits)
-        mode_0_first = 0 if index < self._quarter else 1
+        # First symbol of the index-th mode-0 word; always 0 for bits, as
+        # 2**source_bits <= N/2 words start with 0.
+        mode_0_first = index // self._per_symbol
         mode = 1 if last_symbol == mode_0_first else 0
         return self._words.unrank(self._roots[mode], index)
 
     def decode_block(self, word: Oligo, last_symbol: int | None = STREAM_START) -> Bits:
         # last_symbol is accepted for interface uniformity and ignored:
-        # decoding is state-independent.
+        # the mode is visible in the word's first symbol.
         word = tuple(word)
-        index = None
-        if word and word[0] in (0, 1, 2, 3):
-            index = self._words.rank(self._roots[word[0] >> 1], word)
+        root = self._root_of_first.get(word[0]) if word else None
+        index = None if root is None else self._words.rank(root, word)
         if index is None or index >= self._keep:
-            raise ValueError("not a codeword of this state-independent code")
+            raise ValueError(f"not a codeword of this {self.kind} code")
         return int_to_bits(index, self.source_bits)
+
+
+class TwoModeRllCode(_TwoModeCode):
+    """Binary two-mode code: no run crosses a block boundary.
+
+    Mode 0 (words starting with 0) follows a block ending in 1, and vice versa.
+    """
+
+    q, kind = 2, "two-mode"
+
+
+class StateIndependentCode(_TwoModeCode):
+    """Quaternary two-mode code, decoded without state.
+
+    Index i < N/4 maps to the i-th words starting with G (mode 0) and with
+    A (mode 1), and i >= N/4 to the (i - N/4)-th words starting with C and T.
+    """
+
+    q, kind = 4, "state-independent"
+    weight_bound = None
+    raw_bits = 0
 
 
 def _pruning_boundary(m: int, n: int, drop: int) -> tuple[int, int]:
@@ -377,36 +382,32 @@ class StateDependentCode:
     stream starts in state G.
     """
 
-    START_STATE = 0
+    weight_bound = None
+    raw_bits = 0
 
     def __init__(self, m: int, n: int):
         _check_shape(m, n)
         capacity = state_dependent_table_capacity(m, n)
-        self.m = m
-        self.n = n
-        self.oligo_len = n
-        self.source_bits = _floor_log2(capacity)
-        if self.source_bits < 1:
-            raise ValueError(f"table too small for a useful code (m={m}, n={n})")
+        self.m = self.max_run = m
+        self.n = self.oligo_len = n
+        self.source_bits = check_block_size(_floor_log2(capacity))  # capacity >= 3
         keep = 2**self.source_bits
         self.max_unbalance, skip = _pruning_boundary(m, n, capacity - keep)
         self._words = _Enumerator(4, m, n, unbalance=self.max_unbalance)
-        self._roots = tuple(
+        roots = [
             self._words.root(tuple(s for s in range(4) if s != state), skip)
             for state in range(4)
-        )
-        assert all(self._words.size(root) == keep for root in self._roots)
-
-    def _state(self, last_symbol: int | None) -> int:
-        return self.START_STATE if last_symbol is STREAM_START else last_symbol
+        ]
+        assert all(self._words.size(root) == keep for root in roots)
+        self._roots = {STREAM_START: roots[0], **dict(enumerate(roots))}
 
     def encode_block(self, bits: Bits, last_symbol: int | None = STREAM_START) -> Oligo:
         if len(bits) != self.source_bits:
             raise ValueError(f"expected {self.source_bits} source bits, got {len(bits)}")
-        return self._words.unrank(self._roots[self._state(last_symbol)], bits_to_int(bits))
+        return self._words.unrank(self._roots[last_symbol], bits_to_int(bits))
 
     def decode_block(self, word: Oligo, last_symbol: int | None = STREAM_START) -> Bits:
-        index = self._words.rank(self._roots[self._state(last_symbol)], tuple(word))
+        index = self._words.rank(self._roots[last_symbol], tuple(word))
         if index is None:
             raise ValueError("not a codeword of this state-dependent code for this state")
         return int_to_bits(index, self.source_bits)

@@ -3,9 +3,11 @@
 Subcommands: tables, figure1, count, capacity, redundancy, encode,
 decode, verify.  CSV goes to stdout unless --out is given; relative
 --out paths are resolved against $DNACODES_OUTDIR when it is set.
-encode and decode stream their files in chunks of payload.CHUNK_BYTES;
-a decode error names the strand's line (and block), and --out appears
-only once the whole file has been written.
+encode and decode take --construction from constructions.CODECS and
+hand make_codec only the codec flags that were given.  They stream
+their files in chunks of payload.CHUNK_BYTES; a decode error names the
+strand's line (and block).  A new or regular --out file appears only
+once the whole output has been written.
 Exit codes: 0 success, 1 data or validation failure, 2 usage error.
 """
 
@@ -22,7 +24,7 @@ from functools import partial
 from itertools import chain
 
 from . import asymptotics, blockcodes, counting, oracle
-from .constructions import make_codec
+from .constructions import CODECS, make_codec
 from .payload import CHUNK_BYTES, decode_stream, encode_stream
 from .words import Oligo, oligo_to_text, text_to_oligo
 
@@ -57,12 +59,8 @@ def _resolve_out(out: str) -> str:
 
 
 def _emit(lines: list[str], out: str | None) -> None:
-    text = "\n".join(lines) + "\n"
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(_resolve_out(out), "w", encoding="ascii") as fh:
-            fh.write(text)
+    with _output(out, binary=False) as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def _table_rows(table_id: str, precision: int) -> list[str]:
@@ -192,19 +190,14 @@ def cmd_redundancy(args) -> int:
     return 0
 
 
+# Flags of encode and decode that are codec parameters, named as in make_codec.
+CODEC_FLAGS = ("m", "n", "ell", "balancer", "p0")
+
+
 def _build_codec(args):
-    if args.construction == "construction1":
-        if args.ell is None:
-            raise ValueError("construction1 needs --ell")
-        params = {"ell": args.ell, "balancer": args.balancer}
-        if args.balancer == "weak-knuth":
-            if args.p0 is None:
-                raise ValueError("weak-knuth needs --p0")
-            params["p0"] = args.p0
-        return make_codec("construction1", **params)
-    if args.m is None or args.n is None:
-        raise ValueError(f"{args.construction} needs --m and --n")
-    return make_codec(args.construction, m=args.m, n=args.n)
+    """The codec of --construction, built from the codec flags that were given."""
+    params = {k: v for k, v in vars(args).items() if k in CODEC_FLAGS and v is not None}
+    return make_codec(args.construction, **params)
 
 
 @contextmanager
@@ -257,10 +250,8 @@ def _strands(fh, codec) -> Iterator[tuple[int, Oligo]]:
     memory whole.  Length, run and AT checks read the line's text; a
     failure raises DataError naming the line.
     """
-    n = codec.oligo_len
-    run_cap = getattr(codec, "m", None)
+    n, run_cap, weight_bound = codec.oligo_len, codec.max_run, codec.weight_bound
     long_run = re.compile(rb"(.)\1{%d}" % run_cap).search if run_cap is not None else None
-    weight_bound = getattr(codec, "weight_bound", None)
     lineno = 0
     rest = b""  # the last line read so far, not yet ended by a newline
     for chunk in chain(iter(partial(fh.read, CHUNK_BYTES), b""), (b"\n",)):
@@ -336,13 +327,13 @@ def cmd_verify(args) -> int:
                         )
     lines.append(f"count grid q in (2,4), m <= {args.m_max}, n <= {args.n_max}: "
                  f"{'all equal' if failures == 0 else f'{failures} mismatches'}")
-    for codec_id, params in (
-        ("two_mode", {"m": 2, "n": 6}),
-        ("state_independent", {"m": 3, "n": 5}),
-        ("state_dependent", {"m": 3, "n": 5}),
-        ("weak_knuth", {"n": 10, "p0": 2}),
+    for name, params in (
+        ("construction2", {"m": 2, "n": 6}),
+        ("state-independent", {"m": 3, "n": 5}),
+        ("state-dependent", {"m": 3, "n": 5}),
+        ("construction1", {"ell": 10, "balancer": "weak-knuth", "p0": 2}),
     ):
-        report = oracle.validate_codec(codec_id, stream_blocks=args.stream_blocks, **params)
+        report = oracle.validate_codec(name, stream_blocks=args.stream_blocks, **params)
         lines.append(report.summary())
         failures += not report.ok
         lines.extend(f"  {f}" for f in report.failures[:5])
@@ -405,15 +396,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, func in (("encode", cmd_encode), ("decode", cmd_decode)):
         p = sub.add_parser(name, help=f"{name} a file")
-        p.add_argument(
-            "--construction",
-            required=True,
-            choices=("construction1", "construction2", "state-independent", "state-dependent"),
-        )
+        p.add_argument("--construction", required=True, choices=tuple(CODECS))
         p.add_argument("--m", type=int)
         p.add_argument("--n", type=int)
         p.add_argument("--ell", type=int, help="data bits per block for construction1")
-        p.add_argument("--balancer", choices=("knuth", "weak-knuth"), default="knuth")
+        p.add_argument("--balancer", choices=("knuth", "weak-knuth"),
+                       help="construction1's balancer (default knuth)")
         p.add_argument("--p0", type=int, help="index bits for the weak balancer")
         p.add_argument("--in", dest="infile", required=True)
         p.add_argument("--out")

@@ -5,17 +5,27 @@ so the strand's AT-content equals the balanced word's bit weight, and
 fills the low plane with raw payload.  The run-length construction puts
 a run-constrained binary word on the low plane, which caps the strand's
 homopolymer runs, and carries raw payload on the high plane.
+
+Every strand codec, these two and the quaternary block codes, declares
+its shape and its promises: `source_bits` (k) and `oligo_len` (n) of a
+block, `max_run` and `weight_bound` (the largest |AT-content - n/2|),
+each None where the code promises nothing, and `raw_bits`, the number
+of trailing source bits that go uncoded onto one plane.  It maps a
+block with `encode_block(bits, last_symbol)` and back with
+`decode_block(word, last_symbol)`.  `CODECS` registers each codec
+under its command-line name.
 """
 
 from __future__ import annotations
 
+import inspect
 from fractions import Fraction
 
 from .balancing import KnuthBalancer, WeakKnuthBalancer
-from .blockcodes import STREAM_START, TwoModeRllCode
+from .blockcodes import STREAM_START, StateDependentCode, StateIndependentCode, TwoModeRllCode
 from .words import Bits, Oligo, merge_planes, split_planes
 
-__all__ = ["Construction1Codec", "Construction2Codec", "make_codec"]
+__all__ = ["CODECS", "Construction1Codec", "Construction2Codec", "make_codec"]
 
 
 class Construction1Codec:
@@ -26,9 +36,11 @@ class Construction1Codec:
     weight bound.  Blocks are independent; no state crosses boundaries.
     """
 
+    max_run = None
+
     def __init__(self, balancer: KnuthBalancer | WeakKnuthBalancer):
         self.balancer = balancer
-        self.oligo_len = balancer.output_bits
+        self.oligo_len = self.raw_bits = balancer.output_bits
         self.source_bits = balancer.data_bits + self.oligo_len
         self.weight_bound = balancer.weight_bound
 
@@ -60,10 +72,12 @@ class Construction2Codec:
     boundaries (the inner mode choice keys off the previous low bit).
     """
 
+    weight_bound = None
+
     def __init__(self, m: int, n: int):
         self.inner = TwoModeRllCode(m, n)
-        self.m = m
-        self.oligo_len = n
+        self.max_run = m
+        self.oligo_len = self.raw_bits = n
         self.source_bits = self.inner.source_bits + n
 
     @property
@@ -87,33 +101,44 @@ class Construction2Codec:
         return self.inner.decode_block(low) + high
 
 
+def _construction1(ell: int, balancer: str = "knuth", p0: int | None = None):
+    if balancer == "knuth":
+        if p0 is not None:
+            raise ValueError("the knuth balancer takes no p0")
+        return Construction1Codec(KnuthBalancer(ell))
+    if balancer == "weak-knuth":
+        if p0 is None:
+            raise ValueError("the weak-knuth balancer needs p0")
+        return Construction1Codec(WeakKnuthBalancer(ell, p0))
+    raise ValueError(f"unknown balancer {balancer!r}")
+
+
+# Every strand codec by its CLI name.  A builder's keyword parameters are
+# the codec's parameters (and the CLI's flags of the same names).
+CODECS = {
+    "construction1": _construction1,
+    "construction2": Construction2Codec,
+    "state-independent": StateIndependentCode,
+    "state-dependent": StateDependentCode,
+}
+
+
 def make_codec(construction: str, **params):
-    """Build a codec by name: the shared entry point for the CLI and the oracle.
+    """Build the codec registered under this name from its parameters.
 
     construction1 takes ell (data bits) plus balancer="knuth" or
     balancer="weak-knuth" with p0; construction2, state-independent and
-    state-dependent take m and n.
+    state-dependent take m and n.  A missing or unused parameter is a
+    ValueError, raised before anything is built.
     """
-    from .blockcodes import StateDependentCode, StateIndependentCode
-
-    if construction == "construction1":
-        ell = params.pop("ell")
-        kind = params.pop("balancer", "knuth")
-        if kind == "knuth":
-            balancer = KnuthBalancer(ell)
-        elif kind == "weak-knuth":
-            balancer = WeakKnuthBalancer(ell, params.pop("p0"))
-        else:
-            raise ValueError(f"unknown balancer {kind!r}")
-        codec = Construction1Codec(balancer)
-    elif construction == "construction2":
-        codec = Construction2Codec(params.pop("m"), params.pop("n"))
-    elif construction == "state-independent":
-        codec = StateIndependentCode(params.pop("m"), params.pop("n"))
-    elif construction == "state-dependent":
-        codec = StateDependentCode(params.pop("m"), params.pop("n"))
-    else:
+    if construction not in CODECS:
         raise ValueError(f"unknown construction {construction!r}")
-    if params:
-        raise ValueError(f"unused parameters: {sorted(params)}")
-    return codec
+    build = CODECS[construction]
+    takes = inspect.signature(build).parameters
+    unused = sorted(set(params) - set(takes))
+    if unused:
+        raise ValueError(f"{construction} takes no {', '.join(unused)}")
+    missing = [name for name, p in takes.items() if p.default is p.empty and name not in params]
+    if missing:
+        raise ValueError(f"{construction} needs {' and '.join(missing)}")
+    return build(**params)

@@ -198,20 +198,39 @@ def state_dependent_tables(m: int, n: int):
     return _check_modes(tuple(modes))
 
 
-def table_codeword(codec_id: str, modes, index: int, state):
-    """The word a table code emits for index after a block that ended in state."""
-    if codec_id == "two_mode":
-        return modes[0 if state in (None, 1) else 1][index]
-    if codec_id == "state_independent":
+def _two_mode_codeword(m: int, n: int):
+    """construction2: the two-mode table's word on the low plane, the raw bits high."""
+    modes = two_mode_tables(m, n)
+
+    def codeword(index: int, state):
+        low = modes[0 if state is None or state & 1 else 1][index >> n]
+        return tuple(bit + 2 * (index >> (n - 1 - i) & 1) for i, bit in enumerate(low))
+
+    return codeword
+
+
+def _state_independent_codeword(m: int, n: int):
+    modes = state_independent_tables(m, n)
+
+    def codeword(index: int, state):
         first_choice = modes[0][index]
         return first_choice if state is None or first_choice[0] != state else modes[1][index]
-    return modes[0 if state is None else state][index]
+
+    return codeword
 
 
+def _state_dependent_codeword(m: int, n: int):
+    modes = state_dependent_tables(m, n)
+    return lambda index, state: modes[0 if state is None else state][index]
+
+
+# Ground truth of the table codes by registry name: TABLES[name](m, n) is
+# codeword(index, state), the word the codec must emit for the source
+# block whose bits read index after a block that ended in state.
 TABLES = {
-    "two_mode": two_mode_tables,
-    "state_independent": state_independent_tables,
-    "state_dependent": state_dependent_tables,
+    "construction2": _two_mode_codeword,
+    "state-independent": _state_independent_codeword,
+    "state-dependent": _state_dependent_codeword,
 }
 
 
@@ -235,139 +254,86 @@ class BruteForceReport:
         return f"{self.codec_id}({params}): {status}, {self.cases} cases, {self.elapsed:.2f}s"
 
 
-def _all_sources(width: int):
-    if 2**width > SOURCE_CAP:
-        raise ValueError(f"source space 2**{width} exceeds the {SOURCE_CAP} cap")
-    for value in range(2**width):
-        yield tuple(value >> (width - 1 - i) & 1 for i in range(width))
+def _bits(value: int, width: int) -> tuple[int, ...]:
+    return tuple(value >> (width - 1 - i) & 1 for i in range(width))
 
 
-def _alpha_gap(word) -> Fraction:
-    w = sum(1 for u in word if u >= 2)
-    return abs(Fraction(w, len(word)) - Fraction(1, 2))
+def _word_problems(codec, word, state, bits, expected):
+    """Names of the checks one encoded word fails."""
+    if len(word) != codec.oligo_len:
+        yield "length mismatch"
+    if expected is not None and word != expected:
+        yield "table mismatch"
+    if codec.max_run is not None and _scan_max_run(word) > codec.max_run:
+        yield "run violation"
+    if codec.weight_bound is not None and (
+        abs(2 * _scan_weight(4, word) - len(word)) > 2 * codec.weight_bound
+    ):
+        yield "weight bound violated"
+    if codec.max_run is not None and word and word[0] == state:  # no run across the join
+        yield "boundary violation"
+    try:
+        decoded = tuple(codec.decode_block(word, state))
+    except ValueError:
+        decoded = None
+    if decoded != bits:
+        yield "round-trip failure"
 
 
-def _validate_block_code(report, codec, m: int, states, stream_blocks: int, table=None):
-    """Round-trip every (source, state), re-scan constraints, and stream-test.
+def validate_codec(name: str, **params) -> BruteForceReport:
+    """Exhaustive round-trip and constraint re-validation of one registered codec.
 
-    table(index, state), when given, is the word the codec must emit.
+    name and params are those of constructions.make_codec, plus
+    stream_blocks.  The check reads only what the codec declares.  Every
+    value of the source_bits - raw_bits coded bits goes with three fills
+    of the raw bits (all 0, all 1, seeded random), and each block is
+    encoded at stream start and, for a code that limits runs, after
+    each last symbol.  Every word must have the strand length, keep the
+    declared run and weight bounds, decode back, equal TABLES[name]
+    where there is one, and, if runs are limited, not start with the
+    state's symbol.  Then a stream of random blocks, each encoded after
+    the one before, must pass the same checks and keep the run bound
+    across block joins.  Raises ValueError when the coded source space
+    exceeds the exhaustive cap.
     """
-    for index, bits in enumerate(_all_sources(codec.source_bits)):
-        for state in states:
-            word = codec.encode_block(bits, state)
-            report.cases += 1
-            if table is not None and tuple(word) != table(index, state):
-                report.failures.append(f"table mismatch: bits={bits} state={state} word={word}")
-            if _scan_max_run(word) > m:
-                report.failures.append(f"run violation: bits={bits} state={state} word={word}")
-            if state is not None and word[0] == state:
-                report.failures.append(f"boundary violation: state={state} word={word}")
-            if tuple(codec.decode_block(word, state)) != bits:
-                report.failures.append(f"round-trip failure: bits={bits} state={state}")
-    rng = random.Random(_STREAM_SEED)
-    stream = []
-    state = None
-    sources = []
-    for _ in range(stream_blocks):
-        bits = tuple(rng.randrange(2) for _ in range(codec.source_bits))
-        sources.append(bits)
-        word = codec.encode_block(bits, state)
-        stream.extend(word)
-        state = word[-1]
-    report.cases += stream_blocks
-    if _scan_max_run(stream) > m:
-        report.failures.append(f"stream run violation over {stream_blocks} blocks")
-    state = None
-    block_len = len(stream) // stream_blocks
-    for i, bits in enumerate(sources):
-        word = tuple(stream[i * block_len : (i + 1) * block_len])
-        if tuple(codec.decode_block(word, state)) != bits:
-            report.failures.append(f"stream decode failure at block {i}")
-            break
-        state = word[-1]
+    from .constructions import make_codec
 
-
-def _validate_balancer(report, encode, decode, width: int, weight_bound, out_len: int):
-    for bits in _all_sources(width):
-        out = encode(bits)
-        report.cases += 1
-        if len(out) != out_len:
-            report.failures.append(f"length mismatch for {bits}")
-        if abs(2 * sum(out) - out_len) > 2 * weight_bound:
-            report.failures.append(f"weight bound violated: bits={bits} word={out}")
-        if tuple(decode(out)) != bits:
-            report.failures.append(f"round-trip failure for {bits}")
-
-
-def validate_codec(codec_id: str, **params) -> BruteForceReport:
-    """Exhaustive round-trip and constraint re-validation of one codec.
-
-    Supported ids: two_mode, state_independent, state_dependent, knuth,
-    weak_knuth, construction1, construction2.  Raises ValueError when the
-    source space exceeds the exhaustive cap.
-    """
-    from . import balancing, blockcodes, constructions
-
-    report = BruteForceReport(codec_id=codec_id, parameters=dict(params))
+    report = BruteForceReport(codec_id=name, parameters=dict(params))
     start = time.perf_counter()
     stream_blocks = params.pop("stream_blocks", 10_000)
+    codec = make_codec(name, **params)
+    table = TABLES[name](**params) if name in TABLES else None
+    k, raw = codec.source_bits, codec.raw_bits
+    if 2 ** (k - raw) > SOURCE_CAP:
+        raise ValueError(f"source space 2**{k - raw} exceeds the {SOURCE_CAP} cap")
 
-    if codec_id in TABLES:
-        m, n = params.pop("m"), params.pop("n")
-        codec_class, states = {
-            "two_mode": (blockcodes.TwoModeRllCode, [None, 0, 1]),
-            "state_independent": (blockcodes.StateIndependentCode, [None, 0, 1, 2, 3]),
-            "state_dependent": (blockcodes.StateDependentCode, [None, 0, 1, 2, 3]),
-        }[codec_id]
-        codec = codec_class(m, n)
-        modes = TABLES[codec_id](m, n)
-        _validate_block_code(
-            report, codec, m, states, stream_blocks,
-            lambda index, state: table_codeword(codec_id, modes, index, state),
+    def check(index: int, state) -> tuple[int, ...]:
+        bits = _bits(index, k)
+        word = tuple(codec.encode_block(bits, state))
+        report.cases += 1
+        expected = None if table is None else table(index, state)
+        report.failures.extend(
+            f"{problem}: bits={bits} state={state} word={word}"
+            for problem in _word_problems(codec, word, state, bits, expected)
         )
-    elif codec_id == "knuth":
-        n = params.pop("n")
-        balancer = balancing.KnuthBalancer(n)
-        _validate_balancer(
-            report, balancer.encode_word, balancer.decode_word, n, 0, balancer.output_bits
-        )
-    elif codec_id == "weak_knuth":
-        n, p0 = params.pop("n"), params.pop("p0")
-        balancer = balancing.WeakKnuthBalancer(n, p0)
-        _validate_balancer(
-            report,
-            balancer.encode_word,
-            balancer.decode_word,
-            n,
-            balancer.weight_bound,
-            balancer.output_bits,
-        )
-    elif codec_id == "construction1":
-        codec = constructions.make_codec(codec_id, **params)
-        bound = Fraction(codec.weight_bound, codec.oligo_len)
-        # The strand's unbalance depends only on the balanced plane, so
-        # exhaust the balancer inputs and vary the payload plane separately.
-        rng = random.Random(_STREAM_SEED)
-        ell, n = codec.balancer.data_bits, codec.oligo_len
-        payloads = [
-            (0,) * n,
-            (1,) * n,
-            tuple(rng.randrange(2) for _ in range(n)),
-        ]
-        for data in _all_sources(ell):
-            for payload in payloads:
-                bits = data + payload
-                word = codec.encode_block(bits)
-                report.cases += 1
-                if _alpha_gap(word) > bound:
-                    report.failures.append(f"unbalance bound violated for {bits}")
-                if tuple(codec.decode_block(word)) != bits:
-                    report.failures.append(f"round-trip failure for {bits}")
-    elif codec_id == "construction2":
-        codec = constructions.make_codec(codec_id, **params)
-        _validate_block_code(report, codec, codec.m, [None, 0, 1, 2, 3], stream_blocks)
-    else:
-        raise ValueError(f"unknown codec id {codec_id!r}")
+        return word
+
+    states = (None,) if codec.max_run is None else (None, 0, 1, 2, 3)
+    rng = random.Random(_STREAM_SEED)
+    fills = dict.fromkeys((0, 2**raw - 1, rng.getrandbits(raw)))
+    for value in range(2 ** (k - raw)):
+        for fill in fills:
+            for state in states:
+                check(value << raw | fill, state)
+
+    stream: list[int] = []
+    state = None
+    for _ in range(stream_blocks):
+        word = check(rng.getrandbits(k), state)
+        stream.extend(word)
+        state = word[-1]
+    if codec.max_run is not None and _scan_max_run(stream) > codec.max_run:
+        report.failures.append(f"stream run violation over {stream_blocks} blocks")
 
     report.elapsed = time.perf_counter() - start
     return report

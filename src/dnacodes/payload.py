@@ -21,56 +21,23 @@ previous block's last symbol.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator
 from itertools import chain
 
-from .blockcodes import STREAM_START
+from .blockcodes import STREAM_START, check_block_size
 from .words import Oligo, bits_to_int, int_to_bits
 
 __all__ = [
     "CHUNK_BYTES",
-    "bits_to_bytes",
-    "bytes_to_bits",
     "decode_bytes",
     "decode_stream",
     "encode_bytes",
     "encode_stream",
 ]
 
-MAX_BLOCK_BITS = 256
 # Bytes per chunk: what the CLI reads at a time, and about how much
 # decoded data decode_stream gathers before it yields.
 CHUNK_BYTES = 1 << 14
-
-
-def bytes_to_bits(data: bytes) -> list[int]:
-    """Unpack bytes into bits, most significant bit of each byte first."""
-    bits = []
-    for byte in data:
-        bits.extend(byte >> (7 - i) & 1 for i in range(8))
-    return bits
-
-
-def bits_to_bytes(bits: Sequence[int]) -> bytes:
-    """Pack bits (MSB-first per byte) back into bytes."""
-    if len(bits) % 8:
-        raise ValueError("bit count must be a multiple of 8")
-    out = bytearray()
-    for i in range(0, len(bits), 8):
-        byte = 0
-        for b in bits[i : i + 8]:
-            byte = byte << 1 | b
-        out.append(byte)
-    return bytes(out)
-
-
-def _check_block_size(codec) -> int:
-    k = codec.source_bits
-    if not 1 <= k <= MAX_BLOCK_BITS:
-        raise ValueError(
-            f"block size {k} outside 1..{MAX_BLOCK_BITS} supported by the one-byte pad trailer"
-        )
-    return k
 
 
 def _framed(chunks: Iterable[bytes], k: int) -> Iterator[tuple[int, ...]]:
@@ -94,7 +61,7 @@ def encode_stream(codec, chunks: Iterable[bytes]) -> Iterator[Oligo]:
     The block size is checked on the call; blocks come out as soon as
     their source bits have arrived.
     """
-    k = _check_block_size(codec)
+    k = check_block_size(codec.source_bits)
 
     def blocks() -> Iterator[Oligo]:
         state = STREAM_START
@@ -114,7 +81,7 @@ def decode_stream(codec, blocks: Iterable[Oligo]) -> Iterator[bytes]:
     block number; a bad pad trailer raises once the blocks run out.
     The block size is checked on the call.
     """
-    k = _check_block_size(codec)
+    k = check_block_size(codec.source_bits)
     keep = k + 8  # trailing bits that may be pad and trailer
     flush = max(1, 8 * CHUNK_BYTES // k)  # blocks per flush
 

@@ -252,18 +252,18 @@ def test_balance_term_gap_n100():
 
 def test_codec_property_suite():
     grids = [
-        ("two_mode", {"m": 2, "n": 6}),
-        ("state_independent", {"m": 3, "n": 5}),
-        ("state_dependent", {"m": 3, "n": 5}),
-        ("knuth", {"n": 8}),
-        ("weak_knuth", {"n": 10, "p0": 2}),
-        ("construction1", {"ell": 8, "balancer": "weak-knuth", "p0": 2}),
         ("construction2", {"m": 2, "n": 6}),
+        ("state-independent", {"m": 3, "n": 5}),
+        ("state-dependent", {"m": 3, "n": 5}),
+        ("construction1", {"ell": 8}),
+        ("construction1", {"ell": 10, "balancer": "weak-knuth", "p0": 2}),
+        ("construction1", {"ell": 8, "balancer": "weak-knuth", "p0": 2}),
+        ("construction2", {"m": 3, "n": 5}),
     ]
-    for codec_id, params in grids:
-        report = oracle.validate_codec(codec_id, stream_blocks=10_000, **params)
-        assert report.ok, (codec_id, report.failures[:5])
-    sd = oracle.validate_codec("state_dependent", m=3, n=5, stream_blocks=50)
+    for name, params in grids:
+        report = oracle.validate_codec(name, stream_blocks=10_000, **params)
+        assert report.ok, (name, report.failures[:5])
+    sd = oracle.validate_codec("state-dependent", m=3, n=5, stream_blocks=50)
     assert sd.cases == 512 * 5 + 50  # every source against every state, plus the stream
     _report("codec property suite: exhaustive round-trips, constraints, 10k-block streams")
 

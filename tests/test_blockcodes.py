@@ -238,13 +238,14 @@ class TestCodebookInvariants:
                 )
 
 
-# The states that select every table of each code: two-mode keys off the
+# The block code behind each registry name, and the states that select
+# every table of it: the two-mode code inside construction2 keys off the
 # last bit, state-independent only on whether the state equals the first
 # symbol of the mode-0 word, state-dependent on all four symbols.
 CODES = {
-    "two_mode": (blockcodes.TwoModeRllCode, (0, 1)),
-    "state_independent": (blockcodes.StateIndependentCode, (None, 0, 1)),
-    "state_dependent": (blockcodes.StateDependentCode, (0, 1, 2, 3)),
+    "construction2": (blockcodes.TwoModeRllCode, (0, 1)),
+    "state-independent": (blockcodes.StateIndependentCode, (None, 0, 1)),
+    "state-dependent": (blockcodes.StateDependentCode, (0, 1, 2, 3)),
 }
 
 
@@ -262,15 +263,19 @@ class TestEnumerativeCodes:
         for m in range(1, n + 1):
             code = _built(kind, m, n)
             try:
-                modes = oracle.TABLES[kind](m, n)
+                table = oracle.TABLES[kind](m, n)
             except ValueError:
                 assert code is None
                 continue
-            assert code.source_bits == (len(modes[0]) - 1).bit_length()
+            # construction2's table puts the two-mode word on the low plane
+            # and n raw bits on the high plane; all-zero raw bits leave the
+            # two-mode word itself.
+            raw = n if kind == "construction2" else 0
+            k = code.source_bits
+            with pytest.raises(IndexError):  # the table has 2**k entries, no more
+                table(2**k << raw, None)
             for state in CODES[kind][1]:
-                expected = [
-                    oracle.table_codeword(kind, modes, i, state) for i in range(len(modes[0]))
-                ]
+                expected = [table(i << raw, state) for i in range(2**k)]
                 assert codewords(code, state) == expected, (kind, m, n, state)
 
     @pytest.mark.parametrize(
@@ -360,7 +365,7 @@ class TestEnumerativeProperties:
         code = _code(kind, m, n)
         if code is None:
             return
-        if kind == "two_mode":
+        if kind == "construction2":
             state &= 1
         index = rng.randrange(2**code.source_bits)
         bits = index_bits(index, code.source_bits)
@@ -369,5 +374,5 @@ class TestEnumerativeProperties:
         assert word[0] != state
         assert max_run(word) <= m
         assert code.decode_block(word, state) == bits
-        if kind == "state_dependent":
+        if kind == "state-dependent":
             assert abs(2 * at_weight(word) - n) <= code.max_unbalance

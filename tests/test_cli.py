@@ -1,8 +1,15 @@
+import contextlib
+import io
 import os
+import tempfile
+import time
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from dnacodes import cli
+from dnacodes.constructions import CODECS
 
 
 def run_cli(capsys, *argv):
@@ -240,6 +247,99 @@ class TestEncodeDecode:
                          "--in", str(src), "--out", "rel.txt"])
         assert code == 0
         assert (tmp_path / "rel.txt").exists()
+
+
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (("construction2", "--m", "3", "--n", "10", "--ell", "8"),
+             "construction2 takes no ell"),
+            (("construction2", "--m", "3", "--n", "10", "--balancer", "knuth"),
+             "construction2 takes no balancer"),
+            (("state-independent", "--n", "8"), "state-independent needs m"),
+            (("construction1",), "construction1 needs ell"),
+            (("construction1", "--ell", "8", "--balancer", "weak-knuth"),
+             "the weak-knuth balancer needs p0"),
+        ],
+    )
+    def test_missing_or_unused_codec_flag(self, tmp_path, capsys, args, message):
+        src = tmp_path / "p.bin"
+        src.write_bytes(b"payload")
+        for command in ("encode", "decode"):
+            code, out, err = run_cli(capsys, command, "--construction", *args, "--in", str(src))
+            assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_oversize_block_exits_2_before_the_build(self, tmp_path, capsys):
+        src = tmp_path / "p.bin"
+        src.write_bytes(b"payload")
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "encode", "--construction", "state-dependent",
+                                 "--m", "3", "--n", "1000", "--in", str(src))
+        assert time.perf_counter() - start < 5
+        assert code == 2 and out == ""
+        assert err.startswith("error: block size ") and err.count("\n") == 1
+
+
+# Codec flags for the argv fuzz: small values, where most codes build, and
+# a few oversize ones, whose blocks exceed what the framing supports.
+_FLAG_VALUES = {
+    "--m": st.one_of(st.integers(-1, 6), st.sampled_from([40, 300, 1000])),
+    "--n": st.one_of(st.integers(-1, 12), st.sampled_from([300, 1000])),
+    "--ell": st.one_of(st.integers(-1, 20), st.sampled_from([300, 1000])),
+    "--p0": st.one_of(st.integers(-1, 5), st.just(40)),
+    "--balancer": st.sampled_from(["knuth", "weak-knuth"]),
+}
+_OWN_FLAGS = {"construction1": ("--ell", "--balancer", "--p0")}
+
+
+@st.composite
+def _codec_args(draw):
+    construction = draw(st.sampled_from(sorted(CODECS)))
+    own = _OWN_FLAGS.get(construction, ("--m", "--n"))
+    args = ["--construction", construction]
+    for flag, values in _FLAG_VALUES.items():
+        # A codec's own flags are mostly given, the others seldom.
+        if draw(st.integers(0, 9)) < (9 if flag in own else 1):
+            args += [flag, str(draw(values))]
+    return args
+
+
+def _run_quietly(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse's own usage errors
+            code = exc.code
+    return code, err.getvalue()
+
+
+class TestArgvFuzz:
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(args=_codec_args())
+    def test_encode_then_decode_exit_cleanly(self, args):
+        with tempfile.TemporaryDirectory() as tmp:
+            src, strands, junk, back = (
+                os.path.join(tmp, name) for name in ("in", "s.txt", "junk.txt", "out"))
+            with open(src, "wb") as fh:
+                fh.write(b"a short payload")
+            with open(junk, "w") as fh:
+                fh.write("GCATGCATGCATG\nAAAAAAAAAAAA\n")
+            codes = []
+            for argv in (["encode", *args, "--in", src, "--out", strands],
+                         ["decode", *args, "--in", strands, "--out", back],
+                         ["decode", *args, "--in", junk, "--out", back]):
+                code, message = _run_quietly(argv)
+                codes.append(code)
+                assert code in (0, 1, 2), (argv, message)
+                assert "Traceback" not in message
+                if code == 2:
+                    assert sum("error:" in line for line in message.splitlines()) == 1, message
+            if codes[0] == 0:
+                assert codes[1] == 0
+                assert codes[2] == 1  # no code has two junk lines as its strands
+                with open(back, "rb") as fh:
+                    assert fh.read() == b"a short payload"
 
 
 class TestVerify:

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ import hypothesis.strategies as st
 
 from dnacodes import payload
 from dnacodes.balancing import KnuthBalancer, WeakKnuthBalancer
-from dnacodes.constructions import Construction1Codec, Construction2Codec, make_codec
+from dnacodes.constructions import CODECS, Construction1Codec, Construction2Codec, make_codec
 from dnacodes.words import at_weight, max_run, merge_planes
 
 
@@ -124,6 +125,9 @@ class TestMakeCodec:
         assert make_codec("state-dependent", m=2, n=4).oligo_len == 4
         codec = make_codec("construction1", ell=8, balancer="weak-knuth", p0=2)
         assert codec.oligo_len == 12
+        assert list(CODECS) == [
+            "construction1", "construction2", "state-independent", "state-dependent"
+        ]
 
     def test_unknown(self):
         with pytest.raises(ValueError):
@@ -131,16 +135,48 @@ class TestMakeCodec:
         with pytest.raises(ValueError):
             make_codec("construction2", m=2, n=6, bogus=1)
 
+    @pytest.mark.parametrize(
+        "name,params,message",
+        [
+            ("construction1", {}, "construction1 needs ell"),
+            ("construction2", {"m": 3}, "construction2 needs n"),
+            ("state-dependent", {}, "state-dependent needs m and n"),
+            ("construction2", {"m": 3, "n": 10, "ell": 8}, "construction2 takes no ell"),
+            ("construction1", {"ell": 8, "p0": 2}, "the knuth balancer takes no p0"),
+            ("construction1", {"ell": 8, "balancer": "weak-knuth"},
+             "the weak-knuth balancer needs p0"),
+            ("construction1", {"ell": 8, "balancer": "fair"}, "unknown balancer 'fair'"),
+        ],
+    )
+    def test_missing_or_unused_parameter(self, name, params, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make_codec(name, **params)
+
+    @pytest.mark.parametrize(
+        "name,params,declared",
+        [
+            ("construction1", {"ell": 8}, (22, 14, None, 0, 14)),
+            ("construction1", {"ell": 8, "balancer": "weak-knuth", "p0": 2},
+             (20, 12, None, 1, 12)),
+            ("construction2", {"m": 2, "n": 6}, (9, 6, 2, None, 6)),
+            ("state-independent", {"m": 3, "n": 5}, (8, 5, 3, None, 0)),
+            ("state-dependent", {"m": 3, "n": 5}, (9, 5, 3, None, 0)),
+        ],
+    )
+    def test_declared_protocol(self, name, params, declared):
+        codec = make_codec(name, **params)
+        assert (codec.source_bits, codec.oligo_len, codec.max_run, codec.weight_bound,
+                codec.raw_bits) == declared
+
+    @pytest.mark.parametrize("name", ["construction2", "state-independent", "state-dependent"])
+    def test_oversize_block_rejected_before_the_build(self, name):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"^block size \d+ outside 1\.\.256 "):
+            make_codec(name, m=3, n=1000)
+        assert time.perf_counter() - start < 5
+
 
 class TestPayloadFraming:
-    def test_bit_packing_round_trip(self):
-        data = bytes(range(256))
-        assert payload.bits_to_bytes(payload.bytes_to_bits(data)) == data
-
-    def test_msb_first(self):
-        assert payload.bytes_to_bits(b"\x80") == [1, 0, 0, 0, 0, 0, 0, 0]
-        assert payload.bytes_to_bits(b"\x01") == [0, 0, 0, 0, 0, 0, 0, 1]
-
     @settings(max_examples=60, deadline=None)
     @given(st.binary(max_size=120))
     def test_round_trip_state_dependent(self, data):

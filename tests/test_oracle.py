@@ -58,27 +58,37 @@ class TestFormulaAgreement:
 
 class TestValidateCodec:
     @pytest.mark.parametrize(
-        "codec_id,params",
+        "name,params",
         [
-            ("two_mode", {"m": 2, "n": 6}),
-            ("state_independent", {"m": 3, "n": 5}),
-            ("state_dependent", {"m": 3, "n": 5}),
-            ("knuth", {"n": 8}),
-            ("weak_knuth", {"n": 10, "p0": 2}),
-            ("construction1", {"ell": 8, "balancer": "weak-knuth", "p0": 2}),
             ("construction2", {"m": 2, "n": 6}),
+            ("state-independent", {"m": 3, "n": 5}),
+            ("state-dependent", {"m": 3, "n": 5}),
+            ("construction1", {"ell": 8}),
+            ("construction1", {"ell": 10, "balancer": "weak-knuth", "p0": 2}),
+            ("construction1", {"ell": 8, "balancer": "weak-knuth", "p0": 2}),
+            ("construction2", {"m": 3, "n": 5}),
         ],
+        ids=["construction2-m2n6", "state-independent", "state-dependent", "construction1-knuth",
+             "construction1-weak-ell10", "construction1-weak-ell8", "construction2-m3n5"],
     )
-    def test_all_pass(self, codec_id, params):
-        report = oracle.validate_codec(codec_id, stream_blocks=300, **params)
+    def test_all_pass(self, name, params):
+        report = oracle.validate_codec(name, stream_blocks=300, **params)
         assert report.ok, report.failures[:5]
         assert report.cases > 0
         assert "pass" in report.summary()
 
     def test_state_dependent_example_case_count(self):
-        report = oracle.validate_codec("state_dependent", m=3, n=5, stream_blocks=100)
+        report = oracle.validate_codec("state-dependent", m=3, n=5, stream_blocks=100)
         # 512 sources x (4 states + stream start), plus the stream blocks
         assert report.cases == 512 * 5 + 100
+
+    def test_raw_bits_take_three_fills(self):
+        report = oracle.validate_codec("construction2", m=2, n=6, stream_blocks=10)
+        # 8 coded values x 3 raw fills x (4 states + stream start), plus the stream
+        assert report.cases == 8 * 3 * 5 + 10
+        report = oracle.validate_codec("construction1", ell=8, stream_blocks=10)
+        # 256 balancer inputs x 3 raw fills, at stream start only: no run bound
+        assert report.cases == 256 * 3 + 10
 
     def test_unknown_codec(self):
         with pytest.raises(ValueError):
@@ -86,7 +96,28 @@ class TestValidateCodec:
 
     def test_source_cap(self):
         with pytest.raises(ValueError, match="cap"):
-            oracle.validate_codec("knuth", n=22)
+            oracle.validate_codec("construction1", ell=22)
+
+    def test_catches_a_swapped_two_mode_entry(self, monkeypatch):
+        modes = oracle.two_mode_tables(2, 6)
+        swapped = (modes[0][1], modes[0][0]) + modes[0][2:]
+        monkeypatch.setattr(oracle, "two_mode_tables", lambda m, n: (swapped, modes[1]))
+        report = oracle.validate_codec("construction2", m=2, n=6, stream_blocks=10)
+        assert report.failures
+        assert all(f.startswith("table mismatch") for f in report.failures)
+
+    def test_catches_a_balancer_one_past_its_weight_bound(self, monkeypatch):
+        from dnacodes.balancing import KnuthBalancer
+
+        encode_word = KnuthBalancer.encode_word
+
+        def off_by_one(self, u):
+            word = encode_word(self, u)
+            return word[:-1] + (1 - word[-1],)  # |2w - n| = 2, the bound is 0
+
+        monkeypatch.setattr(KnuthBalancer, "encode_word", off_by_one)
+        report = oracle.validate_codec("construction1", ell=8, stream_blocks=10)
+        assert any(f.startswith("weight bound violated") for f in report.failures)
 
 
 class TestConstrainedWords:
@@ -102,9 +133,13 @@ class TestConstrainedWords:
         with pytest.raises(ValueError):
             oracle.constrained_words(4, 3, 15)
 
-    @pytest.mark.parametrize("kind", sorted(oracle.TABLES))
-    def test_tables_are_power_of_two_prefixes(self, kind):
-        modes = oracle.TABLES[kind](3, 6)
+    @pytest.mark.parametrize(
+        "tables",
+        [oracle.two_mode_tables, oracle.state_dependent_tables, oracle.state_independent_tables],
+        ids=["construction2", "state-dependent", "state-independent"],
+    )
+    def test_tables_are_power_of_two_prefixes(self, tables):
+        modes = tables(3, 6)
         size = len(modes[0])
         assert size & (size - 1) == 0
         assert all(len(mode) == size == len(set(mode)) for mode in modes)
@@ -112,10 +147,10 @@ class TestConstrainedWords:
     def test_validate_codec_catches_a_table_mismatch(self, monkeypatch):
         modes = oracle.state_dependent_tables(3, 5)
         swapped = (modes[0][1], modes[0][0]) + modes[0][2:]
-        monkeypatch.setitem(
-            oracle.TABLES, "state_dependent", lambda m, n: (swapped,) + modes[1:]
+        monkeypatch.setattr(
+            oracle, "state_dependent_tables", lambda m, n: (swapped,) + modes[1:]
         )
-        report = oracle.validate_codec("state_dependent", m=3, n=5, stream_blocks=10)
+        report = oracle.validate_codec("state-dependent", m=3, n=5, stream_blocks=10)
         assert any("table mismatch" in f for f in report.failures)
 
 
