@@ -7,7 +7,10 @@ weak variant only tries a power-of-two grid of flip positions and takes
 the best, trading exact balance for a shorter index.
 
 Either way the chosen index travels inside a fixed balanced prefix: the
-index-th weight-p word of length 2p in lexicographic order.
+index-th weight-p word of length 2p in lexicographic order.  Words go in
+as integers, most significant bit first, and the flips are XOR masks;
+prefix and body come out as ASCII digit strings (b"0110"), the high
+plane that the balance construction merges with its payload.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .words import Bits, bit_weight, bits_to_int, int_to_bits
+from .words import int_to_digits
 
 __all__ = [
     "KnuthBalancer",
@@ -30,45 +33,39 @@ __all__ = [
 ]
 
 
-# Bit inversion of a word held one bit per byte.
-_FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
-
-
-def unrank_balanced(length: int, weight: int, index: int) -> Bits:
-    """The index-th length-`length` word of the given weight, in lex order."""
+def unrank_balanced(length: int, weight: int, index: int) -> bytes:
+    """The index-th length-`length` word of the given weight, in lex order, as digits."""
     if not 0 <= weight <= length:
         raise ValueError("weight out of range")
     if not 0 <= index < math.comb(length, weight):
         raise ValueError("index out of range")
-    bits = []
+    digits = bytearray()
     remaining = weight
     for pos in range(length):
         slots = length - pos - 1
         with_zero = math.comb(slots, remaining) if remaining <= slots else 0
         if index < with_zero:
-            bits.append(0)
+            digits += b"0"
         else:
             index -= with_zero
-            bits.append(1)
+            digits += b"1"
             remaining -= 1
-    return tuple(bits)
+    return bytes(digits)
 
 
-def rank_balanced(word: Bits) -> int:
-    """Lexicographic rank of a word among the words of its length and weight."""
+def rank_balanced(word: bytes) -> int:
+    """Lexicographic rank of a digit word among the words of its length and weight."""
+    if word.strip(b"01"):
+        raise ValueError("word must be binary digits")
     length = len(word)
-    remaining = bit_weight(word)
+    remaining = word.count(b"1")
     index = 0
-    for pos, bit in enumerate(word):
-        slots = length - pos - 1
-        if bit:
+    for pos, digit in enumerate(word):
+        if digit == ord("1"):
+            slots = length - pos - 1
             index += math.comb(slots, remaining) if remaining <= slots else 0
             remaining -= 1
     return index
-
-
-def _flip_prefix(word: Bits, k: int) -> Bits:
-    return tuple(bytes(word[:k]).translate(_FLIP)) + tuple(word[k:])
 
 
 def _prefix_bits(p0: int) -> int:
@@ -77,57 +74,66 @@ def _prefix_bits(p0: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _index_prefix(p0: int, index: int) -> Bits:
-    return unrank_balanced(_prefix_bits(p0), p0, index)
+def _prefixes(p0: int, count: int) -> tuple[tuple[bytes, ...], dict[bytes, int]]:
+    """The first count balanced prefixes, and each one's index."""
+    words = tuple(unrank_balanced(_prefix_bits(p0), p0, i) for i in range(count))
+    return words, {word: i for i, word in enumerate(words)}
 
 
-@lru_cache(maxsize=None)
-def _prefix_index(prefix: Bits) -> int:
-    return rank_balanced(prefix)
+def _prefix_index(prefix: bytes, p0: int, count: int, what: str) -> int:
+    """Index of a prefix word below count, or ValueError saying what is wrong."""
+    index = _prefixes(p0, count)[1].get(prefix)
+    if index is None:
+        if len(prefix) != _prefix_bits(p0):
+            raise ValueError(f"prefix must have {_prefix_bits(p0)} bits, got {len(prefix)}")
+        if prefix.strip(b"01") or prefix.count(b"1") != p0:
+            raise ValueError("prefix is not a balanced word")
+        raise ValueError(f"prefix decodes to an out-of-range {what} index")
+    return index
 
 
-def knuth_encode(u: Bits) -> tuple[Bits, Bits]:
-    """Balance an even-length word by flipping its first k0 bits.
+def _check_word(value: int, n: int) -> None:
+    if value < 0 or value >> n:
+        raise ValueError(f"expected a {n}-bit word, got {value}")
 
-    Returns (prefix, body): the body is exactly balanced and the prefix
-    is the balanced word encoding k0 - 1.  The smallest balancing k0 in
-    1..n is chosen.
-    """
-    n = len(u)
+
+def _knuth_p0(n: int) -> int:
     if n < 2 or n % 2:
         raise ValueError("word length must be even and at least 2")
+    return max(1, (n - 1).bit_length())
+
+
+def knuth_encode(value: int, n: int) -> tuple[bytes, bytes]:
+    """Balance an even-length n-bit word by flipping its first k0 bits.
+
+    Returns (prefix, body) digits: the body is exactly balanced and the
+    prefix is the balanced word encoding k0 - 1.  The smallest balancing
+    k0 in 1..n is chosen.
+    """
+    p0 = _knuth_p0(n)
+    _check_word(value, n)
     half = n // 2
-    x = bits_to_int(u)
-    weight = x.bit_count()
+    weight = value.bit_count()
     # Flipping k bits leaves weight + k - 2 * (ones among them); each
     # further flip moves it by one, so no k closer than the current gap
     # can balance, and the search jumps by the gap.
     k0 = abs(weight - half) or 1
     while k0 <= n:
-        gap = abs(weight + k0 - 2 * (x >> (n - k0)).bit_count() - half)
+        gap = abs(weight + k0 - 2 * (value >> (n - k0)).bit_count() - half)
         if gap == 0:
             break
         k0 += gap
     else:  # unreachable: the weight walk must cross n/2
         raise AssertionError("no balancing index found")
-    p0 = max(1, (n - 1).bit_length())
-    return _index_prefix(p0, k0 - 1), int_to_bits(x ^ ((1 << k0) - 1) << (n - k0), n)
+    body = value ^ ((1 << k0) - 1) << (n - k0)
+    return _prefixes(p0, n)[0][k0 - 1], int_to_digits(body, n)
 
 
-def knuth_decode(prefix: Bits, body: Bits) -> Bits:
-    """Invert knuth_encode."""
+def knuth_decode(prefix: bytes, body: bytes) -> int:
+    """Invert knuth_encode: the n-bit word from its prefix and body digits."""
     n = len(body)
-    if n < 2 or n % 2:
-        raise ValueError("word length must be even and at least 2")
-    p0 = max(1, (n - 1).bit_length())
-    if len(prefix) != _prefix_bits(p0):
-        raise ValueError(f"prefix must have {_prefix_bits(p0)} bits, got {len(prefix)}")
-    if bit_weight(prefix) != p0:
-        raise ValueError("prefix is not a balanced word")
-    k0 = _prefix_index(tuple(prefix)) + 1
-    if k0 > n:
-        raise ValueError("prefix decodes to an out-of-range flip index")
-    return _flip_prefix(body, k0)
+    k0 = _prefix_index(prefix, _knuth_p0(n), n, "flip") + 1
+    return int(body, 2) ^ ((1 << k0) - 1) << (n - k0)
 
 
 def _balancing_positions(n: int, p0: int) -> list[int]:
@@ -142,37 +148,29 @@ def _flip_masks(n: int, p0: int) -> tuple[int, ...]:
     return tuple(((1 << b) - 1) << (n - b) for b in _balancing_positions(n, p0))
 
 
-def weak_knuth_encode(u: Bits, p0: int) -> tuple[Bits, Bits]:
-    """Nearly balance a word by flipping up to one of 2**p0 graded prefixes.
+def weak_knuth_encode(value: int, n: int, p0: int) -> tuple[bytes, bytes]:
+    """Nearly balance an n-bit word by flipping up to one of 2**p0 graded prefixes.
 
     The flip length is picked from the positions 1 + i*ceil(n/2**p0) and
     minimizes the distance to balance (ties to the smallest index), so
     the body weight stays within ceil(s/2) of n/2 for even n, where
-    s = ceil(n / 2**p0).
+    s = ceil(n / 2**p0).  Returns (prefix, body) digits.
     """
-    n = len(u)
     if p0 < 1:
         raise ValueError("prefix size must be at least 1 bit")
     if 2**p0 > n:
         raise ValueError(f"2**p0 = {2**p0} exceeds the word length {n}")
-    x = bits_to_int(u)
+    _check_word(value, n)
     masks = _flip_masks(n, p0)
-    gaps = [abs(2 * (x ^ mask).bit_count() - n) for mask in masks]
+    gaps = [abs(2 * (value ^ mask).bit_count() - n) for mask in masks]
     best_i = gaps.index(min(gaps))
-    return _index_prefix(p0, best_i), int_to_bits(x ^ masks[best_i], n)
+    return _prefixes(p0, 2**p0)[0][best_i], int_to_digits(value ^ masks[best_i], n)
 
 
-def weak_knuth_decode(prefix: Bits, body: Bits, p0: int) -> Bits:
+def weak_knuth_decode(prefix: bytes, body: bytes, p0: int) -> int:
     """Invert weak_knuth_encode."""
-    n = len(body)
-    if len(prefix) != _prefix_bits(p0):
-        raise ValueError(f"prefix must have {_prefix_bits(p0)} bits, got {len(prefix)}")
-    if bit_weight(prefix) != p0:
-        raise ValueError("prefix is not a balanced word")
-    i = _prefix_index(tuple(prefix))
-    if i >= 2**p0:
-        raise ValueError("prefix decodes to an out-of-range position index")
-    return _flip_prefix(body, _balancing_positions(n, p0)[i])
+    i = _prefix_index(prefix, p0, 2**p0, "position")
+    return int(body, 2) ^ _flip_masks(len(body), p0)[i]
 
 
 @dataclass(frozen=True)
@@ -187,21 +185,20 @@ class KnuthBalancer:
     def __post_init__(self):
         if self.data_bits < 2 or self.data_bits % 2:
             raise ValueError("data_bits must be even and at least 2")
-        object.__setattr__(self, "p0", max(1, (self.data_bits - 1).bit_length()))
+        object.__setattr__(self, "p0", _knuth_p0(self.data_bits))
         object.__setattr__(self, "output_bits", self.data_bits + _prefix_bits(self.p0))
         object.__setattr__(self, "weight_bound", 0)
 
-    def encode_word(self, u: Bits) -> Bits:
-        if len(u) != self.data_bits:
-            raise ValueError(f"expected {self.data_bits} bits, got {len(u)}")
-        prefix, body = knuth_encode(tuple(u))
+    def encode_word(self, value: int) -> bytes:
+        """The data_bits-bit value as output_bits balanced digits."""
+        prefix, body = knuth_encode(value, self.data_bits)
         return prefix + body
 
-    def decode_word(self, word: Bits) -> Bits:
+    def decode_word(self, word: bytes) -> int:
         if len(word) != self.output_bits:
             raise ValueError(f"expected {self.output_bits} bits, got {len(word)}")
         cut = _prefix_bits(self.p0)
-        return knuth_decode(tuple(word[:cut]), tuple(word[cut:]))
+        return knuth_decode(word[:cut], word[cut:])
 
 
 @dataclass(frozen=True)
@@ -222,14 +219,12 @@ class WeakKnuthBalancer:
         step = -(-self.data_bits // 2**self.p0)
         object.__setattr__(self, "weight_bound", (step + 1) // 2)
 
-    def encode_word(self, u: Bits) -> Bits:
-        if len(u) != self.data_bits:
-            raise ValueError(f"expected {self.data_bits} bits, got {len(u)}")
-        prefix, body = weak_knuth_encode(tuple(u), self.p0)
+    def encode_word(self, value: int) -> bytes:
+        prefix, body = weak_knuth_encode(value, self.data_bits, self.p0)
         return prefix + body
 
-    def decode_word(self, word: Bits) -> Bits:
+    def decode_word(self, word: bytes) -> int:
         if len(word) != self.output_bits:
             raise ValueError(f"expected {self.output_bits} bits, got {len(word)}")
         cut = _prefix_bits(self.p0)
-        return weak_knuth_decode(tuple(word[:cut]), tuple(word[cut:]), self.p0)
+        return weak_knuth_decode(word[:cut], word[cut:], self.p0)

@@ -16,6 +16,11 @@ below the received one, both by one walk down a graph of prefix states
 whose edges carry codeword counts.  The graph has O(n * m) nodes, or
 O(n**2 * m) for the state-dependent code, whose states also carry the
 AT-content so far.  Each codec memoises its walks in a bounded LRU.
+
+A block goes in as its index, a source_bits-bit int, and comes out as
+the codeword's ASCII bytes: bases b"GCAT" for the quaternary codes,
+digits b"01" for the binary one.  The encoder state is the previous
+block's last byte, or None at stream start.  Decoding reads either case.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from bisect import bisect_right
 from functools import lru_cache
 
 from . import counting
-from .words import Bits, Oligo, bits_to_int, int_to_bits
+from .words import BASES
 
 __all__ = [
     "MAX_BLOCK_BITS",
@@ -50,6 +55,12 @@ MAX_BLOCK_BITS = 256
 # holds every (state, index) pair of a 15-bit quaternary code.
 MEMO_SIZE = 2**17
 
+# Counting a code's words costs O(n) additions of n-bit ints: a few ms up
+# to this length, seconds past it.  Up to it an oversize code is refused
+# after counting, with its exact block size; past it, from a lower bound
+# on the block size alone.
+COUNTED_LENGTH = 4096
+
 
 def _floor_log2(value: int) -> int:
     if value < 1:
@@ -64,6 +75,29 @@ def check_block_size(k: int) -> int:
             f"block size {k} outside 1..{MAX_BLOCK_BITS} supported by the one-byte pad trailer"
         )
     return k
+
+
+def _refuse_uncounted(q: int, m: int, n: int, carried_bits: int = 0) -> None:
+    """Refuse a code past COUNTED_LENGTH whose block is too big by a bound from q, m and n.
+
+    Both block codes take at least floor(log2 N_q(m, n)) - 1 source bits.
+    For q = 4 every word without two equal neighbours counts, so
+    N >= 4 * 3**(n-1), and log2(3) > 1.584; for q = 2 and m >= 2 the
+    words with runs of at most two number 2 * F(n+1) >= phi**n, and
+    log2(phi) > 0.694.
+    """
+    if n <= COUNTED_LENGTH:
+        return
+    if q == 4:
+        least_log2 = 2 + 1584 * (n - 1) // 1000
+    else:
+        least_log2 = 694 * n // 1000 if m >= 2 else 1
+    least_bits = least_log2 - 1 + carried_bits
+    if least_bits > MAX_BLOCK_BITS:
+        raise ValueError(
+            f"block size at least {least_bits} outside 1..{MAX_BLOCK_BITS} supported by the"
+            " one-byte pad trailer"
+        )
 
 
 class _Enumerator:
@@ -81,14 +115,18 @@ class _Enumerator:
     With `unbalance` = D, the kept words are those with |2w - n| < D plus
     the boundary words (|2w - n| == D) from a given boundary rank on:
     the lexicographically smallest boundary words are the dropped ones.
+
+    Symbol s is written as the byte alphabet[s], so words go out and come
+    in as bytes; the graph itself works on symbol values.
     """
 
-    def __init__(self, q: int, m: int, n: int, unbalance: int | None = None):
-        self.q, self.m, self.n = q, m, n
+    def __init__(self, alphabet: bytes, m: int, n: int, unbalance: int | None = None):
+        self.alphabet = alphabet
+        self.q, self.m, self.n = len(alphabet), m, n
         self.unbalance = unbalance
-        # Per node: (starts, symbols, children) and the number of kept words
-        # below it.  Node 0 is the complete kept word.
-        self._steps: list[tuple[tuple[int, ...], ...]] = [((), (), ())]
+        # Per node: (starts, symbol bytes, children) and the number of kept
+        # words below it.  Node 0 is the complete kept word.
+        self._steps: list[tuple] = [((), b"", ())]
         self._sizes = [1]
         # _levels[p] maps (last, run, weight, above) to the node of a length-p prefix.
         self._levels = [{} for _ in range(n + 1)]
@@ -108,9 +146,11 @@ class _Enumerator:
         for _, child in children:
             starts.append(total)
             total += self._sizes[child]
-        self._steps.append(
-            (tuple(starts), tuple(s for s, _ in children), tuple(c for _, c in children))
-        )
+        self._steps.append((
+            tuple(starts),
+            bytes(self.alphabet[s] for s, _ in children),
+            tuple(c for _, c in children),
+        ))
         self._sizes.append(total)
         return len(self._sizes) - 1
 
@@ -208,32 +248,31 @@ class _Enumerator:
     def size(self, root: int) -> int:
         return self._sizes[root]
 
-    def _unrank(self, root: int, index: int) -> Oligo:
+    def _unrank(self, root: int, index: int) -> bytes:
         if not 0 <= index < self._sizes[root]:
             raise ValueError(f"index {index} out of range")
         steps = self._steps
-        word = []
+        word = bytearray(self.n)
         node = root
-        for _ in range(self.n):
+        for p in range(self.n):
             starts, symbols, children = steps[node]
             k = bisect_right(starts, index) - 1
             index -= starts[k]
-            word.append(symbols[k])
+            word[p] = symbols[k]
             node = children[k]
-        return tuple(word)
+        return bytes(word)
 
-    def _rank(self, root: int, word: Oligo) -> int | None:
-        """Index of word under root, or None when it is not a codeword there."""
+    def _rank(self, root: int, word: bytes) -> int | None:
+        """Index of word (either case) under root, or None when it is not a codeword there."""
         if len(word) != self.n:
             return None
         steps = self._steps
         index = 0
         node = root
-        for s in word:
+        for s in word.upper():
             starts, symbols, children = steps[node]
-            try:
-                k = symbols.index(s)
-            except ValueError:
+            k = symbols.find(s)
+            if k < 0:
                 return None
             index += starts[k]
             node = children[k]
@@ -283,57 +322,65 @@ class _TwoModeCode:
     differ at the first symbol and one of them is safe to append to any
     previous block.  Decoding reads the mode off the first symbol and
     needs no state.
+
+    carried_bits counts source bits that travel uncoded beside each block
+    (construction2's high plane); the block size check covers them too.
     """
 
-    q: int
+    alphabet: bytes
     kind: str
 
-    def __init__(self, m: int, n: int):
+    def __init__(self, m: int, n: int, carried_bits: int = 0):
         _check_shape(m, n)
-        total = counting.rll_count(self.q, m, n)
-        if total < 2 * self.q:
+        q = len(self.alphabet)
+        _refuse_uncounted(q, m, n, carried_bits)
+        total = counting.rll_count(q, m, n)
+        if total < 2 * q:
             raise ValueError(f"too few constrained words for a {self.kind} code (m={m}, n={n})")
         self.m = self.max_run = m
         self.n = self.oligo_len = n
-        self.source_bits = check_block_size(_floor_log2(total) - 1)
+        self.source_bits = _floor_log2(total) - 1
+        check_block_size(self.source_bits + carried_bits)
         self._keep = 2**self.source_bits
-        self._per_symbol = total // self.q  # words per first symbol
-        half = self.q // 2
-        self._words = _Enumerator(self.q, m, n)
-        self._roots = tuple(
-            self._words.root(tuple(range(first, first + half))) for first in (0, half)
-        )
-        self._root_of_first = {s: self._roots[s // half] for s in range(self.q)}
+        self._per_symbol = total // q  # words per first symbol
+        half = q // 2
+        words = _Enumerator(self.alphabet, m, n)
+        self._unrank, self._rank = words.unrank, words.rank
+        self._roots = tuple(words.root(tuple(range(first, first + half))) for first in (0, half))
+        self._root_of_first = {
+            byte: self._roots[s // half]
+            for s in range(q)
+            for byte in (self.alphabet[s], self.alphabet[s : s + 1].lower()[0])
+        }
 
-    def encode_block(self, bits: Bits, last_symbol: int | None = STREAM_START) -> Oligo:
-        """Encode source_bits bits; picks the mode whose word may follow last_symbol."""
-        if len(bits) != self.source_bits:
-            raise ValueError(f"expected {self.source_bits} source bits, got {len(bits)}")
-        index = bits_to_int(bits)
-        # First symbol of the index-th mode-0 word; always 0 for bits, as
-        # 2**source_bits <= N/2 words start with 0.
-        mode_0_first = index // self._per_symbol
-        mode = 1 if last_symbol == mode_0_first else 0
-        return self._words.unrank(self._roots[mode], index)
+    def encode_block(self, value: int, state: int | None = STREAM_START) -> bytes:
+        """The codeword of index value; picks the mode whose word may follow state."""
+        if not 0 <= value < self._keep:
+            raise ValueError(f"index {value} outside 0..2**{self.source_bits} - 1")
+        # First symbol of the index-th mode-0 word; always 0 for the binary
+        # code, as 2**source_bits <= N/2 words start with 0.
+        mode_0_first = self.alphabet[value // self._per_symbol]
+        mode = 1 if state == mode_0_first else 0
+        return self._unrank(self._roots[mode], value)
 
-    def decode_block(self, word: Oligo, last_symbol: int | None = STREAM_START) -> Bits:
-        # last_symbol is accepted for interface uniformity and ignored:
-        # the mode is visible in the word's first symbol.
-        word = tuple(word)
+    def decode_block(self, word: bytes, state: int | None = STREAM_START) -> int:
+        # state is accepted for interface uniformity and ignored: the mode
+        # is visible in the word's first symbol.
         root = self._root_of_first.get(word[0]) if word else None
-        index = None if root is None else self._words.rank(root, word)
+        index = None if root is None else self._rank(root, word)
         if index is None or index >= self._keep:
             raise ValueError(f"not a codeword of this {self.kind} code")
-        return int_to_bits(index, self.source_bits)
+        return index
 
 
 class TwoModeRllCode(_TwoModeCode):
     """Binary two-mode code: no run crosses a block boundary.
 
-    Mode 0 (words starting with 0) follows a block ending in 1, and vice versa.
+    Its words are digit strings.  Mode 0 (words starting with 0) follows
+    a block ending in 1, and vice versa.
     """
 
-    q, kind = 2, "two-mode"
+    alphabet, kind = b"01", "two-mode"
 
 
 class StateIndependentCode(_TwoModeCode):
@@ -343,7 +390,7 @@ class StateIndependentCode(_TwoModeCode):
     A (mode 1), and i >= N/4 to the (i - N/4)-th words starting with C and T.
     """
 
-    q, kind = 4, "state-independent"
+    alphabet, kind = BASES, "state-independent"
     weight_bound = None
     raw_bits = 0
 
@@ -377,37 +424,38 @@ class StateDependentCode:
     highest relative unbalance first (ties dropped in lexicographic
     order), per the freedom the construction leaves in discarding excess
     words: every kept word has |2w - n| < max_unbalance, or equals it and
-    is not among the lexicographically first boundary words.  Decoding
-    needs the received block and the previous block's last symbol; the
-    stream starts in state G.
+    is not among the lexicographically first boundary words, so the code
+    declares weight_bound = max_unbalance / 2.  Decoding needs the
+    received block and the previous block's last symbol; the stream
+    starts in state G.
     """
 
-    weight_bound = None
+    alphabet = BASES
     raw_bits = 0
 
     def __init__(self, m: int, n: int):
         _check_shape(m, n)
+        _refuse_uncounted(4, m, n)  # floor(log2(3/4 * N)) >= floor(log2 N) - 1
         capacity = state_dependent_table_capacity(m, n)
         self.m = self.max_run = m
         self.n = self.oligo_len = n
         self.source_bits = check_block_size(_floor_log2(capacity))  # capacity >= 3
         keep = 2**self.source_bits
         self.max_unbalance, skip = _pruning_boundary(m, n, capacity - keep)
-        self._words = _Enumerator(4, m, n, unbalance=self.max_unbalance)
-        roots = [
-            self._words.root(tuple(s for s in range(4) if s != state), skip)
-            for state in range(4)
-        ]
-        assert all(self._words.size(root) == keep for root in roots)
-        self._roots = {STREAM_START: roots[0], **dict(enumerate(roots))}
+        self.weight_bound = self.max_unbalance / 2
+        words = _Enumerator(self.alphabet, m, n, unbalance=self.max_unbalance)
+        self._unrank, self._rank = words.unrank, words.rank
+        roots = [words.root(tuple(s for s in range(4) if s != state), skip) for state in range(4)]
+        assert all(words.size(root) == keep for root in roots)
+        self._roots = {STREAM_START: roots[0]}
+        for bases in (self.alphabet, self.alphabet.lower()):
+            self._roots.update(zip(bases, roots))
 
-    def encode_block(self, bits: Bits, last_symbol: int | None = STREAM_START) -> Oligo:
-        if len(bits) != self.source_bits:
-            raise ValueError(f"expected {self.source_bits} source bits, got {len(bits)}")
-        return self._words.unrank(self._roots[last_symbol], bits_to_int(bits))
+    def encode_block(self, value: int, state: int | None = STREAM_START) -> bytes:
+        return self._unrank(self._roots[state], value)
 
-    def decode_block(self, word: Oligo, last_symbol: int | None = STREAM_START) -> Bits:
-        index = self._words.rank(self._roots[last_symbol], tuple(word))
+    def decode_block(self, word: bytes, state: int | None = STREAM_START) -> int:
+        index = self._rank(self._roots[state], word)
         if index is None:
             raise ValueError("not a codeword of this state-dependent code for this state")
-        return int_to_bits(index, self.source_bits)
+        return index

@@ -14,6 +14,7 @@ by functools.lru_cache and safe for concurrent use.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -108,15 +109,19 @@ def rll_count(q: int, m: int, n: int) -> int:
     """Number of q-ary length-n words with every run of identical symbols <= m.
 
     Follows the recurrence: q**n for n <= m, and (q-1) times the sum of
-    the previous m values beyond that; the empty word counts once.
+    the previous m values beyond that; the empty word counts once.  The
+    sum slides along, so a count costs O(n) additions and keeps m values.
     """
     _check_rll_args(q, m, n)
     if n <= m:
         return q**n
-    counts = [q**i for i in range(1, m + 1)]  # lengths 1..m
+    window = deque(q**i for i in range(1, m + 1))  # lengths n-m+1..n so far
+    total = sum(window)
     for _ in range(m + 1, n + 1):
-        counts.append((q - 1) * sum(counts[-m:]))
-    return counts[-1]
+        count = (q - 1) * total
+        total += count - window.popleft()
+        window.append(count)
+    return window[-1]
 
 
 def rll_count_gf(q: int, m: int, n: int) -> int:

@@ -254,12 +254,26 @@ class BruteForceReport:
         return f"{self.codec_id}({params}): {status}, {self.cases} cases, {self.elapsed:.2f}s"
 
 
-def _bits(value: int, width: int) -> tuple[int, ...]:
-    return tuple(value >> (width - 1 - i) & 1 for i in range(width))
+# The codecs' strand text is read back into symbols by a map of this
+# module's own; a byte that is no uppercase base maps to None.
+_BASES = b"GCAT"
+_SYMBOL_OF_BASE = {base: value for value, base in enumerate(_BASES)}
 
 
-def _word_problems(codec, word, state, bits, expected):
-    """Names of the checks one encoded word fails."""
+def _symbols(strand) -> tuple | None:
+    """The symbol tuple of a strand's ASCII bytes, or None if it is not such bytes."""
+    if not isinstance(strand, bytes):
+        return None
+    symbols = tuple(_SYMBOL_OF_BASE.get(byte) for byte in strand)
+    return None if None in symbols else symbols
+
+
+def _word_problems(codec, strand, state, index, expected):
+    """Names of the checks one encoded strand fails."""
+    word = _symbols(strand)
+    if word is None:
+        yield "not uppercase GCAT bytes"
+        return
     if len(word) != codec.oligo_len:
         yield "length mismatch"
     if expected is not None and word != expected:
@@ -270,13 +284,13 @@ def _word_problems(codec, word, state, bits, expected):
         abs(2 * _scan_weight(4, word) - len(word)) > 2 * codec.weight_bound
     ):
         yield "weight bound violated"
-    if codec.max_run is not None and word and word[0] == state:  # no run across the join
-        yield "boundary violation"
+    if codec.max_run is not None and word and word[0] == _SYMBOL_OF_BASE.get(state):
+        yield "boundary violation"  # a run across the join
     try:
-        decoded = tuple(codec.decode_block(word, state))
+        decoded = codec.decode_block(strand, state)
     except ValueError:
         decoded = None
-    if decoded != bits:
+    if decoded != index:
         yield "round-trip failure"
 
 
@@ -288,13 +302,13 @@ def validate_codec(name: str, **params) -> BruteForceReport:
     value of the source_bits - raw_bits coded bits goes with three fills
     of the raw bits (all 0, all 1, seeded random), and each block is
     encoded at stream start and, for a code that limits runs, after
-    each last symbol.  Every word must have the strand length, keep the
-    declared run and weight bounds, decode back, equal TABLES[name]
-    where there is one, and, if runs are limited, not start with the
-    state's symbol.  Then a stream of random blocks, each encoded after
-    the one before, must pass the same checks and keep the run bound
-    across block joins.  Raises ValueError when the coded source space
-    exceeds the exhaustive cap.
+    each last symbol.  Every strand must be uppercase GCAT bytes of the
+    strand length, keep the declared run and weight bounds, decode back
+    to its index, equal TABLES[name] where there is one, and, if runs
+    are limited, not start with the state's symbol.  Then a stream of
+    random blocks, each encoded after the one before, must pass the same
+    checks and keep the run bound across block joins.  Raises ValueError
+    when the coded source space exceeds the exhaustive cap.
     """
     from .constructions import make_codec
 
@@ -307,16 +321,17 @@ def validate_codec(name: str, **params) -> BruteForceReport:
     if 2 ** (k - raw) > SOURCE_CAP:
         raise ValueError(f"source space 2**{k - raw} exceeds the {SOURCE_CAP} cap")
 
-    def check(index: int, state) -> tuple[int, ...]:
-        bits = _bits(index, k)
-        word = tuple(codec.encode_block(bits, state))
+    def check(index: int, symbol_state) -> tuple[int, ...]:
+        """Encode index after a block ending in symbol_state; the strand's symbols."""
+        state = None if symbol_state is None else _BASES[symbol_state]
+        strand = codec.encode_block(index, state)
         report.cases += 1
-        expected = None if table is None else table(index, state)
+        expected = None if table is None else table(index, symbol_state)
         report.failures.extend(
-            f"{problem}: bits={bits} state={state} word={word}"
-            for problem in _word_problems(codec, word, state, bits, expected)
+            f"{problem}: index={index} state={symbol_state} strand={strand!r}"
+            for problem in _word_problems(codec, strand, state, index, expected)
         )
-        return word
+        return _symbols(strand) or ()
 
     states = (None,) if codec.max_run is None else (None, 0, 1, 2, 3)
     rng = random.Random(_STREAM_SEED)
@@ -331,7 +346,7 @@ def validate_codec(name: str, **params) -> BruteForceReport:
     for _ in range(stream_blocks):
         word = check(rng.getrandbits(k), state)
         stream.extend(word)
-        state = word[-1]
+        state = word[-1] if word else None
     if codec.max_run is not None and _scan_max_run(stream) > codec.max_run:
         report.failures.append(f"stream run violation over {stream_blocks} blocks")
 

@@ -1,13 +1,16 @@
 """Symbol-level primitives for quaternary strands and binary words.
 
-A strand (oligo) is a tuple over {0, 1, 2, 3} with the fixed nucleotide
-mapping G=0, C=1, A=2, T=3.  Every strand x decomposes into two binary
-planes, x = low + 2*high, and the high plane marks which symbols are A
-or T, so the AT-content of x equals the bit weight of its high plane.
+A strand (oligo) is written in the bases G, C, A, T, which stand for the
+symbols 0, 1, 2, 3.  Every strand decomposes into two binary planes,
+symbol = low + 2*high, and the high plane marks which symbols are A or T,
+so the AT-content of a strand equals the bit weight of its high plane.
 
-Conversions between symbol tuples, planes, text and integers go through
-byte translation tables and int parsing, so none loops over symbols in
-Python.
+Codecs handle a strand as its uppercase ASCII bytes (b"GCAT") and a
+binary plane as ASCII digits (b"0110"), the form `format(value, "0nb")`
+gives and `int(digits, 2)` reads.  Merging and splitting planes go
+through integer addition and byte translation tables, so neither loops
+over symbols in Python.  Symbol tuples remain for analysis:
+`text_to_oligo` and `oligo_to_text` convert between the two forms.
 """
 
 from __future__ import annotations
@@ -15,9 +18,9 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 
 ALPHABET = "GCAT"
+BASES = ALPHABET.encode("ascii")
 
 Oligo = tuple[int, ...]
-Bits = tuple[int, ...]
 
 _SYMBOL_BY_BASE = {base: value for value, base in enumerate(ALPHABET)}
 
@@ -32,11 +35,6 @@ def phi(u: int) -> int:
 def at_weight(word: Sequence[int]) -> int:
     """Number of A/T symbols (symbol values 2 and 3) in a quaternary word."""
     return sum(phi(u) for u in word)
-
-
-def bit_weight(bits: Sequence[int]) -> int:
-    """Number of ones in a binary word."""
-    return sum(bits)
 
 
 def max_run(seq: Sequence[int]) -> int:
@@ -60,70 +58,58 @@ def relative_unbalance(word: Sequence[int]) -> float:
     return abs(at_weight(word) / n - 0.5)
 
 
-# Byte tables for the plane and text conversions below.  A symbol or bit
-# travels as one byte; every byte value that is not a valid input maps
-# to _BAD, so one `in` test after a translate validates a whole word.
+# Byte tables for the conversions below.  Every byte value that is not a
+# valid input maps to _BAD (or to b"x" for digits, which int() rejects),
+# so one search after a translate validates a whole word.
 _BAD = 0xFF
-_LOW_OF_SYMBOL = bytes(v & 1 if v < 4 else _BAD for v in range(256))
-_HIGH_OF_SYMBOL = bytes(v >> 1 if v < 4 else _BAD for v in range(256))
-_BASE_OF_SYMBOL = ALPHABET.encode("ascii") + bytes([_BAD]) * 252
+_BASE_OF_SYMBOL = BASES + bytes([_BAD]) * 252
 _SYMBOL_OF_BASE = bytes(
     _SYMBOL_BY_BASE.get(chr(v).upper(), _BAD) if v < 128 else _BAD for v in range(256)
 )
 _SYMBOL_ERROR = "symbol out of range for a quaternary word"
-_PLANE_ERROR = "planes must be binary"
-# Bit values (0, 1) to binary digits ("0", "1") and back; any other byte
-# becomes "x", which int() rejects.
-_DIGIT_OF_BIT = b"01" + b"x" * 254
-_BIT_OF_DIGIT = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def _as_bytes(values: Iterable[int], error: str) -> bytes:
-    """The values one per byte; ValueError(error) if any is not a byte value."""
-    if isinstance(values, int):  # bytes(n) would be n zero bytes
-        raise ValueError(error)
-    try:
-        return bytes(values)
-    except (ValueError, TypeError):
-        raise ValueError(error) from None
+def _digit_table(digit_of_symbol: str) -> bytes:
+    """Base (either case) -> the digit its symbol has in one plane; else b"x"."""
+    table = bytearray(b"x" * 256)
+    for base, digit in zip(ALPHABET, digit_of_symbol):
+        table[ord(base)] = table[ord(base.lower())] = ord(digit)
+    return bytes(table)
 
 
-def bits_to_int(bits: Iterable[int]) -> int:
-    """Read a binary word as an unsigned integer, first bit most significant."""
-    digits = _as_bytes(bits, "bits must be 0 or 1").translate(_DIGIT_OF_BIT)
-    try:
-        return int(digits or b"0", 2)
-    except ValueError:
-        raise ValueError("bits must be 0 or 1") from None
+# The low and high plane digit of each base, and, read the other way, the
+# planes' digits added as ASCII bytes, low + 2*high = 0x90 + symbol, to bases.
+LOW_DIGIT_OF_BASE = _digit_table("0101")
+_HIGH_DIGIT_OF_BASE = _digit_table("0011")
+_BASE_OF_PLANES = bytes(0x90) + BASES + bytes(256 - 0x94)
 
 
-def int_to_bits(value: int, width: int) -> Bits:
-    """The width-bit binary word of value, most significant bit first (width >= 1)."""
-    return tuple(format(value, f"0{width}b").encode("ascii").translate(_BIT_OF_DIGIT))
+def int_to_digits(value: int, width: int) -> bytes:
+    """The width-digit binary numeral of value (0 <= value < 2**width) as ASCII digits."""
+    return bin(value | 1 << width)[3:].encode("ascii")
 
 
-def split_planes(word: Sequence[int]) -> tuple[Bits, Bits]:
-    """Decompose a quaternary word into (low, high) binary planes."""
-    raw = _as_bytes(word, _SYMBOL_ERROR)
-    low = raw.translate(_LOW_OF_SYMBOL)
-    if _BAD in low:
-        raise ValueError(_SYMBOL_ERROR)
-    return tuple(low), tuple(raw.translate(_HIGH_OF_SYMBOL))
+def merge_planes(low: bytes, high: bytes) -> bytes:
+    """The strand whose (low, high) planes are these ASCII digit strings.
 
-
-def merge_planes(low: Sequence[int], high: Sequence[int]) -> Oligo:
-    """Rebuild a quaternary word from its (low, high) binary planes.
-
-    Each plane is read as a base-256 integer with one bit per digit, so
-    low + 2*high is one integer addition without carries.
+    Each plane is read as one base-256 integer, so low + 2*high is one
+    integer addition without carries, and a translate turns each byte
+    0x90 + symbol into its base.
     """
     if len(low) != len(high):
         raise ValueError(f"plane lengths differ: {len(low)} != {len(high)}")
-    lo, hi = _as_bytes(low, _PLANE_ERROR), _as_bytes(high, _PLANE_ERROR)
-    if lo.translate(None, b"\x00\x01") or hi.translate(None, b"\x00\x01"):
-        raise ValueError(_PLANE_ERROR)
-    merged = int.from_bytes(lo, "big") + (int.from_bytes(hi, "big") << 1)
-    return tuple(merged.to_bytes(len(lo), "big"))
+    if low.strip(b"01") or high.strip(b"01"):
+        raise ValueError("planes must be binary digits")
+    merged = int.from_bytes(low, "big") + (int.from_bytes(high, "big") << 1)
+    return merged.to_bytes(len(low), "big").translate(_BASE_OF_PLANES)
+
+
+def split_planes(strand: bytes) -> tuple[bytes, bytes]:
+    """The (low, high) planes of a strand (either case) as ASCII digit strings."""
+    low = strand.translate(LOW_DIGIT_OF_BASE)
+    if low.find(b"x") >= 0:
+        raise ValueError("not a strand of the bases G, C, A, T")
+    return low, strand.translate(_HIGH_DIGIT_OF_BASE)
 
 
 def text_to_oligo(text: str | bytes) -> Oligo:
@@ -141,9 +127,14 @@ def text_to_oligo(text: str | bytes) -> Oligo:
     return tuple(symbols)
 
 
-def oligo_to_text(word: Sequence[int]) -> str:
+def oligo_to_text(word: Iterable[int]) -> str:
     """Render a symbol tuple as an uppercase ACGT string."""
-    text = _as_bytes(word, _SYMBOL_ERROR).translate(_BASE_OF_SYMBOL)
+    if isinstance(word, int):  # bytes(n) would be n zero bytes
+        raise ValueError(_SYMBOL_ERROR)
+    try:
+        text = bytes(word).translate(_BASE_OF_SYMBOL)
+    except (ValueError, TypeError):
+        raise ValueError(_SYMBOL_ERROR) from None
     if _BAD in text:
         raise ValueError(_SYMBOL_ERROR)
     return text.decode("ascii")

@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import pytest
@@ -6,21 +5,29 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from dnacodes import balancing
-from dnacodes.words import bit_weight
+
+
+def weight(digits):
+    return digits.count(b"1")
+
+
+def every_word(n):
+    """Every n-bit word as an int, with its digits."""
+    return [(value, format(value, f"0{n}b").encode()) for value in range(2**n)]
 
 
 class TestBalancedPrefixMap:
     def test_lexicographic_order(self):
         words = [balancing.unrank_balanced(4, 2, i) for i in range(math.comb(4, 2))]
         assert words == sorted(words)
-        assert words[0] == (0, 0, 1, 1)
-        assert words[-1] == (1, 1, 0, 0)
+        assert words[0] == b"0011"
+        assert words[-1] == b"1100"
 
     @pytest.mark.parametrize("length,weight", [(4, 2), (6, 3), (8, 4), (5, 2)])
     def test_rank_unrank_bijection(self, length, weight):
         for index in range(math.comb(length, weight)):
             word = balancing.unrank_balanced(length, weight, index)
-            assert bit_weight(word) == weight
+            assert len(word) == length and word.count(b"1") == weight
             assert balancing.rank_balanced(word) == index
 
     def test_index_out_of_range(self):
@@ -30,67 +37,68 @@ class TestBalancedPrefixMap:
 
 class TestKnuth:
     def test_all_zeros(self):
-        prefix, body = balancing.knuth_encode((0, 0, 0, 0))
-        assert body == (1, 1, 0, 0)
-        assert bit_weight(prefix) == len(prefix) // 2
+        prefix, body = balancing.knuth_encode(0b0000, 4)
+        assert body == b"1100"
+        assert weight(prefix) == len(prefix) // 2
 
     def test_already_balanced_picks_smallest_preserving_index(self):
-        prefix, body = balancing.knuth_encode((0, 1, 0, 1))
-        assert body == (1, 0, 0, 1)  # k0 = 2 is the first balance-preserving flip
-        assert balancing.knuth_decode(prefix, body) == (0, 1, 0, 1)
+        prefix, body = balancing.knuth_encode(0b0101, 4)
+        assert body == b"1001"  # k0 = 2 is the first balance-preserving flip
+        assert balancing.knuth_decode(prefix, body) == 0b0101
 
     def test_exhaustive_round_trip_n8(self):
-        for bits in itertools.product((0, 1), repeat=8):
-            prefix, body = balancing.knuth_encode(bits)
-            assert bit_weight(body) == 4
-            assert bit_weight(prefix) == len(prefix) // 2
-            assert balancing.knuth_decode(prefix, body) == bits
+        for value, _ in every_word(8):
+            prefix, body = balancing.knuth_encode(value, 8)
+            assert weight(body) == 4
+            assert weight(prefix) == len(prefix) // 2
+            assert balancing.knuth_decode(prefix, body) == value
 
     def test_odd_length_rejected(self):
         with pytest.raises(ValueError):
-            balancing.knuth_encode((0, 1, 0))
+            balancing.knuth_encode(0b010, 3)
 
     def test_corrupt_prefix_rejected(self):
-        prefix, body = balancing.knuth_encode((0, 1, 1, 0, 1, 0, 0, 0))
-        bad = (1,) * len(prefix)
+        prefix, body = balancing.knuth_encode(0b01101000, 8)
+        bad = b"1" * len(prefix)
         with pytest.raises(ValueError, match="balanced"):
             balancing.knuth_decode(bad, body)
 
     @given(st.integers(0, 2**12 - 1))
     def test_random_round_trip_n12(self, value):
-        bits = tuple(value >> (11 - i) & 1 for i in range(12))
-        prefix, body = balancing.knuth_encode(bits)
-        assert bit_weight(body) == 6
-        assert balancing.knuth_decode(prefix, body) == bits
+        prefix, body = balancing.knuth_encode(value, 12)
+        assert weight(body) == 6
+        assert balancing.knuth_decode(prefix, body) == value
 
 
 class TestWeakKnuth:
     def test_all_zero_candidates(self):
         # n=16, p0=2: flip lengths 1, 5, 9, 13; flipping 9 gets closest to 8
-        prefix, body = balancing.weak_knuth_encode((0,) * 16, 2)
-        assert bit_weight(body) == 9
-        assert abs(bit_weight(body) - 8) <= 2  # ceil(s/2) with s = 4
-        assert balancing.weak_knuth_decode(prefix, body, 2) == (0,) * 16
+        prefix, body = balancing.weak_knuth_encode(0, 16, 2)
+        assert weight(body) == 9
+        assert abs(weight(body) - 8) <= 2  # ceil(s/2) with s = 4
+        assert balancing.weak_knuth_decode(prefix, body, 2) == 0
 
     def test_exhaustive_bound_n10(self):
         s = math.ceil(10 / 4)
         bound = math.ceil(s / 2)
-        for bits in itertools.product((0, 1), repeat=10):
-            prefix, body = balancing.weak_knuth_encode(bits, 2)
-            assert abs(2 * bit_weight(body) - 10) <= 2 * bound
-            assert balancing.weak_knuth_decode(prefix, body, 2) == bits
+        for value, _ in every_word(10):
+            prefix, body = balancing.weak_knuth_encode(value, 10, 2)
+            assert abs(2 * weight(body) - 10) <= 2 * bound
+            assert balancing.weak_knuth_decode(prefix, body, 2) == value
 
     def test_full_grid_reduces_to_exact_balance(self):
         # 2**p0 = n samples every position, so even-length words balance exactly
-        for bits in itertools.product((0, 1), repeat=8):
-            _, body = balancing.weak_knuth_encode(bits, 3)
-            assert bit_weight(body) == 4
+        for value, _ in every_word(8):
+            _, body = balancing.weak_knuth_encode(value, 8, 3)
+            assert weight(body) == 4
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            balancing.weak_knuth_encode((0, 1), 0)
+            balancing.weak_knuth_encode(0b01, 2, 0)
         with pytest.raises(ValueError):
-            balancing.weak_knuth_encode((0, 1), 2)
+            balancing.weak_knuth_encode(0b01, 2, 2)
+        with pytest.raises(ValueError):
+            balancing.weak_knuth_encode(0b100, 2, 1)
 
 
 class TestBalancerObjects:
@@ -110,16 +118,30 @@ class TestBalancerObjects:
         [balancing.KnuthBalancer(8), balancing.WeakKnuthBalancer(10, 2)],
     )
     def test_word_round_trip(self, balancer):
-        for bits in itertools.product((0, 1), repeat=balancer.data_bits):
-            out = balancer.encode_word(bits)
-            assert len(out) == balancer.output_bits
-            gap = abs(2 * bit_weight(out) - balancer.output_bits)
+        outputs = set()
+        for value, _ in every_word(balancer.data_bits):
+            out = balancer.encode_word(value)
+            assert len(out) == balancer.output_bits and not out.strip(b"01")
+            gap = abs(2 * weight(out) - balancer.output_bits)
             assert gap <= 2 * balancer.weight_bound
-            assert balancer.decode_word(out) == bits
+            assert balancer.decode_word(out) == value
+            outputs.add(out)
+        assert len(outputs) == 2**balancer.data_bits
 
     def test_length_validation(self):
         b = balancing.KnuthBalancer(8)
         with pytest.raises(ValueError):
-            b.encode_word((0,) * 7)
+            b.encode_word(2**8)
         with pytest.raises(ValueError):
-            b.decode_word((0,) * 13)
+            b.encode_word(-1)
+        with pytest.raises(ValueError):
+            b.decode_word(b"0" * 13)
+
+
+def test_digit_words_match_the_bit_by_bit_flip():
+    # The integer flips against a flip done one digit at a time.
+    for value, digits in every_word(8):
+        prefix, body = balancing.knuth_encode(value, 8)
+        k0 = balancing.rank_balanced(prefix) + 1
+        flipped = bytes(b"10"[d - ord("0")] for d in digits[:k0]) + digits[k0:]
+        assert body == flipped

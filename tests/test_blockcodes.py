@@ -1,6 +1,6 @@
 import itertools
 import random
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import pytest
 from hypothesis import given, settings
@@ -18,27 +18,36 @@ def brute_words(q, m, n):
     ]
 
 
-def index_bits(index, width):
-    return tuple(index >> (width - 1 - i) & 1 for i in range(width))
+# Bases and binary digits to symbol values, as the oracle tables hold them.
+_SYMBOL_OF_BYTE = bytes.maketrans(b"GCAT01", bytes([0, 1, 2, 3, 0, 1]))
+
+
+def symbols(word):
+    """The symbol tuple of a codeword's bytes."""
+    return tuple(word.translate(_SYMBOL_OF_BYTE))
+
+
+def state_byte(code, symbol):
+    """The state after a block that ended in this symbol value (None: stream start)."""
+    return None if symbol is None else code.alphabet[symbol]
 
 
 def codewords(code, state):
     """Every codeword the code emits after state, in index order."""
-    k = code.source_bits
-    return [code.encode_block(index_bits(i, k), state) for i in range(2**k)]
+    return [code.encode_block(i, state) for i in range(2**code.source_bits)]
 
 
 class TestConstrainedWords:
     @pytest.mark.parametrize("q,m,n", [(2, 2, 6), (4, 1, 4), (4, 3, 5)])
     def test_matches_brute_enumeration(self, q, m, n):
-        words = blockcodes._Enumerator(q, m, n)
+        words = blockcodes._Enumerator(bytes(range(q)), m, n)
         root = words.root(tuple(range(q)))
         listed = [words.unrank(root, i) for i in range(words.size(root))]
-        assert listed == brute_words(q, m, n)
+        assert [tuple(w) for w in listed] == brute_words(q, m, n)
         assert [words.rank(root, w) for w in listed] == list(range(len(listed)))
 
     def test_count_matches_formula(self):
-        words = blockcodes._Enumerator(4, 3, 5)
+        words = blockcodes._Enumerator(b"GCAT", 3, 5)
         assert words.size(words.root((0, 1, 2, 3))) == counting.rll_count(4, 3, 5)
 
 
@@ -71,21 +80,21 @@ class TestRates:
 
 def _stream_check(codec, m, blocks=60, seed=7):
     rng = random.Random(seed)
-    stream = []
+    stream = b""
     state = None
     sources = []
     for _ in range(blocks):
-        bits = tuple(rng.randrange(2) for _ in range(codec.source_bits))
-        sources.append(bits)
-        word = codec.encode_block(bits, state)
-        stream.extend(word)
+        index = rng.getrandbits(codec.source_bits)
+        sources.append(index)
+        word = codec.encode_block(index, state)
+        stream += word
         state = word[-1]
     assert max_run(stream) <= m
     state = None
     width = len(stream) // blocks
-    for i, bits in enumerate(sources):
-        word = tuple(stream[i * width : (i + 1) * width])
-        assert codec.decode_block(word, state) == bits
+    for i, index in enumerate(sources):
+        word = stream[i * width : (i + 1) * width]
+        assert codec.decode_block(word, state) == index
         state = word[-1]
 
 
@@ -100,19 +109,19 @@ class TestTwoModeCode:
     def test_modes_split_by_first_bit(self):
         code = blockcodes.TwoModeRllCode(2, 6)
         # mode 0 (first bit 0) follows a block ending in 1, and vice versa
-        assert all(w[0] == 0 for w in codewords(code, 1))
-        assert all(w[0] == 1 for w in codewords(code, 0))
+        assert all(w[:1] == b"0" for w in codewords(code, ord("1")))
+        assert all(w[:1] == b"1" for w in codewords(code, ord("0")))
 
     def test_exhaustive_round_trip(self):
         code = blockcodes.TwoModeRllCode(2, 6)
-        for value in range(2**code.source_bits):
-            bits = tuple(value >> (code.source_bits - 1 - i) & 1 for i in range(code.source_bits))
-            for state in (None, 0, 1):
-                word = code.encode_block(bits, state)
+        for index in range(2**code.source_bits):
+            for state in (None, *b"01"):
+                word = code.encode_block(index, state)
+                assert len(word) == 6 and not word.strip(b"01")
                 assert max_run(word) <= 2
                 if state is not None:
                     assert word[0] != state
-                assert code.decode_block(word) == bits
+                assert code.decode_block(word) == index
 
     def test_stream(self):
         _stream_check(blockcodes.TwoModeRllCode(2, 6), 2)
@@ -124,18 +133,17 @@ class TestTwoModeCode:
     def test_unknown_word(self):
         code = blockcodes.TwoModeRllCode(2, 6)
         with pytest.raises(ValueError):
-            code.decode_block((0, 0, 0, 0, 0, 0))
+            code.decode_block(b"000000")
 
 
 class TestStateIndependentCode:
     def test_representations_differ_in_first_symbol(self):
         code = blockcodes.StateIndependentCode(3, 5)
         for idx in range(2**code.source_bits):
-            bits = index_bits(idx, code.source_bits)
-            w0 = code.encode_block(bits)
-            w1 = code.encode_block(bits, w0[0])
+            w0 = code.encode_block(idx)
+            w1 = code.encode_block(idx, w0[0])
             assert w0[0] != w1[0]
-            assert code.decode_block(w0) == code.decode_block(w1) == bits
+            assert code.decode_block(w0) == code.decode_block(w1) == idx
 
     def test_rate_example(self):
         code = blockcodes.StateIndependentCode(3, 5)
@@ -145,14 +153,14 @@ class TestStateIndependentCode:
     def test_decoding_ignores_state(self):
         code = blockcodes.StateIndependentCode(2, 4)
         for idx in range(2**code.source_bits):
-            bits = tuple(idx >> (code.source_bits - 1 - i) & 1 for i in range(code.source_bits))
-            for state in (None, 0, 1, 2, 3):
-                word = code.encode_block(bits, state)
+            for state in (None, *b"GCAT"):
+                word = code.encode_block(idx, state)
                 assert max_run(word) <= 2
                 if state is not None:
                     assert word[0] != state
                 # decode sees the word only
-                assert code.decode_block(word) == bits
+                assert code.decode_block(word) == idx
+                assert code.decode_block(word, ord("T")) == idx
 
     def test_stream(self):
         _stream_check(blockcodes.StateIndependentCode(3, 5), 3)
@@ -165,7 +173,7 @@ class TestStateIndependentCode:
 class TestStateDependentCode:
     def test_tables_exclude_state_symbol(self):
         code = blockcodes.StateDependentCode(3, 5)
-        for state in range(4):
+        for state in b"GCAT":
             assert all(w[0] != state for w in codewords(code, state))
 
     def test_example_sizes(self):
@@ -177,9 +185,9 @@ class TestStateDependentCode:
 
     def test_pruning_drops_highest_unbalance(self):
         code = blockcodes.StateDependentCode(3, 5)
-        kept = codewords(code, 0)
+        kept = [symbols(w) for w in codewords(code, ord("G"))]
         kept_worst = max(abs(2 * at_weight(w) - 5) for w in kept)
-        assert kept_worst == code.max_unbalance
+        assert kept_worst == code.max_unbalance == 2 * code.weight_bound
         candidates = [w for w in oracle.constrained_words(4, 3, 5) if w[0] != 0]
         dropped = sorted(set(candidates) - set(kept))
         assert dropped
@@ -188,21 +196,19 @@ class TestStateDependentCode:
     def test_exhaustive_all_states(self):
         code = blockcodes.StateDependentCode(3, 5)
         for idx in range(2**code.source_bits):
-            bits = tuple(idx >> (code.source_bits - 1 - i) & 1 for i in range(code.source_bits))
-            for state in (None, 0, 1, 2, 3):
-                word = code.encode_block(bits, state)
+            for state in (None, *b"GCAT"):
+                word = code.encode_block(idx, state)
                 assert max_run(word) <= 3
                 if state is not None:
                     assert word[0] != state
-                assert code.decode_block(word, state) == bits
+                assert code.decode_block(word, state) == idx
 
     def test_decode_needs_true_state(self):
         code = blockcodes.StateDependentCode(3, 5)
-        bits = (0,) * code.source_bits
-        word = code.encode_block(bits, 2)
+        word = code.encode_block(0, ord("A"))
         # the same word can decode differently (or fail) under other states,
         # but with the true previous symbol it always succeeds
-        assert code.decode_block(word, 2) == bits
+        assert code.decode_block(word, ord("A")) == 0
 
     def test_stream(self):
         _stream_check(blockcodes.StateDependentCode(3, 5), 3)
@@ -220,12 +226,12 @@ class TestCodebookInvariants:
     def test_power_of_two_sizes(self, code, bits):
         assert code.source_bits == bits
         for state in (None, 0, 1):
-            words = codewords(code, state)
+            words = codewords(code, state_byte(code, state))
             assert len(set(words)) == len(words) == 2**bits
 
     def test_all_words_satisfy_constraint(self):
         code = blockcodes.StateDependentCode(2, 5)
-        for state in range(4):
+        for state in b"GCAT":
             for word in codewords(code, state):
                 assert max_run(word) <= 2
 
@@ -233,9 +239,7 @@ class TestCodebookInvariants:
         code = blockcodes.TwoModeRllCode(3, 5)
         for mode in oracle.two_mode_tables(3, 5):
             for idx, word in enumerate(mode):
-                assert code.decode_block(word) == tuple(
-                    idx >> (code.source_bits - 1 - i) & 1 for i in range(code.source_bits)
-                )
+                assert code.decode_block(bytes(b"01"[bit] for bit in word)) == idx
 
 
 # The block code behind each registry name, and the states that select
@@ -276,7 +280,8 @@ class TestEnumerativeCodes:
                 table(2**k << raw, None)
             for state in CODES[kind][1]:
                 expected = [table(i << raw, state) for i in range(2**k)]
-                assert codewords(code, state) == expected, (kind, m, n, state)
+                emitted = codewords(code, state_byte(code, state))
+                assert [symbols(w) for w in emitted] == expected, (kind, m, n, state)
 
     @pytest.mark.parametrize(
         "code,states",
@@ -289,15 +294,15 @@ class TestEnumerativeCodes:
     )
     def test_every_index_of_the_benchmark_routes(self, code, states):
         k = code.source_bits
-        sources = [index_bits(i, k) for i in range(2**k)]
-        for state in states:
-            words = [code.encode_block(bits, state) for bits in sources]
+        sources = list(range(2**k))
+        for state in map(partial(state_byte, code), states):
+            words = [code.encode_block(index, state) for index in sources]
             assert len(set(words)) == 2**k
             assert all(w[0] != state and max_run(w) <= code.m for w in words)
             assert [code.decode_block(w, state) for w in words] == sources
             if state is None or not isinstance(code, blockcodes.StateIndependentCode):
-                # one table per state, indexed in lex order
-                assert words == sorted(words)
+                # one table per state, indexed in lex order of the symbol values
+                assert [symbols(w) for w in words] == sorted(symbols(w) for w in words)
 
     def test_lifted_length_limit(self):
         for code in (
@@ -306,10 +311,11 @@ class TestEnumerativeCodes:
             blockcodes.StateDependentCode(3, 32),
         ):
             rng = random.Random(3)
-            bits = tuple(rng.randrange(2) for _ in range(code.source_bits))
-            word = code.encode_block(bits, 0)
-            assert len(word) == 32 and word[0] != 0 and max_run(word) <= 3
-            assert code.decode_block(word, 0) == bits
+            index = rng.getrandbits(code.source_bits)
+            state = code.alphabet[0]
+            word = code.encode_block(index, state)
+            assert len(word) == 32 and word[0] != state and max_run(word) <= 3
+            assert code.decode_block(word, state) == index
 
     def test_decode_rejects_dropped_boundary_word(self):
         m, n = 3, 5
@@ -322,27 +328,28 @@ class TestEnumerativeCodes:
         assert dropped_at_boundary
         for word in dropped_at_boundary:
             with pytest.raises(ValueError):
-                code.decode_block(word, 0)
+                code.decode_block(bytes(b"GCAT"[s] for s in word), ord("G"))
 
     def test_decode_rejects_wrong_state(self):
         code = blockcodes.StateDependentCode(3, 5)
-        word = code.encode_block((1,) * code.source_bits, 0)
+        word = code.encode_block(2**code.source_bits - 1, ord("G"))
         with pytest.raises(ValueError):
             code.decode_block(word, word[0])
 
     @pytest.mark.parametrize("kind", sorted(CODES))
     def test_decode_rejects_long_run(self, kind):
         code = CODES[kind][0](2, 6)
+        word = bytes(code.alphabet[s] for s in (1, 1, 1, 0, 1, 0))
         with pytest.raises(ValueError):
-            code.decode_block((1, 1, 1, 0, 1, 0), 0)
+            code.decode_block(word, code.alphabet[0])
 
     def test_decode_rejects_wrong_length(self):
         code = blockcodes.StateDependentCode(3, 5)
-        word = code.encode_block((0,) * code.source_bits, 1)
+        word = code.encode_block(0, ord("C"))
         with pytest.raises(ValueError):
-            code.decode_block(word + (0,), 1)
+            code.decode_block(word + b"G", ord("C"))
         with pytest.raises(ValueError):
-            code.decode_block(word[:-1], 1)
+            code.decode_block(word[:-1], ord("C"))
 
 
 @lru_cache(maxsize=None)
@@ -367,12 +374,13 @@ class TestEnumerativeProperties:
             return
         if kind == "construction2":
             state &= 1
+        state = state_byte(code, state)
         index = rng.randrange(2**code.source_bits)
-        bits = index_bits(index, code.source_bits)
-        word = code.encode_block(bits, state)
+        word = code.encode_block(index, state)
         assert len(word) == n
         assert word[0] != state
         assert max_run(word) <= m
-        assert code.decode_block(word, state) == bits
+        assert code.decode_block(word, state) == index
+        assert code.decode_block(word.lower(), state) == index
         if kind == "state-dependent":
-            assert abs(2 * at_weight(word) - n) <= code.max_unbalance
+            assert abs(2 * at_weight(symbols(word)) - n) <= code.max_unbalance

@@ -279,6 +279,36 @@ class TestEncodeDecode:
         assert code == 2 and out == ""
         assert err.startswith("error: block size ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "args",
+        [("state-independent", "--m", "3"), ("construction2", "--m", "2")],
+        ids=["state-independent", "construction2"],
+    )
+    def test_long_oversize_block_exits_2_at_once(self, tmp_path, capsys, args):
+        src = tmp_path / "p.bin"
+        src.write_bytes(b"payload")
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "encode", "--construction", *args, "--n", "200000",
+                                 "--in", str(src))
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == ""
+        assert err.startswith("error: block size at least ") and err.count("\n") == 1
+
+    def test_state_dependent_line_outside_its_window(self, tmp_path, capsys):
+        args = ("--construction", "state-dependent", "--m", "3", "--n", "8")
+        src = tmp_path / "p.bin"
+        strands = tmp_path / "s.txt"
+        src.write_bytes(b"payload bytes")
+        assert cli.main(["encode", *args, "--in", str(src), "--out", str(strands)]) == 0
+        lines = strands.read_text().splitlines()
+        # Runs of at most 3, but 6 of 8 bases A or T: |2w - n| = 4 > max_unbalance = 2.
+        lines[1] = "AATAATGC"
+        strands.write_text("\n".join(lines) + "\n")
+        code, out, err = run_cli(capsys, "decode", *args, "--in", str(strands),
+                                 "--out", str(tmp_path / "back.bin"))
+        assert (code, out) == (1, "")
+        assert err == "error: line 2: AT/GC unbalance exceeds the code bound\n"
+
 
 # Codec flags for the argv fuzz: small values, where most codes build, and
 # a few oversize ones, whose blocks exceed what the framing supports.

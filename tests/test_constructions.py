@@ -1,4 +1,4 @@
-import itertools
+import functools
 import random
 import time
 from fractions import Fraction
@@ -10,17 +10,26 @@ import hypothesis.strategies as st
 from dnacodes import payload
 from dnacodes.balancing import KnuthBalancer, WeakKnuthBalancer
 from dnacodes.constructions import CODECS, Construction1Codec, Construction2Codec, make_codec
-from dnacodes.words import at_weight, max_run, merge_planes
+from dnacodes.words import max_run, merge_planes
+
+
+def at_weight(strand):
+    return strand.count(b"A") + strand.count(b"T")
+
+
+def round_trip(codec, data):
+    """data through encode_stream and decode_stream, in one chunk."""
+    return b"".join(payload.decode_stream(codec, payload.encode_stream(codec, [data])))
 
 
 class TestPlaneMergeFormulas:
     def test_balance_merge_example(self):
-        # balanced word (1,0) on the high plane, payload (1,1) low -> TC
-        assert merge_planes((1, 1), (1, 0)) == (3, 1)
+        # balanced word 10 on the high plane, payload 11 low -> TC
+        assert merge_planes(b"11", b"10") == b"TC"
 
     def test_runlength_merge_example(self):
         # constrained word 0101 low, payload 0011 high -> GCAT
-        assert merge_planes((0, 1, 0, 1), (0, 0, 1, 1)) == (0, 1, 2, 3)
+        assert merge_planes(b"0101", b"0011") == b"GCAT"
 
 
 class TestConstruction1:
@@ -34,38 +43,42 @@ class TestConstruction1:
         codec = Construction1Codec(KnuthBalancer(8))
         rng = random.Random(1)
         for _ in range(100):
-            bits = tuple(rng.randrange(2) for _ in range(codec.source_bits))
-            word = codec.encode_block(bits)
+            word = codec.encode_block(rng.getrandbits(codec.source_bits))
             assert at_weight(word) == codec.oligo_len // 2  # exactly balanced
 
     def test_weak_balancer_bound_exhaustive(self):
         codec = Construction1Codec(WeakKnuthBalancer(8, 2))
         n = codec.oligo_len
         bound = Fraction(codec.weight_bound, n)
-        for data in itertools.product((0, 1), repeat=8):
-            word = codec.encode_block(data + (0,) * n)
+        for data in range(2**8):
+            word = codec.encode_block(data << n)
             assert abs(Fraction(at_weight(word), n) - Fraction(1, 2)) <= bound
 
     @settings(max_examples=200)
     @given(st.integers(0, 2**22 - 1))
     def test_random_round_trip(self, value):
         codec = Construction1Codec(KnuthBalancer(8))
-        bits = tuple(value >> (21 - i) & 1 for i in range(22))
-        assert codec.decode_block(codec.encode_block(bits)) == bits
+        word = codec.encode_block(value)
+        assert codec.decode_block(word) == value
+        assert codec.decode_block(word.lower()) == value
 
     def test_random_round_trip_n16(self):
         codec = Construction1Codec(KnuthBalancer(16))
         rng = random.Random(3)
         for _ in range(1000):
-            bits = tuple(rng.randrange(2) for _ in range(codec.source_bits))
-            assert codec.decode_block(codec.encode_block(bits)) == bits
+            value = rng.getrandbits(codec.source_bits)
+            assert codec.decode_block(codec.encode_block(value)) == value
 
     def test_length_validation(self):
         codec = Construction1Codec(KnuthBalancer(8))
         with pytest.raises(ValueError):
-            codec.encode_block((0,) * 21)
+            codec.encode_block(2**22)
         with pytest.raises(ValueError):
-            codec.decode_block((0,) * 13)
+            codec.encode_block(-1)
+        with pytest.raises(ValueError):
+            codec.decode_block(b"G" * 13)
+        with pytest.raises(ValueError):
+            codec.decode_block(b"GCATGCATGCATGN")
 
 
 class TestConstruction2:
@@ -75,26 +88,19 @@ class TestConstruction2:
         rng = random.Random(5)
         state = None
         for _ in range(50):
-            bits = tuple(rng.randrange(2) for _ in range(codec.source_bits))
-            word = codec.encode_block(bits, state)
+            value = rng.getrandbits(codec.source_bits)
+            word = codec.encode_block(value, state)
             assert max_run(word) <= 2
-            assert codec.decode_block(word) == bits
+            assert codec.decode_block(word) == value
             state = word[-1]
 
     def test_exhaustive_pairs_never_violate(self):
         codec = Construction2Codec(2, 6)
-        sources = list(range(2**codec.source_bits))
-        words_by_state = {}
-        k = codec.source_bits
-        for state in (0, 1, 2, 3):
-            words_by_state[state] = [
-                codec.encode_block(tuple(v >> (k - 1 - i) & 1 for i in range(k)), state)
-                for v in sources
-            ]
-        first_words = [
-            codec.encode_block(tuple(v >> (k - 1 - i) & 1 for i in range(k)), None)
-            for v in sources
-        ]
+        sources = range(2**codec.source_bits)
+        words_by_state = {
+            state: [codec.encode_block(v, state) for v in sources] for state in b"GCAT"
+        }
+        first_words = [codec.encode_block(v, None) for v in sources]
         for w1 in first_words:
             for w2 in words_by_state[w1[-1]]:
                 assert max_run(w1 + w2) <= 2
@@ -111,8 +117,7 @@ class TestConstruction2:
         state = None
         symbols = 0
         for _ in range(blocks):
-            bits = tuple(rng.randrange(2) for _ in range(codec.source_bits))
-            word = codec.encode_block(bits, state)
+            word = codec.encode_block(rng.getrandbits(codec.source_bits), state)
             symbols += len(word)
             state = word[-1]
         assert Fraction(blocks * codec.source_bits, symbols) == codec.rate
@@ -160,7 +165,7 @@ class TestMakeCodec:
              (20, 12, None, 1, 12)),
             ("construction2", {"m": 2, "n": 6}, (9, 6, 2, None, 6)),
             ("state-independent", {"m": 3, "n": 5}, (8, 5, 3, None, 0)),
-            ("state-dependent", {"m": 3, "n": 5}, (9, 5, 3, None, 0)),
+            ("state-dependent", {"m": 3, "n": 5}, (9, 5, 3, 1.5, 0)),
         ],
     )
     def test_declared_protocol(self, name, params, declared):
@@ -175,39 +180,91 @@ class TestMakeCodec:
             make_codec(name, m=3, n=1000)
         assert time.perf_counter() - start < 5
 
+    @pytest.mark.parametrize(
+        "name,m", [("construction2", 2), ("state-independent", 3), ("state-dependent", 3)]
+    )
+    def test_long_oversize_block_refused_before_counting(self, name, m):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"^block size at least \d+ outside 1\.\.256 "):
+            make_codec(name, m=m, n=200_000)
+        assert time.perf_counter() - start < 1
+
+    def test_construction2_oversize_names_the_strand_block(self):
+        # 878 two-mode bits plus the 1000 raw bits of the high plane
+        with pytest.raises(ValueError, match=r"^block size 1878 outside 1\.\.256 "):
+            make_codec("construction2", m=3, n=1000)
+
+
+# Parameters for each registry entry that the block protocol test draws from.
+PROTOCOL_CASES = {
+    "construction1": ({"ell": 8}, {"ell": 10, "balancer": "weak-knuth", "p0": 2},
+                      {"ell": 112}),
+    "construction2": ({"m": 2, "n": 6}, {"m": 3, "n": 10}, {"m": 4, "n": 40}),
+    "state-independent": ({"m": 1, "n": 4}, {"m": 3, "n": 8}, {"m": 3, "n": 64}),
+    "state-dependent": ({"m": 2, "n": 4}, {"m": 3, "n": 8}, {"m": 3, "n": 64}),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _protocol_codec(name, i):
+    return make_codec(name, **PROTOCOL_CASES[name][i])
+
+
+class TestBlockProtocol:
+    def test_cases_cover_the_registry(self):
+        assert set(PROTOCOL_CASES) == set(CODECS)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.sampled_from(sorted(CODECS)), st.integers(0, 2), st.data())
+    def test_int_in_strand_bytes_out_and_back(self, name, i, data):
+        codec = _protocol_codec(name, i)
+        index = data.draw(st.integers(0, 2**codec.source_bits - 1), label="index")
+        state = data.draw(st.sampled_from([None, *b"GCAT"]), label="state")
+        strand = codec.encode_block(index, state)
+        assert type(strand) is bytes and len(strand) == codec.oligo_len
+        assert not strand.strip(b"GCAT")
+        assert codec.decode_block(strand, state) == index
+        assert codec.decode_block(strand.lower(), state) == index
+
+    @pytest.mark.parametrize("name", sorted(CODECS))
+    def test_out_of_range_index_refused(self, name):
+        codec = _protocol_codec(name, 0)
+        for index in (-1, 2**codec.source_bits):
+            with pytest.raises(ValueError):
+                codec.encode_block(index, None)
+
 
 class TestPayloadFraming:
     @settings(max_examples=60, deadline=None)
     @given(st.binary(max_size=120))
     def test_round_trip_state_dependent(self, data):
         codec = make_codec("state-dependent", m=3, n=5)
-        assert payload.decode_bytes(codec, payload.encode_bytes(codec, data)) == data
+        assert round_trip(codec, data) == data
 
     @settings(max_examples=30, deadline=None)
     @given(st.binary(max_size=60))
     def test_round_trip_construction2(self, data):
         codec = make_codec("construction2", m=2, n=6)
-        assert payload.decode_bytes(codec, payload.encode_bytes(codec, data)) == data
+        assert round_trip(codec, data) == data
 
     def test_empty_payload(self):
         codec = make_codec("state-independent", m=3, n=5)
-        assert payload.decode_bytes(codec, payload.encode_bytes(codec, b"")) == b""
+        assert round_trip(codec, b"") == b""
 
     def test_stream_respects_constraint(self):
         codec = make_codec("construction2", m=2, n=6)
-        blocks = payload.encode_bytes(codec, bytes(range(64)))
-        stream = [s for b in blocks for s in b]
-        assert max_run(stream) <= 2
+        blocks = list(payload.encode_stream(codec, [bytes(range(64))]))
+        assert max_run(b"".join(blocks)) <= 2
 
     def test_corrupt_trailer_detected(self):
         codec = make_codec("state-dependent", m=3, n=5)
-        blocks = payload.encode_bytes(codec, b"hi")
+        blocks = list(payload.encode_stream(codec, [b"hi"]))
         with pytest.raises(ValueError):
-            payload.decode_bytes(codec, blocks[:-1])
+            b"".join(payload.decode_stream(codec, blocks[:-1]))
 
     def test_block_size_cap(self):
         class Fat:
             source_bits = 300
 
         with pytest.raises(ValueError):
-            payload.encode_bytes(Fat(), b"")
+            payload.encode_stream(Fat(), [b""])

@@ -111,13 +111,24 @@ class TestValidateCodec:
 
         encode_word = KnuthBalancer.encode_word
 
-        def off_by_one(self, u):
-            word = encode_word(self, u)
-            return word[:-1] + (1 - word[-1],)  # |2w - n| = 2, the bound is 0
+        def off_by_one(self, value):
+            word = encode_word(self, value)
+            return word[:-1] + (b"0" if word.endswith(b"1") else b"1")  # |2w - n| = 2, the bound is 0
 
         monkeypatch.setattr(KnuthBalancer, "encode_word", off_by_one)
         report = oracle.validate_codec("construction1", ell=8, stream_blocks=10)
         assert any(f.startswith("weight bound violated") for f in report.failures)
+
+
+    def test_catches_strands_that_are_not_uppercase_bases(self, monkeypatch):
+        from dnacodes.blockcodes import StateIndependentCode
+
+        encode_block = StateIndependentCode.encode_block
+        monkeypatch.setattr(StateIndependentCode, "encode_block",
+                            lambda self, value, state=None: encode_block(self, value, state).lower())
+        report = oracle.validate_codec("state-independent", m=3, n=5, stream_blocks=10)
+        assert report.failures
+        assert all(f.startswith("not uppercase GCAT bytes") for f in report.failures)
 
 
 class TestConstrainedWords:

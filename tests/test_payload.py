@@ -58,10 +58,22 @@ def _reference_encode(codec, data):
     blocks = []
     state = STREAM_START
     for i in range(0, len(bits), k):
-        word = codec.encode_block(tuple(bits[i : i + k]), state)
+        index = 0
+        for bit in bits[i : i + k]:
+            index = 2 * index + bit
+        word = codec.encode_block(index, state)
         blocks.append(word)
         state = word[-1]
     return blocks
+
+
+def _strands_of(codec, data):
+    """The strands of data, encoded as one chunk."""
+    return list(payload.encode_stream(codec, [data]))
+
+
+def _bytes_of(codec, strands):
+    return b"".join(payload.decode_stream(codec, strands))
 
 
 def _codec_of_route(route):
@@ -87,9 +99,8 @@ class TestChunkEdges:
             src.write_bytes(data)
             args = ("--construction", *ROUTES[route])
             assert cli.main(["encode", *args, "--in", str(src), "--out", str(strands)]) == 0
-            blocks = payload.encode_bytes(_codec_of_route(route), data)
-            expected = "".join(f"{''.join('GCAT'[s] for s in b)}\n" for b in blocks)
-            assert strands.read_text() == expected
+            blocks = _reference_encode(_codec_of_route(route), data)
+            assert strands.read_bytes() == b"".join(b + b"\n" for b in blocks)
             assert cli.main(["decode", *args, "--in", str(strands), "--out", str(back)]) == 0
             assert back.read_bytes() == data, size
 
@@ -101,9 +112,10 @@ class TestReferenceIdentity:
     def test_blocks_match_per_bit_framer(self, name, data, cuts):
         codec = _codec(name)
         expected = _reference_encode(codec, data)
-        assert payload.encode_bytes(codec, data) == expected
+        assert _strands_of(codec, data) == expected
         assert list(payload.encode_stream(codec, _split(data, cuts))) == expected
-        assert payload.decode_bytes(codec, expected) == data
+        assert _bytes_of(codec, expected) == data
+        assert _bytes_of(codec, [strand.lower() for strand in expected]) == data
 
     @pytest.mark.parametrize("route", sorted(ROUTES))
     def test_large_random_payload_matches(self, route):
@@ -116,7 +128,7 @@ class TestReferenceIdentity:
     def test_decode_pieces_hold_back_the_trailer(self):
         codec = _codec_of_route("c1-knuth")
         data = bytes(range(256)) * (CHUNK // 64)
-        pieces = list(payload.decode_stream(codec, payload.encode_bytes(codec, data)))
+        pieces = list(payload.decode_stream(codec, _strands_of(codec, data)))
         assert len(pieces) > 1
         assert b"".join(pieces) == data
 
@@ -133,20 +145,20 @@ class TestStreamErrors:
 
     def test_rejected_block_is_numbered(self):
         codec = _codec("sd")
-        blocks = payload.encode_bytes(codec, b"hello world")
-        blocks[2] = (2,) * len(blocks[2])  # a run longer than m
+        blocks = _strands_of(codec, b"hello world")
+        blocks[2] = b"A" * len(blocks[2])  # a run longer than m
         with pytest.raises(ValueError, match=r"^block 3: "):
-            payload.decode_bytes(codec, blocks)
+            _bytes_of(codec, blocks)
 
     def test_no_blocks(self):
         with pytest.raises(ValueError, match="no blocks"):
-            payload.decode_bytes(_codec("sd"), [])
+            _bytes_of(_codec("sd"), [])
 
     def test_truncated_stream_names_the_last_block(self):
         codec = _codec("c1-knuth")
-        blocks = payload.encode_bytes(codec, b"a longer payload of bytes")
+        blocks = _strands_of(codec, b"a longer payload of bytes")
         with pytest.raises(ValueError, match=rf"^block {len(blocks) - 1}: "):
-            payload.decode_bytes(codec, blocks[:-1])
+            _bytes_of(codec, blocks[:-1])
 
 
 def _encode_file(tmp_path, route, data):
@@ -173,6 +185,30 @@ class TestDecodeErrors:
         code, err = _decode(capsys, "sd", strands, tmp_path / "out.bin")
         assert code == 1
         assert err.startswith("error: line 5: block 4: ")
+
+    def test_lower_case_crlf_and_blank_lines_decode(self, tmp_path, capsys):
+        data = random.Random(9).randbytes(CHUNK)
+        strands = _encode_file(tmp_path, "sd", data)
+        lines = strands.read_text().splitlines()
+        lines = [line.lower() if i % 3 else line for i, line in enumerate(lines)]
+        lines[10:10] = ["", "  "]
+        strands.write_bytes(("\r\n".join(lines) + "\r\n").encode())
+        code, err = _decode(capsys, "sd", strands, tmp_path / "out.bin")
+        assert (code, err) == (0, "")
+        assert (tmp_path / "out.bin").read_bytes() == data
+
+    def test_first_failure_in_file_order_is_reported(self, tmp_path, capsys):
+        strands = _encode_file(tmp_path, "sd", b"a payload of a few more blocks")
+        lines = strands.read_text().splitlines()
+        # A word that starts with the state's symbol is no codeword for that state.
+        lines[2] = lines[1][-1] + lines[2][1:]
+        assert not re.search(r"(.)\1{3}", lines[2])  # passes the line checks
+        assert abs(2 * sum(map(lines[2].count, "AT")) - 8) <= 2
+        lines[5] = "ACGTX" + lines[5][5:]  # no base, later in the same chunk
+        strands.write_text("\n".join(lines) + "\n")
+        code, err = _decode(capsys, "sd", strands, tmp_path / "out.bin")
+        assert code == 1
+        assert err.startswith("error: line 3: block 3: ")
 
     def test_non_ascii_byte_is_a_data_error(self, tmp_path, capsys):
         strands = _encode_file(tmp_path, "si", b"payload")
@@ -249,8 +285,7 @@ class TestDecodeErrors:
 
 @functools.lru_cache(maxsize=None)
 def _fuzz_strands(route):
-    blocks = payload.encode_bytes(_codec(route), bytes(range(40, 100)))
-    return tuple("".join("GCAT"[s] for s in b) for b in blocks)
+    return tuple(s.decode("ascii") for s in _strands_of(_codec(route), bytes(range(40, 100))))
 
 
 def _cli_args(route):

@@ -27,12 +27,15 @@ def test_text_round_trip(s):
     assert words.oligo_to_text(words.text_to_oligo(s)) == s.upper()
 
 
-@given(st.lists(st.integers(0, 3), max_size=40))
-def test_plane_round_trip(symbols):
-    word = tuple(symbols)
-    low, high = words.split_planes(word)
-    assert words.merge_planes(low, high) == word
-    assert words.at_weight(word) == words.bit_weight(high)
+@given(st.text(alphabet="GCATgcat", max_size=40))
+def test_plane_round_trip(text):
+    strand = text.encode("ascii")
+    low, high = words.split_planes(strand)
+    assert len(low) == len(high) == len(strand)
+    assert words.merge_planes(low, high) == strand.upper()
+    symbols = words.text_to_oligo(strand)
+    assert low == bytes(b"01"[s & 1] for s in symbols)
+    assert words.at_weight(symbols) == high.count(b"1")
 
 
 def test_text_to_oligo_reads_ascii_bytes():
@@ -51,12 +54,12 @@ def test_text_to_oligo_reads_ascii_bytes():
         lambda: words.oligo_to_text((0, 4)),
         lambda: words.oligo_to_text((-1,)),
         lambda: words.oligo_to_text(3),
-        lambda: words.split_planes((0, 4)),
-        lambda: words.split_planes(3),
-        lambda: words.merge_planes((0, 2), (0, 0)),
-        lambda: words.merge_planes((0,), (-1,)),
-        lambda: words.bits_to_int((0, 2)),
-        lambda: words.bits_to_int(3),
+        lambda: words.split_planes(b"GCNT"),
+        lambda: words.split_planes(b"GC AT"),
+        lambda: words.merge_planes(b"02", b"00"),
+        lambda: words.merge_planes(b"0", b"-1"),
+        lambda: words.merge_planes(b"01", b"1_"),
+        lambda: words.merge_planes(b"01", b"011"),
     ],
 )
 def test_conversions_reject_bad_values(call):
@@ -65,11 +68,11 @@ def test_conversions_reject_bad_values(call):
 
 
 @given(st.integers(0, 2**70), st.integers(0, 8))
-def test_int_bits_round_trip(value, extra):
-    width = max(1, value.bit_length()) + extra
-    bits = words.int_to_bits(value, width)
-    assert len(bits) == width and set(bits) <= {0, 1}
-    assert words.bits_to_int(bits) == value
+def test_int_digits_round_trip(value, extra):
+    width = value.bit_length() + extra
+    digits = words.int_to_digits(value, width)
+    assert len(digits) == width and not digits.strip(b"01")
+    assert int(digits or b"0", 2) == value
 
 
 def test_phi():
