@@ -21,7 +21,7 @@ import sys
 from collections.abc import Iterator
 from contextlib import contextmanager, suppress
 from functools import partial
-from itertools import chain, islice
+from itertools import chain
 
 from . import asymptotics, blockcodes, counting, oracle
 from .constructions import CODECS, make_codec
@@ -234,97 +234,69 @@ def _output(out: str | None, binary: bool):
         raise
 
 
-# Strand lines that encode joins into one write.
-LINES_PER_WRITE = 4096
-
-
 def cmd_encode(args) -> int:
     codec = _build_codec(args)
     with open(args.infile, "rb") as src, _output(args.out, binary=True) as dst:
-        strands = encode_stream(codec, iter(partial(src.read, CHUNK_BYTES), b""))
-        for lines in iter(lambda: list(islice(strands, LINES_PER_WRITE)), []):
-            lines.append(b"")  # so the join ends the last line too
-            dst.write(b"\n".join(lines))
+        chunks = iter(partial(src.read, CHUNK_BYTES), b"")
+        dst.writelines(strand + b"\n" for strand in encode_stream(codec, chunks))
     return 0
 
 
-def _strands(fh, codec, line: list[int]) -> Iterator[bytes]:
-    """Check a binary-mode strand file and yield its strands upper-cased, skipping blank lines.
+def _strands(fh, codec) -> Iterator[tuple[int, bytes]]:
+    """Check a binary-mode strand file: (line number, upper-cased strand), skipping blank lines.
 
-    line[0] is set to the line number of each strand before it is
-    yielded.  The file is read a chunk at a time, and a line longer than
-    a chunk is an error, so a damaged file without newlines is not held
-    in memory whole.  The lines of a chunk are checked together, by a
-    few byte operations on the whole chunk; when some line is blank or
-    fails a check, they are checked one by one instead, and the first
-    failure (length, base, run or AT content) raises DataError naming
-    the line.
+    The file is read a chunk at a time, and a line longer than a chunk
+    is an error, so a damaged file without newlines is not held in
+    memory whole.  Length, base, run and AT checks read the line's
+    bytes; a failure raises DataError naming the line.
     """
     n, run_cap, weight_bound = codec.oligo_len, codec.max_run, codec.weight_bound
     long_run = re.compile(rb"(.)\1{%d}" % run_cap).search if run_cap is not None else None
-
-    def checked(lineno: int, text: bytes) -> bytes | None:
-        """The strand on one line, None for a blank line; DataError if it fails a check."""
-        text = text.strip()
-        if not text:
-            return None
-        if len(text) != n:
-            raise DataError(f"line {lineno}: expected {n} symbols, got {len(text)}")
-        strand = text.upper()
-        if strand.strip(BASES):
-            try:
-                text_to_oligo(text)  # raises, naming the first byte that is no base
-            except ValueError as exc:
-                raise DataError(f"line {lineno}: {exc}") from exc
-        if long_run is not None and long_run(strand):
-            raise DataError(f"line {lineno}: homopolymer run exceeds {run_cap}")
-        if weight_bound is not None:
-            gap = abs(2 * (strand.count(b"A") + strand.count(b"T")) - n)
-            if gap > 2 * weight_bound:
-                raise DataError(f"line {lineno}: AT/GC unbalance exceeds the code bound")
-        return strand
-
-    def passing(block: bytes) -> list[bytes] | None:
-        """The strands of an upper-cased block of whole lines, or None unless all pass."""
-        count = len(block) // (n + 1)
-        if len(block) != count * (n + 1) or block[n :: n + 1] != b"\n" * count:
-            return None  # some line is not n bytes long
-        if block.translate(None, BASES + b"\n") or (long_run is not None and long_run(block)):
-            return None
-        if weight_bound is not None and count:
-            at = [len(a) for a in block.translate(None, b"GC").split(b"\n")[:-1]]
-            if max(n - 2 * min(at), 2 * max(at) - n) > 2 * weight_bound:
-                return None
-        return block.split(b"\n")[:-1]
-
     lineno = 0
     rest = b""  # the last line read so far, not yet ended by a newline
     for chunk in chain(iter(partial(fh.read, CHUNK_BYTES), b""), (b"\n",)):
-        text = rest + chunk
-        end = text.rfind(b"\n") + 1
-        block, rest = text[:end], text[end:]
-        strands = passing(block.upper())
-        if strands is None:
-            lines = enumerate(block.split(b"\n")[:-1], lineno + 1)
-            strands = (checked(i, raw) for i, raw in lines)  # in order, up to the first failure
-        for lineno, strand in enumerate(strands, lineno + 1):
-            if strand is not None:
-                line[0] = lineno
-                yield strand
+        lines = (rest + chunk).split(b"\n")
+        rest = lines.pop()
+        for line in lines:
+            lineno += 1
+            line = line.strip()
+            if not line:
+                continue
+            if len(line) != n:
+                raise DataError(f"line {lineno}: expected {n} symbols, got {len(line)}")
+            strand = line.upper()
+            if strand.strip(BASES):
+                try:
+                    text_to_oligo(line)  # raises, naming the first byte that is no base
+                except ValueError as exc:
+                    raise DataError(f"line {lineno}: {exc}") from exc
+            if long_run is not None and long_run(strand):
+                raise DataError(f"line {lineno}: homopolymer run exceeds {run_cap}")
+            if weight_bound is not None:
+                gap = abs(2 * (strand.count(b"A") + strand.count(b"T")) - n)
+                if gap > 2 * weight_bound:
+                    raise DataError(f"line {lineno}: AT/GC unbalance exceeds the code bound")
+            yield lineno, strand
         if len(rest) > CHUNK_BYTES:
             raise DataError(f"line {lineno + 1}: longer than {CHUNK_BYTES} bytes")
 
 
 def cmd_decode(args) -> int:
     codec = _build_codec(args)
-    line = [0]  # line of the last strand handed to the decoder
+    line = 0  # line of the last strand handed to the decoder
+
+    def strands(src) -> Iterator[bytes]:
+        nonlocal line
+        for line, strand in _strands(src, codec):
+            yield strand
+
     with open(args.infile, "rb") as src, _output(args.out, binary=True) as dst:
-        pieces = decode_stream(codec, _strands(src, codec, line))  # a bad block size is a usage error
+        pieces = decode_stream(codec, strands(src))  # a bad block size is a usage error
         try:
             for piece in pieces:
                 dst.write(piece)
         except ValueError as exc:
-            raise DataError(f"line {max(line[0], 1)}: {exc}") from exc
+            raise DataError(f"line {max(line, 1)}: {exc}") from exc
     return 0
 
 
