@@ -176,7 +176,7 @@ class _Enumerator:
                 # A boundary word (|2w - n| == d) is kept only where boundary words are.
                 if above or abs(2 * w - n) < d:
                     for s in range(q):
-                        for run in range(1, m + 1):
+                        for run in range(1, min(m, n) + 1):  # no longer run fits in n
                             self._levels[n][(s, run, w, above)] = 0
         for p in range(n - 1, 0, -1):
             weights = range(max(0, low - (n - p)), min(p, high) + 1)
@@ -329,6 +329,7 @@ class _TwoModeCode:
 
     alphabet: bytes
     kind: str
+    weight_bound = None
 
     def __init__(self, m: int, n: int, carried_bits: int = 0):
         _check_shape(m, n)
@@ -391,7 +392,6 @@ class StateIndependentCode(_TwoModeCode):
     """
 
     alphabet, kind = BASES, "state-independent"
-    weight_bound = None
     raw_bits = 0
 
 

@@ -23,7 +23,7 @@ from contextlib import contextmanager, suppress
 from functools import partial
 from itertools import chain
 
-from . import asymptotics, blockcodes, counting, oracle
+from . import asymptotics, blockcodes, counting
 from .constructions import CODECS, make_codec
 from .payload import CHUNK_BYTES, decode_stream, encode_stream
 from .words import BASES, text_to_oligo
@@ -251,7 +251,9 @@ def _strands(fh, codec) -> Iterator[tuple[int, bytes]]:
     bytes; a failure raises DataError naming the line.
     """
     n, run_cap, weight_bound = codec.oligo_len, codec.max_run, codec.weight_bound
-    long_run = re.compile(rb"(.)\1{%d}" % run_cap).search if run_cap is not None else None
+    long_run = None
+    if run_cap is not None and run_cap < n:  # no run of a line of n symbols is longer
+        long_run = re.compile(rb"(.)\1{%d}" % run_cap).search
     lineno = 0
     rest = b""  # the last line read so far, not yet ended by a newline
     for chunk in chain(iter(partial(fh.read, CHUNK_BYTES), b""), (b"\n",)):
@@ -301,6 +303,8 @@ def cmd_decode(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import oracle  # only verify needs the brute-force module
+
     lines = []
     failures = 0
     for q in (2, 4):

@@ -1,125 +1,108 @@
-"""Strand constructions that merge binary planes into quaternary blocks.
+"""Strand codecs, and the plane construction that builds strands from binary codes.
 
-The balance construction puts a balanced binary word on the high plane,
-so the strand's AT-content equals the balanced word's bit weight, and
-fills the low plane with raw payload.  The run-length construction puts
-a run-constrained binary word on the low plane, which caps the strand's
-homopolymer runs, and carries raw payload on the high plane.
+Every strand codec declares its shape and its promises: `source_bits`
+(k) and `oligo_len` (n) of a block, `max_run` and `weight_bound` (the
+largest |AT-content - n/2|), each None where the code promises nothing,
+and `raw_bits`, the number of trailing source bits that go uncoded onto
+one plane.  It maps a block, a source_bits-bit int, to its strand's
+uppercase ASCII bytes with `encode_block(value, state)`, and back with
+`decode_block(strand, state)`, where state is the previous strand's last
+byte (None at stream start) and the strand may be in either case.
+`CODECS` registers each codec under its command-line name.
 
-Every strand codec, these two and the quaternary block codes, declares
-its shape and its promises: `source_bits` (k) and `oligo_len` (n) of a
-block, `max_run` and `weight_bound` (the largest |AT-content - n/2|),
-each None where the code promises nothing, and `raw_bits`, the number
-of trailing source bits that go uncoded onto one plane.  It maps a
-block, a source_bits-bit int, to its strand's uppercase ASCII bytes
-with `encode_block(value, state)`, and back with `decode_block(strand,
-state)`, where state is the previous strand's last byte (None at
-stream start) and the strand may be in either case.  `CODECS`
-registers each codec under its command-line name.
+The binary codes speak the same protocol over the digits b"01": the
+balancers of `balancing` and the two-mode code of `blockcodes`.  A
+`PlaneCodec` puts one of them on one binary plane of the strand and n
+raw payload bits on the other.  Both constructions of the paper are
+plane codecs: construction1 puts a balancer on the high plane, whose
+weight is the strand's AT-content, and construction2 puts the two-mode
+run-length code on the low plane, where every run of the strand is
+also a run.
 """
 
 from __future__ import annotations
 
 import inspect
-from fractions import Fraction
 
 from .balancing import KnuthBalancer, WeakKnuthBalancer
-from .blockcodes import STREAM_START, StateDependentCode, StateIndependentCode, TwoModeRllCode
-from .words import LOW_DIGIT_OF_BASE, int_to_digits, merge_planes, split_planes
+from .blockcodes import (
+    STREAM_START,
+    StateDependentCode,
+    StateIndependentCode,
+    TwoModeRllCode,
+    check_block_size,
+)
+from .words import HIGH_DIGIT_OF_BASE, LOW_DIGIT_OF_BASE, int_to_digits, merge_planes, split_planes
 
-__all__ = ["CODECS", "Construction1Codec", "Construction2Codec", "make_codec"]
+__all__ = ["CODECS", "PlaneCodec", "make_codec"]
 
 
-class Construction1Codec:
-    """Balance construction: balancer output on the high plane, payload low.
+class PlaneCodec:
+    """A binary code on one plane of the strand, raw payload on the other.
 
-    A block of data_bits + n source bits becomes one strand of n symbols
-    whose AT-content deviation from n/2 is capped by the balancer's
-    weight bound.  Blocks are independent; no state crosses boundaries.
-    The balancer's top data_bits of the block go high, the low n bits low.
+    The code's oligo_len n is the strand's length, and a block is the
+    code's index on top of n raw bits.  A run in the strand is a run in
+    each plane, so the strand keeps the code's max_run, across blocks
+    too: the code's state is the previous strand's digit on its plane.
+    The strand's AT-content is its high plane's weight, so only a code
+    on the high plane passes its weight_bound on.
     """
 
-    max_run = None
-
-    def __init__(self, balancer: KnuthBalancer | WeakKnuthBalancer):
-        self.balancer = balancer
-        self.oligo_len = self.raw_bits = balancer.output_bits
-        self.source_bits = balancer.data_bits + self.oligo_len
-        self.weight_bound = balancer.weight_bound
-        self._raw_mask = (1 << self.oligo_len) - 1
-
-    @property
-    def rate(self) -> Fraction:
-        """Source bits per emitted symbol, 1 + data_bits/n."""
-        return Fraction(self.source_bits, self.oligo_len)
-
-    def encode_block(self, value: int, state: int | None = STREAM_START) -> bytes:
-        # The balancer refuses a value with more than source_bits bits, or below 0.
-        high = self.balancer.encode_word(value >> self.oligo_len)
-        return merge_planes(int_to_digits(value & self._raw_mask, self.oligo_len), high)
-
-    def decode_block(self, word: bytes, state: int | None = STREAM_START) -> int:
-        if len(word) != self.oligo_len:
-            raise ValueError(f"expected {self.oligo_len} symbols, got {len(word)}")
-        low, high = split_planes(word)
-        return self.balancer.decode_word(high) << self.oligo_len | int(low, 2)
-
-
-class Construction2Codec:
-    """Run-length construction: two-mode RLL words on the low plane, payload high.
-
-    Any run in the strand is also a run in its low plane, so the strand
-    inherits the inner code's max-run guarantee, including across block
-    boundaries (the inner mode choice keys off the previous low bit).
-    The inner code's index is the top of the block, the n high-plane
-    bits are its low end.
-    """
-
-    weight_bound = None
-
-    def __init__(self, m: int, n: int):
-        self.inner = TwoModeRllCode(m, n, carried_bits=n)
-        self.max_run = m
+    def __init__(self, code, plane: str):
+        if plane not in ("low", "high"):
+            raise ValueError(f"plane must be 'low' or 'high', got {plane!r}")
+        n = code.oligo_len
+        self.source_bits = check_block_size(code.source_bits + n)
         self.oligo_len = self.raw_bits = n
-        self.source_bits = self.inner.source_bits + n
+        self.max_run = code.max_run
+        self._high = plane == "high"
+        self.weight_bound = code.weight_bound if self._high else None
+        self._digit_of_base = HIGH_DIGIT_OF_BASE if self._high else LOW_DIGIT_OF_BASE
+        self._encode, self._decode = code.encode_block, code.decode_block
         self._raw_mask = (1 << n) - 1
-
-    @property
-    def rate(self) -> Fraction:
-        """Source bits per emitted symbol, (n - 1 + floor(log2 N_2(m,n))) / n."""
-        return Fraction(self.source_bits, self.oligo_len)
 
     def encode_block(self, value: int, state: int | None = STREAM_START) -> bytes:
         n = self.oligo_len
-        # The inner code refuses a value with more than source_bits bits, or below 0.
-        low_state = STREAM_START if state is STREAM_START else LOW_DIGIT_OF_BASE[state]
-        low = self.inner.encode_block(value >> n, low_state)
-        return merge_planes(low, int_to_digits(value & self._raw_mask, n))
+        if state is not STREAM_START:
+            state = self._digit_of_base[state]
+        # The code refuses a value with more than source_bits bits, or below 0.
+        coded = self._encode(value >> n, state)
+        raw = int_to_digits(value & self._raw_mask, n)
+        return merge_planes(raw, coded) if self._high else merge_planes(coded, raw)
 
-    def decode_block(self, word: bytes, state: int | None = STREAM_START) -> int:
-        if len(word) != self.oligo_len:
-            raise ValueError(f"expected {self.oligo_len} symbols, got {len(word)}")
-        low, high = split_planes(word)
-        return self.inner.decode_block(low) << self.oligo_len | int(high, 2)
+    def decode_block(self, strand: bytes, state: int | None = STREAM_START) -> int:
+        # The code refuses a plane of another length than its own.
+        n = self.oligo_len
+        low, high = split_planes(strand)
+        if state is not STREAM_START:
+            state = self._digit_of_base[state]
+        if self._high:
+            return self._decode(high, state) << n | int(low, 2)
+        return self._decode(low, state) << n | int(high, 2)
 
 
 def _construction1(ell: int, balancer: str = "knuth", p0: int | None = None):
     if balancer == "knuth":
         if p0 is not None:
             raise ValueError("the knuth balancer takes no p0")
-        return Construction1Codec(KnuthBalancer(ell))
+        return PlaneCodec(KnuthBalancer(ell), "high")
     if balancer == "weak-knuth":
         if p0 is None:
             raise ValueError("the weak-knuth balancer needs p0")
-        return Construction1Codec(WeakKnuthBalancer(ell, p0))
+        return PlaneCodec(WeakKnuthBalancer(ell, p0), "high")
     raise ValueError(f"unknown balancer {balancer!r}")
+
+
+def _construction2(m: int, n: int):
+    # carried_bits lets the two-mode code refuse an oversize strand block before it counts.
+    return PlaneCodec(TwoModeRllCode(m, n, carried_bits=n), "low")
 
 
 # Every strand codec by its CLI name.  A builder's keyword parameters are
 # the codec's parameters (and the CLI's flags of the same names).
 CODECS = {
     "construction1": _construction1,
-    "construction2": Construction2Codec,
+    "construction2": _construction2,
     "state-independent": StateIndependentCode,
     "state-dependent": StateDependentCode,
 }

@@ -115,13 +115,13 @@ def decode_stream(codec, strands: Iterable[bytes]) -> Iterator[bytes]:
         if count == 0:
             raise ValueError("no blocks to decode")
         pad = held & 0xFF
-        data_bits = held_bits - 8 - pad
-        if pad >= k or data_bits < 0 or data_bits % 8:
+        payload_bits = held_bits - 8 - pad
+        if pad >= k or payload_bits < 0 or payload_bits % 8:
             raise ValueError(
                 f"block {count}: corrupt pad trailer (pad={pad}, stream={count * k} bits)"
             )
         if (held >> 8) & ((1 << pad) - 1):
             raise ValueError(f"block {count}: nonzero padding bits")
-        yield (held >> pad + 8).to_bytes(data_bits // 8, "big")
+        yield (held >> pad + 8).to_bytes(payload_bits // 8, "big")
 
     return pieces()

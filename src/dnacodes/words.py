@@ -80,7 +80,7 @@ def _digit_table(digit_of_symbol: str) -> bytes:
 # The low and high plane digit of each base, and, read the other way, the
 # planes' digits added as ASCII bytes, low + 2*high = 0x90 + symbol, to bases.
 LOW_DIGIT_OF_BASE = _digit_table("0101")
-_HIGH_DIGIT_OF_BASE = _digit_table("0011")
+HIGH_DIGIT_OF_BASE = _digit_table("0011")
 _BASE_OF_PLANES = bytes(0x90) + BASES + bytes(256 - 0x94)
 
 
@@ -109,7 +109,7 @@ def split_planes(strand: bytes) -> tuple[bytes, bytes]:
     low = strand.translate(LOW_DIGIT_OF_BASE)
     if low.find(b"x") >= 0:
         raise ValueError("not a strand of the bases G, C, A, T")
-    return low, strand.translate(_HIGH_DIGIT_OF_BASE)
+    return low, strand.translate(HIGH_DIGIT_OF_BASE)
 
 
 def text_to_oligo(text: str | bytes) -> Oligo:

@@ -270,10 +270,11 @@ def test_codec_property_suite():
 def test_weak_knuth_bound_exhaustive():
     s = math.ceil(10 / 2**2)
     bound = math.ceil(s / 2)
-    from dnacodes.balancing import weak_knuth_encode
+    from dnacodes.balancing import WeakKnuthBalancer
 
+    balancer = WeakKnuthBalancer(10, 2)
     for value in range(2**10):
-        _, body = weak_knuth_encode(value, 10, 2)
+        body = balancer.encode_block(value)[4:]  # after the 2*p0 prefix digits
         assert len(body) == 10
         assert abs(2 * body.count(b"1") - 10) <= 2 * bound
     _report("weak balancing bound ceil(s/2)/n holds exhaustively at n=10, p0=2")

@@ -11,6 +11,27 @@ def weight(digits):
     return digits.count(b"1")
 
 
+def exact_split(value, n):
+    """(prefix, body) digits of value through the exact balancer of length n."""
+    balancer = balancing.KnuthBalancer(n)
+    digits = balancer.encode_block(value)
+    return digits[: 2 * balancer.p0], digits[2 * balancer.p0 :]
+
+
+def exact_join(prefix, body):
+    return balancing.KnuthBalancer(len(body)).decode_block(prefix + body)
+
+
+def weak_split(value, n, p0):
+    """(prefix, body) digits of value through the weak balancer of length n."""
+    digits = balancing.WeakKnuthBalancer(n, p0).encode_block(value)
+    return digits[: 2 * p0], digits[2 * p0 :]
+
+
+def weak_join(prefix, body, p0):
+    return balancing.WeakKnuthBalancer(len(body), p0).decode_block(prefix + body)
+
+
 def every_word(n):
     """Every n-bit word as an int, with its digits."""
     return [(value, format(value, f"0{n}b").encode()) for value in range(2**n)]
@@ -37,80 +58,80 @@ class TestBalancedPrefixMap:
 
 class TestKnuth:
     def test_all_zeros(self):
-        prefix, body = balancing.knuth_encode(0b0000, 4)
+        prefix, body = exact_split(0b0000, 4)
         assert body == b"1100"
         assert weight(prefix) == len(prefix) // 2
 
     def test_already_balanced_picks_smallest_preserving_index(self):
-        prefix, body = balancing.knuth_encode(0b0101, 4)
+        prefix, body = exact_split(0b0101, 4)
         assert body == b"1001"  # k0 = 2 is the first balance-preserving flip
-        assert balancing.knuth_decode(prefix, body) == 0b0101
+        assert exact_join(prefix, body) == 0b0101
 
     def test_exhaustive_round_trip_n8(self):
         for value, _ in every_word(8):
-            prefix, body = balancing.knuth_encode(value, 8)
+            prefix, body = exact_split(value, 8)
             assert weight(body) == 4
             assert weight(prefix) == len(prefix) // 2
-            assert balancing.knuth_decode(prefix, body) == value
+            assert exact_join(prefix, body) == value
 
     def test_odd_length_rejected(self):
         with pytest.raises(ValueError):
-            balancing.knuth_encode(0b010, 3)
+            balancing.KnuthBalancer(3)
 
     def test_corrupt_prefix_rejected(self):
-        prefix, body = balancing.knuth_encode(0b01101000, 8)
+        prefix, body = exact_split(0b01101000, 8)
         bad = b"1" * len(prefix)
         with pytest.raises(ValueError, match="balanced"):
-            balancing.knuth_decode(bad, body)
+            exact_join(bad, body)
 
     @given(st.integers(0, 2**12 - 1))
     def test_random_round_trip_n12(self, value):
-        prefix, body = balancing.knuth_encode(value, 12)
+        prefix, body = exact_split(value, 12)
         assert weight(body) == 6
-        assert balancing.knuth_decode(prefix, body) == value
+        assert exact_join(prefix, body) == value
 
 
 class TestWeakKnuth:
     def test_all_zero_candidates(self):
         # n=16, p0=2: flip lengths 1, 5, 9, 13; flipping 9 gets closest to 8
-        prefix, body = balancing.weak_knuth_encode(0, 16, 2)
+        prefix, body = weak_split(0, 16, 2)
         assert weight(body) == 9
         assert abs(weight(body) - 8) <= 2  # ceil(s/2) with s = 4
-        assert balancing.weak_knuth_decode(prefix, body, 2) == 0
+        assert weak_join(prefix, body, 2) == 0
 
     def test_exhaustive_bound_n10(self):
         s = math.ceil(10 / 4)
         bound = math.ceil(s / 2)
         for value, _ in every_word(10):
-            prefix, body = balancing.weak_knuth_encode(value, 10, 2)
+            prefix, body = weak_split(value, 10, 2)
             assert abs(2 * weight(body) - 10) <= 2 * bound
-            assert balancing.weak_knuth_decode(prefix, body, 2) == value
+            assert weak_join(prefix, body, 2) == value
 
     def test_full_grid_reduces_to_exact_balance(self):
         # 2**p0 = n samples every position, so even-length words balance exactly
         for value, _ in every_word(8):
-            _, body = balancing.weak_knuth_encode(value, 8, 3)
+            _, body = weak_split(value, 8, 3)
             assert weight(body) == 4
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            balancing.weak_knuth_encode(0b01, 2, 0)
+            balancing.WeakKnuthBalancer(2, 0)
         with pytest.raises(ValueError):
-            balancing.weak_knuth_encode(0b01, 2, 2)
+            balancing.WeakKnuthBalancer(2, 2)
         with pytest.raises(ValueError):
-            balancing.weak_knuth_encode(0b100, 2, 1)
+            balancing.WeakKnuthBalancer(2, 1).encode_block(0b100)
 
 
 class TestBalancerObjects:
     def test_knuth_balancer_geometry(self):
         b = balancing.KnuthBalancer(8)
         assert b.p0 == 3
-        assert b.output_bits == 14
+        assert b.oligo_len == 14
         assert b.weight_bound == 0
 
     def test_weak_balancer_geometry(self):
         b = balancing.WeakKnuthBalancer(16, 2)
-        assert b.output_bits == 20
+        assert b.oligo_len == 20
         assert b.weight_bound == 2
 
     @pytest.mark.parametrize(
@@ -119,29 +140,29 @@ class TestBalancerObjects:
     )
     def test_word_round_trip(self, balancer):
         outputs = set()
-        for value, _ in every_word(balancer.data_bits):
-            out = balancer.encode_word(value)
-            assert len(out) == balancer.output_bits and not out.strip(b"01")
-            gap = abs(2 * weight(out) - balancer.output_bits)
+        for value, _ in every_word(balancer.source_bits):
+            out = balancer.encode_block(value)
+            assert len(out) == balancer.oligo_len and not out.strip(b"01")
+            gap = abs(2 * weight(out) - balancer.oligo_len)
             assert gap <= 2 * balancer.weight_bound
-            assert balancer.decode_word(out) == value
+            assert balancer.decode_block(out) == value
             outputs.add(out)
-        assert len(outputs) == 2**balancer.data_bits
+        assert len(outputs) == 2**balancer.source_bits
 
     def test_length_validation(self):
         b = balancing.KnuthBalancer(8)
         with pytest.raises(ValueError):
-            b.encode_word(2**8)
+            b.encode_block(2**8)
         with pytest.raises(ValueError):
-            b.encode_word(-1)
+            b.encode_block(-1)
         with pytest.raises(ValueError):
-            b.decode_word(b"0" * 13)
+            b.decode_block(b"0" * 13)
 
 
 def test_digit_words_match_the_bit_by_bit_flip():
     # The integer flips against a flip done one digit at a time.
     for value, digits in every_word(8):
-        prefix, body = balancing.knuth_encode(value, 8)
+        prefix, body = exact_split(value, 8)
         k0 = balancing.rank_balanced(prefix) + 1
         flipped = bytes(b"10"[d - ord("0")] for d in digits[:k0]) + digits[k0:]
         assert body == flipped

@@ -294,6 +294,40 @@ class TestEncodeDecode:
         assert code == 2 and out == ""
         assert err.startswith("error: block size at least ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "args",
+        [("--ell", str(10**12)),
+         ("--ell", "64", "--balancer", "weak-knuth", "--p0", str(10**12))],
+        ids=["ell", "p0"],
+    )
+    def test_huge_construction1_parameters_exit_2_at_once(self, tmp_path, capsys, args):
+        src = tmp_path / "p.bin"
+        src.write_bytes(b"payload")
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "encode", "--construction", "construction1", *args,
+                                 "--in", str(src))
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("construction", ["construction2", "state-independent",
+                                              "state-dependent"])
+    def test_run_limit_past_the_strand_length(self, tmp_path, construction):
+        # A run limit of n or more limits nothing, so --m 10**12 codes as --m n does.
+        src = tmp_path / "p.bin"
+        src.write_bytes(bytes((i * 37 + 11) % 256 for i in range(4096)))
+        strands = {}
+        for m in (8, 10**12):
+            args = ("--construction", construction, "--m", str(m), "--n", "8")
+            out, back = tmp_path / f"s{m}.txt", tmp_path / f"b{m}.bin"
+            start = time.perf_counter()
+            assert cli.main(["encode", *args, "--in", str(src), "--out", str(out)]) == 0
+            assert cli.main(["decode", *args, "--in", str(out), "--out", str(back)]) == 0
+            assert time.perf_counter() - start < 2
+            assert back.read_bytes() == src.read_bytes()
+            strands[m] = out.read_bytes()
+        assert strands[10**12] == strands[8]
+
     def test_state_dependent_line_outside_its_window(self, tmp_path, capsys):
         args = ("--construction", "state-dependent", "--m", "3", "--n", "8")
         src = tmp_path / "p.bin"
@@ -313,10 +347,10 @@ class TestEncodeDecode:
 # Codec flags for the argv fuzz: small values, where most codes build, and
 # a few oversize ones, whose blocks exceed what the framing supports.
 _FLAG_VALUES = {
-    "--m": st.one_of(st.integers(-1, 6), st.sampled_from([40, 300, 1000])),
+    "--m": st.one_of(st.integers(-1, 6), st.sampled_from([40, 300, 1000, 10**12])),
     "--n": st.one_of(st.integers(-1, 12), st.sampled_from([300, 1000])),
-    "--ell": st.one_of(st.integers(-1, 20), st.sampled_from([300, 1000])),
-    "--p0": st.one_of(st.integers(-1, 5), st.just(40)),
+    "--ell": st.one_of(st.integers(-1, 20), st.sampled_from([300, 1000, 10**12])),
+    "--p0": st.one_of(st.integers(-1, 5), st.sampled_from([40, 10**12])),
     "--balancer": st.sampled_from(["knuth", "weak-knuth"]),
 }
 _OWN_FLAGS = {"construction1": ("--ell", "--balancer", "--p0")}

@@ -9,7 +9,8 @@ import hypothesis.strategies as st
 
 from dnacodes import payload
 from dnacodes.balancing import KnuthBalancer, WeakKnuthBalancer
-from dnacodes.constructions import CODECS, Construction1Codec, Construction2Codec, make_codec
+from dnacodes.blockcodes import TwoModeRllCode
+from dnacodes.constructions import CODECS, PlaneCodec, make_codec
 from dnacodes.words import max_run, merge_planes
 
 
@@ -34,20 +35,20 @@ class TestPlaneMergeFormulas:
 
 class TestConstruction1:
     def test_geometry_and_rate(self):
-        codec = Construction1Codec(KnuthBalancer(8))
+        codec = make_codec("construction1", ell=8)
         assert codec.oligo_len == 14
         assert codec.source_bits == 22
-        assert codec.rate == Fraction(22, 14) == 1 + Fraction(8, 14)
+        assert Fraction(codec.source_bits, codec.oligo_len) == 1 + Fraction(8, 14)
 
     def test_weight_equals_balancer_weight(self):
-        codec = Construction1Codec(KnuthBalancer(8))
+        codec = make_codec("construction1", ell=8)
         rng = random.Random(1)
         for _ in range(100):
             word = codec.encode_block(rng.getrandbits(codec.source_bits))
             assert at_weight(word) == codec.oligo_len // 2  # exactly balanced
 
     def test_weak_balancer_bound_exhaustive(self):
-        codec = Construction1Codec(WeakKnuthBalancer(8, 2))
+        codec = make_codec("construction1", ell=8, balancer="weak-knuth", p0=2)
         n = codec.oligo_len
         bound = Fraction(codec.weight_bound, n)
         for data in range(2**8):
@@ -57,20 +58,20 @@ class TestConstruction1:
     @settings(max_examples=200)
     @given(st.integers(0, 2**22 - 1))
     def test_random_round_trip(self, value):
-        codec = Construction1Codec(KnuthBalancer(8))
+        codec = make_codec("construction1", ell=8)
         word = codec.encode_block(value)
         assert codec.decode_block(word) == value
         assert codec.decode_block(word.lower()) == value
 
     def test_random_round_trip_n16(self):
-        codec = Construction1Codec(KnuthBalancer(16))
+        codec = make_codec("construction1", ell=16)
         rng = random.Random(3)
         for _ in range(1000):
             value = rng.getrandbits(codec.source_bits)
             assert codec.decode_block(codec.encode_block(value)) == value
 
     def test_length_validation(self):
-        codec = Construction1Codec(KnuthBalancer(8))
+        codec = make_codec("construction1", ell=8)
         with pytest.raises(ValueError):
             codec.encode_block(2**22)
         with pytest.raises(ValueError):
@@ -83,8 +84,8 @@ class TestConstruction1:
 
 class TestConstruction2:
     def test_merge_keeps_run_constraint(self):
-        codec = Construction2Codec(2, 6)
-        assert codec.source_bits == codec.inner.source_bits + 6
+        codec = make_codec("construction2", m=2, n=6)
+        assert codec.source_bits == TwoModeRllCode(2, 6).source_bits + 6
         rng = random.Random(5)
         state = None
         for _ in range(50):
@@ -95,7 +96,7 @@ class TestConstruction2:
             state = word[-1]
 
     def test_exhaustive_pairs_never_violate(self):
-        codec = Construction2Codec(2, 6)
+        codec = make_codec("construction2", m=2, n=6)
         sources = range(2**codec.source_bits)
         words_by_state = {
             state: [codec.encode_block(v, state) for v in sources] for state in b"GCAT"
@@ -106,12 +107,12 @@ class TestConstruction2:
                 assert max_run(w1 + w2) <= 2
 
     def test_rate_accounting(self):
-        codec = Construction2Codec(3, 5)
+        codec = make_codec("construction2", m=3, n=5)
         # composite rate (n - 1 + floor(log2 N_2)) / n, measured exactly
-        assert codec.rate == Fraction(codec.source_bits, 5) == Fraction(8, 5)
+        assert Fraction(codec.source_bits, codec.oligo_len) == Fraction(8, 5)
 
     def test_measured_stream_rate(self):
-        codec = Construction2Codec(2, 6)
+        codec = make_codec("construction2", m=2, n=6)
         blocks = 400
         rng = random.Random(11)
         state = None
@@ -120,7 +121,91 @@ class TestConstruction2:
             word = codec.encode_block(rng.getrandbits(codec.source_bits), state)
             symbols += len(word)
             state = word[-1]
-        assert Fraction(blocks * codec.source_bits, symbols) == codec.rate
+        assert Fraction(blocks * codec.source_bits, symbols) == Fraction(codec.source_bits, 6)
+
+
+class _Recorder:
+    """A one-bit binary code that records the state it is handed."""
+
+    source_bits, oligo_len, max_run, weight_bound = 1, 2, None, None
+
+    def __init__(self):
+        self.states = []
+
+    def encode_block(self, value, state=None):
+        self.states.append(state)
+        return b"01" if value else b"10"
+
+    def decode_block(self, digits, state=None):
+        self.states.append(state)
+        return int(digits == b"01")
+
+
+class TestPlaneCodec:
+    def test_registry_builds_plane_codecs(self):
+        assert isinstance(make_codec("construction1", ell=8), PlaneCodec)
+        assert isinstance(make_codec("construction1", ell=8, balancer="weak-knuth", p0=2),
+                          PlaneCodec)
+        assert isinstance(make_codec("construction2", m=2, n=6), PlaneCodec)
+
+    def test_declarations_come_from_the_code(self):
+        balancer = WeakKnuthBalancer(8, 2)
+        high, low = PlaneCodec(balancer, "high"), PlaneCodec(balancer, "low")
+        for codec in (high, low):
+            assert (codec.source_bits, codec.oligo_len, codec.raw_bits) == (20, 12, 12)
+            assert codec.max_run is None
+        assert high.weight_bound == balancer.weight_bound == 1
+        assert low.weight_bound is None  # the low plane's weight is not the AT-content
+        runs = TwoModeRllCode(2, 6)
+        for plane in ("low", "high"):
+            codec = PlaneCodec(runs, plane)
+            assert (codec.max_run, codec.weight_bound) == (2, None)
+
+    @pytest.mark.parametrize("plane,digits", [("low", b"0101"), ("high", b"0011")])
+    def test_code_state_is_the_digit_on_its_plane(self, plane, digits):
+        code = _Recorder()
+        codec = PlaneCodec(code, plane)
+        states = (None, *b"GCAT", *b"gcat")
+        for state in states:
+            assert codec.decode_block(codec.encode_block(5, state), state) == 5
+        expected = (None, *digits, *digits)
+        assert code.states == [state for state in expected for _ in ("encode", "decode")]
+
+    @pytest.mark.parametrize("plane", ["low", "high"])
+    def test_either_plane_round_trips_and_keeps_the_run_limit(self, plane):
+        codec = PlaneCodec(TwoModeRllCode(2, 6), plane)
+        rng = random.Random(7)
+        strands, state = [], None
+        for _ in range(200):
+            value = rng.getrandbits(codec.source_bits)
+            strand = codec.encode_block(value, state)
+            assert codec.decode_block(strand, state) == value
+            strands.append(strand)
+            state = strand[-1]
+        assert max_run(b"".join(strands)) <= 2
+
+    @pytest.mark.parametrize("name,params", [("construction1", {"ell": 8}),
+                                             ("construction2", {"m": 2, "n": 6})])
+    def test_strand_of_another_length_refused(self, name, params):
+        codec = make_codec(name, **params)
+        strand = codec.encode_block(0)
+        for wrong in (strand[:-1], strand + b"G", b""):
+            with pytest.raises(ValueError):
+                codec.decode_block(wrong)
+
+    def test_unknown_plane(self):
+        with pytest.raises(ValueError, match="plane"):
+            PlaneCodec(KnuthBalancer(8), "middle")
+
+    def test_huge_balancer_refused_before_any_table(self):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"^block size \d+ outside 1\.\.256 "):
+            PlaneCodec(KnuthBalancer(10**12), "high")
+        with pytest.raises(ValueError, match=r"^block size \d+ outside 1\.\.256 "):
+            PlaneCodec(WeakKnuthBalancer(10**12, 3), "high")
+        with pytest.raises(ValueError, match="p0"):
+            WeakKnuthBalancer(64, 10**12)
+        assert time.perf_counter() - start < 1
 
 
 class TestMakeCodec:

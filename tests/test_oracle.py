@@ -109,13 +109,13 @@ class TestValidateCodec:
     def test_catches_a_balancer_one_past_its_weight_bound(self, monkeypatch):
         from dnacodes.balancing import KnuthBalancer
 
-        encode_word = KnuthBalancer.encode_word
+        encode_block = KnuthBalancer.encode_block
 
-        def off_by_one(self, value):
-            word = encode_word(self, value)
+        def off_by_one(self, value, state=None):
+            word = encode_block(self, value, state)
             return word[:-1] + (b"0" if word.endswith(b"1") else b"1")  # |2w - n| = 2, the bound is 0
 
-        monkeypatch.setattr(KnuthBalancer, "encode_word", off_by_one)
+        monkeypatch.setattr(KnuthBalancer, "encode_block", off_by_one)
         report = oracle.validate_codec("construction1", ell=8, stream_blocks=10)
         assert any(f.startswith("weight bound violated") for f in report.failures)
 
