@@ -11,10 +11,11 @@ Either way the chosen index travels inside a fixed balanced prefix: the
 index-th weight-p0 word of length 2*p0 in lexicographic order.  Each
 balancer is a binary block code that speaks the strand codecs' block
 protocol (see `constructions`): `encode_block(value, state)` takes a
-source_bits-bit int and returns the oligo_len balanced digits, prefix
-then body, as ASCII (b"0110"), and `decode_block(digits, state)` inverts
-it.  No state crosses blocks, so state is accepted and ignored.  The
-balance construction puts these digits on a strand's high plane.
+source_bits-bit int, construction1's ell data bits, and returns the
+oligo_len balanced digits, prefix then body, as ASCII (b"0110"), and
+`decode_block(digits, state)` inverts it, refusing a word whose weight
+breaks weight_bound.  No state crosses blocks, so state is ignored.
+The balance construction puts these digits on a strand's high plane.
 """
 
 from __future__ import annotations
@@ -90,7 +91,7 @@ class _FlipBalancer:
         return self._prefixes[0][i] + int_to_digits(value ^ self._masks[i], self.source_bits)
 
     def decode_block(self, digits: bytes, state: int | None = None) -> int:
-        """The source_bits-bit value of a prefix-and-body digit word."""
+        """The source_bits-bit value of a prefix-and-body digit word within weight_bound."""
         if len(digits) != self.oligo_len:
             raise ValueError(f"expected {self.oligo_len} bits, got {len(digits)}")
         cut = 2 * self.p0
@@ -100,7 +101,10 @@ class _FlipBalancer:
             if prefix.strip(b"01") or prefix.count(b"1") != self.p0:
                 raise ValueError("prefix is not a balanced word")
             raise ValueError("prefix decodes to an out-of-range flip index")
-        return int(digits[cut:], 2) ^ self._masks[i]
+        body = digits[cut:]  # the prefix is balanced, so the body's weight is the word's
+        if abs(2 * body.count(b"1") - self.source_bits) > 2 * self.weight_bound:
+            raise ValueError("word weight outside the balancer's bound")
+        return int(body, 2) ^ self._masks[i]
 
 
 @dataclass(frozen=True)
@@ -119,7 +123,7 @@ class KnuthBalancer(_FlipBalancer):
     def __post_init__(self):
         n = self.source_bits
         if n < 2 or n % 2:
-            raise ValueError("source_bits must be even and at least 2")
+            raise ValueError("ell must be even and at least 2")
         p0 = max(1, (n - 1).bit_length())
         object.__setattr__(self, "p0", p0)
         object.__setattr__(self, "oligo_len", n + 2 * p0)
@@ -167,10 +171,10 @@ class WeakKnuthBalancer(_FlipBalancer):
     def __post_init__(self):
         n, p0 = self.source_bits, self.p0
         if n < 1:
-            raise ValueError("source_bits must be positive")
+            raise ValueError("ell must be positive")
         # 2**p0 <= n, asked of bit lengths so a huge p0 costs nothing.
         if not 1 <= p0 < n.bit_length():
-            raise ValueError("need 1 <= p0 with 2**p0 <= source_bits")
+            raise ValueError("need 1 <= p0 with 2**p0 <= ell")
         object.__setattr__(self, "oligo_len", n + 2 * p0)
         object.__setattr__(self, "weight_bound", (-(-n >> p0) + 1) // 2)
 

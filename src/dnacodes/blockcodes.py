@@ -20,7 +20,8 @@ AT-content so far.  Each codec memoises its walks in a bounded LRU.
 A block goes in as its index, a source_bits-bit int, and comes out as
 the codeword's ASCII bytes: bases b"GCAT" for the quaternary codes,
 digits b"01" for the binary one.  The encoder state is the previous
-block's last byte, or None at stream start.  Decoding reads either case.
+block's last byte, or None at stream start.  Decoding takes the bytes
+the encoder emits: uppercase bases, or digits.
 """
 
 from __future__ import annotations
@@ -263,13 +264,13 @@ class _Enumerator:
         return bytes(word)
 
     def _rank(self, root: int, word: bytes) -> int | None:
-        """Index of word (either case) under root, or None when it is not a codeword there."""
+        """Index of word under root, or None when it is not a codeword there."""
         if len(word) != self.n:
             return None
         steps = self._steps
         index = 0
         node = root
-        for s in word.upper():
+        for s in word:
             starts, symbols, children = steps[node]
             k = symbols.find(s)
             if k < 0:
@@ -348,11 +349,7 @@ class _TwoModeCode:
         words = _Enumerator(self.alphabet, m, n)
         self._unrank, self._rank = words.unrank, words.rank
         self._roots = tuple(words.root(tuple(range(first, first + half))) for first in (0, half))
-        self._root_of_first = {
-            byte: self._roots[s // half]
-            for s in range(q)
-            for byte in (self.alphabet[s], self.alphabet[s : s + 1].lower()[0])
-        }
+        self._root_of_first = {b: self._roots[s // half] for s, b in enumerate(self.alphabet)}
 
     def encode_block(self, value: int, state: int | None = STREAM_START) -> bytes:
         """The codeword of index value; picks the mode whose word may follow state."""
@@ -447,9 +444,7 @@ class StateDependentCode:
         self._unrank, self._rank = words.unrank, words.rank
         roots = [words.root(tuple(s for s in range(4) if s != state), skip) for state in range(4)]
         assert all(words.size(root) == keep for root in roots)
-        self._roots = {STREAM_START: roots[0]}
-        for bases in (self.alphabet, self.alphabet.lower()):
-            self._roots.update(zip(bases, roots))
+        self._roots = {STREAM_START: roots[0]} | dict(zip(self.alphabet, roots))
 
     def encode_block(self, value: int, state: int | None = STREAM_START) -> bytes:
         return self._unrank(self._roots[state], value)

@@ -5,9 +5,11 @@ decode, verify.  CSV goes to stdout unless --out is given; relative
 --out paths are resolved against $DNACODES_OUTDIR when it is set.
 encode and decode take --construction from constructions.CODECS and
 hand make_codec only the codec flags that were given.  They stream
-their files in chunks of payload.CHUNK_BYTES; a decode error names the
-strand's line (and block).  A new or regular --out file appears only
-once the whole output has been written.
+their files in chunks of payload.CHUNK_BYTES.  decode hands each line,
+upper-cased, to the codec, the one judge of a strand; an error names
+the line and the length, base, run or AT constraint it breaks, or else
+the block.  A new or regular --out file appears only once the whole
+output has been written.
 Exit codes: 0 success, 1 data or validation failure, 2 usage error.
 """
 
@@ -15,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import os
-import re
 import shutil
 import sys
 from collections.abc import Iterator
@@ -26,7 +27,7 @@ from itertools import chain
 from . import asymptotics, blockcodes, counting
 from .constructions import CODECS, make_codec
 from .payload import CHUNK_BYTES, decode_stream, encode_stream
-from .words import BASES, text_to_oligo
+from .words import at_weight, max_run, text_to_oligo
 
 TABLE_IDS = (
     "capacity",
@@ -242,18 +243,14 @@ def cmd_encode(args) -> int:
     return 0
 
 
-def _strands(fh, codec) -> Iterator[tuple[int, bytes]]:
-    """Check a binary-mode strand file: (line number, upper-cased strand), skipping blank lines.
+def _strands(fh) -> Iterator[tuple[int, bytes]]:
+    """Frame a binary-mode strand file: (line number, stripped line), skipping blank lines.
 
     The file is read a chunk at a time, and a line longer than a chunk
     is an error, so a damaged file without newlines is not held in
-    memory whole.  Length, base, run and AT checks read the line's
-    bytes; a failure raises DataError naming the line.
+    memory whole.  Nothing else is checked here: the codec judges each
+    strand, and `_line_fault` only explains a strand it rejected.
     """
-    n, run_cap, weight_bound = codec.oligo_len, codec.max_run, codec.weight_bound
-    long_run = None
-    if run_cap is not None and run_cap < n:  # no run of a line of n symbols is longer
-        long_run = re.compile(rb"(.)\1{%d}" % run_cap).search
     lineno = 0
     rest = b""  # the last line read so far, not yet ended by a newline
     for chunk in chain(iter(partial(fh.read, CHUNK_BYTES), b""), (b"\n",)):
@@ -262,43 +259,45 @@ def _strands(fh, codec) -> Iterator[tuple[int, bytes]]:
         for line in lines:
             lineno += 1
             line = line.strip()
-            if not line:
-                continue
-            if len(line) != n:
-                raise DataError(f"line {lineno}: expected {n} symbols, got {len(line)}")
-            strand = line.upper()
-            if strand.strip(BASES):
-                try:
-                    text_to_oligo(line)  # raises, naming the first byte that is no base
-                except ValueError as exc:
-                    raise DataError(f"line {lineno}: {exc}") from exc
-            if long_run is not None and long_run(strand):
-                raise DataError(f"line {lineno}: homopolymer run exceeds {run_cap}")
-            if weight_bound is not None:
-                gap = abs(2 * (strand.count(b"A") + strand.count(b"T")) - n)
-                if gap > 2 * weight_bound:
-                    raise DataError(f"line {lineno}: AT/GC unbalance exceeds the code bound")
-            yield lineno, strand
+            if line:
+                yield lineno, line
         if len(rest) > CHUNK_BYTES:
             raise DataError(f"line {lineno + 1}: longer than {CHUNK_BYTES} bytes")
 
 
+def _line_fault(line: bytes, codec) -> str | None:
+    """The first of length, bases, runs and AT content that a strand line breaks, or None."""
+    n, run_cap, bound = codec.oligo_len, codec.max_run, codec.weight_bound
+    if len(line) != n:
+        return f"expected {n} symbols, got {len(line)}"
+    try:
+        symbols = text_to_oligo(line)
+    except ValueError as exc:  # names the first byte that is no base
+        return str(exc)
+    if run_cap is not None and max_run(symbols) > run_cap:
+        return f"homopolymer run exceeds {run_cap}"
+    if bound is not None and abs(2 * at_weight(symbols) - n) > 2 * bound:
+        return "AT/GC unbalance exceeds the code bound"
+    return None
+
+
 def cmd_decode(args) -> int:
     codec = _build_codec(args)
-    line = 0  # line of the last strand handed to the decoder
+    line, last = 0, b""  # line number and text of the last strand handed to the decoder
 
     def strands(src) -> Iterator[bytes]:
-        nonlocal line
-        for line, strand in _strands(src, codec):
-            yield strand
+        nonlocal line, last
+        for line, last in _strands(src):
+            yield last.upper()
 
     with open(args.infile, "rb") as src, _output(args.out, binary=True) as dst:
         pieces = decode_stream(codec, strands(src))  # a bad block size is a usage error
         try:
             for piece in pieces:
                 dst.write(piece)
-        except ValueError as exc:
-            raise DataError(f"line {max(line, 1)}: {exc}") from exc
+        except ValueError as exc:  # explained by the last strand's line fault, if it has one
+            fault = _line_fault(last, codec) if last else None
+            raise DataError(f"line {max(line, 1)}: {fault or exc}") from exc
     return 0
 
 

@@ -7,7 +7,8 @@ and `raw_bits`, the number of trailing source bits that go uncoded onto
 one plane.  It maps a block, a source_bits-bit int, to its strand's
 uppercase ASCII bytes with `encode_block(value, state)`, and back with
 `decode_block(strand, state)`, where state is the previous strand's last
-byte (None at stream start) and the strand may be in either case.
+byte (None at stream start).  decode_block takes uppercase bases only and
+raises ValueError on a strand that breaks oligo_len, max_run or weight_bound.
 `CODECS` registers each codec under its command-line name.
 
 The binary codes speak the same protocol over the digits b"01": the

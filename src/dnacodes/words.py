@@ -5,12 +5,12 @@ symbols 0, 1, 2, 3.  Every strand decomposes into two binary planes,
 symbol = low + 2*high, and the high plane marks which symbols are A or T,
 so the AT-content of a strand equals the bit weight of its high plane.
 
-Codecs handle a strand as its uppercase ASCII bytes (b"GCAT") and a
-binary plane as ASCII digits (b"0110"), the form `format(value, "0nb")`
-gives and `int(digits, 2)` reads.  Merging and splitting planes go
+Codecs handle a strand as its uppercase ASCII bytes (b"GCAT"), no other
+case, and a binary plane as ASCII digits (b"0110"), the form `format(value,
+"0nb")` gives and `int(digits, 2)` reads.  Merging and splitting planes go
 through integer addition and byte translation tables, so neither loops
-over symbols in Python.  Symbol tuples remain for analysis:
-`text_to_oligo` and `oligo_to_text` convert between the two forms.
+over symbols in Python.  Symbol tuples remain for analysis: `text_to_oligo`
+(either case) and `oligo_to_text` convert between the two forms.
 """
 
 from __future__ import annotations
@@ -70,10 +70,10 @@ _SYMBOL_ERROR = "symbol out of range for a quaternary word"
 
 
 def _digit_table(digit_of_symbol: str) -> bytes:
-    """Base (either case) -> the digit its symbol has in one plane; else b"x"."""
+    """Uppercase base -> the digit its symbol has in one plane; else b"x"."""
     table = bytearray(b"x" * 256)
-    for base, digit in zip(ALPHABET, digit_of_symbol):
-        table[ord(base)] = table[ord(base.lower())] = ord(digit)
+    for base, digit in zip(BASES, digit_of_symbol.encode("ascii")):
+        table[base] = digit
     return bytes(table)
 
 
@@ -105,7 +105,7 @@ def merge_planes(low: bytes, high: bytes) -> bytes:
 
 
 def split_planes(strand: bytes) -> tuple[bytes, bytes]:
-    """The (low, high) planes of a strand (either case) as ASCII digit strings."""
+    """The (low, high) planes of an uppercase strand as ASCII digit strings."""
     low = strand.translate(LOW_DIGIT_OF_BASE)
     if low.find(b"x") >= 0:
         raise ValueError("not a strand of the bases G, C, A, T")

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from dnacodes import balancing
+from dnacodes import balancing, payload
+from dnacodes.constructions import make_codec
 
 
 def weight(digits):
@@ -149,6 +150,20 @@ class TestBalancerObjects:
             outputs.add(out)
         assert len(outputs) == 2**balancer.source_bits
 
+    @pytest.mark.parametrize(
+        "balancer",
+        [balancing.KnuthBalancer(8), balancing.WeakKnuthBalancer(10, 2)],
+    )
+    def test_word_one_past_the_weight_bound_refused(self, balancer):
+        # A valid prefix, and a body whose ones put the word one past the bound.
+        prefix = balancer.encode_block(0)[: 2 * balancer.p0]
+        ones = balancer.oligo_len // 2 + balancer.weight_bound + 1 - balancer.p0
+        body = b"1" * ones + b"0" * (balancer.source_bits - ones)
+        with pytest.raises(ValueError, match="weight"):
+            balancer.decode_block(prefix + body)
+        at_bound = body[1:] + b"0"  # one 1 fewer: on the bound, so it decodes
+        assert balancer.decode_block(prefix + at_bound) >= 0
+
     def test_length_validation(self):
         b = balancing.KnuthBalancer(8)
         with pytest.raises(ValueError):
@@ -166,3 +181,13 @@ def test_digit_words_match_the_bit_by_bit_flip():
         k0 = balancing.rank_balanced(prefix) + 1
         flipped = bytes(b"10"[d - ord("0")] for d in digits[:k0]) + digits[k0:]
         assert body == flipped
+
+
+def test_decode_stream_refuses_an_unbalanced_construction1_strand():
+    # A valid prefix on the high plane, but 8 of 14 bases A or T: the exact
+    # balancer's bound is 7.
+    codec = make_codec("construction1", ell=8)
+    strands = list(payload.encode_stream(codec, [b"a few payload bytes"]))
+    strands[2] = b"GGAAAGAAAAGGGA"
+    with pytest.raises(ValueError, match=r"^block 3: word weight"):
+        b"".join(payload.decode_stream(codec, strands))

@@ -381,6 +381,5 @@ class TestEnumerativeProperties:
         assert word[0] != state
         assert max_run(word) <= m
         assert code.decode_block(word, state) == index
-        assert code.decode_block(word.lower(), state) == index
         if kind == "state-dependent":
             assert abs(2 * at_weight(symbols(word)) - n) <= code.max_unbalance

@@ -260,6 +260,9 @@ class TestEncodeDecode:
             (("construction1",), "construction1 needs ell"),
             (("construction1", "--ell", "8", "--balancer", "weak-knuth"),
              "the weak-knuth balancer needs p0"),
+            (("construction1", "--ell", "7"), "ell must be even and at least 2"),
+            (("construction1", "--ell", "64", "--balancer", "weak-knuth", "--p0", "7"),
+             "need 1 <= p0 with 2**p0 <= ell"),
         ],
     )
     def test_missing_or_unused_codec_flag(self, tmp_path, capsys, args, message):
@@ -342,6 +345,25 @@ class TestEncodeDecode:
                                  "--out", str(tmp_path / "back.bin"))
         assert (code, out) == (1, "")
         assert err == "error: line 2: AT/GC unbalance exceeds the code bound\n"
+
+    @pytest.mark.parametrize("balancer", [(), ("--balancer", "weak-knuth", "--p0", "2")],
+                             ids=["knuth", "weak-knuth"])
+    def test_construction1_line_outside_its_balance(self, tmp_path, capsys, balancer):
+        args = ("--construction", "construction1", "--ell", "8", *balancer)
+        src = tmp_path / "p.bin"
+        strands = tmp_path / "s.txt"
+        src.write_bytes(b"payload bytes")
+        assert cli.main(["encode", *args, "--in", str(src), "--out", str(strands)]) == 0
+        lines = strands.read_text().splitlines()
+        # Keep the balanced prefix, so only the weight can give the line away.
+        cut = len(lines[1]) - 8
+        lines[1] = lines[1][:cut] + "A" * 8
+        strands.write_text("\n".join(lines) + "\n")
+        code, out, err = run_cli(capsys, "decode", *args, "--in", str(strands),
+                                 "--out", str(tmp_path / "back.bin"))
+        assert (code, out) == (1, "")
+        assert err == "error: line 2: AT/GC unbalance exceeds the code bound\n"
+        assert not (tmp_path / "back.bin").exists()
 
 
 # Codec flags for the argv fuzz: small values, where most codes build, and

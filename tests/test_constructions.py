@@ -10,6 +10,7 @@ import hypothesis.strategies as st
 from dnacodes import payload
 from dnacodes.balancing import KnuthBalancer, WeakKnuthBalancer
 from dnacodes.blockcodes import TwoModeRllCode
+from dnacodes.cli import _line_fault
 from dnacodes.constructions import CODECS, PlaneCodec, make_codec
 from dnacodes.words import max_run, merge_planes
 
@@ -61,7 +62,6 @@ class TestConstruction1:
         codec = make_codec("construction1", ell=8)
         word = codec.encode_block(value)
         assert codec.decode_block(word) == value
-        assert codec.decode_block(word.lower()) == value
 
     def test_random_round_trip_n16(self):
         codec = make_codec("construction1", ell=16)
@@ -165,10 +165,9 @@ class TestPlaneCodec:
     def test_code_state_is_the_digit_on_its_plane(self, plane, digits):
         code = _Recorder()
         codec = PlaneCodec(code, plane)
-        states = (None, *b"GCAT", *b"gcat")
-        for state in states:
+        for state in (None, *b"GCAT"):
             assert codec.decode_block(codec.encode_block(5, state), state) == 5
-        expected = (None, *digits, *digits)
+        expected = (None, *digits)
         assert code.states == [state for state in expected for _ in ("encode", "decode")]
 
     @pytest.mark.parametrize("plane", ["low", "high"])
@@ -295,6 +294,26 @@ def _protocol_codec(name, i):
     return make_codec(name, **PROTOCOL_CASES[name][i])
 
 
+@st.composite
+def _damaged(draw, strand, run_cap):
+    """strand with substituted symbols, another length, a forced run, or only A and T."""
+    word = bytearray(strand)
+    n = len(word)
+    kind = draw(st.sampled_from(["substitute", "length", "run", "at"]))
+    if kind == "substitute":
+        for _ in range(draw(st.integers(1, 3))):
+            word[draw(st.integers(0, n - 1))] = draw(st.sampled_from(b"GCATNX"))
+    elif kind == "length":
+        word = word[:-1] if draw(st.booleans()) else word + draw(st.sampled_from([b"G", b"A"]))
+    elif kind == "run":
+        length = min(n, (run_cap or n) + 1)
+        start = draw(st.integers(0, n - length))
+        word[start : start + length] = bytes([draw(st.sampled_from(b"GCAT"))]) * length
+    else:
+        word = word.translate(bytes.maketrans(b"GC", b"AT"))
+    return bytes(word)
+
+
 class TestBlockProtocol:
     def test_cases_cover_the_registry(self):
         assert set(PROTOCOL_CASES) == set(CODECS)
@@ -309,7 +328,11 @@ class TestBlockProtocol:
         assert type(strand) is bytes and len(strand) == codec.oligo_len
         assert not strand.strip(b"GCAT")
         assert codec.decode_block(strand, state) == index
-        assert codec.decode_block(strand.lower(), state) == index
+        # The codec refuses every line the CLI's explanation finds at fault.
+        damaged = data.draw(_damaged(strand, codec.max_run), label="damaged")
+        if _line_fault(damaged, codec) is not None:
+            with pytest.raises(ValueError):
+                codec.decode_block(damaged, state)
 
     @pytest.mark.parametrize("name", sorted(CODECS))
     def test_out_of_range_index_refused(self, name):

@@ -115,7 +115,6 @@ class TestReferenceIdentity:
         assert _strands_of(codec, data) == expected
         assert list(payload.encode_stream(codec, _split(data, cuts))) == expected
         assert _bytes_of(codec, expected) == data
-        assert _bytes_of(codec, [strand.lower() for strand in expected]) == data
 
     @pytest.mark.parametrize("route", sorted(ROUTES))
     def test_large_random_payload_matches(self, route):
