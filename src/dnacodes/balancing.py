@@ -10,11 +10,12 @@ the best, trading exact balance for a shorter index.
 Either way the chosen index travels inside a fixed balanced prefix: the
 index-th weight-p0 word of length 2*p0 in lexicographic order.  Each
 balancer is a binary block code that speaks the strand codecs' block
-protocol (see `constructions`): `encode_block(value, state)` takes a
-source_bits-bit int, construction1's ell data bits, and returns the
-oligo_len balanced digits, prefix then body, as ASCII (b"0110"), and
-`decode_block(digits, state)` inverts it, refusing a word whose weight
-breaks weight_bound.  No state crosses blocks, so state is ignored.
+protocol (see `constructions`): `encode_blocks(values, state)` takes
+source_bits-bit ints, construction1's ell data bits each, and returns
+each value's oligo_len balanced digits, prefix then body, as ASCII
+(b"0110"), and `decode_blocks(words, state)` inverts it, refusing a word
+whose weight breaks weight_bound.  No state crosses blocks, so state is
+ignored.
 The balance construction puts these digits on a strand's high plane.
 """
 
@@ -24,6 +25,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
+from .blockcodes import BlockCode, BlockError
 from .words import int_to_digits
 
 __all__ = ["KnuthBalancer", "WeakKnuthBalancer", "rank_balanced", "unrank_balanced"]
@@ -64,14 +66,14 @@ def rank_balanced(word: bytes) -> int:
     return index
 
 
-class _FlipBalancer:
+class _FlipBalancer(BlockCode):
     """A code that XORs one of its flip masks onto the word and carries which in a prefix.
 
     Subclasses are frozen dataclasses that set source_bits (n), p0,
-    oligo_len = n + 2*p0 and weight_bound in __post_init__, and list the
-    flip masks, first bit most significant, in _masks.  The tables are
-    built on first use, so building a balancer allocates nothing that
-    grows with n.
+    oligo_len = n + 2*p0 and weight_bound in __post_init__, list the
+    flip masks, first bit most significant, in _masks, and pick a
+    value's mask in _flip_index.  The tables are built on first use, so
+    building a balancer allocates nothing that grows with n.
     """
 
     max_run = None
@@ -82,29 +84,40 @@ class _FlipBalancer:
         words = tuple(unrank_balanced(2 * self.p0, self.p0, i) for i in range(len(self._masks)))
         return words, {word: i for i, word in enumerate(words)}
 
-    def _check_value(self, value: int) -> None:
-        if value < 0 or value >> self.source_bits:
-            raise ValueError(f"expected a {self.source_bits}-bit word, got {value}")
+    def encode_blocks(self, values: list[int], state: int | None = None) -> list[bytes]:
+        """The prefix-and-body digit word of each source_bits-bit value."""
+        n = self.source_bits
+        prefixes, masks, flip = self._prefixes[0], self._masks, self._flip_index
+        words: list[bytes] = []
+        for value in values:
+            if value < 0 or value >> n:
+                raise BlockError(f"expected a {n}-bit word, got {value}", len(words))
+            i = flip(value)
+            words.append(prefixes[i] + int_to_digits(value ^ masks[i], n))
+        return words
 
-    def _flipped(self, value: int, i: int) -> bytes:
-        """The digits of value with flip mask i applied, behind its prefix."""
-        return self._prefixes[0][i] + int_to_digits(value ^ self._masks[i], self.source_bits)
-
-    def decode_block(self, digits: bytes, state: int | None = None) -> int:
-        """The source_bits-bit value of a prefix-and-body digit word within weight_bound."""
-        if len(digits) != self.oligo_len:
-            raise ValueError(f"expected {self.oligo_len} bits, got {len(digits)}")
-        cut = 2 * self.p0
-        prefix = digits[:cut]
-        i = self._prefixes[1].get(prefix)
-        if i is None:
-            if prefix.strip(b"01") or prefix.count(b"1") != self.p0:
-                raise ValueError("prefix is not a balanced word")
-            raise ValueError("prefix decodes to an out-of-range flip index")
-        body = digits[cut:]  # the prefix is balanced, so the body's weight is the word's
-        if abs(2 * body.count(b"1") - self.source_bits) > 2 * self.weight_bound:
-            raise ValueError("word weight outside the balancer's bound")
-        return int(body, 2) ^ self._masks[i]
+    def decode_blocks(self, words: list[bytes], state: int | None = None) -> list[int]:
+        """The source_bits-bit value of each prefix-and-body digit word within weight_bound."""
+        n, cut, bound = self.source_bits, 2 * self.p0, 2 * self.weight_bound
+        index_of_prefix, masks = self._prefixes[1], self._masks
+        values: list[int] = []
+        try:
+            for digits in words:
+                if len(digits) != self.oligo_len:
+                    raise ValueError(f"expected {self.oligo_len} bits, got {len(digits)}")
+                prefix = digits[:cut]
+                i = index_of_prefix.get(prefix)
+                if i is None:
+                    if prefix.strip(b"01") or prefix.count(b"1") != self.p0:
+                        raise ValueError("prefix is not a balanced word")
+                    raise ValueError("prefix decodes to an out-of-range flip index")
+                body = digits[cut:]  # the prefix is balanced, so the body's weight is the word's
+                if abs(2 * body.count(b"1") - n) > bound:
+                    raise ValueError("word weight outside the balancer's bound")
+                values.append(int(body, 2) ^ masks[i])
+        except ValueError as exc:
+            raise BlockError(str(exc), len(values)) from None
+        return values
 
 
 @dataclass(frozen=True)
@@ -133,9 +146,8 @@ class KnuthBalancer(_FlipBalancer):
         n = self.source_bits
         return tuple(((1 << k0) - 1) << (n - k0) for k0 in range(1, n + 1))
 
-    def encode_block(self, value: int, state: int | None = None) -> bytes:
-        """Balance value by flipping its first k0 bits, for the smallest such k0."""
-        self._check_value(value)
+    def _flip_index(self, value: int) -> int:
+        """k0 - 1 for the smallest k0 whose first-k0-bit flip balances value."""
         n = self.source_bits
         half = n // 2
         weight = value.bit_count()
@@ -150,7 +162,7 @@ class KnuthBalancer(_FlipBalancer):
             k0 += gap
         else:  # unreachable: the weight walk must cross n/2
             raise AssertionError("no balancing index found")
-        return self._flipped(value, k0 - 1)
+        return k0 - 1
 
 
 @dataclass(frozen=True)
@@ -185,8 +197,8 @@ class WeakKnuthBalancer(_FlipBalancer):
         lengths = [min(1 + i * step, n) for i in range(1 << self.p0)]
         return tuple(((1 << b) - 1) << (n - b) for b in lengths)
 
-    def encode_block(self, value: int, state: int | None = None) -> bytes:
-        self._check_value(value)
+    def _flip_index(self, value: int) -> int:
+        """The mask that brings value closest to balance, the first of ties."""
         n = self.source_bits
         gaps = [abs(2 * (value ^ mask).bit_count() - n) for mask in self._masks]
-        return self._flipped(value, gaps.index(min(gaps)))
+        return gaps.index(min(gaps))

@@ -15,13 +15,20 @@ encoding finds the index-th codeword and decoding counts the codewords
 below the received one, both by one walk down a graph of prefix states
 whose edges carry codeword counts.  The graph has O(n * m) nodes, or
 O(n**2 * m) for the state-dependent code, whose states also carry the
-AT-content so far.  Each codec memoises its walks in a bounded LRU.
+AT-content so far.  The last few symbols of a walk are one read of a
+byte table.  Each codec memoises its walks in a bounded LRU.
 
 A block goes in as its index, a source_bits-bit int, and comes out as
 the codeword's ASCII bytes: bases b"GCAT" for the quaternary codes,
 digits b"01" for the binary one.  The encoder state is the previous
 block's last byte, or None at stream start.  Decoding takes the bytes
 the encoder emits: uppercase bases, or digits.
+
+Codes work a batch at a time: `encode_blocks(values, state)` returns a
+list of codewords and `decode_blocks(words, state)` a list of indices,
+each threading the state from block to block, and a refused block
+raises `BlockError` with its place in the batch.  `BlockCode` gives
+every code the single-block methods as a batch of one.
 """
 
 from __future__ import annotations
@@ -30,9 +37,11 @@ from bisect import bisect_right
 from functools import lru_cache
 
 from . import counting
-from .words import BASES
+from .words import BASES, max_run
 
 __all__ = [
+    "BlockCode",
+    "BlockError",
     "MAX_BLOCK_BITS",
     "MEMO_SIZE",
     "StateDependentCode",
@@ -61,6 +70,35 @@ MEMO_SIZE = 2**17
 # after counting, with its exact block size; past it, from a lower bound
 # on the block size alone.
 COUNTED_LENGTH = 4096
+
+
+class BlockError(ValueError):
+    """A block that a code refuses; position is its 0-based place in the batch."""
+
+    def __init__(self, message: str, position: int):
+        super().__init__(message)
+        self.position = position
+
+
+class BlockCode:
+    """The single-block protocol of a code that implements the batch one.
+
+    A subclass defines encode_blocks(values, state) -> list of codewords
+    and decode_blocks(words, state) -> list of indices; a block is coded
+    as a batch of one, so there is one coding path.
+    """
+
+    def encode_block(self, value: int, state: int | None = STREAM_START) -> bytes:
+        return self.encode_blocks([value], state)[0]
+
+    def decode_block(self, word: bytes, state: int | None = STREAM_START) -> int:
+        return self.decode_blocks([word], state)[0]
+
+
+@lru_cache(maxsize=None)
+def _adding(offset: int) -> bytes:
+    """The translate table that adds offset to every byte below 256 - offset."""
+    return bytes((v + offset) & 0xFF for v in range(256))
 
 
 def _floor_log2(value: int) -> int:
@@ -113,6 +151,14 @@ class _Enumerator:
     words are left out, so a word that breaks the run limit, the window
     or the first-symbol rule has no path.
 
+    The walk stops h symbols short of the end, h the largest length with
+    q**h <= 256 (4 bases, 8 digits), so that a suffix of h symbols, read
+    as a base-q number, is a one-byte code.  A node there or deeper holds
+    its tail: the sorted codes of its kept suffixes in one bytes object,
+    built from its children's tails by translate.  So the last h symbols
+    are one read of the tail when unranking and one find in it when
+    ranking.
+
     With `unbalance` = D, the kept words are those with |2w - n| < D plus
     the boundary words (|2w - n| == D) from a given boundary rank on:
     the lexicographically smallest boundary words are the dropped ones.
@@ -123,12 +169,24 @@ class _Enumerator:
 
     def __init__(self, alphabet: bytes, m: int, n: int, unbalance: int | None = None):
         self.alphabet = alphabet
-        self.q, self.m, self.n = len(alphabet), m, n
+        q = len(alphabet)
+        self.q, self.m, self.n = q, m, n
         self.unbalance = unbalance
-        # Per node: (starts, symbol bytes, children) and the number of kept
-        # words below it.  Node 0 is the complete kept word.
+        h = 0
+        while q ** (h + 1) <= 256 and h < n:
+            h += 1
+        self._head = n - h  # symbols walked one at a time
+        # Each tail code's suffix bytes, and back.
+        self._suffix = [
+            bytes(alphabet[code // q**i % q] for i in range(h - 1, -1, -1)) for code in range(q**h)
+        ]
+        self._code_of_suffix = {suffix: code for code, suffix in enumerate(self._suffix)}
+        # Per node: (starts, symbol bytes, children), the number of kept
+        # words below it, and its tail from the walk's end on (else None).
+        # Node 0 is the complete kept word.
         self._steps: list[tuple] = [((), b"", ())]
         self._sizes = [1]
+        self._tails: list[bytes | None] = [b"\0"]
         # _levels[p] maps (last, run, weight, above) to the node of a length-p prefix.
         self._levels = [{} for _ in range(n + 1)]
         self._build()
@@ -139,7 +197,8 @@ class _Enumerator:
         # Only the window needs the weight; without one every prefix has weight 0.
         return symbol // (self.q // 2) if self.unbalance is not None else 0
 
-    def _add(self, children: list[tuple[int, int | None]]) -> int | None:
+    def _add(self, p: int, children: list[tuple[int, int | None]]) -> int | None:
+        """A node of a length-p prefix over these (symbol, child) pairs, or None."""
         children = [(s, c) for s, c in children if c is not None]
         if not children:
             return None
@@ -153,6 +212,11 @@ class _Enumerator:
             tuple(c for _, c in children),
         ))
         self._sizes.append(total)
+        tail = None
+        if p >= self._head:
+            place = self.q ** (self.n - p - 1)  # what the first symbol of a suffix weighs in its code
+            tail = b"".join(self._tails[c].translate(_adding(s * place)) for s, c in children)
+        self._tails.append(tail)
         return len(self._sizes) - 1
 
     def _child(self, p: int, last: int, run: int, weight: int, above: bool, s: int):
@@ -186,7 +250,7 @@ class _Enumerator:
                 for run in range(1, min(m, p) + 1):
                     for w in weights:
                         for above in flags:
-                            node = self._add([
+                            node = self._add(p, [
                                 (s, self._child(p, last, run, w, above, s)) for s in range(q)
                             ])
                             if node is not None:
@@ -201,7 +265,7 @@ class _Enumerator:
         if self.unbalance is None:
             if skip:
                 raise ValueError("skipping boundary words needs a weight window")
-            node = self._add([(s, self._child(0, None, 0, 0, True, s)) for s in first_symbols])
+            node = self._add(0, [(s, self._child(0, None, 0, 0, True, s)) for s in first_symbols])
         else:
             node = self._boundary_chain(first_symbols, skip)
         if node is None:
@@ -240,7 +304,7 @@ class _Enumerator:
         node = 0  # x itself is kept
         for p in range(self.n - 1, -1, -1):
             last, run, weight = prefixes[p]
-            node = self._add([
+            node = self._add(p, [
                 (s, node if s == word[p] else self._child(p, last, run, weight, s > word[p], s))
                 for s in (first_symbols if p == 0 else range(self.q))
             ])
@@ -253,31 +317,35 @@ class _Enumerator:
         if not 0 <= index < self._sizes[root]:
             raise ValueError(f"index {index} out of range")
         steps = self._steps
-        word = bytearray(self.n)
+        word = bytearray(self._head)
         node = root
-        for p in range(self.n):
+        for p in range(self._head):
             starts, symbols, children = steps[node]
             k = bisect_right(starts, index) - 1
             index -= starts[k]
             word[p] = symbols[k]
             node = children[k]
+        word += self._suffix[self._tails[node][index]]
         return bytes(word)
 
     def _rank(self, root: int, word: bytes) -> int | None:
         """Index of word under root, or None when it is not a codeword there."""
         if len(word) != self.n:
             return None
+        head = self._head
         steps = self._steps
         index = 0
         node = root
-        for s in word:
+        for s in word[:head]:
             starts, symbols, children = steps[node]
             k = symbols.find(s)
             if k < 0:
                 return None
             index += starts[k]
             node = children[k]
-        return index
+        code = self._code_of_suffix.get(word[head:])
+        k = -1 if code is None else self._tails[node].find(code)
+        return None if k < 0 else index + k
 
 
 def rate_two_mode(m: int, n: int) -> float:
@@ -313,7 +381,7 @@ def _check_shape(m: int, n: int) -> None:
         raise ValueError("maximum run must be at least 1")
 
 
-class _TwoModeCode:
+class _TwoModeCode(BlockCode):
     """Block code with two codewords per index whose first symbols differ.
 
     Mode 0 holds the words that start in the lower half of the alphabet,
@@ -347,28 +415,48 @@ class _TwoModeCode:
         self._per_symbol = total // q  # words per first symbol
         half = q // 2
         words = _Enumerator(self.alphabet, m, n)
+        self._words = words
         self._unrank, self._rank = words.unrank, words.rank
         self._roots = tuple(words.root(tuple(range(first, first + half))) for first in (0, half))
         self._root_of_first = {b: self._roots[s // half] for s, b in enumerate(self.alphabet)}
 
-    def encode_block(self, value: int, state: int | None = STREAM_START) -> bytes:
-        """The codeword of index value; picks the mode whose word may follow state."""
-        if not 0 <= value < self._keep:
-            raise ValueError(f"index {value} outside 0..2**{self.source_bits} - 1")
-        # First symbol of the index-th mode-0 word; always 0 for the binary
-        # code, as 2**source_bits <= N/2 words start with 0.
-        mode_0_first = self.alphabet[value // self._per_symbol]
-        mode = 1 if state == mode_0_first else 0
-        return self._unrank(self._roots[mode], value)
+    def encode_blocks(self, values: list[int], state: int | None = STREAM_START) -> list[bytes]:
+        """The codewords of the indices; each picks the mode whose word may follow the state."""
+        unrank, roots, per_symbol, keep = self._unrank, self._roots, self._per_symbol, self._keep
+        alphabet = self.alphabet
+        words: list[bytes] = []
+        for value in values:
+            if not 0 <= value < keep:
+                raise BlockError(
+                    f"index {value} outside 0..2**{self.source_bits} - 1", len(words)
+                )
+            # Mode 1 where the index-th mode-0 word would start with the
+            # state's symbol; that word always starts with 0 in the binary
+            # code, as 2**source_bits <= N/2 words start with 0.
+            word = unrank(roots[state == alphabet[value // per_symbol]], value)
+            words.append(word)
+            state = word[-1]
+        return words
 
-    def decode_block(self, word: bytes, state: int | None = STREAM_START) -> int:
+    def decode_blocks(self, words: list[bytes], state: int | None = STREAM_START) -> list[int]:
         # state is accepted for interface uniformity and ignored: the mode
-        # is visible in the word's first symbol.
-        root = self._root_of_first.get(word[0]) if word else None
-        index = None if root is None else self._rank(root, word)
-        if index is None or index >= self._keep:
-            raise ValueError(f"not a codeword of this {self.kind} code")
-        return index
+        # is visible in each word's first symbol.
+        rank, root_of_first, keep = self._rank, self._root_of_first, self._keep
+        indices: list[int] = []
+        for word in words:
+            root = root_of_first.get(word[0]) if word else None
+            index = None if root is None else rank(root, word)
+            if index is None or index >= keep:
+                raise BlockError(self._refusal(index), len(indices))
+            indices.append(index)
+        return indices
+
+    def _refusal(self, index: int | None) -> str:
+        """Why a word with this index under its mode's root (None: no path) is refused."""
+        message = f"not a codeword of this {self.kind} code"
+        if index is None:
+            return message
+        return f"{message}: its index {index} is past the kept range 0..{self._keep - 1}"
 
 
 class TwoModeRllCode(_TwoModeCode):
@@ -413,7 +501,7 @@ def _pruning_boundary(m: int, n: int, drop: int) -> tuple[int, int]:
     raise AssertionError("drop count exceeds the candidates")
 
 
-class StateDependentCode:
+class StateDependentCode(BlockCode):
     """Quaternary block code with one codebook per previous-last-symbol state.
 
     Codebook a holds only words that do not start with symbol a, in lex
@@ -441,16 +529,51 @@ class StateDependentCode:
         self.max_unbalance, skip = _pruning_boundary(m, n, capacity - keep)
         self.weight_bound = self.max_unbalance / 2
         words = _Enumerator(self.alphabet, m, n, unbalance=self.max_unbalance)
+        self._words = words
         self._unrank, self._rank = words.unrank, words.rank
         roots = [words.root(tuple(s for s in range(4) if s != state), skip) for state in range(4)]
         assert all(words.size(root) == keep for root in roots)
         self._roots = {STREAM_START: roots[0]} | dict(zip(self.alphabet, roots))
 
-    def encode_block(self, value: int, state: int | None = STREAM_START) -> bytes:
-        return self._unrank(self._roots[state], value)
+    def _roots_from(self, state: int | None) -> dict:
+        if state not in self._roots:
+            raise ValueError(f"state {state!r} is neither None nor an uppercase base")
+        return self._roots
 
-    def decode_block(self, word: bytes, state: int | None = STREAM_START) -> int:
-        index = self._rank(self._roots[state], word)
-        if index is None:
-            raise ValueError("not a codeword of this state-dependent code for this state")
-        return index
+    def encode_blocks(self, values: list[int], state: int | None = STREAM_START) -> list[bytes]:
+        unrank, roots = self._unrank, self._roots_from(state)
+        words: list[bytes] = []
+        try:
+            for value in values:
+                word = unrank(roots[state], value)
+                words.append(word)
+                state = word[-1]
+        except ValueError as exc:  # an index out of range
+            raise BlockError(str(exc), len(words)) from None
+        return words
+
+    def decode_blocks(self, words: list[bytes], state: int | None = STREAM_START) -> list[int]:
+        rank, roots = self._rank, self._roots_from(state)
+        indices: list[int] = []
+        for word in words:
+            index = rank(roots[state], word)
+            if index is None:
+                raise BlockError(self._refusal(word, state), len(indices))
+            indices.append(index)
+            state = word[-1]
+        return indices
+
+    def _refusal(self, word: bytes, state: int | None) -> str:
+        """Why the code refuses word after state: the first symbol, a dropped word, or else."""
+        message = "not a codeword of this state-dependent code"
+        first = self.alphabet[0] if state is STREAM_START else state
+        if word[:1] == bytes([first]):
+            return f"{message}: its first symbol equals the state {chr(first)}"
+        if (
+            len(word) == self.n
+            and not word.strip(self.alphabet)
+            and max_run(word) <= self.m
+            and abs(2 * (word.count(b"A") + word.count(b"T")) - self.n) == self.max_unbalance
+        ):
+            return f"{message}: a dropped boundary word (AT/GC unbalance {self.max_unbalance})"
+        return f"{message} for this state"

@@ -5,11 +5,12 @@ decode, verify.  CSV goes to stdout unless --out is given; relative
 --out paths are resolved against $DNACODES_OUTDIR when it is set.
 encode and decode take --construction from constructions.CODECS and
 hand make_codec only the codec flags that were given.  They stream
-their files in chunks of payload.CHUNK_BYTES.  decode hands each line,
-upper-cased, to the codec, the one judge of a strand; an error names
-the line and the length, base, run or AT constraint it breaks, or else
-the block.  A new or regular --out file appears only once the whole
-output has been written.
+their files in chunks of payload.CHUNK_BYTES and code a chunk per call.
+decode hands a chunk's non-blank lines, stripped and upper-cased, to
+the codec, the one judge of a strand; an error names the line and the
+length, base, run or AT constraint it breaks, or else the block.  A new
+or regular --out file appears only once the whole output has been
+written.
 Exit codes: 0 success, 1 data or validation failure, 2 usage error.
 """
 
@@ -24,7 +25,7 @@ from contextlib import contextmanager, suppress
 from functools import partial
 from itertools import chain
 
-from . import asymptotics, blockcodes, counting
+from . import blockcodes, counting
 from .constructions import CODECS, make_codec
 from .payload import CHUNK_BYTES, decode_stream, encode_stream
 from .words import at_weight, max_run, text_to_oligo
@@ -65,6 +66,8 @@ def _emit(lines: list[str], out: str | None) -> None:
 
 
 def _table_rows(table_id: str, precision: int) -> list[str]:
+    from . import asymptotics  # only the paper's tables load the root solver
+
     p = precision
     if table_id == "capacity":
         lines = ["m,capacity_binary,capacity_quaternary"]
@@ -153,6 +156,8 @@ def cmd_count(args) -> int:
 
 
 def cmd_capacity(args) -> int:
+    from . import asymptotics
+
     result = asymptotics.capacity(args.q, args.m)
     if args.full:
         _emit(
@@ -176,6 +181,8 @@ def cmd_redundancy(args) -> int:
                if getattr(args, name) is None]
     if missing:
         raise ValueError(f"redundancy --family {args.family} needs {' and '.join(missing)}")
+    from . import asymptotics
+
     if args.family == "balance":
         value = counting.balance_redundancy(args.n, args.a, args.boundary)
     elif args.family == "runlength":
@@ -239,28 +246,30 @@ def cmd_encode(args) -> int:
     codec = _build_codec(args)
     with open(args.infile, "rb") as src, _output(args.out, binary=True) as dst:
         chunks = iter(partial(src.read, CHUNK_BYTES), b"")
-        dst.writelines(strand + b"\n" for strand in encode_stream(codec, chunks))
+        for strands in encode_stream(codec, chunks):
+            dst.write(b"\n".join(strands))
+            dst.write(b"\n")
     return 0
 
 
-def _strands(fh) -> Iterator[tuple[int, bytes]]:
-    """Frame a binary-mode strand file: (line number, stripped line), skipping blank lines.
+def _frames(fh) -> Iterator[tuple[int, list[bytes]]]:
+    """Frame a binary-mode strand file a chunk at a time.
 
-    The file is read a chunk at a time, and a line longer than a chunk
-    is an error, so a damaged file without newlines is not held in
-    memory whole.  Nothing else is checked here: the codec judges each
-    strand, and `_line_fault` only explains a strand it rejected.
+    Yields the number of the chunk's first line and its whole lines,
+    stripped; blank ones stay, so a line's place gives its number.  The
+    file is read a chunk at a time, and a line longer than a chunk is an
+    error, so a damaged file without newlines is not held in memory
+    whole.  Nothing else is checked here: the codec judges each strand,
+    and `_line_fault` only explains a strand it rejected.
     """
-    lineno = 0
+    lineno = 0  # lines framed so far
     rest = b""  # the last line read so far, not yet ended by a newline
     for chunk in chain(iter(partial(fh.read, CHUNK_BYTES), b""), (b"\n",)):
         lines = (rest + chunk).split(b"\n")
         rest = lines.pop()
-        for line in lines:
-            lineno += 1
-            line = line.strip()
-            if line:
-                yield lineno, line
+        if lines:
+            yield lineno + 1, list(map(bytes.strip, lines))
+            lineno += len(lines)
         if len(rest) > CHUNK_BYTES:
             raise DataError(f"line {lineno + 1}: longer than {CHUNK_BYTES} bytes")
 
@@ -283,21 +292,33 @@ def _line_fault(line: bytes, codec) -> str | None:
 
 def cmd_decode(args) -> int:
     codec = _build_codec(args)
-    line, last = 0, b""  # line number and text of the last strand handed to the decoder
+    # The last chunk handed to the decoder: its first line's number, its
+    # stripped lines, and the number of strands before it.
+    frame: tuple[int, list[bytes], int] = (1, [], 0)
 
-    def strands(src) -> Iterator[bytes]:
-        nonlocal line, last
-        for line, last in _strands(src):
-            yield last.upper()
+    def batches(src) -> Iterator[list[bytes]]:
+        nonlocal frame
+        before = 0
+        for first, lines in _frames(src):
+            strands = list(map(bytes.upper, filter(None, lines)))
+            if strands:
+                frame = first, lines, before
+                yield strands
+                before += len(strands)
 
     with open(args.infile, "rb") as src, _output(args.out, binary=True) as dst:
-        pieces = decode_stream(codec, strands(src))  # a bad block size is a usage error
+        pieces = decode_stream(codec, batches(src))  # a bad block size is a usage error
         try:
             for piece in pieces:
                 dst.write(piece)
-        except ValueError as exc:  # explained by the last strand's line fault, if it has one
-            fault = _line_fault(last, codec) if last else None
-            raise DataError(f"line {max(line, 1)}: {fault or exc}") from exc
+        except ValueError as exc:  # explained by its strand's line fault, if it has one
+            first, lines, before = frame
+            numbered = [(first + i, line) for i, line in enumerate(lines) if line]
+            # The refused strand; without a position, the last one handed over.
+            at = getattr(exc, "position", before + len(numbered) - 1) - before
+            lineno, line = numbered[at] if numbered else (1, b"")
+            fault = _line_fault(line, codec) if line else None
+            raise DataError(f"line {lineno}: {fault or exc}") from exc
     return 0
 
 

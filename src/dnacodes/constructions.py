@@ -4,17 +4,22 @@ Every strand codec declares its shape and its promises: `source_bits`
 (k) and `oligo_len` (n) of a block, `max_run` and `weight_bound` (the
 largest |AT-content - n/2|), each None where the code promises nothing,
 and `raw_bits`, the number of trailing source bits that go uncoded onto
-one plane.  It maps a block, a source_bits-bit int, to its strand's
-uppercase ASCII bytes with `encode_block(value, state)`, and back with
-`decode_block(strand, state)`, where state is the previous strand's last
-byte (None at stream start).  decode_block takes uppercase bases only and
-raises ValueError on a strand that breaks oligo_len, max_run or weight_bound.
+one plane.  It codes a batch of blocks per call: `encode_blocks(values,
+state)` maps source_bits-bit ints to their strands' uppercase ASCII
+bytes, and `decode_blocks(strands, state)` maps strands back, where
+state is the last byte of the strand before the batch (None at stream
+start) and the codec threads it from block to block.  decode_blocks
+takes uppercase bases only and raises `BlockError`, a ValueError that
+carries the strand's place in the batch, on a strand that breaks
+oligo_len, max_run or weight_bound.  `encode_block(value, state)` and
+`decode_block(strand, state)` code a batch of one (`BlockCode`).
 `CODECS` registers each codec under its command-line name.
 
 The binary codes speak the same protocol over the digits b"01": the
 balancers of `balancing` and the two-mode code of `blockcodes`.  A
 `PlaneCodec` puts one of them on one binary plane of the strand and n
-raw payload bits on the other.  Both constructions of the paper are
+raw payload bits on the other, and merges and splits the planes of a
+whole batch at once.  Both constructions of the paper are
 plane codecs: construction1 puts a balancer on the high plane, whose
 weight is the strand's AT-content, and construction2 puts the two-mode
 run-length code on the low plane, where every run of the strand is
@@ -24,21 +29,24 @@ also a run.
 from __future__ import annotations
 
 import inspect
+from itertools import repeat
 
 from .balancing import KnuthBalancer, WeakKnuthBalancer
 from .blockcodes import (
     STREAM_START,
+    BlockCode,
+    BlockError,
     StateDependentCode,
     StateIndependentCode,
     TwoModeRllCode,
     check_block_size,
 )
-from .words import HIGH_DIGIT_OF_BASE, LOW_DIGIT_OF_BASE, int_to_digits, merge_planes, split_planes
+from .words import HIGH_DIGIT_OF_BASE, LOW_DIGIT_OF_BASE, merge_planes, split_planes
 
 __all__ = ["CODECS", "PlaneCodec", "make_codec"]
 
 
-class PlaneCodec:
+class PlaneCodec(BlockCode):
     """A binary code on one plane of the strand, raw payload on the other.
 
     The code's oligo_len n is the strand's length, and a block is the
@@ -47,6 +55,10 @@ class PlaneCodec:
     too: the code's state is the previous strand's digit on its plane.
     The strand's AT-content is its high plane's weight, so only a code
     on the high plane passes its weight_bound on.
+
+    A batch goes through the code in one call.  Its planes are merged by
+    one integer addition and one translate over the whole batch, and
+    split by two translates.
     """
 
     def __init__(self, code, plane: str):
@@ -59,27 +71,50 @@ class PlaneCodec:
         self._high = plane == "high"
         self.weight_bound = code.weight_bound if self._high else None
         self._digit_of_base = HIGH_DIGIT_OF_BASE if self._high else LOW_DIGIT_OF_BASE
-        self._encode, self._decode = code.encode_block, code.decode_block
+        self._code = code
         self._raw_mask = (1 << n) - 1
 
-    def encode_block(self, value: int, state: int | None = STREAM_START) -> bytes:
-        n = self.oligo_len
-        if state is not STREAM_START:
-            state = self._digit_of_base[state]
-        # The code refuses a value with more than source_bits bits, or below 0.
-        coded = self._encode(value >> n, state)
-        raw = int_to_digits(value & self._raw_mask, n)
-        return merge_planes(raw, coded) if self._high else merge_planes(coded, raw)
+    def _code_state(self, state: int | None) -> int | None:
+        return state if state is STREAM_START else self._digit_of_base[state]
 
-    def decode_block(self, strand: bytes, state: int | None = STREAM_START) -> int:
-        # The code refuses a plane of another length than its own.
+    def encode_blocks(self, values: list[int], state: int | None = STREAM_START) -> list[bytes]:
+        n, mask = self.oligo_len, self._raw_mask
+        # The code refuses a value with more than source_bits bits, or below 0.
+        coded = b"".join(self._code.encode_blocks([v >> n for v in values], self._code_state(state)))
+        raw = "".join(map(format, [v & mask for v in values], repeat(f"0{n}b"))).encode("ascii")
+        strands = merge_planes(raw, coded) if self._high else merge_planes(coded, raw)
+        return [strands[i : i + n] for i in range(0, len(strands), n)]
+
+    def decode_blocks(self, strands: list[bytes], state: int | None = STREAM_START) -> list[int]:
         n = self.oligo_len
-        low, high = split_planes(strand)
-        if state is not STREAM_START:
-            state = self._digit_of_base[state]
-        if self._high:
-            return self._decode(high, state) << n | int(low, 2)
-        return self._decode(low, state) << n | int(high, 2)
+        joined = b"".join(strands)
+        low = joined.translate(LOW_DIGIT_OF_BASE)  # b"x" for a byte that is no base
+        if strands and (set(map(len, strands)) != {n} or b"x" in low):
+            return self._refuse_malformed(strands, state)
+        high = joined.translate(HIGH_DIGIT_OF_BASE)
+        coded, raw = (high, low) if self._high else (low, high)
+        cuts = range(0, len(joined), n)
+        indices = self._code.decode_blocks([coded[i : i + n] for i in cuts], self._code_state(state))
+        raws = map(int, [raw[i : i + n] for i in cuts], repeat(2))
+        return [index << n | r for index, r in zip(indices, raws)]
+
+    def _refuse_malformed(self, strands: list[bytes], state: int | None) -> list[int]:
+        """Raise the refusal of the first strand of another length or with a byte that is no base."""
+        n = self.oligo_len
+        bad = next(
+            i for i, strand in enumerate(strands)
+            if len(strand) != n or b"x" in strand.translate(LOW_DIGIT_OF_BASE)
+        )
+        if bad:
+            self.decode_blocks(strands[:bad], state)  # an earlier strand the code refuses comes first
+            state = strands[bad - 1][-1]
+        try:
+            low, high = split_planes(strands[bad])
+            # The code refuses a plane of another length than its own.
+            self._code.decode_blocks([high if self._high else low], self._code_state(state))
+        except ValueError as exc:
+            raise BlockError(str(exc), bad) from None
+        raise AssertionError(f"the code took a plane of {len(strands[bad])} digits, not {n}")
 
 
 def _construction1(ell: int, balancer: str = "knuth", p0: int | None = None):

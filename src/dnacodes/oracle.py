@@ -20,6 +20,9 @@ from functools import lru_cache
 SEARCH_CAP = 10**8
 SOURCE_CAP = 2**20
 _STREAM_SEED = 0x5EED
+# Cut points of the random stream, so batches of one to hundreds of blocks
+# each start after the strand before them.
+_STREAM_CUTS = 20
 
 
 def _scan_max_run(seq) -> int:
@@ -294,6 +297,12 @@ def _word_problems(codec, strand, state, index, expected):
         yield "round-trip failure"
 
 
+def _cuts(rng: random.Random, size: int) -> list[tuple[int, int]]:
+    """Seeded random (start, end) pieces that tile range(size), some of one block."""
+    points = sorted(rng.sample(range(1, size), min(size - 1, _STREAM_CUTS))) if size > 1 else []
+    return list(zip([0, *points], [*points, size]))
+
+
 def validate_codec(name: str, **params) -> BruteForceReport:
     """Exhaustive round-trip and constraint re-validation of one registered codec.
 
@@ -306,9 +315,12 @@ def validate_codec(name: str, **params) -> BruteForceReport:
     strand length, keep the declared run and weight bounds, decode back
     to its index, equal TABLES[name] where there is one, and, if runs
     are limited, not start with the state's symbol.  Then a stream of
-    random blocks, each encoded after the one before, must pass the same
-    checks and keep the run bound across block joins.  Raises ValueError
-    when the coded source space exceeds the exhaustive cap.
+    random blocks goes through the batch methods, encoded and, at other
+    cuts, decoded in seeded random pieces, each after the strand before
+    it.  It must equal the blocks coded one at a time, each after the
+    one before, pass the same checks, and keep the run bound across
+    block joins.  Raises ValueError when the coded source space exceeds
+    the exhaustive cap.
     """
     from .constructions import make_codec
 
@@ -321,19 +333,20 @@ def validate_codec(name: str, **params) -> BruteForceReport:
     if 2 ** (k - raw) > SOURCE_CAP:
         raise ValueError(f"source space 2**{k - raw} exceeds the {SOURCE_CAP} cap")
 
-    def check(index: int, symbol_state) -> tuple[int, ...]:
-        """Encode index after a block ending in symbol_state; the strand's symbols."""
-        state = None if symbol_state is None else _BASES[symbol_state]
+    def check(index: int, state) -> tuple[bytes, bool]:
+        """Encode index after a block ending in the byte state; the strand, and if it passed."""
         strand = codec.encode_block(index, state)
         report.cases += 1
+        symbol_state = _SYMBOL_OF_BASE.get(state)
         expected = None if table is None else table(index, symbol_state)
-        report.failures.extend(
+        problems = [
             f"{problem}: index={index} state={symbol_state} strand={strand!r}"
             for problem in _word_problems(codec, strand, state, index, expected)
-        )
-        return _symbols(strand) or ()
+        ]
+        report.failures.extend(problems)
+        return strand, not problems
 
-    states = (None,) if codec.max_run is None else (None, 0, 1, 2, 3)
+    states = (None,) if codec.max_run is None else (None, *_BASES)
     rng = random.Random(_STREAM_SEED)
     fills = dict.fromkeys((0, 2**raw - 1, rng.getrandbits(raw)))
     for value in range(2 ** (k - raw)):
@@ -341,12 +354,33 @@ def validate_codec(name: str, **params) -> BruteForceReport:
             for state in states:
                 check(value << raw | fill, state)
 
-    stream: list[int] = []
+    values = [rng.getrandbits(k) for _ in range(stream_blocks)]
+
+    def state_before(strands: list, i: int):
+        return strands[i - 1][-1] if i and strands[i - 1] else None
+
+    strands: list = []
+    for a, b in _cuts(rng, stream_blocks):
+        strands += codec.encode_blocks(values[a:b], state_before(strands, a))
+    decoded: list = []
+    for a, b in _cuts(rng, stream_blocks):
+        try:
+            decoded += codec.decode_blocks(strands[a:b], state_before(strands, a))
+        except ValueError:
+            decoded += [None] * (b - a)
+    if len(strands) != stream_blocks:
+        report.failures.append(f"batch encode gave {len(strands)} strands for {stream_blocks}")
     state = None
-    for _ in range(stream_blocks):
-        word = check(rng.getrandbits(k), state)
-        stream.extend(word)
-        state = word[-1] if word else None
+    for value, batch_strand, batch_value in zip(values, strands, decoded):
+        strand, passed = check(value, state)
+        if passed and batch_strand != strand:
+            report.failures.append(
+                f"batch mismatch: index={value} strand={batch_strand!r}, alone {strand!r}"
+            )
+        elif passed and batch_value != value:
+            report.failures.append(f"batch round-trip failure: index={value} strand={strand!r}")
+        state = strand[-1] if _symbols(strand) else None
+    stream = [s for strand in strands for s in _symbols(strand) or ()]
     if codec.max_run is not None and _scan_max_run(stream) > codec.max_run:
         report.failures.append(f"stream run violation over {stream_blocks} blocks")
 

@@ -11,30 +11,33 @@ chunk of bytes becomes one integer (`int.from_bytes`) and then one
 numeral (`format`), and each k-bit block is a slice of it read back by
 `int(digits, 2)`; only the fewer than k bits left over wait for the next
 chunk.  Decoding runs the other way: it formats each decoded block as k
-digits, joins a chunk's worth, reads them as one integer and holds back
+digits, joins a batch's worth, reads them as one integer and holds back
 the last k + 8 bits, which may be pad and trailer, until the stream
 ends.  So `encode_stream` and `decode_stream` keep at most about one
-chunk in memory, whatever the payload size.  Codecs see the block
-protocol: `encode_block(value, state)` takes a block's k-bit int and
-returns its strand as ASCII bytes, `decode_block(strand, state)` goes
-back, and the state is the previous strand's last byte.
+chunk in memory, whatever the payload size.
+
+Strands travel in batches, one list per chunk, and a codec codes a
+batch per call: `encode_blocks(values, state)` takes the blocks' k-bit
+ints and returns their strands as ASCII bytes, `decode_blocks(strands,
+state)` goes back, and the state is the last byte of the strand before
+the batch.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from itertools import islice, repeat
+from itertools import repeat
 
-from .blockcodes import STREAM_START, check_block_size
+from .blockcodes import STREAM_START, BlockError, check_block_size
 
 __all__ = ["CHUNK_BYTES", "decode_stream", "encode_stream"]
 
-# Bytes per chunk: what the CLI reads at a time, and about how much
-# decoded data decode_stream gathers before it yields.
+# Bytes per chunk: what the CLI reads at a time, and so the size of a
+# batch of strands.
 CHUNK_BYTES = 1 << 14
 
 
-def _framed(chunks: Iterable[bytes], k: int) -> Iterator[Iterator[int]]:
+def _framed(chunks: Iterable[bytes], k: int) -> Iterator[list[int]]:
     """The k-bit blocks of the chunks, then of pad and trailer, a chunk's worth at a time."""
     held, held_bits = 0, 0  # fewer than k bits not yet in a block
     for chunk in chunks:
@@ -48,63 +51,63 @@ def _framed(chunks: Iterable[bytes], k: int) -> Iterator[Iterator[int]]:
     yield _blocks((held << pad + 8) | pad, held_bits + pad + 8, k)
 
 
-def _blocks(value: int, size: int, k: int) -> Iterator[int]:
+def _blocks(value: int, size: int, k: int) -> list[int]:
     """The k-bit blocks of a size-bit value, most significant first."""
     digits = format(value, f"0{size}b")
-    return map(int, [digits[i : i + k] for i in range(0, size, k)], repeat(2))
+    return list(map(int, [digits[i : i + k] for i in range(0, size, k)], repeat(2)))
 
 
-def encode_stream(codec, chunks: Iterable[bytes]) -> Iterator[bytes]:
-    """Encode a byte stream, given in chunks, into strands, threading encoder state.
+def encode_stream(codec, chunks: Iterable[bytes]) -> Iterator[list[bytes]]:
+    """Encode a byte stream, given in chunks, into batches of strands, threading encoder state.
 
-    The block size is checked on the call; strands come out as soon as
-    their source bits have arrived.
+    The block size is checked on the call; a batch comes out as soon as
+    its chunk has arrived, and the last one holds pad and trailer.
     """
     k = check_block_size(codec.source_bits)
 
-    def strands() -> Iterator[bytes]:
-        encode = codec.encode_block
+    def batches() -> Iterator[list[bytes]]:
+        encode = codec.encode_blocks
         state = STREAM_START
         for values in _framed(chunks, k):
-            for value in values:
-                strand = encode(value, state)
-                yield strand
-                state = strand[-1]
+            strands = encode(values, state)
+            yield strands
+            state = strands[-1][-1]
 
-    return strands()
+    return batches()
 
 
-def decode_stream(codec, strands: Iterable[bytes]) -> Iterator[bytes]:
-    """Invert encode_stream: decoded bytes, in pieces of about CHUNK_BYTES.
+def decode_stream(codec, batches: Iterable[list[bytes]]) -> Iterator[bytes]:
+    """Invert encode_stream: decoded bytes, a piece per batch of strands.
 
-    A strand the codec rejects raises ValueError naming its 1-based
-    block number; a bad pad trailer raises once the strands run out.
-    The block size is checked on the call.
+    A strand the codec rejects raises BlockError naming its 1-based block
+    number, with its 0-based place in the stream as position; so does a
+    bad pad trailer, for the last block, once the batches run out.  The
+    block size is checked on the call.
     """
     k = check_block_size(codec.source_bits)
     keep = k + 8  # trailing bits that may be pad and trailer
-    flush = max(1, 8 * CHUNK_BYTES // k)  # blocks per flush
     digits = f"0{k}b"
 
     def pieces() -> Iterator[bytes]:
-        decode = codec.decode_block
+        decode = codec.decode_blocks
         held, held_bits = 0, 0  # decoded bits not yet emitted
         state = STREAM_START
-        count = 0
-        source = iter(strands)
-        while True:
-            values = []
-            for count, strand in enumerate(islice(source, flush), count + 1):
-                try:
-                    values.append(decode(strand, state))
-                except ValueError as exc:
-                    raise ValueError(f"block {count}: {exc}") from None
-                state = strand[-1]
-            if not values:
-                break
+        count = 0  # blocks decoded
+        for strands in batches:
+            if not strands:
+                continue
+            try:
+                values = decode(strands, state)
+            except BlockError as exc:
+                raise BlockError(f"block {count + exc.position + 1}: {exc}",
+                                 count + exc.position) from None
             numeral = "".join(map(format, values, repeat(digits)))
             if len(numeral) != k * len(values):
-                raise ValueError(f"block {count}: a decoded index is not a {k}-bit value")
+                bad = next(i for i, v in enumerate(values) if len(format(v, digits)) != k)
+                raise BlockError(f"block {count + bad + 1}: a decoded index is not a {k}-bit"
+                                 " value", count + bad)
+            count += len(values)
+            state = strands[-1][-1]
             held = held << len(numeral) | int(numeral, 2)
             held_bits += len(numeral)
             out = (held_bits - keep) // 8
@@ -117,11 +120,12 @@ def decode_stream(codec, strands: Iterable[bytes]) -> Iterator[bytes]:
         pad = held & 0xFF
         payload_bits = held_bits - 8 - pad
         if pad >= k or payload_bits < 0 or payload_bits % 8:
-            raise ValueError(
-                f"block {count}: corrupt pad trailer (pad={pad}, stream={count * k} bits)"
+            raise BlockError(
+                f"block {count}: corrupt pad trailer (pad={pad}, stream={count * k} bits)",
+                count - 1,
             )
         if (held >> 8) & ((1 << pad) - 1):
-            raise ValueError(f"block {count}: nonzero padding bits")
+            raise BlockError(f"block {count}: nonzero padding bits", count - 1)
         yield (held >> pad + 8).to_bytes(payload_bits // 8, "big")
 
     return pieces()

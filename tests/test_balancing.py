@@ -187,7 +187,7 @@ def test_decode_stream_refuses_an_unbalanced_construction1_strand():
     # A valid prefix on the high plane, but 8 of 14 bases A or T: the exact
     # balancer's bound is 7.
     codec = make_codec("construction1", ell=8)
-    strands = list(payload.encode_stream(codec, [b"a few payload bytes"]))
+    strands = [s for batch in payload.encode_stream(codec, [b"a few payload bytes"]) for s in batch]
     strands[2] = b"GGAAAGAAAAGGGA"
     with pytest.raises(ValueError, match=r"^block 3: word weight"):
-        b"".join(payload.decode_stream(codec, strands))
+        b"".join(payload.decode_stream(codec, [strands]))

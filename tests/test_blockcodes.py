@@ -1,5 +1,6 @@
 import itertools
 import random
+from bisect import bisect_right
 from functools import lru_cache, partial
 
 import pytest
@@ -383,3 +384,109 @@ class TestEnumerativeProperties:
         assert code.decode_block(word, state) == index
         if kind == "state-dependent":
             assert abs(2 * at_weight(symbols(word)) - n) <= code.max_unbalance
+
+
+def _plain_unrank(words, root, index):
+    """The index-th word under root by one bisect per symbol, without the tail tables."""
+    word = bytearray()
+    node = root
+    for _ in range(words.n):
+        starts, symbols, children = words._steps[node]
+        k = bisect_right(starts, index) - 1
+        index -= starts[k]
+        word.append(symbols[k])
+        node = children[k]
+    return bytes(word)
+
+
+class TestTailTables:
+    @pytest.mark.parametrize(
+        "code",
+        [
+            blockcodes.StateDependentCode(3, 9),
+            blockcodes.StateIndependentCode(3, 10),
+            blockcodes.TwoModeRllCode(4, 12),
+        ],
+        ids=["sd-m3n9", "si-m3n10", "two-mode-m4n12"],
+    )
+    def test_every_index_matches_the_plain_walk(self, code):
+        roots = set(code._roots.values()) if isinstance(code._roots, dict) else set(code._roots)
+        words = code._words
+        for root in roots:
+            for index in range(2**code.source_bits):
+                word = _plain_unrank(words, root, index)
+                assert words._unrank(root, index) == word
+                assert words._rank(root, word) == index
+
+    @pytest.mark.parametrize("alphabet,h", [(b"GCAT", 4), (b"01", 8)])
+    def test_tail_length_follows_from_the_alphabet(self, alphabet, h):
+        for n in (1, h - 1, h, h + 1, 3 * h):
+            words = blockcodes._Enumerator(alphabet, 2, n)
+            assert words._head == max(0, n - h)
+            tails = [t for t in words._tails if t is not None]
+            assert all(list(t) == sorted(set(t)) for t in tails)
+            assert all(len(t) <= 256 for t in tails)
+
+
+class TestBatchMethods:
+    def test_state_dependent_refuses_a_state_that_is_no_base(self):
+        code = blockcodes.StateDependentCode(3, 8)
+        strand = code.encode_block(5, None)
+        for state in (ord("g"), ord("N"), 0):
+            with pytest.raises(ValueError, match="state"):
+                code.decode_block(strand, state)
+            with pytest.raises(ValueError, match="state"):
+                code.decode_blocks([strand], state)
+            with pytest.raises(ValueError, match="state"):
+                code.encode_block(5, state)
+            with pytest.raises(ValueError, match="state"):
+                code.encode_blocks([5], state)
+
+    @pytest.mark.parametrize("kind", sorted(CODES))
+    def test_a_refused_word_carries_its_position(self, kind):
+        code = CODES[kind][0](2, 6)
+        words = code.encode_blocks(list(range(6)), None)
+        words[4] = bytes(code.alphabet[s] for s in (1, 1, 1, 0, 1, 0))  # a run of three
+        with pytest.raises(blockcodes.BlockError) as refused:
+            code.decode_blocks(words, None)
+        assert refused.value.position == 4
+        with pytest.raises(blockcodes.BlockError) as refused:
+            code.encode_blocks([0, 1, -1], None)
+        assert refused.value.position == 2
+
+
+class TestRefusalReasons:
+    def test_first_symbol_equals_the_state(self):
+        code = blockcodes.StateDependentCode(3, 5)
+        word = code.encode_block(2**code.source_bits - 1, ord("G"))
+        with pytest.raises(ValueError, match=r"^not a codeword of this state-dependent code: "
+                                             rf"its first symbol equals the state {chr(word[0])}$"):
+            code.decode_block(word, word[0])
+
+    def test_dropped_boundary_word(self):
+        m, n = 3, 5
+        code = blockcodes.StateDependentCode(m, n)
+        kept = set(oracle.state_dependent_tables(m, n)[0])
+        dropped = next(
+            w for w in oracle.constrained_words(4, m, n)
+            if w[0] != 0 and w not in kept and abs(2 * at_weight(w) - n) == code.max_unbalance
+        )
+        with pytest.raises(ValueError, match=r"^not a codeword of this state-dependent code: "
+                                             r"a dropped boundary word \(AT/GC unbalance 3\)$"):
+            code.decode_block(bytes(b"GCAT"[s] for s in dropped), ord("G"))
+
+    @pytest.mark.parametrize("code", [blockcodes.StateIndependentCode(3, 5),
+                                      blockcodes.TwoModeRllCode(3, 6)])
+    def test_index_past_the_kept_range(self, code):
+        keep = 2**code.source_bits
+        word = code._unrank(code._roots[0], keep)  # the first word the code drops
+        with pytest.raises(ValueError, match=rf"^not a codeword of this {code.kind} code: "
+                                             rf"its index {keep} is past the kept range "
+                                             rf"0\.\.{keep - 1}$"):
+            code.decode_block(word)
+
+    def test_other_refusals_keep_their_message(self):
+        code = blockcodes.StateDependentCode(3, 5)
+        with pytest.raises(ValueError, match=r"^not a codeword of this state-dependent code "
+                                             r"for this state$"):
+            code.decode_block(b"CAAAA", ord("G"))

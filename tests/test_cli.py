@@ -1,6 +1,8 @@
 import contextlib
 import io
 import os
+import subprocess
+import sys
 import tempfile
 import time
 
@@ -434,3 +436,39 @@ class TestVerify:
                                "--stream-blocks", "100")
         assert code == 0
         assert "verify: PASS" in out
+
+
+class TestImports:
+    def test_codec_commands_leave_the_root_solver_unloaded(self):
+        import dnacodes
+
+        src = os.path.dirname(os.path.dirname(dnacodes.__file__))
+        probe = (
+            "import sys, dnacodes.cli\n"
+            "print(sorted(m for m in sys.modules if m.startswith('dnacodes.')))\n"
+        )
+        result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                                env={**os.environ, "PYTHONPATH": src}, check=True)
+        loaded = result.stdout
+        assert "dnacodes.cli" in loaded
+        assert "dnacodes.asymptotics" not in loaded
+        assert "dnacodes.oracle" not in loaded
+
+    def test_every_exported_name_imports(self):
+        import dnacodes
+        from dnacodes import asymptotics, counting, words
+
+        assert set(dnacodes.__all__) == {
+            "CapacityResult", "capacity", "combined_redundancy", "efficiency_eta",
+            "gamma_binary", "gamma_quaternary", "leading_coefficient", "q_function",
+            "rll_count_approx", "rll_redundancy", "WeightProfile", "balance_redundancy",
+            "binomial_weight_count", "near_balanced_count", "rll_count", "rll_count_gf",
+            "rll_weight_count_binary", "rll_weight_count_quaternary", "weight_profile",
+            "oligo_to_text", "text_to_oligo",
+        }
+        for name in dnacodes.__all__:
+            module = next(m for m in (asymptotics, counting, words) if hasattr(m, name))
+            assert getattr(dnacodes, name) is getattr(module, name)
+        from dnacodes import capacity, text_to_oligo  # noqa: F401
+        with pytest.raises(AttributeError):
+            dnacodes.no_such_name  # noqa: B018

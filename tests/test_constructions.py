@@ -9,7 +9,7 @@ import hypothesis.strategies as st
 
 from dnacodes import payload
 from dnacodes.balancing import KnuthBalancer, WeakKnuthBalancer
-from dnacodes.blockcodes import TwoModeRllCode
+from dnacodes.blockcodes import BlockError, TwoModeRllCode
 from dnacodes.cli import _line_fault
 from dnacodes.constructions import CODECS, PlaneCodec, make_codec
 from dnacodes.words import max_run, merge_planes
@@ -125,20 +125,20 @@ class TestConstruction2:
 
 
 class _Recorder:
-    """A one-bit binary code that records the state it is handed."""
+    """A one-bit binary code that records the state each batch is handed."""
 
     source_bits, oligo_len, max_run, weight_bound = 1, 2, None, None
 
     def __init__(self):
         self.states = []
 
-    def encode_block(self, value, state=None):
+    def encode_blocks(self, values, state=None):
         self.states.append(state)
-        return b"01" if value else b"10"
+        return [b"01" if value else b"10" for value in values]
 
-    def decode_block(self, digits, state=None):
+    def decode_blocks(self, words, state=None):
         self.states.append(state)
-        return int(digits == b"01")
+        return [int(digits == b"01") for digits in words]
 
 
 class TestPlaneCodec:
@@ -334,6 +334,41 @@ class TestBlockProtocol:
             with pytest.raises(ValueError):
                 codec.decode_block(damaged, state)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(sorted(CODECS)), st.integers(0, 2), st.data())
+    def test_batches_equal_blocks_one_at_a_time(self, name, i, data):
+        codec = _protocol_codec(name, i)
+        size = data.draw(st.integers(0, 40), label="size")
+        values = data.draw(st.lists(st.integers(0, 2**codec.source_bits - 1),
+                                    min_size=size, max_size=size), label="values")
+        cuts = sorted(data.draw(st.lists(st.integers(0, size), max_size=5), label="cuts"))
+        start = data.draw(st.sampled_from([None, *b"GCAT"]), label="state")
+        strands, state = [], start
+        for value in values:
+            strands.append(codec.encode_block(value, state))
+            assert codec.decode_block(strands[-1], state) == value
+            state = strands[-1][-1]
+        pieces = list(zip([0, *cuts], [*cuts, size]))
+        batched, decoded = [], []
+        for a, b in pieces:
+            state = strands[a - 1][-1] if a else start
+            batched += codec.encode_blocks(values[a:b], state)
+            decoded += codec.decode_blocks(strands[a:b], state)
+        assert batched == strands
+        assert decoded == values
+
+    @pytest.mark.parametrize("name", sorted(CODECS))
+    def test_a_refused_strand_carries_its_place_in_the_batch(self, name):
+        codec = _protocol_codec(name, 1)
+        strands = codec.encode_blocks(list(range(8)), None)
+        for bad in (strands[5][:-1], b"N" + strands[5][1:], strands[5].lower()):
+            damaged = strands[:5] + [bad] + strands[6:]
+            with pytest.raises(BlockError) as refused:
+                codec.decode_blocks(damaged, None)
+            assert refused.value.position == 5
+            with pytest.raises(BlockError):
+                codec.decode_block(bad, strands[4][-1])
+
     @pytest.mark.parametrize("name", sorted(CODECS))
     def test_out_of_range_index_refused(self, name):
         codec = _protocol_codec(name, 0)
@@ -361,8 +396,8 @@ class TestPayloadFraming:
 
     def test_stream_respects_constraint(self):
         codec = make_codec("construction2", m=2, n=6)
-        blocks = list(payload.encode_stream(codec, [bytes(range(64))]))
-        assert max_run(b"".join(blocks)) <= 2
+        batches = payload.encode_stream(codec, [bytes(range(64))])
+        assert max_run(b"".join(b"".join(batch) for batch in batches)) <= 2
 
     def test_corrupt_trailer_detected(self):
         codec = make_codec("state-dependent", m=3, n=5)

@@ -109,13 +109,15 @@ class TestValidateCodec:
     def test_catches_a_balancer_one_past_its_weight_bound(self, monkeypatch):
         from dnacodes.balancing import KnuthBalancer
 
-        encode_block = KnuthBalancer.encode_block
+        encode_blocks = KnuthBalancer.encode_blocks
 
-        def off_by_one(self, value, state=None):
-            word = encode_block(self, value, state)
-            return word[:-1] + (b"0" if word.endswith(b"1") else b"1")  # |2w - n| = 2, the bound is 0
+        def off_by_one(self, values, state=None):
+            return [  # |2w - n| = 2, the bound is 0
+                word[:-1] + (b"0" if word.endswith(b"1") else b"1")
+                for word in encode_blocks(self, values, state)
+            ]
 
-        monkeypatch.setattr(KnuthBalancer, "encode_block", off_by_one)
+        monkeypatch.setattr(KnuthBalancer, "encode_blocks", off_by_one)
         report = oracle.validate_codec("construction1", ell=8, stream_blocks=10)
         assert any(f.startswith("weight bound violated") for f in report.failures)
 
@@ -129,6 +131,24 @@ class TestValidateCodec:
         report = oracle.validate_codec("state-independent", m=3, n=5, stream_blocks=10)
         assert report.failures
         assert all(f.startswith("not uppercase GCAT bytes") for f in report.failures)
+
+
+    @pytest.mark.parametrize("method", ["encode_blocks", "decode_blocks"])
+    def test_catches_a_codec_that_drops_state_between_batches(self, monkeypatch, method):
+        from dnacodes.blockcodes import StateDependentCode
+
+        batch = getattr(StateDependentCode, method)
+
+        def drops_state(self, items, state=None):  # a batch of one keeps it
+            return batch(self, items, state if len(items) == 1 else None)
+
+        monkeypatch.setattr(StateDependentCode, method, drops_state)
+        report = oracle.validate_codec("state-dependent", m=3, n=5, stream_blocks=200)
+        assert report.failures
+        kinds = {f.split(":")[0] for f in report.failures}
+        expected = ({"batch mismatch", "stream run violation over 200 blocks"}
+                    if method == "encode_blocks" else {"batch round-trip failure"})
+        assert kinds <= expected and kinds & expected
 
 
 class TestConstrainedWords:

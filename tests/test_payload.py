@@ -67,13 +67,18 @@ def _reference_encode(codec, data):
     return blocks
 
 
+def _flat(batches):
+    return [strand for batch in batches for strand in batch]
+
+
 def _strands_of(codec, data):
     """The strands of data, encoded as one chunk."""
-    return list(payload.encode_stream(codec, [data]))
+    return _flat(payload.encode_stream(codec, [data]))
 
 
 def _bytes_of(codec, strands):
-    return b"".join(payload.decode_stream(codec, strands))
+    """The bytes of strands, decoded as one batch."""
+    return b"".join(payload.decode_stream(codec, [strands]))
 
 
 def _codec_of_route(route):
@@ -113,7 +118,7 @@ class TestReferenceIdentity:
         codec = _codec(name)
         expected = _reference_encode(codec, data)
         assert _strands_of(codec, data) == expected
-        assert list(payload.encode_stream(codec, _split(data, cuts))) == expected
+        assert _flat(payload.encode_stream(codec, _split(data, cuts))) == expected
         assert _bytes_of(codec, expected) == data
 
     @pytest.mark.parametrize("route", sorted(ROUTES))
@@ -121,13 +126,15 @@ class TestReferenceIdentity:
         codec = _codec_of_route(route)
         data = random.Random(11).randbytes(2 * CHUNK + 123)
         expected = _reference_encode(codec, data)
-        assert list(payload.encode_stream(codec, _split(data, [5, CHUNK, 2 * CHUNK]))) == expected
-        assert b"".join(payload.decode_stream(codec, iter(expected))) == data
+        batches = list(payload.encode_stream(codec, _split(data, [5, CHUNK, 2 * CHUNK])))
+        assert _flat(batches) == expected
+        assert b"".join(payload.decode_stream(codec, iter(batches))) == data
 
     def test_decode_pieces_hold_back_the_trailer(self):
         codec = _codec_of_route("c1-knuth")
         data = bytes(range(256)) * (CHUNK // 64)
-        pieces = list(payload.decode_stream(codec, _strands_of(codec, data)))
+        batches = payload.encode_stream(codec, _split(data, [CHUNK // 2]))
+        pieces = list(payload.decode_stream(codec, batches))
         assert len(pieces) > 1
         assert b"".join(pieces) == data
 
@@ -226,6 +233,50 @@ class TestDecodeErrors:
         assert code == 1
         assert err.startswith(f"error: line {len(lines) - 1}: block {len(lines) - 1}: ")
         assert "pad" in err
+
+    @staticmethod
+    def _spaced_crlf(strands, lines):
+        """Write lines with a blank line before every 97th and CRLF endings; each line's number."""
+        text, numbers = [], []
+        for i, line in enumerate(lines):
+            if i % 97 == 0:
+                text.append(" " if i % 2 else "")
+            text.append(line)
+            numbers.append(len(text))
+        strands.write_bytes(("\r\n".join(text) + "\r\n\r\n").encode())
+        return numbers
+
+    @pytest.mark.parametrize("damage", ["run", "state"])
+    def test_line_past_the_first_chunk_is_named(self, tmp_path, capsys, damage):
+        strands = _encode_file(tmp_path, "sd", random.Random(13).randbytes(CHUNK))
+        lines = strands.read_text().splitlines()
+        block = 3000
+        if damage == "run":
+            lines[block] = "GGGGGGGG"
+            message = "homopolymer run exceeds 3"
+        else:  # a codeword, but one that starts with the state's symbol
+            codec = _codec_of_route("sd")
+            state = ord(lines[block - 1][-1])
+            values = range(0, 2**codec.source_bits, 2 ** (codec.source_bits - 3))
+            lines[block] = next(
+                w for other in b"GCAT" for v in values
+                if (w := codec.encode_block(v, other))[0] == state
+            ).decode()
+            message = (f"block {block + 1}: not a codeword of this state-dependent code: its first"
+                       f" symbol equals the state {chr(state)}")
+        numbers = self._spaced_crlf(strands, lines)
+        assert strands.read_bytes().index(lines[block].encode()) > CHUNK
+        code, err = _decode(capsys, "sd", strands, tmp_path / "out.bin")
+        assert (code, err) == (1, f"error: line {numbers[block]}: {message}\n")
+
+    def test_pad_trailer_error_past_the_first_chunk_names_the_last_line(self, tmp_path, capsys):
+        strands = _encode_file(tmp_path, "sd", random.Random(14).randbytes(CHUNK))
+        lines = strands.read_text().splitlines()[:-1]
+        numbers = self._spaced_crlf(strands, lines)
+        code, err = _decode(capsys, "sd", strands, tmp_path / "out.bin")
+        assert code == 1
+        assert err.startswith(f"error: line {numbers[-1]}: block {len(lines)}: ")
+        assert "pad" in err or "padding" in err
 
     def test_overlong_line_is_not_read_whole(self, tmp_path, capsys):
         strands = tmp_path / "long.txt"
