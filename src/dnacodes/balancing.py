@@ -22,7 +22,6 @@ The balance construction puts these digits on a strand's high plane.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from .blockcodes import BlockCode, BlockError
@@ -69,11 +68,11 @@ def rank_balanced(word: bytes) -> int:
 class _FlipBalancer(BlockCode):
     """A code that XORs one of its flip masks onto the word and carries which in a prefix.
 
-    Subclasses are frozen dataclasses that set source_bits (n), p0,
-    oligo_len = n + 2*p0 and weight_bound in __post_init__, list the
-    flip masks, first bit most significant, in _masks, and pick a
-    value's mask in _flip_index.  The tables are built on first use, so
-    building a balancer allocates nothing that grows with n.
+    Subclasses set source_bits (n), p0, oligo_len = n + 2*p0 and
+    weight_bound, list the flip masks, first bit most significant, in
+    _masks, and pick a value's mask in _flip_index.  The tables are
+    built on first use, so building a balancer allocates nothing that
+    grows with n.
     """
 
     max_run = None
@@ -120,7 +119,6 @@ class _FlipBalancer(BlockCode):
         return values
 
 
-@dataclass(frozen=True)
 class KnuthBalancer(_FlipBalancer):
     """Exact balancer: source_bits (even) bits to an exactly balanced digit word.
 
@@ -128,18 +126,15 @@ class KnuthBalancer(_FlipBalancer):
     and the prefix carries k0 - 1 in 2*p0 digits, p0 = ceil(log2 n).
     """
 
-    source_bits: int
-    p0: int = field(init=False)
-    oligo_len: int = field(init=False)
-    weight_bound: int = field(default=0, init=False)  # max |weight - oligo_len/2|
+    weight_bound = 0  # max |weight - oligo_len/2|
 
-    def __post_init__(self):
-        n = self.source_bits
+    def __init__(self, source_bits: int):
+        n = source_bits
         if n < 2 or n % 2:
             raise ValueError("ell must be even and at least 2")
-        p0 = max(1, (n - 1).bit_length())
-        object.__setattr__(self, "p0", p0)
-        object.__setattr__(self, "oligo_len", n + 2 * p0)
+        self.source_bits = n
+        self.p0 = max(1, (n - 1).bit_length())
+        self.oligo_len = n + 2 * self.p0
 
     @cached_property
     def _masks(self) -> tuple[int, ...]:
@@ -165,7 +160,6 @@ class KnuthBalancer(_FlipBalancer):
         return k0 - 1
 
 
-@dataclass(frozen=True)
 class WeakKnuthBalancer(_FlipBalancer):
     """Weak balancer: bounded unbalance with a prefix of only 2*p0 digits.
 
@@ -175,20 +169,16 @@ class WeakKnuthBalancer(_FlipBalancer):
     ceil(s/2) of n/2.
     """
 
-    source_bits: int
-    p0: int
-    oligo_len: int = field(init=False)
-    weight_bound: int = field(init=False)
-
-    def __post_init__(self):
-        n, p0 = self.source_bits, self.p0
+    def __init__(self, source_bits: int, p0: int):
+        n = source_bits
         if n < 1:
             raise ValueError("ell must be positive")
         # 2**p0 <= n, asked of bit lengths so a huge p0 costs nothing.
         if not 1 <= p0 < n.bit_length():
             raise ValueError("need 1 <= p0 with 2**p0 <= ell")
-        object.__setattr__(self, "oligo_len", n + 2 * p0)
-        object.__setattr__(self, "weight_bound", (-(-n >> p0) + 1) // 2)
+        self.source_bits, self.p0 = n, p0
+        self.oligo_len = n + 2 * p0
+        self.weight_bound = (-(-n >> p0) + 1) // 2
 
     @cached_property
     def _masks(self) -> tuple[int, ...]:

@@ -15,8 +15,11 @@ encoding finds the index-th codeword and decoding counts the codewords
 below the received one, both by one walk down a graph of prefix states
 whose edges carry codeword counts.  The graph has O(n * m) nodes, or
 O(n**2 * m) for the state-dependent code, whose states also carry the
-AT-content so far.  The last few symbols of a walk are one read of a
-byte table.  Each codec memoises its walks in a bounded LRU.
+AT-content so far.  The first few symbols of a word are one row of a
+per-root head table and the last few one entry of a per-node table,
+so only the symbols between them, in words longer than 8 bases or 16
+digits, are walked one at a time.  Nothing is memoised, so a code's
+memory does not grow with what it has coded.
 
 A block goes in as its index, a source_bits-bit int, and comes out as
 the codeword's ASCII bytes: bases b"GCAT" for the quaternary codes,
@@ -27,14 +30,15 @@ the encoder emits: uppercase bases, or digits.
 Codes work a batch at a time: `encode_blocks(values, state)` returns a
 list of codewords and `decode_blocks(words, state)` a list of indices,
 each threading the state from block to block, and a refused block
-raises `BlockError` with its place in the batch.  `BlockCode` gives
-every code the single-block methods as a batch of one.
+raises `BlockError` with its place in the batch.  The whole batch runs
+in one loop of the enumerator, which picks each block's root from the
+state.  `BlockCode` gives every code the single-block methods as a
+batch of one.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from functools import lru_cache
 
 from . import counting
 from .words import BASES, max_run
@@ -43,7 +47,6 @@ __all__ = [
     "BlockCode",
     "BlockError",
     "MAX_BLOCK_BITS",
-    "MEMO_SIZE",
     "StateDependentCode",
     "StateIndependentCode",
     "TwoModeRllCode",
@@ -60,10 +63,6 @@ STREAM_START = None
 # Largest block of source bits: the one-byte pad trailer of the payload
 # framing counts at most 255 pad bits.
 MAX_BLOCK_BITS = 256
-
-# Entries in each codec's encode and decode memo.  At 2**17 the memo
-# holds every (state, index) pair of a 15-bit quaternary code.
-MEMO_SIZE = 2**17
 
 # Counting a code's words costs O(n) additions of n-bit ints: a few ms up
 # to this length, seconds past it.  Up to it an oversize code is refused
@@ -95,10 +94,11 @@ class BlockCode:
         return self.decode_blocks([word], state)[0]
 
 
-@lru_cache(maxsize=None)
-def _adding(offset: int) -> bytes:
-    """The translate table that adds offset to every byte below 256 - offset."""
-    return bytes((v + offset) & 0xFF for v in range(256))
+def _first_outside(values: list[int], keep: int) -> int | None:
+    """Place of the first value outside 0..keep - 1, or None when every value is inside."""
+    if not values or (min(values) >= 0 and max(values) < keep):
+        return None
+    return next(i for i, value in enumerate(values) if not 0 <= value < keep)
 
 
 def _floor_log2(value: int) -> int:
@@ -151,13 +151,20 @@ class _Enumerator:
     words are left out, so a word that breaks the run limit, the window
     or the first-symbol rule has no path.
 
-    The walk stops h symbols short of the end, h the largest length with
-    q**h <= 256 (4 bases, 8 digits), so that a suffix of h symbols, read
-    as a base-q number, is a one-byte code.  A node there or deeper holds
-    its tail: the sorted codes of its kept suffixes in one bytes object,
-    built from its children's tails by translate.  So the last h symbols
-    are one read of the tail when unranking and one find in it when
-    ranking.
+    A word is read in three parts.  Its last h symbols, h the largest
+    length below n with q**h <= 256 (4 bases, 8 digits), read as a
+    base-q number, are a one-byte code.  A node h symbols short of the
+    end or deeper holds its tail: the sorted codes of its kept suffixes
+    in one bytes object, built from its children's tails by translate.
+    A node h symbols short of the end also holds its ends: those
+    suffixes as bytes, in order, and a dict from each to its place.
+    A word's first j = min(h, n - h) symbols are a row of the root's
+    head table (see head), at most 256 rows.  Only the symbols in
+    between, of words longer than 2h, are walked one at a time.  So a
+    word of up to 2h symbols is unranked by one bisect in the head table
+    and one read of the ends, and ranked by two dict gets.  Nothing is
+    memoised: the memory a code takes does not depend on the words it
+    has coded.
 
     With `unbalance` = D, the kept words are those with |2w - n| < D plus
     the boundary words (|2w - n| == D) from a given boundary rank on:
@@ -173,25 +180,32 @@ class _Enumerator:
         self.q, self.m, self.n = q, m, n
         self.unbalance = unbalance
         h = 0
-        while q ** (h + 1) <= 256 and h < n:
+        while q ** (h + 1) <= 256 and h < n - 1:
             h += 1
-        self._head = n - h  # symbols walked one at a time
-        # Each tail code's suffix bytes, and back.
+        self._cut = n - h  # where the tail starts
+        self._j = min(h, n - h)  # length of the head tables' prefixes
+        # Each tail code's suffix bytes.
         self._suffix = [
             bytes(alphabet[code // q**i % q] for i in range(h - 1, -1, -1)) for code in range(q**h)
         ]
-        self._code_of_suffix = {suffix: code for code, suffix in enumerate(self._suffix)}
+        # The translate tables that add s * q**i to every tail code, for s < q and i < h.
+        offsets = {s * q**i for i in range(h) for s in range(q)}
+        self._adding = {o: bytes(range(o, 256)) + bytes(range(o)) for o in offsets}
         # Per node: (starts, symbol bytes, children), the number of kept
-        # words below it, and its tail from the walk's end on (else None).
-        # Node 0 is the complete kept word.
+        # words below it, and its tail from the walk's end on (else
+        # None).  Node 0 is the complete kept word.
         self._steps: list[tuple] = [((), b"", ())]
         self._sizes = [1]
         self._tails: list[bytes | None] = [b"\0"]
+        # Per node h symbols short of the end: its ends, and their places.
+        self._ends: dict[int, tuple[bytes, ...]] = {}
+        self._end_index: dict[int, dict[bytes, int]] = {}
+        self._ends_of_tail: dict[bytes, tuple] = {}
+        if h == 0:  # node 0 is h symbols short of the end
+            self._set_ends(0)
         # _levels[p] maps (last, run, weight, above) to the node of a length-p prefix.
         self._levels = [{} for _ in range(n + 1)]
         self._build()
-        self.unrank = lru_cache(maxsize=MEMO_SIZE)(self._unrank)
-        self.rank = lru_cache(maxsize=MEMO_SIZE)(self._rank)
 
     def _weight(self, symbol: int) -> int:
         # Only the window needs the weight; without one every prefix has weight 0.
@@ -213,11 +227,22 @@ class _Enumerator:
         ))
         self._sizes.append(total)
         tail = None
-        if p >= self._head:
+        if p >= self._cut:
             place = self.q ** (self.n - p - 1)  # what the first symbol of a suffix weighs in its code
-            tail = b"".join(self._tails[c].translate(_adding(s * place)) for s, c in children)
+            tail = b"".join(self._tails[c].translate(self._adding[s * place]) for s, c in children)
         self._tails.append(tail)
-        return len(self._sizes) - 1
+        node = len(self._sizes) - 1
+        if p == self._cut:
+            self._set_ends(node)
+        return node
+
+    def _set_ends(self, node: int) -> None:
+        """Give node the ends of its tail, shared with every node of the same tail."""
+        tail = self._tails[node]
+        if tail not in self._ends_of_tail:
+            ends = tuple(map(self._suffix.__getitem__, tail))
+            self._ends_of_tail[tail] = ends, dict(zip(ends, range(len(ends))))
+        self._ends[node], self._end_index[node] = self._ends_of_tail[tail]
 
     def _child(self, p: int, last: int, run: int, weight: int, above: bool, s: int):
         """Node reached by appending s to a length-p prefix, or None."""
@@ -313,39 +338,88 @@ class _Enumerator:
     def size(self, root: int) -> int:
         return self._sizes[root]
 
-    def _unrank(self, root: int, index: int) -> bytes:
-        if not 0 <= index < self._sizes[root]:
-            raise ValueError(f"index {index} out of range")
-        steps = self._steps
-        word = bytearray(self._head)
-        node = root
-        for p in range(self._head):
-            starts, symbols, children = steps[node]
-            k = bisect_right(starts, index) - 1
-            index -= starts[k]
-            word[p] = symbols[k]
-            node = children[k]
-        word += self._suffix[self._tails[node][index]]
-        return bytes(word)
+    def head(self, root: int) -> tuple[tuple[int, ...], tuple[bytes, ...], tuple[int, ...]]:
+        """The head table of root: its kept prefixes of the head length, in walk order.
 
-    def _rank(self, root: int, word: bytes) -> int | None:
-        """Index of word under root, or None when it is not a codeword there."""
-        if len(word) != self.n:
-            return None
-        head = self._head
-        steps = self._steps
-        index = 0
-        node = root
-        for s in word[:head]:
-            starts, symbols, children = steps[node]
-            k = symbols.find(s)
-            if k < 0:
-                return None
-            index += starts[k]
-            node = children[k]
-        code = self._code_of_suffix.get(word[head:])
-        k = -1 if code is None else self._tails[node].find(code)
-        return None if k < 0 else index + k
+        It is (starts, prefixes, nodes): the words under a prefix start
+        at its start, and its walk lands on its node.  The starts rise,
+        so one bisect finds the prefix of an index.
+        """
+        rows = [(0, b"", root)]
+        for _ in range(self._j):
+            rows = [
+                (start + below, prefix + bytes((symbol,)), child)
+                for start, prefix, node in rows
+                for below, symbol, child in zip(*self._steps[node])
+            ]
+        return tuple(zip(*rows))
+
+    @staticmethod
+    def by_prefix(*heads: tuple) -> dict[bytes, tuple[int, int]]:
+        """Each prefix of these head tables to its (start, node), for ranking."""
+        return {prefix: (start, node) for head in heads for start, prefix, node in zip(*head)}
+
+    def unrank_blocks(self, heads: dict, values: list[int], state) -> list[bytes]:
+        """The word of each index under the head table of its state.
+
+        heads maps a state to a head table; the first index takes
+        heads[state], and each next one that of the last byte of the
+        word before it.  Every index must lie below its root's size.
+        """
+        steps, ends = self._steps, self._ends
+        middle = range(self._cut - self._j)
+        words: list[bytes] = []
+        append = words.append
+        for value in values:
+            starts, prefixes, nodes = heads[state]
+            k = bisect_right(starts, value) - 1
+            index = value - starts[k]
+            node = nodes[k]
+            word = prefixes[k]
+            if middle:
+                walked = bytearray()
+                for _ in middle:
+                    below, symbols, children = steps[node]
+                    k = bisect_right(below, index) - 1
+                    index -= below[k]
+                    walked.append(symbols[k])
+                    node = children[k]
+                word += walked
+            word += ends[node][index]
+            append(word)
+            state = word[-1]
+        return words
+
+    def rank_blocks(self, heads: dict, words: list[bytes], state) -> list[int]:
+        """The index of each word by the by_prefix dict of its state, up to the first refused word.
+
+        heads maps a state to a by_prefix dict, threaded as in
+        unrank_blocks.  A word that is not kept under its root (of
+        another length, a byte outside the alphabet, no path) ends the
+        list: it is the word at the list's length.
+        """
+        steps, end_index = self._steps, self._end_index
+        n, j, cut = self.n, self._j, self._cut
+        middle = cut > j
+        indices: list[int] = []
+        append = indices.append
+        try:
+            for word in words:
+                index, node = heads[state][word[:j]]
+                if middle:
+                    if len(word) != n:
+                        break
+                    for s in word[j:cut]:
+                        below, symbols, children = steps[node]
+                        k = symbols.index(s)
+                        index += below[k]
+                        node = children[k]
+                # Every end is h bytes long, so a word of another length has no place.
+                append(index + end_index[node][word[cut:]])
+                state = word[-1]
+        except (KeyError, ValueError):
+            pass
+        return indices
 
 
 def rate_two_mode(m: int, n: int) -> float:
@@ -392,6 +466,14 @@ class _TwoModeCode(BlockCode):
     previous block.  Decoding reads the mode off the first symbol and
     needs no state.
 
+    The encoder keeps one root per state: after a block that ends in
+    symbol s, the mode-0 root, with the child of s swapped for its
+    mode-1 twin of the same size if s is a mode-0 symbol, so the head
+    table's starts still rise.  A state that is no symbol (None at stream start)
+    selects mode 0.  The decoder ranks a word within its mode: the two
+    modes' head-table prefixes differ in the first symbol, so one dict
+    holds both.
+
     carried_bits counts source bits that travel uncoded beside each block
     (construction2's high plane); the block size check covers them too.
     """
@@ -412,43 +494,34 @@ class _TwoModeCode(BlockCode):
         self.source_bits = _floor_log2(total) - 1
         check_block_size(self.source_bits + carried_bits)
         self._keep = 2**self.source_bits
-        self._per_symbol = total // q  # words per first symbol
         half = q // 2
         words = _Enumerator(self.alphabet, m, n)
         self._words = words
-        self._unrank, self._rank = words.unrank, words.rank
         self._roots = tuple(words.root(tuple(range(first, first + half))) for first in (0, half))
-        self._root_of_first = {b: self._roots[s // half] for s, b in enumerate(self.alphabet)}
+        modes = [words.head(root) for root in self._roots]
+        self._encode_heads = {STREAM_START: modes[0]} | {
+            b: words.head(words.root(tuple(t + half if t == s else t for t in range(half))))
+            if s < half else modes[0]
+            for s, b in enumerate(self.alphabet)
+        }
+        self._decode_heads = dict.fromkeys([STREAM_START, *self.alphabet], words.by_prefix(*modes))
 
     def encode_blocks(self, values: list[int], state: int | None = STREAM_START) -> list[bytes]:
         """The codewords of the indices; each picks the mode whose word may follow the state."""
-        unrank, roots, per_symbol, keep = self._unrank, self._roots, self._per_symbol, self._keep
-        alphabet = self.alphabet
-        words: list[bytes] = []
-        for value in values:
-            if not 0 <= value < keep:
-                raise BlockError(
-                    f"index {value} outside 0..2**{self.source_bits} - 1", len(words)
-                )
-            # Mode 1 where the index-th mode-0 word would start with the
-            # state's symbol; that word always starts with 0 in the binary
-            # code, as 2**source_bits <= N/2 words start with 0.
-            word = unrank(roots[state == alphabet[value // per_symbol]], value)
-            words.append(word)
-            state = word[-1]
-        return words
+        bad = _first_outside(values, self._keep)
+        if bad is not None:
+            raise BlockError(f"index {values[bad]} outside 0..2**{self.source_bits} - 1", bad)
+        heads = self._encode_heads
+        return self._words.unrank_blocks(heads, values, state if state in heads else STREAM_START)
 
     def decode_blocks(self, words: list[bytes], state: int | None = STREAM_START) -> list[int]:
         # state is accepted for interface uniformity and ignored: the mode
         # is visible in each word's first symbol.
-        rank, root_of_first, keep = self._rank, self._root_of_first, self._keep
-        indices: list[int] = []
-        for word in words:
-            root = root_of_first.get(word[0]) if word else None
-            index = None if root is None else rank(root, word)
-            if index is None or index >= keep:
-                raise BlockError(self._refusal(index), len(indices))
-            indices.append(index)
+        indices = self._words.rank_blocks(self._decode_heads, words, STREAM_START)
+        keep = self._keep
+        if len(indices) < len(words) or (indices and max(indices) >= keep):
+            at = next((i for i, index in enumerate(indices) if index >= keep), len(indices))
+            raise BlockError(self._refusal(indices[at] if at < len(indices) else None), at)
         return indices
 
     def _refusal(self, index: int | None) -> str:
@@ -530,37 +603,32 @@ class StateDependentCode(BlockCode):
         self.weight_bound = self.max_unbalance / 2
         words = _Enumerator(self.alphabet, m, n, unbalance=self.max_unbalance)
         self._words = words
-        self._unrank, self._rank = words.unrank, words.rank
+        self._keep = keep
         roots = [words.root(tuple(s for s in range(4) if s != state), skip) for state in range(4)]
         assert all(words.size(root) == keep for root in roots)
         self._roots = {STREAM_START: roots[0]} | dict(zip(self.alphabet, roots))
+        heads = [words.head(root) for root in roots]
+        self._encode_heads = {STREAM_START: heads[0]} | dict(zip(self.alphabet, heads))
+        ranks = [words.by_prefix(head) for head in heads]
+        self._decode_heads = {STREAM_START: ranks[0]} | dict(zip(self.alphabet, ranks))
 
-    def _roots_from(self, state: int | None) -> dict:
+    def _check_state(self, state: int | None) -> None:
         if state not in self._roots:
             raise ValueError(f"state {state!r} is neither None nor an uppercase base")
-        return self._roots
 
     def encode_blocks(self, values: list[int], state: int | None = STREAM_START) -> list[bytes]:
-        unrank, roots = self._unrank, self._roots_from(state)
-        words: list[bytes] = []
-        try:
-            for value in values:
-                word = unrank(roots[state], value)
-                words.append(word)
-                state = word[-1]
-        except ValueError as exc:  # an index out of range
-            raise BlockError(str(exc), len(words)) from None
-        return words
+        self._check_state(state)
+        bad = _first_outside(values, self._keep)
+        if bad is not None:
+            raise BlockError(f"index {values[bad]} out of range", bad)
+        return self._words.unrank_blocks(self._encode_heads, values, state)
 
     def decode_blocks(self, words: list[bytes], state: int | None = STREAM_START) -> list[int]:
-        rank, roots = self._rank, self._roots_from(state)
-        indices: list[int] = []
-        for word in words:
-            index = rank(roots[state], word)
-            if index is None:
-                raise BlockError(self._refusal(word, state), len(indices))
-            indices.append(index)
-            state = word[-1]
+        self._check_state(state)
+        indices = self._words.rank_blocks(self._decode_heads, words, state)
+        if len(indices) < len(words):
+            at = len(indices)
+            raise BlockError(self._refusal(words[at], words[at - 1][-1] if at else state), at)
         return indices
 
     def _refusal(self, word: bytes, state: int | None) -> str:

@@ -28,8 +28,8 @@ also a run.
 
 from __future__ import annotations
 
-import inspect
 from itertools import repeat
+from struct import Struct
 
 from .balancing import KnuthBalancer, WeakKnuthBalancer
 from .blockcodes import (
@@ -46,6 +46,11 @@ from .words import HIGH_DIGIT_OF_BASE, LOW_DIGIT_OF_BASE, merge_planes, split_pl
 __all__ = ["CODECS", "PlaneCodec", "make_codec"]
 
 
+def _cut(data: bytes, n: int) -> list[bytes]:
+    """data in n-byte pieces, by one struct unpack; len(data) must be a multiple of n."""
+    return list(Struct(f"{n}s" * (len(data) // n)).unpack(data))
+
+
 class PlaneCodec(BlockCode):
     """A binary code on one plane of the strand, raw payload on the other.
 
@@ -58,7 +63,8 @@ class PlaneCodec(BlockCode):
 
     A batch goes through the code in one call.  Its planes are merged by
     one integer addition and one translate over the whole batch, and
-    split by two translates.
+    split by two translates; the joined strands or planes are cut into
+    blocks by one struct unpack.
     """
 
     def __init__(self, code, plane: str):
@@ -82,8 +88,7 @@ class PlaneCodec(BlockCode):
         # The code refuses a value with more than source_bits bits, or below 0.
         coded = b"".join(self._code.encode_blocks([v >> n for v in values], self._code_state(state)))
         raw = "".join(map(format, [v & mask for v in values], repeat(f"0{n}b"))).encode("ascii")
-        strands = merge_planes(raw, coded) if self._high else merge_planes(coded, raw)
-        return [strands[i : i + n] for i in range(0, len(strands), n)]
+        return _cut(merge_planes(raw, coded) if self._high else merge_planes(coded, raw), n)
 
     def decode_blocks(self, strands: list[bytes], state: int | None = STREAM_START) -> list[int]:
         n = self.oligo_len
@@ -93,10 +98,8 @@ class PlaneCodec(BlockCode):
             return self._refuse_malformed(strands, state)
         high = joined.translate(HIGH_DIGIT_OF_BASE)
         coded, raw = (high, low) if self._high else (low, high)
-        cuts = range(0, len(joined), n)
-        indices = self._code.decode_blocks([coded[i : i + n] for i in cuts], self._code_state(state))
-        raws = map(int, [raw[i : i + n] for i in cuts], repeat(2))
-        return [index << n | r for index, r in zip(indices, raws)]
+        indices = self._code.decode_blocks(_cut(coded, n), self._code_state(state))
+        return [index << n | r for index, r in zip(indices, map(int, _cut(raw, n), repeat(2)))]
 
     def _refuse_malformed(self, strands: list[bytes], state: int | None) -> list[int]:
         """Raise the refusal of the first strand of another length or with a byte that is no base."""
@@ -144,6 +147,18 @@ CODECS = {
 }
 
 
+def _parameters(build) -> tuple[tuple[str, ...], int]:
+    """A builder's parameter names, and how many of them, from the first, have no default.
+
+    The builder is a function or a class, whose __init__ is read
+    without self.
+    """
+    function = build.__init__ if isinstance(build, type) else build
+    code = function.__code__
+    names = code.co_varnames[isinstance(build, type) : code.co_argcount]
+    return names, len(names) - len(function.__defaults__ or ())
+
+
 def make_codec(construction: str, **params):
     """Build the codec registered under this name from its parameters.
 
@@ -155,11 +170,11 @@ def make_codec(construction: str, **params):
     if construction not in CODECS:
         raise ValueError(f"unknown construction {construction!r}")
     build = CODECS[construction]
-    takes = inspect.signature(build).parameters
+    takes, needed = _parameters(build)
     unused = sorted(set(params) - set(takes))
     if unused:
         raise ValueError(f"{construction} takes no {', '.join(unused)}")
-    missing = [name for name, p in takes.items() if p.default is p.empty and name not in params]
+    missing = [name for name in takes[:needed] if name not in params]
     if missing:
         raise ValueError(f"{construction} needs {' and '.join(missing)}")
     return build(**params)

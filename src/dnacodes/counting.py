@@ -14,9 +14,7 @@ by functools.lru_cache and safe for concurrent use.
 from __future__ import annotations
 
 import math
-from collections import deque
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import deque, namedtuple
 from functools import lru_cache
 
 from .series import TruncatedSeries
@@ -50,12 +48,14 @@ def binomial_weight_count(n: int, w: int) -> int:
     return math.comb(n, w) * 2**n
 
 
-def unbalance_bound(a) -> Fraction:
-    """Normalize a relative-unbalance bound to an exact fraction.
+def unbalance_bound(a):
+    """Normalize a relative-unbalance bound to an exact Fraction.
 
     Floats are read through their decimal representation, so a bound
     written as 0.05 means exactly 1/20.
     """
+    from fractions import Fraction  # imported here: it loads decimal, which no codec command needs
+
     if isinstance(a, float):
         bound = Fraction(str(a))
     else:
@@ -185,14 +185,14 @@ def rll_weight_count_quaternary(m: int, w: int, n: int) -> int:
     return _weight_row(4, m, n)[w]
 
 
-@dataclass(frozen=True)
-class WeightProfile:
-    """Counts of constrained words of one length, indexed by weight."""
+class WeightProfile(namedtuple("WeightProfile", "kind m n counts")):
+    """Counts of constrained words of one length, indexed by weight.
 
-    kind: str
-    m: int | None
-    n: int
-    counts: tuple[int, ...]
+    Fields kind, m (None: no run limit), n and counts, the tuple of
+    counts by weight.
+    """
+
+    __slots__ = ()
 
     def total(self) -> int:
         return sum(self.counts)

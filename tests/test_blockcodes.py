@@ -33,6 +33,18 @@ def state_byte(code, symbol):
     return None if symbol is None else code.alphabet[symbol]
 
 
+def unrank_all(words, root, indices):
+    """The words of these indices under root, by the enumerator's batch walk."""
+    heads = dict.fromkeys([None, *words.alphabet], words.head(root))
+    return words.unrank_blocks(heads, list(indices), None)
+
+
+def rank_all(words, root, listed):
+    """The indices of these words under root, by the enumerator's batch walk."""
+    heads = dict.fromkeys([None, *words.alphabet], words.by_prefix(words.head(root)))
+    return words.rank_blocks(heads, listed, None)
+
+
 def codewords(code, state):
     """Every codeword the code emits after state, in index order."""
     return [code.encode_block(i, state) for i in range(2**code.source_bits)]
@@ -43,9 +55,9 @@ class TestConstrainedWords:
     def test_matches_brute_enumeration(self, q, m, n):
         words = blockcodes._Enumerator(bytes(range(q)), m, n)
         root = words.root(tuple(range(q)))
-        listed = [words.unrank(root, i) for i in range(words.size(root))]
+        listed = unrank_all(words, root, range(words.size(root)))
         assert [tuple(w) for w in listed] == brute_words(q, m, n)
-        assert [words.rank(root, w) for w in listed] == list(range(len(listed)))
+        assert rank_all(words, root, listed) == list(range(len(listed)))
 
     def test_count_matches_formula(self):
         words = blockcodes._Enumerator(b"GCAT", 3, 5)
@@ -355,8 +367,7 @@ class TestEnumerativeCodes:
 
 @lru_cache(maxsize=None)
 def _code(kind, m, n):
-    # Cached across examples; each example encodes one block, so the
-    # codes' memos stay small.
+    # Cached across examples: building is the slow part.
     return _built(kind, m, n)
 
 
@@ -399,33 +410,94 @@ def _plain_unrank(words, root, index):
     return bytes(word)
 
 
+def _plain_rank(words, root, word):
+    """The index of word under root by one lookup per symbol, or None; no head or tail table."""
+    index, node = 0, root
+    for s in word:
+        starts, symbols, children = words._steps[node]
+        k = symbols.find(s)
+        if k < 0:
+            return None
+        index += starts[k]
+        node = children[k]
+    return index if len(word) == words.n else None
+
+
+def _plain_words(code, values, state):
+    """The code's words of the values by the plain walk, each under the root its state selects.
+
+    A two-mode code takes mode 1 where the index-th mode-0 word would
+    start with the state's symbol, and mode 0 after any other state.
+    """
+    words = []
+    for value in values:
+        if isinstance(code, blockcodes.StateDependentCode):
+            root = code._roots[state]
+        else:
+            per_symbol = code._words.size(code._roots[0]) // (len(code.alphabet) // 2)
+            root = code._roots[state == code.alphabet[value // per_symbol]]
+        words.append(_plain_unrank(code._words, root, value))
+        state = words[-1][-1]
+    return words
+
+
 class TestTailTables:
     @pytest.mark.parametrize(
-        "code",
+        "code,draws",
         [
-            blockcodes.StateDependentCode(3, 9),
-            blockcodes.StateIndependentCode(3, 10),
-            blockcodes.TwoModeRllCode(4, 12),
+            (blockcodes.StateDependentCode(3, 9), None),
+            (blockcodes.StateIndependentCode(3, 10), None),
+            (blockcodes.TwoModeRllCode(4, 12), None),
+            (blockcodes.StateDependentCode(3, 64), 3000),
+            (blockcodes.TwoModeRllCode(3, 20), 3000),
         ],
-        ids=["sd-m3n9", "si-m3n10", "two-mode-m4n12"],
+        ids=["sd-m3n9", "si-m3n10", "two-mode-m4n12", "sd-m3n64", "two-mode-m3n20"],
     )
-    def test_every_index_matches_the_plain_walk(self, code):
-        roots = set(code._roots.values()) if isinstance(code._roots, dict) else set(code._roots)
+    def test_every_index_matches_the_plain_walk(self, code, draws):
+        """Every index (or draws random ones, where the walk goes past the head table)."""
         words = code._words
+        rng = random.Random(code.n)
+        keep = 2**code.source_bits
+        values = list(range(keep)) if draws is None else [rng.randrange(keep) for _ in range(draws)]
+        roots = set(code._roots.values()) if isinstance(code._roots, dict) else set(code._roots)
         for root in roots:
-            for index in range(2**code.source_bits):
-                word = _plain_unrank(words, root, index)
-                assert words._unrank(root, index) == word
-                assert words._rank(root, word) == index
+            listed = [_plain_unrank(words, root, index) for index in values]
+            assert unrank_all(words, root, values) == listed
+            assert rank_all(words, root, listed) == values
+            assert [_plain_rank(words, root, word) for word in listed] == values
+        # Each block's state is the last byte of the one before, so one
+        # batch meets every state; the batch's own state picks only the first.
+        listed = _plain_words(code, values, None)
+        assert code.encode_blocks(values, None) == listed
+        assert code.decode_blocks(listed, None) == values
+        for state in code.alphabet:
+            listed = _plain_words(code, values[:64], state)
+            assert code.encode_blocks(values[:64], state) == listed
+            assert code.decode_blocks(listed, state) == values[:64]
+
+    @pytest.mark.parametrize("code", [blockcodes.StateIndependentCode(3, 8),
+                                      blockcodes.TwoModeRllCode(3, 10)])
+    def test_a_state_that_is_no_symbol_selects_mode_0(self, code):
+        values = list(range(0, 2**code.source_bits, 3))
+        listed = _plain_words(code, values, None)
+        for state in (None, 0, ord("g"), ord("N"), 2, 300):
+            assert code.encode_blocks(values, state) == listed
+            assert code.decode_blocks(listed, state) == values
 
     @pytest.mark.parametrize("alphabet,h", [(b"GCAT", 4), (b"01", 8)])
     def test_tail_length_follows_from_the_alphabet(self, alphabet, h):
-        for n in (1, h - 1, h, h + 1, 3 * h):
+        for n in (1, 2, h - 1, h, h + 1, 2 * h, 3 * h):
             words = blockcodes._Enumerator(alphabet, 2, n)
-            assert words._head == max(0, n - h)
+            # The tail never takes the first symbol, so from n = 2 on a head prefix has one.
+            assert words._cut == max(1, n - h)
+            assert words._j == min(words._cut, n - words._cut)
             tails = [t for t in words._tails if t is not None]
             assert all(list(t) == sorted(set(t)) for t in tails)
             assert all(len(t) <= 256 for t in tails)
+            starts, prefixes, nodes = words.head(words.root(tuple(range(len(alphabet)))))
+            assert len(prefixes) <= 256
+            assert list(starts) == sorted(starts)
+            assert all(len(prefix) == words._j for prefix in prefixes)
 
 
 class TestBatchMethods:
@@ -479,7 +551,7 @@ class TestRefusalReasons:
                                       blockcodes.TwoModeRllCode(3, 6)])
     def test_index_past_the_kept_range(self, code):
         keep = 2**code.source_bits
-        word = code._unrank(code._roots[0], keep)  # the first word the code drops
+        word = unrank_all(code._words, code._roots[0], [keep])[0]  # the first word the code drops
         with pytest.raises(ValueError, match=rf"^not a codeword of this {code.kind} code: "
                                              rf"its index {keep} is past the kept range "
                                              rf"0\.\.{keep - 1}$"):

@@ -443,16 +443,15 @@ class TestImports:
         import dnacodes
 
         src = os.path.dirname(os.path.dirname(dnacodes.__file__))
-        probe = (
-            "import sys, dnacodes.cli\n"
-            "print(sorted(m for m in sys.modules if m.startswith('dnacodes.')))\n"
-        )
+        probe = "import sys, dnacodes.cli\nprint(' '.join(sorted(sys.modules)))\n"
         result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                                 env={**os.environ, "PYTHONPATH": src}, check=True)
-        loaded = result.stdout
+        loaded = set(result.stdout.split())
         assert "dnacodes.cli" in loaded
         assert "dnacodes.asymptotics" not in loaded
         assert "dnacodes.oracle" not in loaded
+        # Each costs import time that every command would pay.
+        assert not loaded & {"inspect", "dataclasses", "fractions", "decimal"}
 
     def test_every_exported_name_imports(self):
         import dnacodes

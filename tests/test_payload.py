@@ -411,10 +411,9 @@ class TestDecodeFuzz:
                 assert os.path.exists(out)
 
 
-def _peak_of_round_trip(tmp_path, size):
+def _peak_of_round_trip(tmp_path, size, args=("--construction", "construction1", "--ell", "112")):
     src, strands, back = tmp_path / "in.bin", tmp_path / "s.txt", tmp_path / "out.bin"
     src.write_bytes(random.Random(size).randbytes(size))
-    args = ["--construction", "construction1", "--ell", "112"]
     tracemalloc.start()
     try:
         assert cli.main(["encode", *args, "--in", str(src), "--out", str(strands)]) == 0
@@ -429,4 +428,12 @@ def _peak_of_round_trip(tmp_path, size):
 def test_memory_flat_in_input_size(tmp_path):
     small = _peak_of_round_trip(tmp_path, 1 << 20)
     large = _peak_of_round_trip(tmp_path, 4 << 20)
+    assert abs(large - small) < 1 << 20, (small, large)
+
+
+def test_block_code_memory_flat_in_input_size(tmp_path):
+    """A block code keeps nothing per coded word: its peak does not grow with the input."""
+    args = ("--construction", "state-dependent", "--m", "3", "--n", "8")
+    small = _peak_of_round_trip(tmp_path, 256 << 10, args)
+    large = _peak_of_round_trip(tmp_path, 1 << 20, args)
     assert abs(large - small) < 1 << 20, (small, large)
