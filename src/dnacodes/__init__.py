@@ -23,7 +23,6 @@ _EXPORTS = {
         "rll_count", "rll_count_gf", "rll_weight_count_binary", "rll_weight_count_quaternary",
         "weight_profile",
     ),
-    "words": ("oligo_to_text", "text_to_oligo"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

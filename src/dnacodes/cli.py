@@ -7,10 +7,10 @@ encode and decode take --construction from constructions.CODECS and
 hand make_codec only the codec flags that were given.  They stream
 their files in chunks of payload.CHUNK_BYTES and code a chunk per call.
 decode hands a chunk's non-blank lines, stripped and upper-cased, to
-the codec, the one judge of a strand; an error names the line and the
-length, base, run or AT constraint it breaks, or else the block.  A new
-or regular --out file appears only once the whole output has been
-written.
+the codec, the one judge of a strand.  An error names the line and,
+read from the refused line's bytes, the length, base, run or AT
+constraint it breaks, or else the block.  A new or regular --out file
+appears only once the whole output has been written.
 Exit codes: 0 success, 1 data or validation failure, 2 usage error.
 """
 
@@ -28,7 +28,7 @@ from itertools import chain
 from . import blockcodes, counting
 from .constructions import CODECS, make_codec
 from .payload import CHUNK_BYTES, decode_stream, encode_stream
-from .words import at_weight, max_run, text_to_oligo
+from .words import LOW_DIGIT_OF_BASE, max_run
 
 TABLE_IDS = (
     "capacity",
@@ -279,13 +279,16 @@ def _line_fault(line: bytes, codec) -> str | None:
     n, run_cap, bound = codec.oligo_len, codec.max_run, codec.weight_bound
     if len(line) != n:
         return f"expected {n} symbols, got {len(line)}"
-    try:
-        symbols = text_to_oligo(line)
-    except ValueError as exc:  # names the first byte that is no base
-        return str(exc)
-    if run_cap is not None and max_run(symbols) > run_cap:
+    strand = line.upper()  # the line comes as given: bases of either case
+    pos = strand.translate(LOW_DIGIT_OF_BASE).find(b"x")  # b"x" for a byte that is no base
+    if pos >= 0:
+        byte = line[pos]
+        if byte > 0x7F:
+            return f"non-ASCII byte 0x{byte:02x} at position {pos}"
+        return f"invalid nucleotide {chr(byte)!r} at position {pos}"
+    if run_cap is not None and max_run(strand) > run_cap:
         return f"homopolymer run exceeds {run_cap}"
-    if bound is not None and abs(2 * at_weight(symbols) - n) > 2 * bound:
+    if bound is not None and abs(2 * (strand.count(b"A") + strand.count(b"T")) - n) > 2 * bound:
         return "AT/GC unbalance exceeds the code bound"
     return None
 

@@ -29,7 +29,6 @@ also a run.
 from __future__ import annotations
 
 from itertools import repeat
-from struct import Struct
 
 from .balancing import KnuthBalancer, WeakKnuthBalancer
 from .blockcodes import (
@@ -41,14 +40,9 @@ from .blockcodes import (
     TwoModeRllCode,
     check_block_size,
 )
-from .words import HIGH_DIGIT_OF_BASE, LOW_DIGIT_OF_BASE, merge_planes, split_planes
+from .words import HIGH_DIGIT_OF_BASE, LOW_DIGIT_OF_BASE, cut, merge_planes, split_planes
 
 __all__ = ["CODECS", "PlaneCodec", "make_codec"]
-
-
-def _cut(data: bytes, n: int) -> list[bytes]:
-    """data in n-byte pieces, by one struct unpack; len(data) must be a multiple of n."""
-    return list(Struct(f"{n}s" * (len(data) // n)).unpack(data))
 
 
 class PlaneCodec(BlockCode):
@@ -88,7 +82,7 @@ class PlaneCodec(BlockCode):
         # The code refuses a value with more than source_bits bits, or below 0.
         coded = b"".join(self._code.encode_blocks([v >> n for v in values], self._code_state(state)))
         raw = "".join(map(format, [v & mask for v in values], repeat(f"0{n}b"))).encode("ascii")
-        return _cut(merge_planes(raw, coded) if self._high else merge_planes(coded, raw), n)
+        return cut(merge_planes(raw, coded) if self._high else merge_planes(coded, raw), n)
 
     def decode_blocks(self, strands: list[bytes], state: int | None = STREAM_START) -> list[int]:
         n = self.oligo_len
@@ -98,8 +92,8 @@ class PlaneCodec(BlockCode):
             return self._refuse_malformed(strands, state)
         high = joined.translate(HIGH_DIGIT_OF_BASE)
         coded, raw = (high, low) if self._high else (low, high)
-        indices = self._code.decode_blocks(_cut(coded, n), self._code_state(state))
-        return [index << n | r for index, r in zip(indices, map(int, _cut(raw, n), repeat(2)))]
+        indices = self._code.decode_blocks(cut(coded, n), self._code_state(state))
+        return [index << n | r for index, r in zip(indices, map(int, cut(raw, n), repeat(2)))]
 
     def _refuse_malformed(self, strands: list[bytes], state: int | None) -> list[int]:
         """Raise the refusal of the first strand of another length or with a byte that is no base."""
@@ -137,26 +131,29 @@ def _construction2(m: int, n: int):
     return PlaneCodec(TwoModeRllCode(m, n, carried_bits=n), "low")
 
 
+def _state_independent(m: int, n: int):
+    return StateIndependentCode(m, n)
+
+
+def _state_dependent(m: int, n: int):
+    return StateDependentCode(m, n)
+
+
 # Every strand codec by its CLI name.  A builder's keyword parameters are
 # the codec's parameters (and the CLI's flags of the same names).
 CODECS = {
     "construction1": _construction1,
     "construction2": _construction2,
-    "state-independent": StateIndependentCode,
-    "state-dependent": StateDependentCode,
+    "state-independent": _state_independent,
+    "state-dependent": _state_dependent,
 }
 
 
 def _parameters(build) -> tuple[tuple[str, ...], int]:
-    """A builder's parameter names, and how many of them, from the first, have no default.
-
-    The builder is a function or a class, whose __init__ is read
-    without self.
-    """
-    function = build.__init__ if isinstance(build, type) else build
-    code = function.__code__
-    names = code.co_varnames[isinstance(build, type) : code.co_argcount]
-    return names, len(names) - len(function.__defaults__ or ())
+    """A builder's parameter names, and how many of them, from the first, have no default."""
+    code = build.__code__
+    names = code.co_varnames[: code.co_argcount]
+    return names, len(names) - len(build.__defaults__ or ())
 
 
 def make_codec(construction: str, **params):

@@ -8,13 +8,14 @@ The one-byte trailer caps the block size at 256 bits.
 
 Framing works on integers and binary numerals, never bit by bit.  A
 chunk of bytes becomes one integer (`int.from_bytes`) and then one
-numeral (`format`), and each k-bit block is a slice of it read back by
-`int(digits, 2)`; only the fewer than k bits left over wait for the next
-chunk.  Decoding runs the other way: it formats each decoded block as k
-digits, joins a batch's worth, reads them as one integer and holds back
-the last k + 8 bits, which may be pad and trailer, until the stream
-ends.  So `encode_stream` and `decode_stream` keep at most about one
-chunk in memory, whatever the payload size.
+numeral (`format`), which one struct unpack (`words.cut`) cuts into
+k-digit blocks, each read back by `int(digits, 2)`; only the fewer than
+k bits left over wait for the next chunk.  Decoding runs the other way:
+it formats each decoded block as k digits, joins a batch's worth, reads
+them as one integer and holds back the last k + 8 bits, which may be
+pad and trailer, until the stream ends.  So `encode_stream` and
+`decode_stream` keep at most about one chunk in memory, whatever the
+payload size.
 
 Strands travel in batches, one list per chunk, and a codec codes a
 batch per call: `encode_blocks(values, state)` takes the blocks' k-bit
@@ -29,6 +30,7 @@ from collections.abc import Iterable, Iterator
 from itertools import repeat
 
 from .blockcodes import STREAM_START, BlockError, check_block_size
+from .words import cut
 
 __all__ = ["CHUNK_BYTES", "decode_stream", "encode_stream"]
 
@@ -53,8 +55,7 @@ def _framed(chunks: Iterable[bytes], k: int) -> Iterator[list[int]]:
 
 def _blocks(value: int, size: int, k: int) -> list[int]:
     """The k-bit blocks of a size-bit value, most significant first."""
-    digits = format(value, f"0{size}b")
-    return list(map(int, [digits[i : i + k] for i in range(0, size, k)], repeat(2)))
+    return list(map(int, cut(format(value, f"0{size}b").encode("ascii"), k), repeat(2)))
 
 
 def encode_stream(codec, chunks: Iterable[bytes]) -> Iterator[list[bytes]]:

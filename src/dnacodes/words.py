@@ -1,4 +1,4 @@
-"""Symbol-level primitives for quaternary strands and binary words.
+"""Byte-level primitives for quaternary strands and binary words.
 
 A strand (oligo) is written in the bases G, C, A, T, which stand for the
 symbols 0, 1, 2, 3.  Every strand decomposes into two binary planes,
@@ -9,32 +9,16 @@ Codecs handle a strand as its uppercase ASCII bytes (b"GCAT"), no other
 case, and a binary plane as ASCII digits (b"0110"), the form `format(value,
 "0nb")` gives and `int(digits, 2)` reads.  Merging and splitting planes go
 through integer addition and byte translation tables, so neither loops
-over symbols in Python.  Symbol tuples remain for analysis: `text_to_oligo`
-(either case) and `oligo_to_text` convert between the two forms.
+over symbols in Python.  `cut` splits joined strands or planes into
+equal pieces with one struct unpack.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
+from struct import Struct
 
-ALPHABET = "GCAT"
-BASES = ALPHABET.encode("ascii")
-
-Oligo = tuple[int, ...]
-
-_SYMBOL_BY_BASE = {base: value for value, base in enumerate(ALPHABET)}
-
-
-def phi(u: int) -> int:
-    """AT-membership indicator of a quaternary symbol: 1 for A/T, else 0."""
-    if u not in (0, 1, 2, 3):
-        raise ValueError(f"not a quaternary symbol: {u!r}")
-    return 1 if u > 1 else 0
-
-
-def at_weight(word: Sequence[int]) -> int:
-    """Number of A/T symbols (symbol values 2 and 3) in a quaternary word."""
-    return sum(phi(u) for u in word)
+BASES = b"GCAT"
 
 
 def max_run(seq: Sequence[int]) -> int:
@@ -50,25 +34,6 @@ def max_run(seq: Sequence[int]) -> int:
     return best
 
 
-def relative_unbalance(word: Sequence[int]) -> float:
-    """|w/n - 1/2| where w is the AT-content of the quaternary word."""
-    n = len(word)
-    if n == 0:
-        raise ValueError("relative unbalance of the empty word is undefined")
-    return abs(at_weight(word) / n - 0.5)
-
-
-# Byte tables for the conversions below.  Every byte value that is not a
-# valid input maps to _BAD (or to b"x" for digits, which int() rejects),
-# so one search after a translate validates a whole word.
-_BAD = 0xFF
-_BASE_OF_SYMBOL = BASES + bytes([_BAD]) * 252
-_SYMBOL_OF_BASE = bytes(
-    _SYMBOL_BY_BASE.get(chr(v).upper(), _BAD) if v < 128 else _BAD for v in range(256)
-)
-_SYMBOL_ERROR = "symbol out of range for a quaternary word"
-
-
 def _digit_table(digit_of_symbol: str) -> bytes:
     """Uppercase base -> the digit its symbol has in one plane; else b"x"."""
     table = bytearray(b"x" * 256)
@@ -82,6 +47,11 @@ def _digit_table(digit_of_symbol: str) -> bytes:
 LOW_DIGIT_OF_BASE = _digit_table("0101")
 HIGH_DIGIT_OF_BASE = _digit_table("0011")
 _BASE_OF_PLANES = bytes(0x90) + BASES + bytes(256 - 0x94)
+
+
+def cut(data: bytes, n: int) -> list[bytes]:
+    """data in n-byte pieces, by one struct unpack; len(data) must be a multiple of n."""
+    return list(Struct(f"{n}s" * (len(data) // n)).unpack(data))
 
 
 def int_to_digits(value: int, width: int) -> bytes:
@@ -110,31 +80,3 @@ def split_planes(strand: bytes) -> tuple[bytes, bytes]:
     if low.find(b"x") >= 0:
         raise ValueError("not a strand of the bases G, C, A, T")
     return low, strand.translate(HIGH_DIGIT_OF_BASE)
-
-
-def text_to_oligo(text: str | bytes) -> Oligo:
-    """Parse an ACGT string or ASCII bytes (case-insensitive) into a symbol tuple."""
-    raw = text.encode("ascii", "replace") if isinstance(text, str) else text
-    symbols = raw.translate(_SYMBOL_OF_BASE)
-    pos = symbols.find(_BAD)
-    if pos >= 0:
-        ch = text[pos]
-        if isinstance(ch, int):
-            if ch > 0x7F:
-                raise ValueError(f"non-ASCII byte 0x{ch:02x} at position {pos}")
-            ch = chr(ch)
-        raise ValueError(f"invalid nucleotide {ch!r} at position {pos}")
-    return tuple(symbols)
-
-
-def oligo_to_text(word: Iterable[int]) -> str:
-    """Render a symbol tuple as an uppercase ACGT string."""
-    if isinstance(word, int):  # bytes(n) would be n zero bytes
-        raise ValueError(_SYMBOL_ERROR)
-    try:
-        text = bytes(word).translate(_BASE_OF_SYMBOL)
-    except (ValueError, TypeError):
-        raise ValueError(_SYMBOL_ERROR) from None
-    if _BAD in text:
-        raise ValueError(_SYMBOL_ERROR)
-    return text.decode("ascii")

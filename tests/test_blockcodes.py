@@ -8,7 +8,12 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from dnacodes import blockcodes, counting, oracle
-from dnacodes.words import at_weight, max_run
+from dnacodes.words import max_run
+
+
+def at_weight(word):
+    """AT-content of a symbol tuple: its symbols 2 (A) and 3 (T)."""
+    return sum(s > 1 for s in word)
 
 
 def brute_words(q, m, n):

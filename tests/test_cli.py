@@ -455,7 +455,7 @@ class TestImports:
 
     def test_every_exported_name_imports(self):
         import dnacodes
-        from dnacodes import asymptotics, counting, words
+        from dnacodes import asymptotics, counting
 
         assert set(dnacodes.__all__) == {
             "CapacityResult", "capacity", "combined_redundancy", "efficiency_eta",
@@ -463,11 +463,10 @@ class TestImports:
             "rll_count_approx", "rll_redundancy", "WeightProfile", "balance_redundancy",
             "binomial_weight_count", "near_balanced_count", "rll_count", "rll_count_gf",
             "rll_weight_count_binary", "rll_weight_count_quaternary", "weight_profile",
-            "oligo_to_text", "text_to_oligo",
         }
         for name in dnacodes.__all__:
-            module = next(m for m in (asymptotics, counting, words) if hasattr(m, name))
+            module = next(m for m in (asymptotics, counting) if hasattr(m, name))
             assert getattr(dnacodes, name) is getattr(module, name)
-        from dnacodes import capacity, text_to_oligo  # noqa: F401
+        from dnacodes import capacity  # noqa: F401
         with pytest.raises(AttributeError):
             dnacodes.no_such_name  # noqa: B018
