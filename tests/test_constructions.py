@@ -231,12 +231,12 @@ class TestMakeCodec:
             ("construction2", {"m": 3}, "construction2 needs n"),
             ("state-dependent", {}, "state-dependent needs m and n"),
             ("construction2", {"m": 3, "n": 10, "ell": 8}, "construction2 takes no ell"),
-            ("state-independent", {"m": 3, "n": 8, "carried_bits": 5},
-             "state-independent takes no carried_bits"),
             ("construction1", {"ell": 8, "p0": 2}, "the knuth balancer takes no p0"),
             ("construction1", {"ell": 8, "balancer": "weak-knuth"},
              "the weak-knuth balancer needs p0"),
             ("construction1", {"ell": 8, "balancer": "fair"}, "unknown balancer 'fair'"),
+            ("state-independent", {"m": 3, "n": 8, "carried_bits": 5},
+             "state-independent takes no carried_bits"),
         ],
     )
     def test_missing_or_unused_parameter(self, name, params, message):

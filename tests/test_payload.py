@@ -216,18 +216,25 @@ class TestDecodeErrors:
         assert code == 1
         assert err.startswith("error: line 3: block 3: ")
 
+    def test_non_ascii_byte_is_a_data_error(self, tmp_path, capsys):
+        strands = _encode_file(tmp_path, "si", b"payload")
+        raw = strands.read_bytes().splitlines(keepends=True)
+        raw[1] = raw[1][:3] + b"\xc3\xa9" + raw[1][5:]
+        strands.write_bytes(b"".join(raw))
+        code, err = _decode(capsys, "si", strands, tmp_path / "out.bin")
+        assert code == 1
+        assert err == "error: line 2: non-ASCII byte 0xc3 at position 3\n"
+
     @pytest.mark.parametrize(
         "route,damage,message",
         [
-            ("si", lambda line: line[:3] + b"\xc3\xa9" + line[5:],
-             "non-ASCII byte 0xc3 at position 3"),
             ("sd", lambda line: line[:-1], "expected 8 symbols, got 7"),
             ("sd", lambda line: b"n" + line[1:], "invalid nucleotide 'n' at position 0"),
             ("sd", lambda line: b"ggggGGGG", "homopolymer run exceeds 3"),
             ("c1-knuth", lambda line: line[:12] + b"A" * 64,
              "AT/GC unbalance exceeds the code bound"),
         ],
-        ids=["non-ascii", "length", "lowercase-non-base", "mixed-case-run", "unbalanced"],
+        ids=["length", "lowercase-non-base", "mixed-case-run", "unbalanced"],
     )
     def test_refused_line_names_its_fault(self, tmp_path, capsys, route, damage, message):
         strands = _encode_file(tmp_path, route, b"a payload of a few more blocks")

@@ -5,6 +5,38 @@ import hypothesis.strategies as st
 from dnacodes import words
 
 
+def test_symbol_mapping():
+    # G, C, A, T are the symbols 0..3, symbol = low + 2*high.
+    assert words.BASES == b"GCAT"
+    assert words.split_planes(b"GCAT") == (b"0101", b"0011")
+    assert words.merge_planes(b"0101", b"0011") == b"GCAT"
+    low, high = words.split_planes(b"TTAA")
+    assert (low, high.count(b"1")) == (b"1100", 4)
+
+
+def test_phi():
+    # The AT indicator phi (1 for A and T, 0 for G and C) is the high plane digit.
+    assert bytes(words.HIGH_DIGIT_OF_BASE[b] for b in words.BASES) == b"0011"
+
+
+def test_text_parse_error_position():
+    # Every byte but an uppercase base reads as b"x" in both plane tables,
+    # so one translate and one find locate the first byte that is no base.
+    for table in (words.LOW_DIGIT_OF_BASE, words.HIGH_DIGIT_OF_BASE):
+        assert [v for v in range(256) if table[v] != ord("x")] == sorted(words.BASES)
+    assert b"ACXT".translate(words.LOW_DIGIT_OF_BASE).find(b"x") == 2
+    assert "GC\u00e9".encode().translate(words.LOW_DIGIT_OF_BASE).find(b"x") == 2
+    with pytest.raises(ValueError, match="bases"):
+        words.split_planes(b"ACXT")
+
+
+@given(st.text(alphabet="ACGTacgt", max_size=50))
+def test_text_round_trip(s):
+    # A strand line of either case, folded to uppercase, survives the planes.
+    strand = s.encode("ascii").upper()
+    assert words.merge_planes(*words.split_planes(strand)) == s.upper().encode("ascii")
+
+
 @given(st.text(alphabet="GCAT", max_size=40))
 def test_plane_round_trip(text):
     strand = text.encode("ascii")
@@ -25,6 +57,9 @@ def test_plane_round_trip(text):
         lambda: words.merge_planes(b"0", b"-1"),
         lambda: words.merge_planes(b"01", b"1_"),
         lambda: words.merge_planes(b"01", b"011"),
+        lambda: words.split_planes(b"gcat"),
+        lambda: words.split_planes("GC\u00e9".encode()),
+        lambda: words.merge_planes(b"0 ", b"00"),
     ],
 )
 def test_conversions_reject_bad_values(call):
