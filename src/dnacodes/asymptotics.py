@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import takewhile
 
 from . import counting
 
@@ -135,12 +136,17 @@ def capacity(q: int, m: int) -> CapacityResult:
 
 
 def _run_sum(m: int, x: float) -> float:
-    """T(x) = x + x**2 + ... + x**m."""
-    return sum(x**i for i in range(1, m + 1))
+    """T(x) = x + x**2 + ... + x**m.
+
+    The sums here stop at their first term that underflows to 0.0: for
+    x < 1 every later term is 0.0 too, so the value is unchanged and a
+    huge m costs no more than the float range allows.
+    """
+    return sum(takewhile(bool, (x**i for i in range(1, m + 1))))
 
 
 def _run_sum_derivative(m: int, x: float) -> float:
-    return sum(i * x ** (i - 1) for i in range(1, m + 1))
+    return sum(takewhile(bool, (i * x ** (i - 1) for i in range(1, m + 1))))
 
 
 def leading_coefficient(q: int, m: int) -> float:
@@ -210,7 +216,7 @@ def gamma_binary(m: int) -> float:
     if m < 2:
         raise ValueError("the binary variance factor needs m >= 2")
     lam = capacity(2, m).lam
-    probs = [lam**-k for k in range(1, m + 1)]
+    probs = list(takewhile(bool, (lam**-k for k in range(1, m + 1))))  # as in _run_sum
     if abs(sum(probs) - 1.0) > 1e-12:
         raise ArithmeticError("run-length probabilities do not sum to 1")
     mean = sum(k * p for k, p in enumerate(probs, start=1))

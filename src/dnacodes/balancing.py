@@ -8,9 +8,11 @@ weak balancer only tries a power-of-two grid of flip lengths and takes
 the best, trading exact balance for a shorter index.
 
 Either way the chosen index travels inside a fixed balanced prefix: the
-index-th weight-p0 word of length 2*p0 in lexicographic order.  Each
-balancer is a binary block code that speaks the strand codecs' block
-protocol (see `constructions`): `encode_blocks(values, state)` takes
+index-th weight-p0 word of length 2*p0 in lexicographic order, so the
+prefixes are the first balanced words, read off the zero places that
+itertools.combinations lists in lex order.  Each balancer is a binary
+block code that speaks the strand codecs' block protocol (see
+`constructions`): `encode_blocks(values, state)` takes
 source_bits-bit ints, construction1's ell data bits each, and returns
 each value's oligo_len balanced digits, prefix then body, as ASCII
 (b"0110"), and `decode_blocks(words, state)` inverts it, refusing a word
@@ -21,48 +23,13 @@ The balance construction puts these digits on a strand's high plane.
 
 from __future__ import annotations
 
-import math
 from functools import cached_property
+from itertools import combinations, islice
 
 from .blockcodes import BlockCode, BlockError
 from .words import int_to_digits
 
-__all__ = ["KnuthBalancer", "WeakKnuthBalancer", "rank_balanced", "unrank_balanced"]
-
-
-def unrank_balanced(length: int, weight: int, index: int) -> bytes:
-    """The index-th length-`length` word of the given weight, in lex order, as digits."""
-    if not 0 <= weight <= length:
-        raise ValueError("weight out of range")
-    if not 0 <= index < math.comb(length, weight):
-        raise ValueError("index out of range")
-    digits = bytearray()
-    remaining = weight
-    for pos in range(length):
-        slots = length - pos - 1
-        with_zero = math.comb(slots, remaining) if remaining <= slots else 0
-        if index < with_zero:
-            digits += b"0"
-        else:
-            index -= with_zero
-            digits += b"1"
-            remaining -= 1
-    return bytes(digits)
-
-
-def rank_balanced(word: bytes) -> int:
-    """Lexicographic rank of a digit word among the words of its length and weight."""
-    if word.strip(b"01"):
-        raise ValueError("word must be binary digits")
-    length = len(word)
-    remaining = word.count(b"1")
-    index = 0
-    for pos, digit in enumerate(word):
-        if digit == ord("1"):
-            slots = length - pos - 1
-            index += math.comb(slots, remaining) if remaining <= slots else 0
-            remaining -= 1
-    return index
+__all__ = ["KnuthBalancer", "WeakKnuthBalancer"]
 
 
 class _FlipBalancer(BlockCode):
@@ -79,8 +46,16 @@ class _FlipBalancer(BlockCode):
 
     @cached_property
     def _prefixes(self) -> tuple[tuple[bytes, ...], dict[bytes, int]]:
-        """The balanced prefix of each flip mask, and each prefix's mask index."""
-        words = tuple(unrank_balanced(2 * self.p0, self.p0, i) for i in range(len(self._masks)))
+        """The balanced prefix of each flip mask, and each prefix's mask index.
+
+        The zero places of the weight-p0 words of length 2*p0 come from
+        combinations in lex order, which is the words' lex order too.
+        """
+        cut = 2 * self.p0
+        words = tuple(
+            bytes(b"10"[place in zeros] for place in range(cut))
+            for zeros in islice(combinations(range(cut), self.p0), len(self._masks))
+        )
         return words, {word: i for i, word in enumerate(words)}
 
     def encode_blocks(self, values: list[int], state: int | None = None) -> list[bytes]:

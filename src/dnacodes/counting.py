@@ -1,12 +1,13 @@
 """Exact enumeration of constrained sequences.
 
 All counts are exact Python ints: balance counts by binomial summation,
-run-length-limited counts by recurrence and by generating-function
-coefficient extraction, and combined weight-plus-run counts by one
-run-state recurrence for both alphabets.  That recurrence tracks the
-class of the last symbol (weighted AT/'1' or unweighted GC/'0') and its
-current run length, with one count per weight in each state, so a
-length-n row costs O(n**2 * m) big-int additions.
+run-length-limited counts by recurrence and, as a cross-check, by
+generating-function coefficient extraction on plain int lists, and
+combined weight-plus-run counts by one run-state recurrence for both
+alphabets.  That recurrence tracks the class of the last symbol
+(weighted AT/'1' or unweighted GC/'0') and its current run length, with
+one count per weight in each state, so a length-n row costs
+O(n**2 * m) big-int additions.
 Everything here is a pure function; the cached weight rows are guarded
 by functools.lru_cache and safe for concurrent use.
 """
@@ -16,8 +17,6 @@ from __future__ import annotations
 import math
 from collections import deque, namedtuple
 from functools import lru_cache
-
-from .series import TruncatedSeries
 
 __all__ = [
     "WeightProfile",
@@ -127,14 +126,19 @@ def rll_count(q: int, m: int, n: int) -> int:
 def rll_count_gf(q: int, m: int, n: int) -> int:
     """Same count as rll_count, via coefficient extraction from q*T/(1-(q-1)*T).
 
-    Kept as an independent cross-check of the recurrence.
+    T = x + ... + x**m.  inverse[d] is the x**d coefficient of
+    1/(1 - (q-1)*T) for d < n, and the x**n coefficient of q*T times it
+    sums q * inverse[n - k] over the run lengths k.  Kept as an
+    independent cross-check of the recurrence; both convolutions stop at
+    degree min(m, n), so a huge m costs nothing.
     """
     _check_rll_args(q, m, n)
     if n == 0:
         return 1
-    t = TruncatedSeries.from_terms({k: 1 for k in range(1, m + 1)}, n)
-    series = (q * t) * ((q - 1) * t).quasi_inverse()
-    return series.coefficient(n)
+    inverse = [1]
+    for d in range(1, n):
+        inverse.append((q - 1) * sum(inverse[d - k] for k in range(1, min(m, d) + 1)))
+    return q * sum(inverse[n - k] for k in range(1, min(m, n) + 1))
 
 
 @lru_cache(maxsize=128)

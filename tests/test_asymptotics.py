@@ -91,6 +91,20 @@ class TestLeadingCoefficient:
         assert abs(asymptotics.rll_count_approx(q, m, 20) / exact - 1) < 1e-3
 
 
+@pytest.mark.parametrize(
+    "formula",
+    [
+        lambda m: asymptotics.leading_coefficient(2, m),
+        lambda m: asymptotics.leading_coefficient(4, m),
+        asymptotics.gamma_binary,
+    ],
+    ids=["A_2", "A_4", "gamma_binary"],
+)
+def test_run_sums_past_the_float_range(formula):
+    # Every term past m = 2000 underflows to 0.0, so m = 10**12 answers at once.
+    assert formula(10**12) == formula(2000)
+
+
 class TestRedundancy:
     def test_exact_quaternary(self):
         assert asymptotics.rll_redundancy(4, 3, 5) == pytest.approx(10 - math.log2(996))

@@ -38,23 +38,27 @@ def every_word(n):
     return [(value, format(value, f"0{n}b").encode()) for value in range(2**n)]
 
 
+def balanced_words(p0):
+    """Every weight-p0 word of length 2*p0, as digits, in lex order."""
+    return sorted(digits for _, digits in every_word(2 * p0) if weight(digits) == p0)
+
+
 class TestBalancedPrefixMap:
-    def test_lexicographic_order(self):
-        words = [balancing.unrank_balanced(4, 2, i) for i in range(math.comb(4, 2))]
-        assert words == sorted(words)
-        assert words[0] == b"0011"
-        assert words[-1] == b"1100"
-
-    @pytest.mark.parametrize("length,weight", [(4, 2), (6, 3), (8, 4), (5, 2)])
-    def test_rank_unrank_bijection(self, length, weight):
-        for index in range(math.comb(length, weight)):
-            word = balancing.unrank_balanced(length, weight, index)
-            assert len(word) == length and word.count(b"1") == weight
-            assert balancing.rank_balanced(word) == index
-
-    def test_index_out_of_range(self):
-        with pytest.raises(ValueError):
-            balancing.unrank_balanced(4, 2, 6)
+    @pytest.mark.parametrize(
+        "balancer",
+        [
+            balancing.KnuthBalancer(2),
+            balancing.KnuthBalancer(64),
+            balancing.WeakKnuthBalancer(64, 3),
+            balancing.WeakKnuthBalancer(200, 7),
+        ],
+        ids=["knuth-2", "knuth-64", "weak-64-3", "weak-200-7"],
+    )
+    def test_prefixes_are_the_first_balanced_words(self, balancer):
+        prefixes, index_of_prefix = balancer._prefixes
+        reference = balanced_words(balancer.p0)[: len(balancer._masks)]
+        assert prefixes == tuple(reference)
+        assert index_of_prefix == {word: i for i, word in enumerate(reference)}
 
 
 class TestKnuth:
@@ -176,9 +180,10 @@ class TestBalancerObjects:
 
 def test_digit_words_match_the_bit_by_bit_flip():
     # The integer flips against a flip done one digit at a time.
+    prefixes = balanced_words(balancing.KnuthBalancer(8).p0)
     for value, digits in every_word(8):
         prefix, body = exact_split(value, 8)
-        k0 = balancing.rank_balanced(prefix) + 1
+        k0 = prefixes.index(prefix) + 1
         flipped = bytes(b"10"[d - ord("0")] for d in digits[:k0]) + digits[k0:]
         assert body == flipped
 

@@ -92,6 +92,11 @@ class TestScalarCommands:
         code, out, _ = run_cli(capsys, "count", "--q", "4", "--m", "2", "--n", "10", "--gf")
         assert out.strip() == "676836"
 
+    def test_count_gf_at_a_huge_run_limit(self, capsys):
+        # A run limit past n limits nothing, and the series never reaches degree m.
+        code, out, _ = run_cli(capsys, "count", "--q", "4", "--m", str(10**12), "--n", "10", "--gf")
+        assert code == 0 and out.strip() == "1048576"
+
     def test_weight_profile_sums(self, capsys):
         _, out, _ = run_cli(capsys, "count", "--q", "4", "--m", "3", "--n", "5", "--weight-profile")
         assert "total,996" in out
