@@ -5,6 +5,7 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from dnacodes import balancing, payload
+from dnacodes.blockcodes import BlockError
 from dnacodes.constructions import make_codec
 
 
@@ -59,6 +60,19 @@ class TestBalancedPrefixMap:
         reference = balanced_words(balancer.p0)[: len(balancer._masks)]
         assert prefixes == tuple(reference)
         assert index_of_prefix == {word: i for i, word in enumerate(reference)}
+
+    @pytest.mark.parametrize(
+        "balancer",
+        [balancing.KnuthBalancer(4), balancing.WeakKnuthBalancer(64, 3)],
+        ids=["knuth-4", "weak-64-3"],
+    )
+    def test_balanced_prefix_past_the_table_refused(self, balancer):
+        # The last balanced word of length 2*p0 is balanced, but no flip mask has it.
+        prefix = b"1" * balancer.p0 + b"0" * balancer.p0
+        assert prefix not in balancer._prefixes[1]
+        body = b"01" * (balancer.source_bits // 2)
+        with pytest.raises(BlockError, match="out-of-range flip index"):
+            balancer.decode_block(prefix + body)
 
 
 class TestKnuth:

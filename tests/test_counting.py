@@ -114,6 +114,13 @@ class TestRllCount:
         assert counting.rll_count(4, 2, 0) == 1
         assert counting.rll_count_gf(4, 2, 0) == 1
 
+    def test_gf_geometric_series(self):
+        # m = 1: T = x, so 1/(1 - T) is all ones and alternating words count 2.
+        # m >= n: T runs unbounded, and every binary word counts.
+        for n in range(1, 30):
+            assert counting.rll_count_gf(2, 1, n) == 2
+            assert counting.rll_count_gf(2, n, n) == 2**n
+
     def test_binary_small_brute(self):
         # 8 binary triples minus 000 and 111
         assert counting.rll_count_gf(2, 2, 3) == 6
