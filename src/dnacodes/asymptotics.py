@@ -114,6 +114,9 @@ def capacity(q: int, m: int) -> CapacityResult:
         residual = (q - 1) * 2.0 ** (-m * math.log2(q))
         return CapacityResult(q, m, lam, math.log2(lam), residual)
     lo, hi = float(q - 1), float(q)
+    if lo == hi:
+        # q - 1 and q round to one float, so the root between them is q itself.
+        return CapacityResult(q, m, hi, math.log2(hi), abs(_char_residual(q, m, hi)))
     if not (_deflated(q, m, lo) < 0 < _deflated(q, m, hi)):
         raise ArithmeticError(f"root bracket invalid for q={q}, m={m}")
     for _ in range(80):
@@ -219,9 +222,7 @@ def gamma_binary(m: int) -> float:
     probs = list(takewhile(bool, (lam**-k for k in range(1, m + 1))))  # as in _run_sum
     if abs(sum(probs) - 1.0) > 1e-12:
         raise ArithmeticError("run-length probabilities do not sum to 1")
-    mean = sum(k * p for k, p in enumerate(probs, start=1))
-    var = sum((k - mean) ** 2 * p for k, p in enumerate(probs, start=1))
-    return var / mean
+    return _variance_over_mean(list(enumerate(probs, start=1)))
 
 
 @lru_cache(maxsize=None)
@@ -261,10 +262,24 @@ def runlength_distribution(m: int) -> RunlengthDistribution:
 
 def gamma_quaternary(m: int) -> float:
     """Variance factor of the quaternary run-constrained AT-weight distribution."""
-    dist = runlength_distribution(m)
-    mean = dist.mean_runlength
-    var = sum((k - mean) ** 2 * p for k, p in dist.probs)
-    return var / mean
+    return _variance_over_mean(runlength_distribution(m).probs)
+
+
+def _variance_over_mean(probs) -> float:
+    """Run-length variance over mean, for the (run length, probability) pairs probs."""
+    mean = sum(k * p for k, p in probs)
+    return sum((k - mean) ** 2 * p for k, p in probs) / mean
+
+
+def _gamma(q: int, m: int) -> float:
+    return gamma_binary(m) if q == 2 else gamma_quaternary(m)
+
+
+def _alphabet(kind: str) -> int:
+    q = counting.ALPHABET_OF_KIND.get(kind)
+    if q is None:
+        raise ValueError(f"unknown kind {kind!r}")
+    return q
 
 
 def q_function(x: float) -> float:
@@ -327,17 +342,13 @@ def gaussian_weight_model(
         raise ValueError("length must be at least 1")
     if kind == "balance":
         return GaussianApprox(mean=n / 2, variance=n / 4, log2_total=2.0 * n)
-    if kind == "binary-rll":
-        if m is None:
-            raise ValueError("binary-rll model needs m")
-        gamma = 1.0 if plain_variance else gamma_binary(m)
-        return GaussianApprox(n / 2, gamma * n / 4, math.log2(counting.rll_count(2, m, n)))
-    if kind == "quaternary-rll":
-        if m is None:
-            raise ValueError("quaternary-rll model needs m")
-        gamma = 1.0 if plain_variance else gamma_quaternary(m)
-        return GaussianApprox(n / 2, gamma * n / 4, math.log2(counting.rll_count(4, m, n)))
-    raise ValueError(f"unknown model kind {kind!r}")
+    q = counting.ALPHABET_OF_KIND.get(kind.removesuffix("-rll")) if kind.endswith("-rll") else None
+    if q is None:
+        raise ValueError(f"unknown model kind {kind!r}")
+    if m is None:
+        raise ValueError(f"{kind} model needs m")
+    gamma = 1.0 if plain_variance else _gamma(q, m)
+    return GaussianApprox(n / 2, gamma * n / 4, math.log2(counting.rll_count(q, m, n)))
 
 
 def gaussian_weight_approx(kind: str, m: int | None, w: int, n: int) -> float:
@@ -349,7 +360,8 @@ def log2_balance_count_approx(n: int, a: float) -> float:
     """log2 of the Gaussian near-balanced count: 2n + log2(1 - 2*Q(2*a*sqrt(n)))."""
     if n < 1:
         raise ValueError("length must be at least 1")
-    admitted = 1.0 - 2.0 * q_function(2.0 * float(a) * math.sqrt(n))
+    a = float(counting.unbalance_bound(a))
+    admitted = 1.0 - 2.0 * q_function(2.0 * a * math.sqrt(n))
     return 2.0 * n + math.log2(admitted) if admitted > 0 else -math.inf
 
 
@@ -362,18 +374,11 @@ def balance_count_approx(n: int, a: float) -> float:
     return _exp2(log2_balance_count_approx(n, a))
 
 
-def _gamma_for(kind: str, m: int) -> float:
-    if kind == "binary":
-        return gamma_binary(m)
-    if kind == "quaternary":
-        return gamma_quaternary(m)
-    raise ValueError(f"unknown kind {kind!r}")
-
-
 def balance_penalty(kind: str, m: int, a: float, n: int) -> float:
     """Extra redundancy in bits for also keeping the weight within a of balance."""
-    gamma = _gamma_for(kind, m)
-    inner = 1.0 - 2.0 * q_function(2.0 * float(a) * math.sqrt(n / gamma))
+    gamma = _gamma(_alphabet(kind), m)
+    a = float(counting.unbalance_bound(a))
+    inner = 1.0 - 2.0 * q_function(2.0 * a * math.sqrt(n / gamma))
     if inner <= 0.0:
         raise ValueError("balance penalty undefined: admitted probability is not positive")
     return -math.log2(inner)
@@ -393,10 +398,8 @@ def combined_redundancy(
     exact: bits-per-symbol * n minus log2 of the admitted-weight count,
     using the same weight-admission rule as the balance counters.
     """
-    if kind not in ("binary", "quaternary"):
-        raise ValueError(f"unknown kind {kind!r}")
-    q = 2 if kind == "binary" else 4
-    if kind == "binary" and m < 2:
+    q = _alphabet(kind)
+    if q == 2 and m < 2:
         raise ValueError("binary combined redundancy needs m >= 2")
     if mode == "asymptotic":
         return rll_redundancy(q, m, n, "asymptotic") + balance_penalty(kind, m, a, n)

@@ -43,6 +43,12 @@ TABLE_IDS = (
 # The unconstrained (m -> infinity) run-length distribution is geometric
 # with ratio 1/2 in either plane, whose variance factor is exactly 1.
 _GAMMA_LIMIT_ROW = ("inf", 1.0, 1.0)
+# The rate-efficiency tables: the blockcodes rate function of each, and its m columns.
+_EFFICIENCY_TABLES = {
+    "two-mode": ("rate_two_mode", (2, 3, 4)),
+    "state-indep": ("rate_state_independent", (1, 2, 3, 4)),
+    "state-dep": ("rate_state_dependent", (1, 2, 3, 4)),
+}
 
 
 class DataError(Exception):
@@ -88,26 +94,12 @@ def _table_rows(table_id: str, precision: int) -> list[str]:
         for m in range(2, 8):
             lines.append(f"{m},{_fmt(asymptotics.efficiency_eta(m), 3)}")
         return lines
-    if table_id == "two-mode":
-        lines = ["n,m=2,m=3,m=4"]
+    if table_id in _EFFICIENCY_TABLES:
+        rate_name, ms = _EFFICIENCY_TABLES[table_id]
+        rate = getattr(blockcodes, rate_name)
+        lines = ["n," + ",".join(f"m={m}" for m in ms)]
         for n in range(5, 11):
-            effs = [
-                blockcodes.rate_two_mode(m, n) / asymptotics.capacity(4, m).capacity_bits
-                for m in (2, 3, 4)
-            ]
-            lines.append(f"{n}," + ",".join(_fmt(e, 3) for e in effs))
-        return lines
-    if table_id in ("state-indep", "state-dep"):
-        rate = (
-            blockcodes.rate_state_independent
-            if table_id == "state-indep"
-            else blockcodes.rate_state_dependent
-        )
-        lines = ["n,m=1,m=2,m=3,m=4"]
-        for n in range(5, 11):
-            effs = [
-                rate(m, n) / asymptotics.capacity(4, m).capacity_bits for m in (1, 2, 3, 4)
-            ]
+            effs = [rate(m, n) / asymptotics.capacity(4, m).capacity_bits for m in ms]
             lines.append(f"{n}," + ",".join(_fmt(e, 3) for e in effs))
         return lines
     if table_id == "gamma":

@@ -40,7 +40,7 @@ from .blockcodes import (
     TwoModeRllCode,
     check_block_size,
 )
-from .words import HIGH_DIGIT_OF_BASE, LOW_DIGIT_OF_BASE, cut, merge_planes, split_planes
+from .words import HIGH_DIGIT_OF_BASE, LOW_DIGIT_OF_BASE, cut, merge_planes
 
 __all__ = ["CODECS", "PlaneCodec", "make_codec"]
 
@@ -102,16 +102,8 @@ class PlaneCodec(BlockCode):
             i for i, strand in enumerate(strands)
             if len(strand) != n or b"x" in strand.translate(LOW_DIGIT_OF_BASE)
         )
-        if bad:
-            self.decode_blocks(strands[:bad], state)  # an earlier strand the code refuses comes first
-            state = strands[bad - 1][-1]
-        try:
-            low, high = split_planes(strands[bad])
-            # The code refuses a plane of another length than its own.
-            self._code.decode_blocks([high if self._high else low], self._code_state(state))
-        except ValueError as exc:
-            raise BlockError(str(exc), bad) from None
-        raise AssertionError(f"the code took a plane of {len(strands[bad])} digits, not {n}")
+        self.decode_blocks(strands[:bad], state)  # an earlier strand the code refuses comes first
+        raise BlockError(f"not a strand of {n} bases G, C, A, T", bad)
 
 
 def _construction1(ell: int, balancer: str = "knuth", p0: int | None = None):

@@ -32,6 +32,8 @@ __all__ = [
 ]
 
 BOUNDARY_MODES = ("strict", "inclusive")
+# Alphabet size q of each kind of word: bits, or bases weighted by their AT-content.
+ALPHABET_OF_KIND = {"binary": 2, "quaternary": 4}
 
 
 def binomial_weight_count(n: int, w: int) -> int:
@@ -167,26 +169,24 @@ def _weight_row(q: int, m: int, n: int) -> tuple[int, ...]:
     return tuple(k * sum(col) for col in zip(*runs[0], *runs[1]))
 
 
-def rll_weight_count_binary(m: int, w: int, n: int) -> int:
-    """Number of n-bit words with max run m and exactly w ones."""
+def _weight_count(q: int, m: int, w: int, n: int) -> int:
     if n < 1:
         raise ValueError("length must be at least 1")
     if m < 1:
         raise ValueError("maximum run must be at least 1")
     if not 0 <= w <= n:
         raise ValueError(f"weight {w} out of range 0..{n}")
-    return _weight_row(2, m, n)[w]
+    return _weight_row(q, m, n)[w]
+
+
+def rll_weight_count_binary(m: int, w: int, n: int) -> int:
+    """Number of n-bit words with max run m and exactly w ones."""
+    return _weight_count(2, m, w, n)
 
 
 def rll_weight_count_quaternary(m: int, w: int, n: int) -> int:
     """Number of quaternary length-n words with max run m and AT-content w."""
-    if n < 1:
-        raise ValueError("length must be at least 1")
-    if m < 1:
-        raise ValueError("maximum run must be at least 1")
-    if not 0 <= w <= n:
-        raise ValueError(f"weight {w} out of range 0..{n}")
-    return _weight_row(4, m, n)[w]
+    return _weight_count(4, m, w, n)
 
 
 class WeightProfile(namedtuple("WeightProfile", "kind m n counts")):
@@ -210,16 +210,11 @@ def weight_profile(kind: str, m: int | None, n: int) -> WeightProfile:
     """
     if n < 1:
         raise ValueError("length must be at least 1")
-    if kind == "binary":
-        if m is None:
-            counts = tuple(math.comb(n, w) for w in range(n + 1))
-        else:
-            counts = _weight_row(2, m, n)
-    elif kind == "quaternary":
-        if m is None:
-            counts = tuple(binomial_weight_count(n, w) for w in range(n + 1))
-        else:
-            counts = _weight_row(4, m, n)
-    else:
+    q = ALPHABET_OF_KIND.get(kind)
+    if q is None:
         raise ValueError(f"unknown profile kind {kind!r}")
+    if m is None:
+        counts = tuple(math.comb(n, w) * (q // 2) ** n for w in range(n + 1))
+    else:
+        counts = _weight_row(q, m, n)
     return WeightProfile(kind=kind, m=m, n=n, counts=counts)

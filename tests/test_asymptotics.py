@@ -218,6 +218,40 @@ class TestGaussianModels:
             asymptotics.gaussian_weight_model("ternary", 2, 10)
 
 
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: counting.weight_profile("ternary", 2, 4), "unknown profile kind 'ternary'"),
+        (lambda: asymptotics.combined_redundancy("ternary", 3, 0.1, 10),
+         "unknown kind 'ternary'"),
+        (lambda: asymptotics.combined_redundancy("ternary", 3, 0.1, 10, "exact"),
+         "unknown kind 'ternary'"),
+        (lambda: asymptotics.balance_penalty("ternary", 3, 0.1, 10), "unknown kind 'ternary'"),
+        (lambda: asymptotics.gaussian_weight_model("ternary-rll", 3, 10),
+         "unknown model kind 'ternary-rll'"),
+        (lambda: asymptotics.gaussian_weight_model("binary", 3, 10),
+         "unknown model kind 'binary'"),
+        (lambda: asymptotics.gaussian_weight_model("binary-rll", None, 10),
+         "binary-rll model needs m"),
+        (lambda: asymptotics.gaussian_weight_model("quaternary-rll", None, 10),
+         "quaternary-rll model needs m"),
+        (lambda: counting.rll_weight_count_binary(2, 5, 4), "weight 5 out of range 0..4"),
+        (lambda: counting.rll_weight_count_quaternary(2, -1, 4), "weight -1 out of range 0..4"),
+        (lambda: counting.rll_weight_count_binary(0, 1, 4), "maximum run must be at least 1"),
+        (lambda: counting.rll_weight_count_quaternary(2, 0, 0), "length must be at least 1"),
+    ],
+    ids=[
+        "profile-kind", "combined-kind", "combined-exact-kind", "penalty-kind", "model-kind",
+        "model-kind-without-rll", "binary-model-m", "quaternary-model-m", "binary-weight",
+        "quaternary-weight", "binary-run", "quaternary-length",
+    ],
+)
+def test_family_refusal_texts(call, message):
+    with pytest.raises(ValueError) as refused:
+        call()
+    assert str(refused.value) == message
+
+
 def _float_balance_count(n, a):
     """The former float-domain estimate, valid while 4**n fits a float."""
     return float(4**n) * (1.0 - 2.0 * asymptotics.q_function(2.0 * a * math.sqrt(n)))

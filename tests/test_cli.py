@@ -122,6 +122,31 @@ class TestScalarCommands:
         assert err == ""
         assert out.splitlines()[:2] == ["lambda,4.0", "capacity_bits,2.0000"]
 
+    def test_capacity_past_the_float_precision_of_q(self, capsys):
+        # q - 1 and q are one float: the root between them is q.
+        code, out, err = run_cli(capsys, "capacity", "--q", str(10**16), "--m", "2", "--full")
+        assert code == 0
+        assert err == ""
+        assert out.splitlines()[0] == "lambda,1e+16"
+
+    @pytest.mark.parametrize("a", ["nan", "inf", "-0.1"])
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("--family", "balance"),
+            ("--family", "combined", "--q", "4", "--m", "3"),
+            ("--family", "combined", "--q", "4", "--m", "3", "--exact"),
+            ("--family", "combined", "--q", "2", "--m", "3"),
+            ("--family", "combined", "--q", "2", "--m", "3", "--exact"),
+        ],
+        ids=["balance", "combined-q4", "combined-q4-exact", "combined-q2", "combined-q2-exact"],
+    )
+    def test_unreadable_unbalance_bound_is_usage_error(self, capsys, args, a):
+        code, out, err = run_cli(capsys, "redundancy", *args, "--n", "10", "--a", a)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_redundancy_balance(self, capsys):
         _, out, _ = run_cli(capsys, "redundancy", "--family", "balance", "--n", "4", "--a", "0.2")
         assert out.strip() == "1.4150"

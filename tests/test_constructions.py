@@ -192,6 +192,23 @@ class TestPlaneCodec:
             with pytest.raises(ValueError):
                 codec.decode_block(wrong)
 
+    @pytest.mark.parametrize("name,params", [("construction1", {"ell": 8}),
+                                             ("construction2", {"m": 2, "n": 6})])
+    def test_malformed_strand_refused_at_its_place(self, name, params):
+        codec = make_codec(name, **params)
+        n = codec.oligo_len
+        strands = codec.encode_blocks(list(range(6)))
+        for at in (0, 3, 5):
+            for bad in (strands[at][:-1], strands[at] + b"G", b"N" + strands[at][1:], b""):
+                with pytest.raises(BlockError) as refused:
+                    codec.decode_blocks(strands[:at] + [bad] + strands[at + 1:])
+                assert str(refused.value) == f"not a strand of {n} bases G, C, A, T"
+                assert refused.value.position == at
+        # A well-formed strand before it that the code refuses is refused first.
+        with pytest.raises(BlockError) as refused:
+            codec.decode_blocks(strands[:1] + [b"G" * n, strands[2], strands[3][:-1]])
+        assert refused.value.position == 1
+
     def test_unknown_plane(self):
         with pytest.raises(ValueError, match="plane"):
             PlaneCodec(KnuthBalancer(8), "middle")

@@ -244,6 +244,12 @@ class TestWeightProfile:
         with pytest.raises(ValueError):
             counting.weight_profile("ternary", 2, 4)
 
+    @pytest.mark.parametrize("n", (1, 4, 9))
+    def test_unconstrained_quaternary_row(self, n):
+        profile = counting.weight_profile("quaternary", None, n)
+        assert profile.counts == tuple(math.comb(n, w) * 2**n for w in range(n + 1))
+        assert profile.total() == 4**n
+
 
 def _matrix_power_entry_sum(m: int, n: int) -> dict[tuple[int, int], int]:
     """Entry sum of D + D^2 + ... + D^n for the 4x4 run transfer matrix D.
