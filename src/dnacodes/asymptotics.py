@@ -12,6 +12,7 @@ the float range.  Pure functions throughout.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -98,6 +99,8 @@ def capacity(q: int, m: int) -> CapacityResult:
     """
     if q < 2:
         raise ValueError("alphabet size must be at least 2")
+    if q > sys.float_info.max:
+        raise ValueError(f"alphabet size q={q} is beyond the float range")
     if m < 1:
         raise ValueError("maximum run must be at least 1")
     if m == 1:

@@ -1,16 +1,16 @@
 """Brute-force ground truth by direct enumeration.
 
-Counts come from odometer scans over whole sequence spaces, block-code
-tables from explicit lists of every constrained word, and codec checks
-re-validate every emitted block with local scanners and against those
-tables.  Nothing in this module is imported from the counting code, and
-the run/weight scanners are deliberate reimplementations rather than
-imports, so a bug in the formulas cannot hide here.
+Counts come from depth-first visits of every word of a sequence space,
+block-code tables from explicit lists of every constrained word, and
+codec checks re-validate every emitted block with local scanners and
+against those tables.  Nothing in this module is imported from the
+counting code, and the run/weight scanners are deliberate
+reimplementations rather than imports, so a bug in the formulas cannot
+hide here.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 import time
 from dataclasses import dataclass, field
@@ -62,13 +62,44 @@ _HISTOGRAM_SLOTS = sum(_largest_length(q) for q in (2, 4))
 
 @lru_cache(maxsize=_HISTOGRAM_SLOTS)
 def _run_weight_histogram(q: int, n: int) -> dict[tuple[int, int], int]:
-    """(max run, weight) -> word count, from one scan of all q**n words."""
+    """(max run, weight) -> word count, from one visit of each of the q**n words.
+
+    A depth-first walk hands each prefix's (last symbol, run, longest
+    run, weight) down to its children, and the leaf loop counts each
+    word as its last symbol extends its prefix.  The result equals the
+    per-word scan by _scan_max_run and _scan_weight, which stay as its
+    reference.
+    """
     _check_space(q, n)
-    hist: dict[tuple[int, int], int] = {}
-    for word in itertools.product(range(q), repeat=n):
-        key = (_scan_max_run(word), _scan_weight(q, word))
-        hist[key] = hist.get(key, 0) + 1
-    return hist
+    if n == 0:
+        return {(0, 0): 1}
+    symbols = tuple((s, _scan_weight(q, (s,))) for s in range(q))
+    stride = n + 1  # counts[longest run * stride + weight]
+    counts = [0] * (stride * stride)
+    leaf = n - 1
+
+    def visit(depth: int, last: int, run: int, best: int, weight: int) -> None:
+        if depth == leaf:
+            base = best * stride + weight
+            for s, w in symbols:
+                if s == last:
+                    end = run + 1
+                    counts[(end if end > best else best) * stride + weight + w] += 1
+                else:
+                    counts[base + w] += 1
+            return
+        depth += 1
+        for s, w in symbols:
+            if s == last:
+                end = run + 1
+                visit(depth, s, end, end if end > best else best, weight + w)
+            else:
+                visit(depth, s, 1, best, weight + w)
+
+    # Every nonempty word's longest run is at least 1, so the empty prefix
+    # may carry 1; its last symbol -1 equals no symbol.
+    visit(0, -1, 0, 1, 0)
+    return {divmod(i, stride): count for i, count in enumerate(counts) if count}
 
 
 def brute_rll_count(q: int, m: int, n: int) -> int:
@@ -319,14 +350,16 @@ def validate_codec(name: str, **params) -> BruteForceReport:
     cuts, decoded in seeded random pieces, each after the strand before
     it.  It must equal the blocks coded one at a time, each after the
     one before, pass the same checks, and keep the run bound across
-    block joins.  Raises ValueError when the coded source space exceeds
-    the exhaustive cap.
+    block joins.  Raises ValueError when stream_blocks is negative or the
+    coded source space exceeds the exhaustive cap.
     """
     from .constructions import make_codec
 
     report = BruteForceReport(codec_id=name, parameters=dict(params))
     start = time.perf_counter()
     stream_blocks = params.pop("stream_blocks", 10_000)
+    if stream_blocks < 0:
+        raise ValueError(f"stream_blocks must be at least 0, not {stream_blocks}")
     codec = make_codec(name, **params)
     table = TABLES[name](**params) if name in TABLES else None
     k, raw = codec.source_bits, codec.raw_bits

@@ -7,10 +7,11 @@ so the AT-content of a strand equals the bit weight of its high plane.
 
 Codecs handle a strand as its uppercase ASCII bytes (b"GCAT"), no other
 case, and a binary plane as ASCII digits (b"0110"), the form `format(value,
-"0nb")` gives and `int(digits, 2)` reads.  Merging and splitting planes go
-through integer addition and byte translation tables, so neither loops
-over symbols in Python.  `cut` splits joined strands or planes into
-equal pieces with one struct unpack.
+"0nb")` gives and `int(digits, 2)` reads.  Planes merge by integer
+addition (`merge_planes`) and split by the byte translation tables
+LOW_DIGIT_OF_BASE and HIGH_DIGIT_OF_BASE, so neither loops over symbols
+in Python.  `cut` splits joined strands or planes into equal pieces with
+one struct unpack.
 """
 
 from __future__ import annotations
@@ -72,11 +73,3 @@ def merge_planes(low: bytes, high: bytes) -> bytes:
         raise ValueError("planes must be binary digits")
     merged = int.from_bytes(low, "big") + (int.from_bytes(high, "big") << 1)
     return merged.to_bytes(len(low), "big").translate(_BASE_OF_PLANES)
-
-
-def split_planes(strand: bytes) -> tuple[bytes, bytes]:
-    """The (low, high) planes of an uppercase strand as ASCII digit strings."""
-    low = strand.translate(LOW_DIGIT_OF_BASE)
-    if low.find(b"x") >= 0:
-        raise ValueError("not a strand of the bases G, C, A, T")
-    return low, strand.translate(HIGH_DIGIT_OF_BASE)

@@ -129,6 +129,14 @@ class TestScalarCommands:
         assert err == ""
         assert out.splitlines()[0] == "lambda,1e+16"
 
+    @pytest.mark.parametrize("m", ["1", "2"], ids=["exact-root", "huge-m"])
+    def test_capacity_past_the_float_range_of_q_is_usage_error(self, capsys, m):
+        q = str(10**400)  # float(q) and float(q - 1) overflow
+        code, out, err = run_cli(capsys, "capacity", "--q", q, "--m", m)
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [f"error: alphabet size q={q} is beyond the float range"]
+
     @pytest.mark.parametrize("a", ["nan", "inf", "-0.1"])
     @pytest.mark.parametrize(
         "args",
@@ -466,6 +474,19 @@ class TestVerify:
                                "--stream-blocks", "100")
         assert code == 0
         assert "verify: PASS" in out
+
+    def test_negative_stream_blocks_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--m-max", "1", "--n-max", "2",
+                                 "--stream-blocks", "-1")
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == ["error: stream_blocks must be at least 0, not -1"]
+
+    def test_zero_stream_blocks_passes(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--m-max", "1", "--n-max", "2",
+                               "--stream-blocks", "0")
+        assert code == 0
+        assert out.splitlines()[-1] == "verify: PASS"
 
 
 class TestImports:

@@ -36,6 +36,24 @@ class TestBruteCounts:
             oracle.brute_weight_count(3, 1, 0, 3)
 
 
+def _per_word_histogram(q, n):
+    hist = {}
+    for word in itertools.product(range(q), repeat=n):
+        key = (oracle._scan_max_run(word), oracle._scan_weight(q, word))
+        hist[key] = hist.get(key, 0) + 1
+    return hist
+
+
+class TestRunWeightHistogram:
+    @pytest.mark.parametrize("q", (2, 3, 4, 5))
+    def test_depth_first_scan_matches_the_per_word_scan(self, q):
+        n = 0
+        while q**n <= 5 * 10**4:
+            scan = oracle._run_weight_histogram.__wrapped__(q, n)  # past the cache
+            assert scan == _per_word_histogram(q, n), (q, n)
+            n += 1
+
+
 class TestFormulaAgreement:
     @pytest.mark.parametrize("q", (2, 4))
     def test_counts_and_weights_small_grid(self, q):
