@@ -72,21 +72,17 @@ def _char_residual(q: int, m: int, x: float) -> float:
     return float(fx - q + (q - 1) / fx**m)
 
 
-def _deflated(q: int, m: int, x: float) -> float:
-    """x**m - (q-1)*(x**(m-1) + ... + 1): the characteristic factor without the root at 1."""
-    acc = 1.0
-    for _ in range(m):
-        acc = acc * x - (q - 1)
-    return acc
+def _deflated(q: int, m: int, x: float) -> tuple[float, float]:
+    """The characteristic factor without the root at 1, and its slope, at x.
 
-
-def _deflated_derivative(q: int, m: int, x: float) -> float:
+    The factor is x**m - (q-1)*(x**(m-1) + ... + 1); one Horner loop gives both.
+    """
     acc = 1.0
     d = 0.0
     for _ in range(m):
         d = d * x + acc
         acc = acc * x - (q - 1)
-    return d
+    return acc, d
 
 
 @lru_cache(maxsize=None)
@@ -120,11 +116,11 @@ def capacity(q: int, m: int) -> CapacityResult:
     if lo == hi:
         # q - 1 and q round to one float, so the root between them is q itself.
         return CapacityResult(q, m, hi, math.log2(hi), abs(_char_residual(q, m, hi)))
-    if not (_deflated(q, m, lo) < 0 < _deflated(q, m, hi)):
+    if not (_deflated(q, m, lo)[0] < 0 < _deflated(q, m, hi)[0]):
         raise ArithmeticError(f"root bracket invalid for q={q}, m={m}")
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if _deflated(q, m, mid) < 0:
+        if _deflated(q, m, mid)[0] < 0:
             lo = mid
         else:
             hi = mid
@@ -132,7 +128,8 @@ def capacity(q: int, m: int) -> CapacityResult:
             break
     lam = 0.5 * (lo + hi)
     for _ in range(_NEWTON_CAP):
-        step = _deflated(q, m, lam) / _deflated_derivative(q, m, lam)
+        value, slope = _deflated(q, m, lam)
+        step = value / slope
         lam -= step
         if abs(step) <= 1e-15 * lam:
             break
@@ -359,12 +356,17 @@ def gaussian_weight_approx(kind: str, m: int | None, w: int, n: int) -> float:
     return gaussian_weight_model(kind, m, n).estimate(w)
 
 
+def _admitted_share(a, scale: float) -> float:
+    """Gaussian share 1 - 2*Q(2*a*sqrt(scale)) of words within a of balance."""
+    a = float(counting.unbalance_bound(a))
+    return 1.0 - 2.0 * q_function(2.0 * a * math.sqrt(scale))
+
+
 def log2_balance_count_approx(n: int, a: float) -> float:
     """log2 of the Gaussian near-balanced count: 2n + log2(1 - 2*Q(2*a*sqrt(n)))."""
     if n < 1:
         raise ValueError("length must be at least 1")
-    a = float(counting.unbalance_bound(a))
-    admitted = 1.0 - 2.0 * q_function(2.0 * a * math.sqrt(n))
+    admitted = _admitted_share(a, n)
     return 2.0 * n + math.log2(admitted) if admitted > 0 else -math.inf
 
 
@@ -380,8 +382,7 @@ def balance_count_approx(n: int, a: float) -> float:
 def balance_penalty(kind: str, m: int, a: float, n: int) -> float:
     """Extra redundancy in bits for also keeping the weight within a of balance."""
     gamma = _gamma(_alphabet(kind), m)
-    a = float(counting.unbalance_bound(a))
-    inner = 1.0 - 2.0 * q_function(2.0 * a * math.sqrt(n / gamma))
+    inner = _admitted_share(a, n / gamma)
     if inner <= 0.0:
         raise ValueError("balance penalty undefined: admitted probability is not positive")
     return -math.log2(inner)

@@ -131,8 +131,7 @@ def cmd_figure1(args) -> int:
 
 def cmd_count(args) -> int:
     if args.weight_profile:
-        kind = "binary" if args.q == 2 else "quaternary"
-        profile = counting.weight_profile(kind, args.m, args.n)
+        profile = counting.weight_profile(counting.KIND_OF_ALPHABET[args.q], args.m, args.n)
         lines = ["w,count"]
         lines.extend(f"{w},{c}" for w, c in enumerate(profile.counts))
         lines.append(f"total,{profile.total()}")
@@ -181,10 +180,9 @@ def cmd_redundancy(args) -> int:
         mode = "asymptotic" if args.asymptotic else "exact"
         value = asymptotics.rll_redundancy(args.q, args.m, args.n, mode)
     else:
-        kind = "binary" if args.q == 2 else "quaternary"
         mode = "exact" if args.exact else "asymptotic"
         value = asymptotics.combined_redundancy(
-            kind, args.m, args.a, args.n, mode, args.boundary
+            counting.KIND_OF_ALPHABET[args.q], args.m, args.a, args.n, mode, args.boundary
         )
     _emit([_fmt(value, args.precision)], args.out)
     return 0
@@ -318,6 +316,11 @@ def cmd_decode(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # Refused before the count grid, which an empty range would pass unchecked.
+    for flag, least in (("m_max", 1), ("n_max", 1), ("stream_blocks", 0)):
+        value = getattr(args, flag)
+        if value < least:
+            raise ValueError(f"{flag} must be at least {least}, not {value}")
     from . import oracle  # only verify needs the brute-force module
 
     lines = []
@@ -335,8 +338,7 @@ def cmd_verify(args) -> int:
                         f"count q={q} m={m} n={n}: recurrence={exact} gf={gf} brute={brute}"
                         f" {'ok' if ok else 'MISMATCH'}"
                     )
-                kind = "binary" if q == 2 else "quaternary"
-                profile = counting.weight_profile(kind, m, n)
+                profile = counting.weight_profile(counting.KIND_OF_ALPHABET[q], m, n)
                 for w in range(n + 1):
                     bw = oracle.brute_weight_count(q, m, w, n)
                     if profile.counts[w] != bw:

@@ -34,6 +34,7 @@ __all__ = [
 BOUNDARY_MODES = ("strict", "inclusive")
 # Alphabet size q of each kind of word: bits, or bases weighted by their AT-content.
 ALPHABET_OF_KIND = {"binary": 2, "quaternary": 4}
+KIND_OF_ALPHABET = {q: kind for kind, q in ALPHABET_OF_KIND.items()}
 
 
 def binomial_weight_count(n: int, w: int) -> int:

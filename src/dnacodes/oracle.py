@@ -182,32 +182,23 @@ def _check_modes(modes):
     return modes
 
 
-def two_mode_tables(m: int, n: int):
-    """Codeword tables of the binary two-mode code: modes[first bit][index]."""
-    words = constrained_words(2, m, n)
-    if len(words) < 4:
+def two_mode_tables(q: int, m: int, n: int):
+    """Codeword tables of the two-mode code over q symbols: modes[mode][index].
+
+    A word's mode is the half of the alphabet its first symbol lies in:
+    the first bit for q = 2; G/C against A/T for q = 4, so the i-th
+    words of the two modes pair G with A, then C with T.
+    """
+    words = constrained_words(q, m, n)
+    if len(words) < 2 * q:
         raise ValueError(f"too few constrained words for a two-mode code (m={m}, n={n})")
     keep = 2 ** (_floor_log2(len(words)) - 1)
-    return _check_modes(tuple(
-        tuple(w for w in words if w[0] == first)[:keep] for first in (0, 1)
-    ))
-
-
-def state_independent_tables(m: int, n: int):
-    """Codeword tables of the state-independent code: modes[representation][index]."""
-    words = constrained_words(4, m, n)
-    if len(words) < 8:
-        raise ValueError(f"too few constrained words (m={m}, n={n})")
-    keep = 2 ** (_floor_log2(len(words)) - 1)
-    by_first = [[w for w in words if w[0] == s] for s in range(4)]
-    assert len({len(group) for group in by_first}) == 1, (
+    firsts = [w[0] for w in words]
+    assert len({firsts.count(s) for s in range(q)}) == 1, (
         "symbol relabeling must split the words evenly"
     )
-    pairs = list(zip(by_first[0], by_first[2])) + list(zip(by_first[1], by_first[3]))
-    pairs = pairs[:keep]
-    return _check_modes((
-        tuple(p[0] for p in pairs),
-        tuple(p[1] for p in pairs),
+    return _check_modes(tuple(
+        tuple(w for w in words if w[0] // (q // 2) == mode)[:keep] for mode in (0, 1)
     ))
 
 
@@ -232,25 +223,26 @@ def state_dependent_tables(m: int, n: int):
     return _check_modes(tuple(modes))
 
 
+def _pick(modes, index: int, state):
+    """The mode-0 word, or the mode-1 word where the mode-0 word starts with state."""
+    word = modes[0][index]
+    return modes[1][index] if state is not None and word[0] == state else word
+
+
 def _two_mode_codeword(m: int, n: int):
     """construction2: the two-mode table's word on the low plane, the raw bits high."""
-    modes = two_mode_tables(m, n)
+    modes = two_mode_tables(2, m, n)
 
     def codeword(index: int, state):
-        low = modes[0 if state is None or state & 1 else 1][index >> n]
+        low = _pick(modes, index >> n, None if state is None else state & 1)
         return tuple(bit + 2 * (index >> (n - 1 - i) & 1) for i, bit in enumerate(low))
 
     return codeword
 
 
 def _state_independent_codeword(m: int, n: int):
-    modes = state_independent_tables(m, n)
-
-    def codeword(index: int, state):
-        first_choice = modes[0][index]
-        return first_choice if state is None or first_choice[0] != state else modes[1][index]
-
-    return codeword
+    modes = two_mode_tables(4, m, n)
+    return lambda index, state: _pick(modes, index, state)
 
 
 def _state_dependent_codeword(m: int, n: int):

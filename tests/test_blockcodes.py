@@ -120,7 +120,7 @@ class TestTwoModeCode:
     def test_source_bits(self):
         code = blockcodes.TwoModeRllCode(3, 5)
         assert code.source_bits == 3  # floor(log2 26) - 1
-        modes = oracle.two_mode_tables(3, 5)
+        modes = oracle.two_mode_tables(2, 3, 5)
         assert len(modes) == 2
         assert len(modes[0]) == 8
 
@@ -166,7 +166,7 @@ class TestStateIndependentCode:
     def test_rate_example(self):
         code = blockcodes.StateIndependentCode(3, 5)
         assert code.source_bits == 8
-        assert len(oracle.state_independent_tables(3, 5)[0]) == 256
+        assert len(oracle.two_mode_tables(4, 3, 5)[0]) == 256
 
     def test_decoding_ignores_state(self):
         code = blockcodes.StateIndependentCode(2, 4)
@@ -255,7 +255,7 @@ class TestCodebookInvariants:
 
     def test_reverse_maps_are_inverse(self):
         code = blockcodes.TwoModeRllCode(3, 5)
-        for mode in oracle.two_mode_tables(3, 5):
+        for mode in oracle.two_mode_tables(2, 3, 5):
             for idx, word in enumerate(mode):
                 assert code.decode_block(bytes(b"01"[bit] for bit in word)) == idx
 

@@ -475,12 +475,31 @@ class TestVerify:
         assert code == 0
         assert "verify: PASS" in out
 
-    def test_negative_stream_blocks_is_usage_error(self, capsys):
-        code, out, err = run_cli(capsys, "verify", "--m-max", "1", "--n-max", "2",
-                                 "--stream-blocks", "-1")
+    @pytest.fixture
+    def no_counts(self, monkeypatch):
+        """Any count fails the test: a refusal must come before the count grid."""
+        from dnacodes import counting, oracle
+
+        def no_count(*args):
+            raise AssertionError("a count ran before the arguments were checked")
+
+        monkeypatch.setattr(counting, "rll_count", no_count)
+        monkeypatch.setattr(oracle, "brute_rll_count", no_count)
+
+    def test_negative_stream_blocks_is_usage_error(self, capsys, no_counts):
+        code, out, err = run_cli(capsys, "verify", "--n-max", "11", "--stream-blocks", "-1")
         assert code == 2
         assert out == ""
         assert err.splitlines() == ["error: stream_blocks must be at least 0, not -1"]
+
+    @pytest.mark.parametrize("flag,value", [("--m-max", "0"), ("--m-max", "-3"),
+                                            ("--n-max", "0"), ("--n-max", "-1")])
+    def test_empty_grid_is_usage_error(self, capsys, no_counts, flag, value):
+        code, out, err = run_cli(capsys, "verify", flag, value, "--stream-blocks", "0")
+        assert code == 2
+        assert out == ""
+        name = flag.removeprefix("--").replace("-", "_")
+        assert err.splitlines() == [f"error: {name} must be at least 1, not {value}"]
 
     def test_zero_stream_blocks_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--m-max", "1", "--n-max", "2",

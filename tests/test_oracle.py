@@ -1,4 +1,5 @@
 import itertools
+from functools import partial
 
 import pytest
 
@@ -117,9 +118,9 @@ class TestValidateCodec:
             oracle.validate_codec("construction1", ell=22)
 
     def test_catches_a_swapped_two_mode_entry(self, monkeypatch):
-        modes = oracle.two_mode_tables(2, 6)
+        modes = oracle.two_mode_tables(2, 2, 6)
         swapped = (modes[0][1], modes[0][0]) + modes[0][2:]
-        monkeypatch.setattr(oracle, "two_mode_tables", lambda m, n: (swapped, modes[1]))
+        monkeypatch.setattr(oracle, "two_mode_tables", lambda q, m, n: (swapped, modes[1]))
         report = oracle.validate_codec("construction2", m=2, n=6, stream_blocks=10)
         assert report.failures
         assert all(f.startswith("table mismatch") for f in report.failures)
@@ -184,7 +185,8 @@ class TestConstrainedWords:
 
     @pytest.mark.parametrize(
         "tables",
-        [oracle.two_mode_tables, oracle.state_dependent_tables, oracle.state_independent_tables],
+        [partial(oracle.two_mode_tables, 2), oracle.state_dependent_tables,
+         partial(oracle.two_mode_tables, 4)],
         ids=["construction2", "state-dependent", "state-independent"],
     )
     def test_tables_are_power_of_two_prefixes(self, tables):
@@ -192,6 +194,19 @@ class TestConstrainedWords:
         size = len(modes[0])
         assert size & (size - 1) == 0
         assert all(len(mode) == size == len(set(mode)) for mode in modes)
+
+    @pytest.mark.parametrize("q", [2, 4])
+    @pytest.mark.parametrize("m,n", itertools.product((2, 3), (3, 4, 5, 6)))
+    def test_two_mode_tables_match_the_per_alphabet_definitions(self, q, m, n):
+        words = oracle.constrained_words(q, m, n)
+        keep = 2 ** (len(words).bit_length() - 2)
+        by_first = [[w for w in words if w[0] == s] for s in range(q)]
+        if q == 2:  # the modes split on the first bit
+            modes = (tuple(by_first[0][:keep]), tuple(by_first[1][:keep]))
+        else:  # the i-th G-word pairs with the i-th A-word, then C-words with T-words
+            pairs = [*zip(by_first[0], by_first[2]), *zip(by_first[1], by_first[3])][:keep]
+            modes = (tuple(p[0] for p in pairs), tuple(p[1] for p in pairs))
+        assert oracle.two_mode_tables(q, m, n) == modes
 
     def test_validate_codec_catches_a_table_mismatch(self, monkeypatch):
         modes = oracle.state_dependent_tables(3, 5)
