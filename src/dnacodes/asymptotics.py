@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import takewhile
@@ -46,19 +46,15 @@ _NEWTON_CAP = 200
 _FLOAT_EXP_LIMIT = 1000
 
 
-@dataclass(frozen=True)
-class CapacityResult:
+class CapacityResult(namedtuple("CapacityResult", "q m lam capacity_bits residual")):
     """Dominant root and capacity of the max-run-m q-ary constraint.
 
-    residual is |lam**(m+1) - q*lam**m + q - 1| / lam**m, evaluated
-    exactly: about the root's absolute error, whatever q**m is.
+    Fields q, m, lam (the root), capacity_bits (log2 lam) and residual,
+    |lam**(m+1) - q*lam**m + q - 1| / lam**m evaluated exactly: about
+    the root's absolute error, whatever q**m is.
     """
 
-    q: int
-    m: int
-    lam: float
-    capacity_bits: float
-    residual: float
+    __slots__ = ()
 
 
 def _char_residual(q: int, m: int, x: float) -> float:
@@ -198,13 +194,16 @@ def efficiency_eta(m: int) -> float:
     return (1.0 + capacity(2, m).capacity_bits) / capacity(4, m).capacity_bits
 
 
-@dataclass(frozen=True)
-class RunlengthDistribution:
-    """Run-length probabilities of one weight plane of a constrained source."""
+class RunlengthDistribution(
+    namedtuple("RunlengthDistribution", "probs truncation_k mean_runlength")
+):
+    """Run-length probabilities of one weight plane of a constrained source.
 
-    probs: tuple[tuple[int, float], ...]
-    truncation_k: int
-    mean_runlength: float
+    Fields probs, the (run length, probability) pairs; truncation_k, the
+    longest run kept; and mean_runlength.
+    """
+
+    __slots__ = ()
 
     def mass(self) -> float:
         return sum(p for _, p in self.probs)
@@ -295,17 +294,15 @@ def _exp2(x: float) -> float:
         return math.inf
 
 
-@dataclass(frozen=True)
-class GaussianApprox:
+class GaussianApprox(namedtuple("GaussianApprox", "mean variance log2_total")):
     """Gaussian model of a weight distribution: count ~ total * density(w).
 
-    The total is kept as its log2, so models of any length stay finite;
-    the log2_* methods give estimates that never overflow.
+    Fields mean, variance and log2_total.  The total is kept as its
+    log2, so models of any length stay finite; the log2_* methods give
+    estimates that never overflow.
     """
 
-    mean: float
-    variance: float
-    log2_total: float
+    __slots__ = ()
 
     @property
     def total(self) -> float:

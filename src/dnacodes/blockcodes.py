@@ -13,13 +13,15 @@ Every codebook is a power-of-two set of max-run-m words indexed in
 lexicographic order, so no table is stored (Cover's enumerative coding):
 encoding finds the index-th codeword and decoding counts the codewords
 below the received one, both by one walk down a graph of prefix states
-whose edges carry codeword counts.  The graph has O(n * m) nodes, or
-O(n**2 * m) for the state-dependent code, whose states also carry the
-AT-content so far.  The first few symbols of a word are one row of a
-per-root head table and the last few one entry of a per-node table,
-so only the symbols between them, in words longer than 8 bases or 16
-digits, are walked one at a time.  Nothing is memoised, so a code's
-memory does not grow with what it has coded.
+whose edges carry codeword counts.  A state holds only what the code
+constrains: the run when m < n, so the graph has O(n * m) nodes (O(n)
+when m >= n), and for the state-dependent code also the AT-content and
+whether its dropped boundary words lie below (O(n**2 * m) nodes).  The
+first few symbols of a word are one row of a per-root head table and
+the last few one entry of a per-node table, so only the symbols between
+them, in words longer than 8 bases or 16 digits, are walked one at a
+time.  Nothing is memoised, so a code's memory does not grow with what
+it has coded.
 
 A block goes in as its index, a source_bits-bit int, and comes out as
 the codeword's ASCII bytes: bases b"GCAT" for the quaternary codes,
@@ -39,6 +41,7 @@ batch of one.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections.abc import Iterable
 
 from . import counting
 from .words import BASES, max_run
@@ -142,14 +145,17 @@ def _refuse_uncounted(q: int, m: int, n: int, carried_bits: int = 0) -> None:
 class _Enumerator:
     """Lexicographic rank and unrank over the kept words of one block code.
 
-    A node stands for every prefix with the same future: its length, last
-    symbol and run, the AT-content so far when a weight window is set,
-    and whether boundary words below it are kept.  It holds its children
-    in lex order as (starts, symbols, children), where starts[k] counts
-    the kept words under the smaller symbols, so unranking takes one
-    bisect per symbol and ranking one lookup.  Children without kept
-    words are left out, so a word that breaks the run limit, the window
-    or the first-symbol rule has no path.
+    A node stands for every prefix of its length with the same future.
+    Its key holds only what the code constrains: the last symbol and its
+    run when m < n, the AT-content so far under a weight window, and,
+    when boundary words are dropped, whether those below it are kept; a
+    part left free stays constant.  A level holds the keys reached from
+    the empty prefix that can still end inside the window.  A node holds
+    its children in lex order as (starts, symbols, children), where
+    starts[k] counts the kept words under the smaller symbols, so
+    unranking takes one bisect per symbol and ranking one lookup.
+    Children without kept words are left out, so a word that breaks the
+    run limit, the window or the first-symbol rule has no path.
 
     A word is read in three parts.  Its last h symbols, h the largest
     length below n with q**h <= 256 (4 bases, 8 digits), read as a
@@ -166,19 +172,28 @@ class _Enumerator:
     memoised: the memory a code takes does not depend on the words it
     has coded.
 
-    With `unbalance` = D, the kept words are those with |2w - n| < D plus
-    the boundary words (|2w - n| == D) from a given boundary rank on:
-    the lexicographically smallest boundary words are the dropped ones.
+    With `unbalance` = D, every root keeps its words with |2w - n| <= D
+    but the `skip` lexicographically smallest of its boundary words
+    (|2w - n| == D); only a root that drops some needs a boundary chain.
 
     Symbol s is written as the byte alphabet[s], so words go out and come
     in as bytes; the graph itself works on symbol values.
     """
 
-    def __init__(self, alphabet: bytes, m: int, n: int, unbalance: int | None = None):
+    _START = (None, 0, 0, True)  # the empty prefix's key: (last, run, weight, above)
+
+    def __init__(
+        self, alphabet: bytes, m: int, n: int, unbalance: int | None = None, skip: int = 0
+    ):
+        if skip and unbalance is None:
+            raise ValueError("skipping boundary words needs a weight window")
         self.alphabet = alphabet
         q = len(alphabet)
         self.q, self.m, self.n = q, m, n
-        self.unbalance = unbalance
+        self.unbalance, self._skip = unbalance, skip
+        self._runs = m < n
+        # What each symbol adds to the weight: its AT-content, under a window.
+        self._weights = bytes(s // (q // 2) if unbalance is not None else 0 for s in range(q))
         h = 0
         while q ** (h + 1) <= 256 and h < n - 1:
             h += 1
@@ -203,35 +218,28 @@ class _Enumerator:
         self._ends_of_tail: dict[bytes, tuple] = {}
         if h == 0:  # node 0 is h symbols short of the end
             self._set_ends(0)
-        # _levels[p] maps (last, run, weight, above) to the node of a length-p prefix.
+        # _levels[p] maps the key of a length-p prefix, 0 < p <= n, to its node.
         self._levels = [{} for _ in range(n + 1)]
         self._build()
 
-    def _weight(self, symbol: int) -> int:
-        # Only the window needs the weight; without one every prefix has weight 0.
-        return symbol // (self.q // 2) if self.unbalance is not None else 0
-
-    def _add(self, p: int, children: list[tuple[int, int | None]]) -> int | None:
-        """A node of a length-p prefix over these (symbol, child) pairs, or None."""
+    def _add(self, p: int, children: Iterable[tuple[int, int | None]]) -> int | None:
+        """A length-p prefix's node over these (symbol, child) pairs (None: left out), or None."""
         children = [(s, c) for s, c in children if c is not None]
         if not children:
             return None
-        starts, total = [], 0
+        sizes, starts, total = self._sizes, [], 0
         for _, child in children:
             starts.append(total)
-            total += self._sizes[child]
-        self._steps.append((
-            tuple(starts),
-            bytes(self.alphabet[s] for s, _ in children),
-            tuple(c for _, c in children),
-        ))
-        self._sizes.append(total)
+            total += sizes[child]
+        symbols, nodes = zip(*children)
+        self._steps.append((tuple(starts), bytes(map(self.alphabet.__getitem__, symbols)), nodes))
+        sizes.append(total)
         tail = None
         if p >= self._cut:
             place = self.q ** (self.n - p - 1)  # what the first symbol of a suffix weighs in its code
             tail = b"".join(self._tails[c].translate(self._adding[s * place]) for s, c in children)
         self._tails.append(tail)
-        node = len(self._sizes) - 1
+        node = len(sizes) - 1
         if p == self._cut:
             self._set_ends(node)
         return node
@@ -244,60 +252,55 @@ class _Enumerator:
             self._ends_of_tail[tail] = ends, dict(zip(ends, range(len(ends))))
         self._ends[node], self._end_index[node] = self._ends_of_tail[tail]
 
-    def _child(self, p: int, last: int, run: int, weight: int, above: bool, s: int):
-        """Node reached by appending s to a length-p prefix, or None."""
-        if s == last:
-            if run == self.m:
+    def _step(self, key: tuple, s: int) -> tuple | None:
+        """The key of a prefix of this key with s appended, or None when s breaks the run limit."""
+        last, run, weight, above = key
+        if self._runs:
+            run = run + 1 if s == last else 1
+            if run > self.m:
                 return None
-            run += 1
-        else:
-            run = 1
-        return self._levels[p + 1].get((s, run, weight + self._weight(s), above))
+            last = s
+        return last, run, weight + self._weights[s], above
 
     def _build(self) -> None:
-        q, m, n, d = self.q, self.m, self.n, self.unbalance
-        if d is None:
-            flags, low, high = (True,), 0, 0
-        else:
-            # Nodes with and without boundary words, and the final weights in the window.
-            flags, low, high = (False, True), (n - d + 1) // 2, (n + d) // 2
-        for w in range(low, high + 1):
-            for above in flags:
-                # A boundary word (|2w - n| == d) is kept only where boundary words are.
-                if above or abs(2 * w - n) < d:
-                    for s in range(q):
-                        for run in range(1, min(m, n) + 1):  # no longer run fits in n
-                            self._levels[n][(s, run, w, above)] = 0
+        n, q, d, step = self.n, self.q, self.unbalance, self._step
+        symbols = range(q)
+        low, high = (0, n) if d is None else ((n - d + 1) // 2, (n + d) // 2)
+        # Forward from the empty prefix, with boundary words (and without, when
+        # some are dropped).  edges[p] holds the keys of length p and their
+        # child keys, q a key in symbol order: None past the run limit or where
+        # no end inside the window is left.  reached keeps one copy of each key.
+        keys = dict.fromkeys([self._START, self._START[:3] + (not self._skip,)])
+        edges = []
+        for p in range(1, n + 1):
+            least, reached = low - (n - p), {}
+            children = [reached.setdefault(c, c) if (c := step(key, s)) and least <= c[2] <= high
+                        else None for key in keys for s in symbols]
+            edges.append((keys, children))
+            keys = reached
+        # A boundary word (|2w - n| == d) is kept only where boundary words are.
+        self._levels[n] = {key: 0 for key in keys if key[3] or abs(2 * key[2] - n) < d}
+        # Backward: a node for each key with kept words.
         for p in range(n - 1, 0, -1):
-            weights = range(max(0, low - (n - p)), min(p, high) + 1)
-            level = self._levels[p]
-            for last in range(q):
-                for run in range(1, min(m, p) + 1):
-                    for w in weights:
-                        for above in flags:
-                            node = self._add(p, [
-                                (s, self._child(p, last, run, w, above, s)) for s in range(q)
-                            ])
-                            if node is not None:
-                                level[(last, run, w, above)] = node
+            keys, children = edges[p]
+            nodes, level = map(self._levels[p + 1].get, children), self._levels[p]
+            for key, row in zip(keys, zip(*[nodes] * q)):  # q children a key
+                node = self._add(p, zip(symbols, row))
+                if node is not None:
+                    level[key] = node
 
-    def root(self, first_symbols: tuple[int, ...], skip: int = 0) -> int:
-        """Node of the empty prefix whose codewords start with first_symbols.
-
-        skip drops that many boundary words, the lexicographically
-        smallest; it needs a weight window.
-        """
-        if self.unbalance is None:
-            if skip:
-                raise ValueError("skipping boundary words needs a weight window")
-            node = self._add(0, [(s, self._child(0, None, 0, 0, True, s)) for s in first_symbols])
+    def root(self, first_symbols: tuple[int, ...]) -> int:
+        """Node of the empty prefix whose kept words start with first_symbols."""
+        if self._skip:
+            node = self._boundary_chain(first_symbols)
         else:
-            node = self._boundary_chain(first_symbols, skip)
+            children = [(s, self._step(self._START, s)) for s in first_symbols]
+            node = self._add(0, [(s, self._levels[1].get(c)) for s, c in children])
         if node is None:
             raise ValueError("no codewords start with these symbols")
         return node
 
-    def _boundary_chain(self, first_symbols: tuple[int, ...], skip: int) -> int | None:
+    def _boundary_chain(self, first_symbols: tuple[int, ...]) -> int | None:
         """Root with the skip lexicographically smallest boundary words dropped.
 
         The first kept boundary word x is found by unranking skip over
@@ -305,33 +308,30 @@ class _Enumerator:
         it, smaller symbols lead to nodes without boundary words and
         larger ones to nodes with all of them.
         """
+        levels, sizes, skip = self._levels, self._sizes, self._skip
 
-        def kept(p: int, key: tuple) -> int:
-            node = self._levels[p].get(key)
-            return 0 if node is None else self._sizes[node]
+        def kept(p: int, key: tuple, above: bool) -> int:
+            node = levels[p].get(key[:3] + (above,))
+            return 0 if node is None else sizes[node]
 
-        word: list[int] = []
-        prefixes: list[tuple] = [(None, 0, 0)]  # (last, run, weight) of x[:p]
-        for p in range(self.n):
-            last, run, weight = prefixes[-1]
-            for s in first_symbols if p == 0 else range(self.q):
-                if s == last and run == self.m:
-                    continue
-                key = (s, run + 1 if s == last else 1, weight + self._weight(s))
-                count = kept(p + 1, key + (True,)) - kept(p + 1, key + (False,))
+        key, symbols = self._START, first_symbols
+        chain = []  # per prefix of x: its (symbol, child key) pairs and x's next symbol
+        for p in range(1, self.n + 1):
+            children = [(s, c) for s in symbols if (c := self._step(key, s)) is not None]
+            for s, key in children:  # key ends as the key of x[:p]
+                count = kept(p, key, True) - kept(p, key, False)
                 if skip < count:
                     break
                 skip -= count
             else:
                 raise ValueError("skip exceeds the number of boundary words")
-            word.append(s)
-            prefixes.append(key)
+            chain.append((children, s))
+            symbols = range(self.q)
         node = 0  # x itself is kept
         for p in range(self.n - 1, -1, -1):
-            last, run, weight = prefixes[p]
+            children, x = chain[p]
             node = self._add(p, [
-                (s, node if s == word[p] else self._child(p, last, run, weight, s > word[p], s))
-                for s in (first_symbols if p == 0 else range(self.q))
+                (s, node if s == x else levels[p + 1].get(c[:3] + (s > x,))) for s, c in children
             ])
         return node
 
@@ -601,10 +601,10 @@ class StateDependentCode(BlockCode):
         keep = 2**self.source_bits
         self.max_unbalance, skip = _pruning_boundary(m, n, capacity - keep)
         self.weight_bound = self.max_unbalance / 2
-        words = _Enumerator(self.alphabet, m, n, unbalance=self.max_unbalance)
+        words = _Enumerator(self.alphabet, m, n, unbalance=self.max_unbalance, skip=skip)
         self._words = words
         self._keep = keep
-        roots = [words.root(tuple(s for s in range(4) if s != state), skip) for state in range(4)]
+        roots = [words.root(tuple(s for s in range(4) if s != state)) for state in range(4)]
         assert all(words.size(root) == keep for root in roots)
         self._roots = {STREAM_START: roots[0]} | dict(zip(self.alphabet, roots))
         heads = [words.head(root) for root in roots]

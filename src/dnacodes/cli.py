@@ -120,6 +120,8 @@ def cmd_tables(args) -> int:
 
 def cmd_figure1(args) -> int:
     a_values = [float(s) for s in args.a_list.split(",") if s]
+    if not a_values or args.n_min > args.n_max:  # checked first: the header alone is no figure
+        raise ValueError(f"empty grid: --a-list {args.a_list!r}, n {args.n_min}..{args.n_max}")
     lines = ["n,a,redundancy_bits"]
     for a in a_values:
         for n in range(args.n_min, args.n_max + 1):
@@ -411,8 +413,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--a", type=float)
     p.add_argument("--boundary", choices=counting.BOUNDARY_MODES, default="strict")
-    p.add_argument("--asymptotic", action="store_true")
-    p.add_argument("--exact", action="store_true")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--asymptotic", action="store_true")
+    mode.add_argument("--exact", action="store_true")
     add_common(p)
     p.set_defaults(func=cmd_redundancy)
 

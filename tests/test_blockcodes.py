@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from bisect import bisect_right
 from functools import lru_cache, partial
@@ -67,6 +68,50 @@ class TestConstrainedWords:
     def test_count_matches_formula(self):
         words = blockcodes._Enumerator(b"GCAT", 3, 5)
         assert words.size(words.root((0, 1, 2, 3))) == counting.rll_count(4, 3, 5)
+
+    @pytest.mark.parametrize(
+        "q,n", [(2, 2), (2, 4), (2, 6), (2, 8), (2, 12), (4, 2), (4, 4), (4, 6), (4, 8)]
+    )
+    def test_exact_balance_roots_match_the_oracle(self, q, n):
+        """At even n and unbalance 1 no boundary word exists: the root keeps weight n/2 alone."""
+        for m in sorted({1, 2, 3, n - 1, n, n + 5} - {0}):
+            words = blockcodes._Enumerator(bytes(range(q)), m, n, unbalance=1)
+            root = words.root(tuple(range(q)))
+            expected = [
+                w for w in oracle.constrained_words(q, m, n)
+                if sum(s >= q // 2 for s in w) == n // 2
+            ]
+            assert words.size(root) == len(expected), (m, n)
+            listed = unrank_all(words, root, range(len(expected)))
+            assert [tuple(w) for w in listed] == expected, (m, n)
+            assert rank_all(words, root, listed) == list(range(len(expected)))
+
+    def test_skipping_needs_a_window(self):
+        with pytest.raises(ValueError, match="needs a weight window"):
+            blockcodes._Enumerator(b"GCAT", 3, 8, skip=1)
+
+    @pytest.mark.parametrize(
+        "q,m,n,unbalance,skip,parts",
+        [
+            (2, 3, 10, None, 0, ()),
+            (2, 10, 10, None, 0, ()),
+            (4, 3, 8, 2, 0, ("weight",)),
+            (4, 3, 8, 2, 5, ("weight", "above")),
+            (4, 8, 8, 2, 5, ("weight", "above")),
+            (2, 76, 76, 1, 0, ("weight",)),
+        ],
+    )
+    def test_keys_hold_only_what_the_code_constrains(self, q, m, n, unbalance, skip, parts):
+        """The run splits keys only when m < n, the weight only with a window, and the
+        above flag only when boundary words are dropped."""
+        words = blockcodes._Enumerator(bytes(range(q)), m, n, unbalance, skip)
+        keys = [key for level in words._levels[1:] for key in level]
+        runs = {key[:2] for key in keys}
+        assert (len(runs) > 1) == (m < n)
+        assert (len({key[2] for key in keys}) > 1) == ("weight" in parts)
+        assert (len({key[3] for key in keys}) > 1) == ("above" in parts)
+        if unbalance == 1 and n == 76:  # the exact-balanced binary graph
+            assert words.size(words.root((0, 1))) == math.comb(76, 38)
 
 
 class TestRates:
@@ -455,8 +500,11 @@ class TestTailTables:
             (blockcodes.TwoModeRllCode(4, 12), None),
             (blockcodes.StateDependentCode(3, 64), 3000),
             (blockcodes.TwoModeRllCode(3, 20), 3000),
+            (blockcodes.TwoModeRllCode(12, 10), None),
+            (blockcodes.StateIndependentCode(9, 8), None),
         ],
-        ids=["sd-m3n9", "si-m3n10", "two-mode-m4n12", "sd-m3n64", "two-mode-m3n20"],
+        ids=["sd-m3n9", "si-m3n10", "two-mode-m4n12", "sd-m3n64", "two-mode-m3n20",
+             "two-mode-m12n10", "si-m9n8"],
     )
     def test_every_index_matches_the_plain_walk(self, code, draws):
         """Every index (or draws random ones, where the walk goes past the head table)."""

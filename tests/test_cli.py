@@ -84,6 +84,25 @@ class TestFigure1:
         first, second = values[: len(values) // 2], values[len(values) // 2 :]
         assert sum(second) / len(second) < sum(first) / len(first)
 
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (("--n-min", "5", "--n-max", "2"), "--a-list '0.05,0.10,0.15', n 5..2"),
+            (("--a-list", ","), "--a-list ',', n 10..200"),
+            (("--a-list", ""), "--a-list '', n 10..200"),
+        ],
+        ids=["n-range", "a-list-comma", "a-list-blank"],
+    )
+    def test_empty_grid_is_usage_error(self, capsys, monkeypatch, args, message):
+        def no_row(*args):
+            raise AssertionError("a row ran before the grid was checked")
+
+        monkeypatch.setattr(cli.counting, "balance_redundancy", no_row)
+        code, out, err = run_cli(capsys, "figure1", *args)
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [f"error: empty grid: {message}"]
+
 
 class TestScalarCommands:
     def test_count(self, capsys):
@@ -187,6 +206,17 @@ class TestScalarCommands:
         assert code == 2
         assert out == ""
         assert err == f"error: redundancy --family {family} needs {missing}\n"
+
+    @pytest.mark.parametrize("family", ["runlength", "combined"])
+    def test_redundancy_exact_and_asymptotic_together_is_usage_error(self, capsys, family):
+        args = ("--family", family, "--m", "3", "--n", "10", "--a", "0.1")
+        for pair in (("--exact", "--asymptotic"), ("--asymptotic", "--exact")):
+            with pytest.raises(SystemExit) as exit_info:
+                cli.main(["redundancy", *args, *pair])
+            assert exit_info.value.code == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.splitlines()[-1].endswith(f"argument {pair[1]}: not allowed with argument {pair[0]}")
 
     def test_precision_flag(self, capsys):
         _, out, _ = run_cli(capsys, "capacity", "--q", "4", "--m", "1", "--precision", "8")
@@ -522,6 +552,17 @@ class TestImports:
         assert "dnacodes.oracle" not in loaded
         # Each costs import time that every command would pay.
         assert not loaded & {"inspect", "dataclasses", "fractions", "decimal"}
+
+    def test_paper_tables_leave_dataclasses_unloaded(self):
+        import dnacodes
+
+        src = os.path.dirname(os.path.dirname(dnacodes.__file__))
+        probe = "import sys, dnacodes.asymptotics\nprint(' '.join(sorted(sys.modules)))\n"
+        result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                                env={**os.environ, "PYTHONPATH": src}, check=True)
+        loaded = set(result.stdout.split())
+        assert "dnacodes.asymptotics" in loaded
+        assert not loaded & {"inspect", "dataclasses"}
 
     def test_every_exported_name_imports(self):
         import dnacodes
