@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 import sys
 from collections import namedtuple
-from fractions import Fraction
 from functools import lru_cache
 from itertools import takewhile
 
@@ -62,10 +61,13 @@ def _char_residual(q: int, m: int, x: float) -> float:
 
     Dividing by x**m makes the residual scale-free: its slope in x is
     1 - m*(q-1)/x**(m+1), at most 1, so it reads about the root's
-    absolute error rather than growing with q**m.
+    absolute error rather than growing with q**m.  With x = u/v exactly,
+    the value is (u**(m+1) - q*v*u**m + (q-1)*v**(m+1)) / (v*u**m), and
+    int true division rounds that quotient correctly.
     """
-    fx = Fraction(x)
-    return float(fx - q + (q - 1) / fx**m)
+    u, v = x.as_integer_ratio()
+    power = u**m
+    return (u * power - q * v * power + (q - 1) * v ** (m + 1)) / (v * power)
 
 
 def _deflated(q: int, m: int, x: float) -> tuple[float, float]:
@@ -355,7 +357,8 @@ def gaussian_weight_approx(kind: str, m: int | None, w: int, n: int) -> float:
 
 def _admitted_share(a, scale: float) -> float:
     """Gaussian share 1 - 2*Q(2*a*sqrt(scale)) of words within a of balance."""
-    a = float(counting.unbalance_bound(a))
+    p, d = counting._bound_ratio(a)
+    a = p / d
     return 1.0 - 2.0 * q_function(2.0 * a * math.sqrt(scale))
 
 

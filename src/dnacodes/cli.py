@@ -167,24 +167,40 @@ def cmd_capacity(args) -> int:
 
 
 _REDUNDANCY_NEEDS = {"balance": ("a",), "runlength": ("m",), "combined": ("m", "a")}
+# The optional flags of redundancy (None unless given), and those each
+# family reads; a family refuses the others.
+_REDUNDANCY_FLAGS = ("q", "m", "a", "boundary", "asymptotic", "exact")
+_REDUNDANCY_READS = {
+    "balance": ("a", "boundary"),
+    "runlength": ("q", "m", "asymptotic", "exact"),
+    "combined": _REDUNDANCY_FLAGS,
+}
 
 
 def cmd_redundancy(args) -> int:
-    missing = [f"--{name}" for name in _REDUNDANCY_NEEDS[args.family]
-               if getattr(args, name) is None]
+    family = args.family
+    missing = [f"--{name}" for name in _REDUNDANCY_NEEDS[family] if getattr(args, name) is None]
     if missing:
-        raise ValueError(f"redundancy --family {args.family} needs {' and '.join(missing)}")
+        raise ValueError(f"redundancy --family {family} needs {' and '.join(missing)}")
+    unused = [f"--{name}" for name in _REDUNDANCY_FLAGS
+              if name not in _REDUNDANCY_READS[family] and getattr(args, name) is not None]
+    if unused:
+        raise ValueError(f"redundancy --family {family} takes no {', '.join(unused)}")
+    if family == "combined" and args.boundary is not None and not args.exact:
+        raise ValueError("redundancy --family combined takes no --boundary without --exact")
+    q = 4 if args.q is None else args.q
+    boundary = args.boundary or "strict"
     from . import asymptotics
 
-    if args.family == "balance":
-        value = counting.balance_redundancy(args.n, args.a, args.boundary)
-    elif args.family == "runlength":
+    if family == "balance":
+        value = counting.balance_redundancy(args.n, args.a, boundary)
+    elif family == "runlength":
         mode = "asymptotic" if args.asymptotic else "exact"
-        value = asymptotics.rll_redundancy(args.q, args.m, args.n, mode)
+        value = asymptotics.rll_redundancy(q, args.m, args.n, mode)
     else:
         mode = "exact" if args.exact else "asymptotic"
         value = asymptotics.combined_redundancy(
-            counting.KIND_OF_ALPHABET[args.q], args.m, args.a, args.n, mode, args.boundary
+            counting.KIND_OF_ALPHABET[q], args.m, args.a, args.n, mode, boundary
         )
     _emit([_fmt(value, args.precision)], args.out)
     return 0
@@ -408,14 +424,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("redundancy", help="redundancy figures in bits")
     p.add_argument("--family", choices=("balance", "runlength", "combined"), required=True)
-    p.add_argument("--q", type=int, default=4, choices=(2, 4))
+    p.add_argument("--q", type=int, choices=(2, 4), help="alphabet size (default 4)")
     p.add_argument("--m", type=int)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--a", type=float)
-    p.add_argument("--boundary", choices=counting.BOUNDARY_MODES, default="strict")
+    p.add_argument("--boundary", choices=counting.BOUNDARY_MODES, help="default strict")
     mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--asymptotic", action="store_true")
-    mode.add_argument("--exact", action="store_true")
+    mode.add_argument("--asymptotic", action="store_true", default=None)
+    mode.add_argument("--exact", action="store_true", default=None)
     add_common(p)
     p.set_defaults(func=cmd_redundancy)
 

@@ -1,13 +1,14 @@
 """Exact enumeration of constrained sequences.
 
-All counts are exact Python ints: balance counts by binomial summation,
-run-length-limited counts by recurrence and, as a cross-check, by
-generating-function coefficient extraction on plain int lists, and
-combined weight-plus-run counts by one run-state recurrence for both
-alphabets.  That recurrence tracks the class of the last symbol
-(weighted AT/'1' or unweighted GC/'0') and its current run length, with
-one count per weight in each state, so a length-n row costs
-O(n**2 * m) big-int additions.
+All counts are exact Python ints: balance counts by binomial summation
+over the admitted weights, run-length-limited counts by recurrence and,
+as a cross-check, by generating-function coefficient extraction on plain
+int lists, and combined weight-plus-run counts by one run-state
+recurrence for both alphabets.  That recurrence tracks the class of the
+last symbol (weighted AT/'1' or unweighted GC/'0') and its run length,
+and packs each state's counts over all weights into one int, a slot per
+weight, so a weighted symbol is one shift and a length-n row costs O(n)
+big-int additions and shifts.
 Everything here is a pure function; the cached weight rows are guarded
 by functools.lru_cache and safe for concurrent use.
 """
@@ -67,27 +68,59 @@ def unbalance_bound(a):
     return bound
 
 
+def _bound_ratio(a) -> tuple[int, int]:
+    """A relative-unbalance bound as ints (p, d) with p/d == unbalance_bound(a).
+
+    A float is read from its decimal repr, digits and exponent, so the
+    paper-table path needs no Fraction; other bounds go through
+    unbalance_bound.
+    """
+    if not isinstance(a, float):
+        bound = unbalance_bound(a)
+        return bound.numerator, bound.denominator
+    if not math.isfinite(a):
+        raise ValueError(f"unbalance bound must be finite, not {a!r}")
+    mantissa, _, exponent = str(a).partition("e")
+    whole, _, fraction = mantissa.partition(".")
+    p = int(whole + fraction)
+    if p < 0:
+        raise ValueError("unbalance bound must be non-negative")
+    shift = int(exponent or 0) - len(fraction)
+    return (p * 10**shift, 1) if shift >= 0 else (p, 10**-shift)
+
+
 def admitted_weights(n: int, a, boundary: str = "strict") -> list[int]:
     """Weights w with |w/n - 1/2| < a (strict) or <= a (inclusive).
 
-    With a = p/d, |w/n - 1/2| < p/d is |2w - n| * d < 2n * p, so the test
-    runs on ints.
+    With a = p/d, |w/n - 1/2| < p/d is |2w - n| * d < 2n * p, so the
+    largest admitted |2w - n| is an integer quotient, the reach, and the
+    weights form the one range from (n - reach) / 2 to (n + reach) / 2,
+    clipped to 0..n.
     """
     if n < 1:
         raise ValueError("length must be at least 1")
     if boundary not in BOUNDARY_MODES:
         raise ValueError(f"boundary must be one of {BOUNDARY_MODES}")
-    bound = unbalance_bound(a)
-    limit = 2 * n * bound.numerator
-    d = bound.denominator
+    p, d = _bound_ratio(a)
     if boundary == "inclusive":
-        return [w for w in range(n + 1) if abs(2 * w - n) * d <= limit]
-    return [w for w in range(n + 1) if abs(2 * w - n) * d < limit]
+        reach = 2 * n * p // d
+    else:
+        reach = (2 * n * p - 1) // d
+    return list(range(max(0, (n - reach + 1) // 2), min(n, (n + reach) // 2) + 1))
 
 
 def near_balanced_count(n: int, a, boundary: str = "strict") -> int:
-    """Number of length-n quaternary words whose relative unbalance stays within a."""
-    return sum(binomial_weight_count(n, w) for w in admitted_weights(n, a, boundary))
+    """Number of length-n quaternary words whose relative unbalance stays within a.
+
+    The sum over the admitted weights of C(n, w) * 2**n: one binomial,
+    each next one by the ratio (n - w) / (w + 1), and one shift by n.
+    """
+    weights = admitted_weights(n, a, boundary)
+    total, c = 0, math.comb(n, weights[0]) if weights else 0
+    for w in weights:
+        total += c
+        c = c * (n - w) // (w + 1)
+    return total << n
 
 
 def balance_redundancy(n: int, a, boundary: str = "strict") -> float:
@@ -148,26 +181,38 @@ def rll_count_gf(q: int, m: int, n: int) -> int:
 def _weight_row(q: int, m: int, n: int) -> tuple[int, ...]:
     """Counts over weight w of the q-ary (q = 2 or 4) length-n words with max run m.
 
-    runs[c][r - 1][w] counts the words that end in one fixed symbol of
-    class c (0 unweighted, 1 weighted) with a run of exactly r, and have
-    weight w.  The q/2 symbols of a class are interchangeable, so one
-    symbol stands for all of them.  A step either extends a run, or
-    starts a new one after any word that ends in a different symbol; a
-    weighted symbol shifts the weight by one.  Every list has length
-    L + 1 at word length L.
+    A state's counts over all weights are packed into one int: the count
+    of weight w fills slot w, a whole number of bytes wide, and no count
+    reaches q**n, so no slot carries into the next.  A weighted symbol
+    shifts a packed state by one slot.  starts[c] holds, for the last m
+    lengths, the words that end in a run of 1 of one fixed symbol of
+    class c (0 unweighted, 1 weighted); the q/2 symbols of a class are
+    interchangeable, so one symbol stands for all of them.  A new run
+    starts after any word that ends in a different symbol.  ends0 and
+    ends1 count the words that end in that symbol with any run up to m,
+    and slide along as in rll_count: each word grows its run by one
+    symbol, the start of m lengths back (now a run of m + 1) drops out,
+    and the new start comes in.  So a row costs O(n) big-int additions
+    and shifts, and is read out through one to_bytes.
     """
     if m < 1:
         raise ValueError("maximum run must be at least 1")
     k = q // 2
     m = min(m, n)
-    runs = [[[1, 0]] + [[0, 0]] * (m - 1), [[0, 1]] + [[0, 0]] * (m - 1)]
+    width = ((q**n).bit_length() + 9) // 8  # bytes per slot, 2 bits to spare
+    slot = 8 * width
+    grown = (m - 1) * slot  # the shift of a weighted start grown by m - 1 symbols
+    starts = (deque([0] * (m - 1) + [1]), deque([0] * (m - 1) + [1 << slot]))
+    ends0, ends1 = starts[0][-1], starts[1][-1]
     for _ in range(n - 1):
-        ends = [[sum(col) for col in zip(*states)] for states in runs]
-        for c in (0, 1):
-            start = [k * a + (k - 1) * b for a, b in zip(ends[1 - c], ends[c])]
-            grown = [start] + runs[c][:-1]
-            runs[c] = [[0] + s for s in grown] if c else [s + [0] for s in grown]
-    return tuple(k * sum(col) for col in zip(*runs[0], *runs[1]))
+        start0 = k * ends1 + (k - 1) * ends0
+        start1 = (k * ends0 + (k - 1) * ends1) << slot
+        ends0 += start0 - starts[0].popleft()
+        ends1 = start1 + ((ends1 - (starts[1].popleft() << grown)) << slot)
+        starts[0].append(start0)
+        starts[1].append(start1)
+    row = (k * (ends0 + ends1)).to_bytes((n + 1) * width, "little")
+    return tuple(int.from_bytes(row[i : i + width], "little") for i in range(0, len(row), width))
 
 
 def _weight_count(q: int, m: int, w: int, n: int) -> int:

@@ -1,4 +1,6 @@
 import math
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -54,6 +56,17 @@ class TestCapacity:
         for q, m in [(2, 3), (4, 5)]:
             lam = asymptotics.capacity(q, m).lam
             assert q - 1 < lam < q
+
+    @pytest.mark.parametrize("q", (2, 3, 4, 7, 16, 10**6))
+    def test_char_residual_matches_fraction_reference(self, q):
+        rng = random.Random(q)
+        points = [float(q - 1), float(q), 1.0, asymptotics.capacity(q, 2).lam]
+        points += [rng.uniform(1.0, q + 1.0) for _ in range(30)]
+        for m in (1, 2, 3, 5, 10, 39, 100):
+            for x in points:
+                fx = Fraction(x)
+                expected = float(fx - q + (q - 1) / fx**m)
+                assert asymptotics._char_residual(q, m, x).hex() == expected.hex()
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):

@@ -207,6 +207,58 @@ class TestScalarCommands:
         assert out == ""
         assert err == f"error: redundancy --family {family} needs {missing}\n"
 
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (("--family", "balance", "--a", "0.1", "--asymptotic", "--m", "3", "--q", "2"),
+             "redundancy --family balance takes no --q, --m, --asymptotic"),
+            (("--family", "balance", "--a", "0.1", "--q", "4"),
+             "redundancy --family balance takes no --q"),
+            (("--family", "balance", "--a", "0.1", "--m", "0"),
+             "redundancy --family balance takes no --m"),
+            (("--family", "balance", "--a", "0.1", "--exact"),
+             "redundancy --family balance takes no --exact"),
+            (("--family", "runlength", "--m", "3", "--a", "0.1"),
+             "redundancy --family runlength takes no --a"),
+            (("--family", "runlength", "--m", "3", "--a", "0", "--boundary", "strict"),
+             "redundancy --family runlength takes no --a, --boundary"),
+            (("--family", "combined", "--m", "3", "--a", "0.1", "--boundary", "inclusive"),
+             "redundancy --family combined takes no --boundary without --exact"),
+            (("--family", "combined", "--m", "3", "--a", "0.1", "--asymptotic",
+              "--boundary", "strict"),
+             "redundancy --family combined takes no --boundary without --exact"),
+        ],
+        ids=["balance-q-m-asymptotic", "balance-default-q", "balance-zero-m", "balance-exact",
+             "runlength-a", "runlength-zero-a-boundary", "combined-boundary",
+             "combined-asymptotic-boundary"],
+    )
+    def test_redundancy_flag_its_family_does_not_read_is_usage_error(self, capsys, args, message):
+        code, out, err = run_cli(capsys, "redundancy", *args, "--n", "10")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "args,value",
+        [
+            (("--family", "combined", "--q", "4", "--m", "3", "--n", "120", "--a", "0.05",
+              "--exact"), "2.5526"),
+            (("--family", "combined", "--m", "3", "--n", "120", "--a", "0.05", "--exact",
+              "--boundary", "strict"), "2.5526"),
+            (("--family", "combined", "--q", "4", "--m", "3", "--n", "120", "--a", "0.05",
+              "--exact", "--boundary", "inclusive"), "2.4020"),
+            (("--family", "balance", "--n", "40", "--a", "0.1", "--boundary", "inclusive"),
+             "0.2410"),
+            (("--family", "runlength", "--q", "4", "--m", "3", "--n", "40", "--exact"), "0.6575"),
+            (("--family", "runlength", "--m", "3", "--n", "40"), "0.6575"),
+        ],
+        ids=["bench-combined-exact", "combined-default-q", "combined-inclusive",
+             "balance-inclusive", "runlength-exact", "runlength-default-q"],
+    )
+    def test_redundancy_values_with_defaults_given_or_left_out(self, capsys, args, value):
+        code, out, err = run_cli(capsys, "redundancy", *args)
+        assert (code, out, err) == (0, value + "\n", "")
+
     @pytest.mark.parametrize("family", ["runlength", "combined"])
     def test_redundancy_exact_and_asymptotic_together_is_usage_error(self, capsys, family):
         args = ("--family", family, "--m", "3", "--n", "10", "--a", "0.1")
@@ -563,6 +615,24 @@ class TestImports:
         loaded = set(result.stdout.split())
         assert "dnacodes.asymptotics" in loaded
         assert not loaded & {"inspect", "dataclasses"}
+
+    def test_paper_tables_leave_fractions_unloaded(self):
+        import dnacodes
+
+        src = os.path.dirname(os.path.dirname(dnacodes.__file__))
+        probe = (
+            "import sys, dnacodes.asymptotics\n"
+            "from dnacodes import counting\n"
+            "dnacodes.asymptotics.capacity(4, 3)\n"
+            "counting.balance_redundancy(200, 0.05)\n"
+            "print(' '.join(sorted(sys.modules)))\n"
+        )
+        result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                                env={**os.environ, "PYTHONPATH": src}, check=True)
+        loaded = set(result.stdout.split())
+        assert "dnacodes.asymptotics" in loaded
+        # Loading fractions also loads decimal: about 3 ms of every paper-table command.
+        assert not loaded & {"fractions", "decimal"}
 
     def test_every_exported_name_imports(self):
         import dnacodes

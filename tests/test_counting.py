@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -7,6 +8,28 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from dnacodes import counting, oracle
+
+
+@functools.lru_cache(maxsize=None)
+def reference_weight_row(q, m, n):
+    """The unpacked run-state recurrence, one list of counts per state.
+
+    runs[c][r - 1][w] counts the words that end in one fixed symbol of
+    class c (0 unweighted, 1 weighted) with a run of exactly r, and have
+    weight w.  A step either extends a run, or starts a new one after any
+    word that ends in a different symbol; a weighted symbol shifts the
+    weight by one.
+    """
+    k = q // 2
+    m = min(m, n)
+    runs = [[[1, 0]] + [[0, 0]] * (m - 1), [[0, 1]] + [[0, 0]] * (m - 1)]
+    for _ in range(n - 1):
+        ends = [[sum(col) for col in zip(*states)] for states in runs]
+        for c in (0, 1):
+            start = [k * a + (k - 1) * b for a, b in zip(ends[1 - c], ends[c])]
+            grown = [start] + runs[c][:-1]
+            runs[c] = [[0] + s for s in grown] if c else [s + [0] for s in grown]
+    return tuple(k * sum(col) for col in zip(*runs[0], *runs[1]))
 
 
 def brute_quaternary_weight(n, w):
@@ -77,7 +100,11 @@ class TestNearBalancedCount:
 
 class TestAdmittedWeights:
     @pytest.mark.parametrize("boundary", counting.BOUNDARY_MODES)
-    @pytest.mark.parametrize("a", [0, 0.05, 0.1, 0.15, 1 / 3, 0.5, 1])
+    @pytest.mark.parametrize(
+        "a",
+        [0, 0.05, 0.1, 0.15, 1 / 3, 0.5, 1, 1e-05, 0.3333, 2.5, -0.0, 1e16, 3,
+         Fraction(1, 7), Fraction(21, 40)],
+    )
     def test_integer_rule_matches_fraction_rule(self, a, boundary):
         bound = counting.unbalance_bound(a)
         for n in range(1, 301):
@@ -87,6 +114,24 @@ class TestAdmittedWeights:
                 if gap < bound or (boundary == "inclusive" and gap == bound):
                     expected.append(w)
             assert counting.admitted_weights(n, a, boundary) == expected
+
+    @pytest.mark.parametrize(
+        "a,reason",
+        [(math.nan, "finite"), (math.inf, "finite"), (-math.inf, "finite"),
+         (-1e-300, "non-negative")],
+    )
+    def test_unreadable_float_bound_rejected(self, a, reason):
+        with pytest.raises(ValueError, match=f"must be {reason}"):
+            counting.admitted_weights(10, a)
+
+
+@pytest.mark.parametrize("boundary", counting.BOUNDARY_MODES)
+@pytest.mark.parametrize("a", [0, 0.05, 0.1, 0.25, 1 / 3, 0.5, 1e16])
+def test_near_balanced_count_sums_binomials(a, boundary):
+    for n in range(1, 301):
+        assert counting.near_balanced_count(n, a, boundary) == sum(
+            counting.binomial_weight_count(n, w) for w in counting.admitted_weights(n, a, boundary)
+        )
 
 
 class TestBalanceRedundancy:
@@ -212,6 +257,15 @@ class TestWeightRowKernel:
     def test_rejects_zero_run(self):
         with pytest.raises(ValueError):
             counting.weight_profile("quaternary", 0, 5)
+
+    # A slot is a whole number of bytes, and grows by one at n = 6 and 62
+    # for q = 2, and at n = 3 and 63 for q = 4.
+    @pytest.mark.parametrize("n", (1, 2, 3, 6, 8, 9, 62, 63, 64, 65, 200, 400))
+    @pytest.mark.parametrize("q", (2, 4))
+    def test_matches_unpacked_recurrence(self, q, n):
+        for m in (1, 2, 3, 5, n, n + 1):
+            # The reference caps m at n too, so m = n + 1 reuses its row for m = n.
+            assert counting._weight_row(q, m, n) == reference_weight_row(q, min(m, n), n)
 
     @settings(deadline=None)
     @given(st.sampled_from((2, 4)), st.integers(1, 5), st.integers(1, 7))
