@@ -1,10 +1,12 @@
 """Brute-force ground truth by direct enumeration.
 
-Counts come from depth-first visits of every word of a sequence space,
-block-code tables from explicit lists of every constrained word, and
-codec checks re-validate every emitted block with local scanners and
-against those tables.  Nothing in this module is imported from the
-counting code, and the run/weight scanners are deliberate
+Counts come from a (longest run, weight) histogram of every word of a
+sequence space: a depth-first visit lists every word of each half, and
+a join pairs the halves' classes, merging the runs that meet at the
+cut.  Block-code tables come from explicit lists of every constrained
+word, and codec checks re-validate every emitted block with local
+scanners and against those tables.  Nothing in this module is imported
+from the counting code, and the run/weight scanners are deliberate
 reimplementations rather than imports, so a bug in the formulas cannot
 hide here.
 """
@@ -13,8 +15,6 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 
 SEARCH_CAP = 10**8
@@ -60,46 +60,74 @@ def _largest_length(q: int) -> int:
 _HISTOGRAM_SLOTS = sum(_largest_length(q) for q in (2, 4))
 
 
-@lru_cache(maxsize=_HISTOGRAM_SLOTS)
-def _run_weight_histogram(q: int, n: int) -> dict[tuple[int, int], int]:
-    """(max run, weight) -> word count, from one visit of each of the q**n words.
+def _half_classes(symbols, length: int) -> dict[tuple, int]:
+    """Word counts of one length by class, from one visit of every word.
 
-    A depth-first walk hands each prefix's (last symbol, run, longest
-    run, weight) down to its children, and the leaf loop counts each
-    word as its last symbol extends its prefix.  The result equals the
-    per-word scan by _scan_max_run and _scan_weight, which stay as its
-    reference.
+    A class is (first symbol, leading run, last symbol, trailing run,
+    longest run, weight).  A depth-first walk hands each prefix's class
+    down to its children.  The empty word has the one class
+    (-1, 0, -1, 0, 0, 0); its symbols -1 equal no symbol, so it joins
+    any half unchanged.
     """
-    _check_space(q, n)
-    if n == 0:
-        return {(0, 0): 1}
-    symbols = tuple((s, _scan_weight(q, (s,))) for s in range(q))
-    stride = n + 1  # counts[longest run * stride + weight]
-    counts = [0] * (stride * stride)
-    leaf = n - 1
+    counts: dict[tuple, int] = {}
 
-    def visit(depth: int, last: int, run: int, best: int, weight: int) -> None:
-        if depth == leaf:
-            base = best * stride + weight
-            for s, w in symbols:
-                if s == last:
-                    end = run + 1
-                    counts[(end if end > best else best) * stride + weight + w] += 1
-                else:
-                    counts[base + w] += 1
+    def visit(depth: int, first: int, lead: int, last: int, run: int, best: int,
+              weight: int) -> None:
+        if depth == length:
+            key = (first, lead, last, run, best, weight)
+            counts[key] = counts.get(key, 0) + 1
             return
-        depth += 1
         for s, w in symbols:
             if s == last:
                 end = run + 1
-                visit(depth, s, end, end if end > best else best, weight + w)
+                # The leading run grows while the prefix is one run.
+                visit(depth + 1, first, lead + (lead == depth), s, end,
+                      end if end > best else best, weight + w)
+            elif depth:
+                visit(depth + 1, first, lead, s, 1, best, weight + w)
             else:
-                visit(depth, s, 1, best, weight + w)
+                visit(1, s, 1, s, 1, 1, w)
 
-    # Every nonempty word's longest run is at least 1, so the empty prefix
-    # may carry 1; its last symbol -1 equals no symbol.
-    visit(0, -1, 0, 1, 0)
-    return {divmod(i, stride): count for i, count in enumerate(counts) if count}
+    visit(0, -1, 0, -1, 0, 0, 0)
+    return counts
+
+
+@lru_cache(maxsize=_HISTOGRAM_SLOTS)
+def _run_weight_histogram(q: int, n: int) -> dict[tuple[int, int], int]:
+    """(max run, weight) -> word count over the q**n words, from their two halves.
+
+    Every word of the first n // 2 symbols and of the other n - n // 2
+    is listed by _half_classes.  A word is a first half joined to a
+    second: the counts multiply, the weights add, and the longest run is
+    the larger of the halves' longest runs, or the trailing run plus the
+    leading run where the facing symbols are equal.  The result equals
+    the per-word scan by _scan_max_run and _scan_weight, which stay as
+    its reference.
+    """
+    if n < 0:
+        raise ValueError("length must be at least 0")
+    _check_space(q, n)
+    symbols = tuple((s, _scan_weight(q, (s,))) for s in range(q))
+    tail = _half_classes(symbols, n - n // 2)
+    head = tail if n % 2 == 0 else _half_classes(symbols, n // 2)
+    # Each half keeps only what faces the cut, its longest run and its weight.
+    ends: dict[tuple, int] = {}
+    for (_, _, last, trail, best, weight), count in head.items():
+        key = (last, trail, best, weight)
+        ends[key] = ends.get(key, 0) + count
+    starts: dict[tuple, int] = {}
+    for (first, lead, _, _, best, weight), count in tail.items():
+        key = (first, lead, best, weight)
+        starts[key] = starts.get(key, 0) + count
+    hist: dict[tuple[int, int], int] = {}
+    for (last, trail, head_best, head_weight), head_count in ends.items():
+        for (first, lead, tail_best, tail_weight), tail_count in starts.items():
+            best = head_best if head_best > tail_best else tail_best
+            if last == first and trail + lead > best:
+                best = trail + lead  # the run across the cut
+            key = (best, head_weight + tail_weight)
+            hist[key] = hist.get(key, 0) + head_count * tail_count
+    return hist
 
 
 def brute_rll_count(q: int, m: int, n: int) -> int:
@@ -126,6 +154,10 @@ def brute_weight_count(q: int, m: int, w: int, n: int) -> int:
 
 def brute_balance_count(n: int, a, boundary: str = "strict") -> int:
     """Count quaternary words whose relative unbalance stays within a, by scan."""
+    from fractions import Fraction  # imported here: it loads decimal, which verify never needs
+
+    if n < 1:
+        raise ValueError("length must be at least 1")
     if boundary not in ("strict", "inclusive"):
         raise ValueError("boundary must be 'strict' or 'inclusive'")
     # Same decimal reading of the bound as the counting module, restated
@@ -260,15 +292,15 @@ TABLES = {
 }
 
 
-@dataclass
 class BruteForceReport:
     """Outcome of one exhaustive validation run."""
 
-    codec_id: str
-    parameters: dict
-    cases: int = 0
-    elapsed: float = 0.0
-    failures: list[str] = field(default_factory=list)
+    def __init__(self, codec_id: str, parameters: dict):
+        self.codec_id = codec_id
+        self.parameters = parameters
+        self.cases = 0
+        self.elapsed = 0.0
+        self.failures: list[str] = []
 
     @property
     def ok(self) -> bool:

@@ -634,6 +634,26 @@ class TestImports:
         # Loading fractions also loads decimal: about 3 ms of every paper-table command.
         assert not loaded & {"fractions", "decimal"}
 
+    def test_verify_leaves_dataclasses_and_fractions_unloaded(self, tmp_path):
+        import dnacodes
+
+        src = os.path.dirname(os.path.dirname(dnacodes.__file__))
+        report = tmp_path / "verify.txt"
+        probe = (
+            "import sys\n"
+            "from dnacodes import cli\n"
+            f"code = cli.main(['verify', '--m-max', '2', '--n-max', '4', '--stream-blocks', '10',"
+            f" '--out', {str(report)!r}])\n"
+            "print(code, ' '.join(sorted(sys.modules)))\n"
+        )
+        result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                                env={**os.environ, "PYTHONPATH": src}, check=True)
+        code, *loaded = result.stdout.split()
+        assert code == "0"
+        assert "dnacodes.oracle" in loaded
+        # Together about 12-17 ms of every verify run.
+        assert not set(loaded) & {"inspect", "dataclasses", "fractions", "decimal"}
+
     def test_every_exported_name_imports(self):
         import dnacodes
         from dnacodes import asymptotics, counting

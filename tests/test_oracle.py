@@ -35,6 +35,11 @@ class TestBruteCounts:
             oracle.brute_rll_count(1, 1, 3)
         with pytest.raises(ValueError):
             oracle.brute_weight_count(3, 1, 0, 3)
+        for n in (0, -1):  # the same refusal as counting.near_balanced_count
+            with pytest.raises(ValueError, match="length must be at least 1"):
+                oracle.brute_balance_count(n, 0.1)
+        with pytest.raises(ValueError, match="length"):
+            oracle._run_weight_histogram.__wrapped__(4, -1)
 
 
 def _per_word_histogram(q, n):
@@ -47,9 +52,10 @@ def _per_word_histogram(q, n):
 
 class TestRunWeightHistogram:
     @pytest.mark.parametrize("q", (2, 3, 4, 5))
-    def test_depth_first_scan_matches_the_per_word_scan(self, q):
+    def test_split_scan_matches_the_per_word_scan(self, q):
+        # Odd and even n, and n in {0, 1} where a half is empty.
         n = 0
-        while q**n <= 5 * 10**4:
+        while q**n <= 7 * 10**4:
             scan = oracle._run_weight_histogram.__wrapped__(q, n)  # past the cache
             assert scan == _per_word_histogram(q, n), (q, n)
             n += 1
