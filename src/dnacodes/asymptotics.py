@@ -5,8 +5,9 @@ everything here: capacity, the leading coefficient of the count
 asymptote, and the run-length distributions behind the weight-variance
 factors.  All quantities are 64-bit floats; exact counts are folded in
 through log2 so nothing overflows: count estimates are computed as log2
-(the log2_* forms), and their plain forms read inf once a count leaves
-the float range.  Pure functions throughout.
+(the log2_* forms), and the one plain count estimate, rll_count_approx,
+reads inf once the count leaves the float range.  Pure functions
+throughout.
 """
 
 from __future__ import annotations
@@ -22,15 +23,12 @@ from . import counting
 __all__ = [
     "CapacityResult",
     "GaussianApprox",
-    "RunlengthDistribution",
-    "balance_count_approx",
     "balance_penalty",
     "capacity",
     "combined_redundancy",
     "efficiency_eta",
     "gamma_binary",
     "gamma_quaternary",
-    "gaussian_weight_approx",
     "gaussian_weight_model",
     "leading_coefficient",
     "log2_balance_count_approx",
@@ -166,11 +164,13 @@ def leading_coefficient(q: int, m: int) -> float:
 
 
 def rll_count_approx(q: int, m: int, n: int) -> float:
-    """Asymptotic count A_q(m) * lam_q(m)**n."""
+    """Asymptotic count A_q(m) * lam_q(m)**n, or inf past the float range."""
     if n < 1:
         raise ValueError("length must be at least 1")
-    res = capacity(q, m)
-    return leading_coefficient(q, m) * res.lam**n
+    try:
+        return leading_coefficient(q, m) * capacity(q, m).lam**n
+    except OverflowError:  # lam**n leaves the float range
+        return math.inf
 
 
 def rll_redundancy(q: int, m: int, n: int, mode: str = "exact") -> float:
@@ -184,6 +184,8 @@ def rll_redundancy(q: int, m: int, n: int, mode: str = "exact") -> float:
     if mode == "exact":
         return n * math.log2(q) - math.log2(counting.rll_count(q, m, n))
     if mode == "asymptotic":
+        if n < 1:
+            raise ValueError("length must be at least 1")
         res = capacity(q, m)
         return n * (math.log2(q) - res.capacity_bits) - math.log2(leading_coefficient(q, m))
     raise ValueError(f"unknown mode {mode!r}")
@@ -194,21 +196,6 @@ def efficiency_eta(m: int) -> float:
     if m < 2:
         raise ValueError("efficiency is defined for m >= 2")
     return (1.0 + capacity(2, m).capacity_bits) / capacity(4, m).capacity_bits
-
-
-class RunlengthDistribution(
-    namedtuple("RunlengthDistribution", "probs truncation_k mean_runlength")
-):
-    """Run-length probabilities of one weight plane of a constrained source.
-
-    Fields probs, the (run length, probability) pairs; truncation_k, the
-    longest run kept; and mean_runlength.
-    """
-
-    __slots__ = ()
-
-    def mass(self) -> float:
-        return sum(p for _, p in self.probs)
 
 
 def gamma_binary(m: int) -> float:
@@ -227,13 +214,13 @@ def gamma_binary(m: int) -> float:
 
 
 @lru_cache(maxsize=None)
-def runlength_distribution(m: int) -> RunlengthDistribution:
-    """Run-length distribution of the AT plane of the quaternary source.
+def runlength_distribution(m: int) -> tuple[tuple[int, float], ...]:
+    """(Run length, probability) pairs of the AT plane of the quaternary source.
 
     A maximal AT block of length k arises from any of the N_2(m, k)
     alternating A/T arrangements, weighted by lam_4**-k and normalized.
-    The series is truncated once the next term drops below 1e-15 and the
-    geometric tail bound (ratio 2/lam_4) is below 1e-12.
+    The pairs run k = 1, 2, ... and stop once the next term drops below
+    1e-15 and the geometric tail bound (ratio 2/lam_4) is below 1e-12.
     """
     if m < 1:
         raise ValueError("maximum run must be at least 1")
@@ -256,14 +243,12 @@ def runlength_distribution(m: int) -> RunlengthDistribution:
         # run-length series evaluates to 1 at 1/lam_4.
         raise ArithmeticError(f"truncated run-length mass {total} out of range")
     c = 1.0 / total
-    probs = tuple((i, c * t) for i, t in enumerate(terms, start=1))
-    mean = sum(i * p for i, p in probs)
-    return RunlengthDistribution(probs=probs, truncation_k=k, mean_runlength=mean)
+    return tuple((i, c * t) for i, t in enumerate(terms, start=1))
 
 
 def gamma_quaternary(m: int) -> float:
     """Variance factor of the quaternary run-constrained AT-weight distribution."""
-    return _variance_over_mean(runlength_distribution(m).probs)
+    return _variance_over_mean(runlength_distribution(m))
 
 
 def _variance_over_mean(probs) -> float:
@@ -288,30 +273,15 @@ def q_function(x: float) -> float:
     return 0.5 * math.erfc(x / math.sqrt(2.0))
 
 
-def _exp2(x: float) -> float:
-    """2**x, or inf where that leaves the float range."""
-    try:
-        return 2.0**x
-    except OverflowError:
-        return math.inf
-
-
 class GaussianApprox(namedtuple("GaussianApprox", "mean variance log2_total")):
     """Gaussian model of a weight distribution: count ~ total * density(w).
 
     Fields mean, variance and log2_total.  The total is kept as its
-    log2, so models of any length stay finite; the log2_* methods give
-    estimates that never overflow.
+    log2, so models of any length stay finite, and so are the log2
+    density and estimate; a caller that wants the count writes 2 ** x.
     """
 
     __slots__ = ()
-
-    @property
-    def total(self) -> float:
-        return _exp2(self.log2_total)
-
-    def density(self, u: float) -> float:
-        return _exp2(self.log2_density(u))
 
     def log2_density(self, u: float) -> float:
         if self.variance <= 0:
@@ -322,37 +292,21 @@ class GaussianApprox(namedtuple("GaussianApprox", "mean variance log2_total")):
     def log2_estimate(self, w: float) -> float:
         return self.log2_total + self.log2_density(w)
 
-    def estimate(self, w: float) -> float:
-        return _exp2(self.log2_estimate(w))
 
+def gaussian_weight_model(kind: str, m: int | None, n: int) -> GaussianApprox:
+    """Gaussian model of the weight row counting.weight_profile(kind, m, n).
 
-def gaussian_weight_model(
-    kind: str, m: int | None, n: int, plain_variance: bool = False
-) -> GaussianApprox:
-    """Gaussian weight model for one sequence family at length n.
-
-    kind "balance" models unconstrained quaternary words (variance n/4);
-    "binary-rll" and "quaternary-rll" shrink the variance by the run
-    factor and scale by the exact constrained count.  plain_variance
-    keeps the unconstrained n/4 variance for the run-constrained kinds,
-    for comparing the two modeling choices.
+    kind is "binary" or "quaternary".  The mean is n/2 and the total is
+    the row's exact total.  m=None drops the run constraint: variance
+    n/4 and total q**n.  A run limit shrinks the variance by the run
+    factor gamma_binary(m) or gamma_quaternary(m).
     """
     if n < 1:
         raise ValueError("length must be at least 1")
-    if kind == "balance":
-        return GaussianApprox(mean=n / 2, variance=n / 4, log2_total=2.0 * n)
-    q = counting.ALPHABET_OF_KIND.get(kind.removesuffix("-rll")) if kind.endswith("-rll") else None
-    if q is None:
-        raise ValueError(f"unknown model kind {kind!r}")
+    q = _alphabet(kind)
     if m is None:
-        raise ValueError(f"{kind} model needs m")
-    gamma = 1.0 if plain_variance else _gamma(q, m)
-    return GaussianApprox(n / 2, gamma * n / 4, math.log2(counting.rll_count(q, m, n)))
-
-
-def gaussian_weight_approx(kind: str, m: int | None, w: int, n: int) -> float:
-    """Gaussian estimate of the number of length-n words with weight w."""
-    return gaussian_weight_model(kind, m, n).estimate(w)
+        return GaussianApprox(n / 2, n / 4, n * math.log2(q))
+    return GaussianApprox(n / 2, _gamma(q, m) * n / 4, math.log2(counting.rll_count(q, m, n)))
 
 
 def _admitted_share(a, scale: float) -> float:
@@ -370,17 +324,10 @@ def log2_balance_count_approx(n: int, a: float) -> float:
     return 2.0 * n + math.log2(admitted) if admitted > 0 else -math.inf
 
 
-def balance_count_approx(n: int, a: float) -> float:
-    """Gaussian estimate 4**n * (1 - 2*Q(2*a*sqrt(n))) of the near-balanced count.
-
-    inf once the count leaves the float range; log2_balance_count_approx
-    stays finite.
-    """
-    return _exp2(log2_balance_count_approx(n, a))
-
-
 def balance_penalty(kind: str, m: int, a: float, n: int) -> float:
     """Extra redundancy in bits for also keeping the weight within a of balance."""
+    if n < 1:
+        raise ValueError("length must be at least 1")
     gamma = _gamma(_alphabet(kind), m)
     inner = _admitted_share(a, n / gamma)
     if inner <= 0.0:

@@ -412,7 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--gf", action="store_true", help="extract from the generating function")
     p.add_argument("--weight-profile", action="store_true", help="per-weight counts")
-    add_common(p)
+    # No --precision: count prints only ints.
+    p.add_argument("--out", help="write output to this file instead of stdout")
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("capacity", help="constraint capacity in bits per symbol")
@@ -463,6 +464,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "precision", 0) < 0:  # refused before anything is computed
+            raise ValueError(f"--precision must be at least 0, not {args.precision}")
         return args.func(args)
     except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -205,18 +205,20 @@ def test_gaussian_weight_approximations():
     n, w = 200, 100
     worst = 0.0
     for m in (2, 3, 4):
-        est = asymptotics.gaussian_weight_approx("binary-rll", m, w, n)
+        est = 2 ** asymptotics.gaussian_weight_model("binary", m, n).log2_estimate(w)
         exact = counting.rll_weight_count_binary(m, w, n)
         rel = abs(est / exact - 1)
         worst = max(worst, rel)
         assert rel < 0.05, ("binary", m, rel)
-        est = asymptotics.gaussian_weight_approx("quaternary-rll", m, w, n)
+        est = 2 ** asymptotics.gaussian_weight_model("quaternary", m, n).log2_estimate(w)
         exact = counting.rll_weight_count_quaternary(m, w, n)
         rel = abs(est / exact - 1)
         worst = max(worst, rel)
         assert rel < 0.05, ("quaternary", m, rel)
     balance_rel = abs(
-        asymptotics.balance_count_approx(400, 0.05) / counting.near_balanced_count(400, 0.05) - 1
+        2 ** asymptotics.log2_balance_count_approx(400, 0.05)
+        / counting.near_balanced_count(400, 0.05)
+        - 1
     )
     assert balance_rel < 0.03
     _report(

@@ -137,6 +137,10 @@ class TestRedundancy:
         with pytest.raises(ValueError):
             asymptotics.rll_redundancy(3, 2, 10)
 
+    def test_exact_form_keeps_the_empty_word(self):
+        # only the asymptotic form refuses n < 1; one empty word means no redundancy
+        assert asymptotics.rll_redundancy(4, 3, 0, "exact") == 0.0
+
 
 class TestEta:
     @pytest.mark.parametrize("m,expected", [(2, 0.881), (4, 0.975), (7, 0.997)])
@@ -176,11 +180,11 @@ class TestGamma:
 
     def test_distribution_mass_and_mean(self):
         for m in (1, 2, 5):
-            dist = asymptotics.runlength_distribution(m)
-            assert abs(dist.mass() - 1.0) <= 1e-12
-            assert all(p >= 0 for _, p in dist.probs)
-            assert 1 <= dist.mean_runlength <= 2
-            assert dist.truncation_k == dist.probs[-1][0]
+            probs = asymptotics.runlength_distribution(m)
+            assert abs(sum(p for _, p in probs) - 1.0) <= 1e-12
+            assert all(p >= 0 for _, p in probs)
+            assert 1 <= sum(k * p for k, p in probs) <= 2
+            assert [k for k, _ in probs] == list(range(1, len(probs) + 1))
 
 
 class TestGaussianModels:
@@ -192,39 +196,52 @@ class TestGaussianModels:
             )
 
     def test_balance_model_midpoint(self):
-        est = asymptotics.gaussian_weight_approx("balance", None, 50, 100)
+        est = 2 ** asymptotics.gaussian_weight_model("quaternary", None, 100).log2_estimate(50)
         exact = counting.binomial_weight_count(100, 50)
         assert abs(est / exact - 1) < 0.02
 
     def test_density_integrates_to_one(self):
-        model = asymptotics.gaussian_weight_model("balance", None, 64)
-        total = sum(model.density(w) for w in range(-100, 165))
+        model = asymptotics.gaussian_weight_model("quaternary", None, 64)
+        total = sum(2 ** model.log2_density(w) for w in range(-100, 165))
         assert total == pytest.approx(1.0, abs=1e-6)
 
     def test_binary_model_n200(self):
-        est = asymptotics.gaussian_weight_approx("binary-rll", 3, 100, 200)
+        est = 2 ** asymptotics.gaussian_weight_model("binary", 3, 200).log2_estimate(100)
         exact = counting.rll_weight_count_binary(3, 100, 200)
         assert abs(est / exact - 1) < 0.05
 
     def test_quaternary_model_n200(self):
-        est = asymptotics.gaussian_weight_approx("quaternary-rll", 2, 100, 200)
+        est = 2 ** asymptotics.gaussian_weight_model("quaternary", 2, 200).log2_estimate(100)
         exact = counting.rll_weight_count_quaternary(2, 100, 200)
         assert abs(est / exact - 1) < 0.05
 
     def test_plain_variance_variant_exposed(self):
-        # both modeling choices are available; the run-adjusted variance
-        # is the smaller one and fits the exact midpoint count better
-        adjusted = asymptotics.gaussian_weight_model("quaternary-rll", 2, 200)
-        plain = asymptotics.gaussian_weight_model("quaternary-rll", 2, 200, plain_variance=True)
-        assert plain.variance == 200 / 4
+        # the run-adjusted variance is smaller than the plain n/4 one and
+        # fits the exact midpoint count better
+        adjusted = asymptotics.gaussian_weight_model("quaternary", 2, 200)
+        plain = adjusted._replace(variance=200 / 4)
         assert adjusted.variance < plain.variance
         exact = counting.rll_weight_count_quaternary(2, 100, 200)
-        assert abs(adjusted.estimate(100) / exact - 1) < abs(plain.estimate(100) / exact - 1)
+        assert abs(2 ** adjusted.log2_estimate(100) / exact - 1) < abs(
+            2 ** plain.log2_estimate(100) / exact - 1
+        )
 
     def test_near_balanced_approximation(self):
-        est = asymptotics.balance_count_approx(400, 0.05)
+        est = 2 ** asymptotics.log2_balance_count_approx(400, 0.05)
         exact = counting.near_balanced_count(400, 0.05)
         assert abs(est / exact - 1) < 0.03
+
+    @pytest.mark.parametrize("kind,m", [
+        ("binary", None), ("binary", 2), ("binary", 3),
+        ("quaternary", None), ("quaternary", 2), ("quaternary", 3),
+    ])
+    @pytest.mark.parametrize("n", [1, 8, 64, 200])
+    def test_models_pair_with_their_profiles(self, kind, m, n):
+        # each model takes the arguments of the exact row it approximates
+        model = asymptotics.gaussian_weight_model(kind, m, n)
+        total = counting.weight_profile(kind, m, n).total()
+        assert model.log2_total == pytest.approx(math.log2(total), rel=1e-12)
+        assert model.mean == n / 2
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -241,13 +258,15 @@ class TestGaussianModels:
          "unknown kind 'ternary'"),
         (lambda: asymptotics.balance_penalty("ternary", 3, 0.1, 10), "unknown kind 'ternary'"),
         (lambda: asymptotics.gaussian_weight_model("ternary-rll", 3, 10),
-         "unknown model kind 'ternary-rll'"),
-        (lambda: asymptotics.gaussian_weight_model("binary", 3, 10),
-         "unknown model kind 'binary'"),
-        (lambda: asymptotics.gaussian_weight_model("binary-rll", None, 10),
-         "binary-rll model needs m"),
-        (lambda: asymptotics.gaussian_weight_model("quaternary-rll", None, 10),
-         "quaternary-rll model needs m"),
+         "unknown kind 'ternary-rll'"),
+        (lambda: asymptotics.gaussian_weight_model("binary-rll", 3, 10),
+         "unknown kind 'binary-rll'"),
+        (lambda: asymptotics.rll_redundancy(4, 3, 0, "asymptotic"), "length must be at least 1"),
+        (lambda: asymptotics.rll_redundancy(4, 3, -5, "asymptotic"), "length must be at least 1"),
+        (lambda: asymptotics.balance_penalty("quaternary", 3, 0.1, 0),
+         "length must be at least 1"),
+        (lambda: asymptotics.combined_redundancy("binary", 3, 0.1, -2),
+         "length must be at least 1"),
         (lambda: counting.rll_weight_count_binary(2, 5, 4), "weight 5 out of range 0..4"),
         (lambda: counting.rll_weight_count_quaternary(2, -1, 4), "weight -1 out of range 0..4"),
         (lambda: counting.rll_weight_count_binary(0, 1, 4), "maximum run must be at least 1"),
@@ -255,8 +274,9 @@ class TestGaussianModels:
     ],
     ids=[
         "profile-kind", "combined-kind", "combined-exact-kind", "penalty-kind", "model-kind",
-        "model-kind-without-rll", "binary-model-m", "quaternary-model-m", "binary-weight",
-        "quaternary-weight", "binary-run", "quaternary-length",
+        "model-kind-with-rll", "asymptotic-runlength-length-0", "asymptotic-runlength-length-neg",
+        "penalty-length-0", "combined-length-neg", "binary-weight", "quaternary-weight",
+        "binary-run", "quaternary-length",
     ],
 )
 def test_family_refusal_texts(call, message):
@@ -273,16 +293,13 @@ def _float_balance_count(n, a):
 def _float_estimate(kind, m, w, n):
     """The former float-domain Gaussian estimate: total * density."""
     model = asymptotics.gaussian_weight_model(kind, m, n)
-    total = {
-        "balance": lambda: float(4**n),
-        "binary-rll": lambda: float(counting.rll_count(2, m, n)),
-        "quaternary-rll": lambda: float(counting.rll_count(4, m, n)),
-    }[kind]()
+    q = counting.ALPHABET_OF_KIND[kind]
+    total = float(q**n if m is None else counting.rll_count(q, m, n))
     z = (w - model.mean) / math.sqrt(model.variance)
     return total * math.exp(-0.5 * z * z) / math.sqrt(2 * math.pi * model.variance)
 
 
-MODEL_KINDS = [("balance", None), ("binary-rll", 3), ("quaternary-rll", 3)]
+MODEL_KINDS = [("quaternary", None), ("binary", 3), ("quaternary", 3)]
 
 
 class TestLargeLengths:
@@ -291,7 +308,6 @@ class TestLargeLengths:
         log2_count = asymptotics.log2_balance_count_approx(n, 0.05)
         assert math.isfinite(log2_count)
         assert 2 * n - 1 < log2_count < 2 * n
-        assert asymptotics.balance_count_approx(n, 0.05) == math.inf
 
     @pytest.mark.parametrize("n", [600, 1000])
     @pytest.mark.parametrize("kind,m", MODEL_KINDS)
@@ -299,7 +315,17 @@ class TestLargeLengths:
         model = asymptotics.gaussian_weight_model(kind, m, n)
         assert math.isfinite(model.log2_total)
         assert math.isfinite(model.log2_estimate(n // 2))
-        assert model.density(n // 2) > 0
+        assert math.isfinite(model.log2_density(n // 2))
+
+    @pytest.mark.parametrize("q,m,n", [(4, 3, 600), (2, 2, 2000), (4, 3, 10**6)])
+    def test_rll_count_approx_reads_inf_past_the_float_range(self, q, m, n):
+        assert asymptotics.rll_count_approx(q, m, n) == math.inf
+
+    def test_rll_count_approx_in_range_is_the_plain_product(self):
+        # near the float limit the value is still A * lam**n, not read back through log2
+        expected = asymptotics.leading_coefficient(4, 3) * asymptotics.capacity(4, 3).lam ** 500
+        assert math.isfinite(expected)
+        assert asymptotics.rll_count_approx(4, 3, 500).hex() == expected.hex()
 
     @pytest.mark.parametrize("n", [1, 10, 100, 300, 511])
     @pytest.mark.parametrize("a", [0.01, 0.05, 0.15])
@@ -308,7 +334,6 @@ class TestLargeLengths:
         assert asymptotics.log2_balance_count_approx(n, a) == pytest.approx(
             math.log2(old), rel=1e-9
         )
-        assert asymptotics.balance_count_approx(n, a) == pytest.approx(old, rel=1e-9)
 
     @pytest.mark.parametrize("n", [10, 100, 300, 500])
     @pytest.mark.parametrize("kind,m", MODEL_KINDS)
@@ -317,7 +342,6 @@ class TestLargeLengths:
         for w in (n // 2, n // 3):
             old = _float_estimate(kind, m, w, n)
             assert model.log2_estimate(w) == pytest.approx(math.log2(old), rel=1e-9)
-            assert model.estimate(w) == pytest.approx(old, rel=1e-9)
 
 
 class TestCombinedRedundancy:

@@ -274,6 +274,51 @@ class TestScalarCommands:
         _, out, _ = run_cli(capsys, "capacity", "--q", "4", "--m", "1", "--precision", "8")
         assert out.strip() == "1.58496250"
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("--family", "runlength", "--m", "3", "--n", "0", "--asymptotic"),
+            ("--family", "runlength", "--m", "3", "--n", "-5", "--asymptotic"),
+            ("--family", "combined", "--q", "4", "--m", "3", "--n", "-5", "--a", "0.1"),
+            ("--family", "combined", "--q", "2", "--m", "3", "--n", "0", "--a", "0.1"),
+        ],
+        ids=["runlength-0", "runlength-neg", "combined-q4-neg", "combined-q2-0"],
+    )
+    def test_asymptotic_redundancy_below_length_1_is_usage_error(self, capsys, args):
+        code, out, err = run_cli(capsys, "redundancy", *args)
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == ["error: length must be at least 1"]
+
+    def test_count_takes_no_precision(self, capsys):
+        # count prints only ints
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["count", "--q", "4", "--m", "3", "--n", "5", "--precision", "9"])
+        assert exit_info.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines()[-1].endswith("unrecognized arguments: --precision 9")
+
+    @pytest.mark.parametrize(
+        "command,args",
+        [
+            ("tables", ("tables", "capacity")),
+            ("figure1", ("figure1",)),
+            ("capacity", ("capacity", "--q", "4", "--m", "3")),
+            ("redundancy", ("redundancy", "--family", "runlength", "--m", "3", "--n", "10")),
+        ],
+        ids=["tables", "figure1", "capacity", "redundancy"],
+    )
+    def test_negative_precision_is_usage_error(self, capsys, monkeypatch, command, args):
+        def no_command(args):
+            raise AssertionError("the command ran before --precision was checked")
+
+        monkeypatch.setattr(cli, f"cmd_{command}", no_command)
+        code, out, err = run_cli(capsys, *args, "--precision", "-1")
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == ["error: --precision must be at least 0, not -1"]
+
 
 class TestEncodeDecode:
     @pytest.mark.parametrize(
