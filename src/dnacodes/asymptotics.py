@@ -261,13 +261,6 @@ def _gamma(q: int, m: int) -> float:
     return gamma_binary(m) if q == 2 else gamma_quaternary(m)
 
 
-def _alphabet(kind: str) -> int:
-    q = counting.ALPHABET_OF_KIND.get(kind)
-    if q is None:
-        raise ValueError(f"unknown kind {kind!r}")
-    return q
-
-
 def q_function(x: float) -> float:
     """Upper-tail probability of the standard normal distribution."""
     return 0.5 * math.erfc(x / math.sqrt(2.0))
@@ -303,7 +296,7 @@ def gaussian_weight_model(kind: str, m: int | None, n: int) -> GaussianApprox:
     """
     if n < 1:
         raise ValueError("length must be at least 1")
-    q = _alphabet(kind)
+    q = counting.alphabet_of(kind)
     if m is None:
         return GaussianApprox(n / 2, n / 4, n * math.log2(q))
     return GaussianApprox(n / 2, _gamma(q, m) * n / 4, math.log2(counting.rll_count(q, m, n)))
@@ -328,7 +321,7 @@ def balance_penalty(kind: str, m: int, a: float, n: int) -> float:
     """Extra redundancy in bits for also keeping the weight within a of balance."""
     if n < 1:
         raise ValueError("length must be at least 1")
-    gamma = _gamma(_alphabet(kind), m)
+    gamma = _gamma(counting.alphabet_of(kind), m)
     inner = _admitted_share(a, n / gamma)
     if inner <= 0.0:
         raise ValueError("balance penalty undefined: admitted probability is not positive")
@@ -349,7 +342,7 @@ def combined_redundancy(
     exact: bits-per-symbol * n minus log2 of the admitted-weight count,
     using the same weight-admission rule as the balance counters.
     """
-    q = _alphabet(kind)
+    q = counting.alphabet_of(kind)
     if q == 2 and m < 2:
         raise ValueError("binary combined redundancy needs m >= 2")
     if mode == "asymptotic":

@@ -12,11 +12,17 @@ read from the refused line's bytes, the length, base, run or AT
 constraint it breaks, or else the block.  A new or regular --out file
 appears only once the whole output has been written.
 Exit codes: 0 success, 1 data or validation failure, 2 usage error.
+`entry`, the console script and `python -m dnacodes.cli`, freezes the
+heap (`gc.freeze`) once `main` returns or raises, so the collections at
+interpreter exit skip every object the command left alive; the process
+exits as before.  Only `entry` does this: tests and tools that call
+`main` in process keep a heap that is still collected.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import shutil
 import sys
@@ -476,7 +482,11 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+    finally:
+        gc.freeze()  # the collections at exit then skip what the command left alive
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -38,6 +38,14 @@ ALPHABET_OF_KIND = {"binary": 2, "quaternary": 4}
 KIND_OF_ALPHABET = {q: kind for kind, q in ALPHABET_OF_KIND.items()}
 
 
+def alphabet_of(kind: str) -> int:
+    """The alphabet size q of a kind of word, "binary" or "quaternary"."""
+    q = ALPHABET_OF_KIND.get(kind)
+    if q is None:
+        raise ValueError(f"unknown kind {kind!r}")
+    return q
+
+
 def binomial_weight_count(n: int, w: int) -> int:
     """Number of length-n quaternary words with AT-content exactly w.
 
@@ -256,9 +264,7 @@ def weight_profile(kind: str, m: int | None, n: int) -> WeightProfile:
     """
     if n < 1:
         raise ValueError("length must be at least 1")
-    q = ALPHABET_OF_KIND.get(kind)
-    if q is None:
-        raise ValueError(f"unknown profile kind {kind!r}")
+    q = alphabet_of(kind)
     if m is None:
         counts = tuple(math.comb(n, w) * (q // 2) ** n for w in range(n + 1))
     else:

@@ -5,10 +5,10 @@ sequence space: a depth-first visit lists every word of each half, and
 a join pairs the halves' classes, merging the runs that meet at the
 cut.  Block-code tables come from explicit lists of every constrained
 word, and codec checks re-validate every emitted block with local
-scanners and against those tables.  Nothing in this module is imported
-from the counting code, and the run/weight scanners are deliberate
-reimplementations rather than imports, so a bug in the formulas cannot
-hide here.
+byte checks and against those tables.  Nothing in this module is imported
+from the counting code, and the run/weight scanners and strand checks
+are deliberate reimplementations rather than imports, so a bug in the
+formulas cannot hide here.
 """
 
 from __future__ import annotations
@@ -100,7 +100,10 @@ def _run_weight_histogram(q: int, n: int) -> dict[tuple[int, int], int]:
     is listed by _half_classes.  A word is a first half joined to a
     second: the counts multiply, the weights add, and the longest run is
     the larger of the halves' longest runs, or the trailing run plus the
-    leading run where the facing symbols are equal.  The result equals
+    leading run where the facing symbols are equal.  So all pairs join
+    from the halves' (longest run, weight) totals, and only pairs with
+    equal facing symbols, one symbol at a time, are looked at for a run
+    across the cut.  The result equals
     the per-word scan by _scan_max_run and _scan_weight, which stay as
     its reference.
     """
@@ -110,24 +113,49 @@ def _run_weight_histogram(q: int, n: int) -> dict[tuple[int, int], int]:
     symbols = tuple((s, _scan_weight(q, (s,))) for s in range(q))
     tail = _half_classes(symbols, n - n // 2)
     head = tail if n % 2 == 0 else _half_classes(symbols, n // 2)
-    # Each half keeps only what faces the cut, its longest run and its weight.
-    ends: dict[tuple, int] = {}
-    for (_, _, last, trail, best, weight), count in head.items():
-        key = (last, trail, best, weight)
-        ends[key] = ends.get(key, 0) + count
-    starts: dict[tuple, int] = {}
-    for (first, lead, _, _, best, weight), count in tail.items():
-        key = (first, lead, best, weight)
-        starts[key] = starts.get(key, 0) + count
+    head_totals, ends = _fold_at_cut(
+        (last, trail, best, weight, count)
+        for (_, _, last, trail, best, weight), count in head.items()
+    )
+    tail_totals, starts = _fold_at_cut(
+        (first, lead, best, weight, count)
+        for (first, lead, _, _, best, weight), count in tail.items()
+    )
+    # Every pair first joins as if its facing symbols differed: the longest
+    # run is the halves' larger one.
     hist: dict[tuple[int, int], int] = {}
-    for (last, trail, head_best, head_weight), head_count in ends.items():
-        for (first, lead, tail_best, tail_weight), tail_count in starts.items():
-            best = head_best if head_best > tail_best else tail_best
-            if last == first and trail + lead > best:
-                best = trail + lead  # the run across the cut
-            key = (best, head_weight + tail_weight)
+    for (head_best, head_weight), head_count in head_totals.items():
+        for (tail_best, tail_weight), tail_count in tail_totals.items():
+            key = (head_best if head_best > tail_best else tail_best, head_weight + tail_weight)
             hist[key] = hist.get(key, 0) + head_count * tail_count
-    return hist
+    # Where the facing symbols are equal, the runs at the cut merge; the
+    # pairs whose merged run is longer than both halves' move to it.
+    for symbol, group in ends.items():
+        facing = starts.get(symbol, {}).items()
+        for (trail, head_best, head_weight), head_count in group.items():
+            for (lead, tail_best, tail_weight), tail_count in facing:
+                run = trail + lead
+                if run > head_best and run > tail_best:
+                    count = head_count * tail_count
+                    weight = head_weight + tail_weight
+                    hist[head_best if head_best > tail_best else tail_best, weight] -= count
+                    hist[run, weight] = hist.get((run, weight), 0) + count
+    return {key: count for key, count in hist.items() if count}
+
+
+def _fold_at_cut(rows) -> tuple[dict, dict]:
+    """A half's word counts from (facing symbol, run at the cut, longest run, weight, count) rows.
+
+    Returns the counts by (longest run, weight), and per facing symbol the
+    counts by (run at the cut, longest run, weight).
+    """
+    totals: dict[tuple[int, int], int] = {}
+    by_symbol: dict[int, dict[tuple, int]] = {}
+    for symbol, run, best, weight, count in rows:
+        totals[best, weight] = totals.get((best, weight), 0) + count
+        group = by_symbol.setdefault(symbol, {})
+        group[run, best, weight] = group.get((run, best, weight), 0) + count
+    return totals, by_symbol
 
 
 def brute_rll_count(q: int, m: int, n: int) -> int:
@@ -245,12 +273,13 @@ def state_dependent_tables(m: int, n: int):
     if _floor_log2(capacity) < 1:
         raise ValueError(f"table too small for a useful code (m={m}, n={n})")
     keep = 2 ** _floor_log2(capacity)
+    # Each word's unbalance once: one removal order, filtered per state.
+    removal_order = sorted(words, key=lambda w: (-abs(2 * _scan_weight(4, w) - n), w))
     modes = []
     for state in range(4):
         candidates = [w for w in words if w[0] != state]
         assert len(candidates) == capacity
-        removal_order = sorted(candidates, key=lambda w: (-abs(2 * _scan_weight(4, w) - n), w))
-        dropped = set(removal_order[: len(candidates) - keep])
+        dropped = set([w for w in removal_order if w[0] != state][: len(candidates) - keep])
         modes.append(tuple(w for w in candidates if w not in dropped))
     return _check_modes(tuple(modes))
 
@@ -312,18 +341,31 @@ class BruteForceReport:
         return f"{self.codec_id}({params}): {status}, {self.cases} cases, {self.elapsed:.2f}s"
 
 
-# The codecs' strand text is read back into symbols by a map of this
-# module's own; a byte that is no uppercase base maps to None.
+# The codecs' strand text is read back into symbols by a translation
+# table of this module's own: each base to its symbol 0..3, any other byte
+# to _NO_SYMBOL.
 _BASES = b"GCAT"
-_SYMBOL_OF_BASE = {base: value for value, base in enumerate(_BASES)}
+_NO_SYMBOL = 4
+_SYMBOL_OF_BYTE = bytes(_BASES.index(b) if b in _BASES else _NO_SYMBOL for b in range(256))
 
 
-def _symbols(strand) -> tuple | None:
-    """The symbol tuple of a strand's ASCII bytes, or None if it is not such bytes."""
+def _symbols(strand) -> bytes | None:
+    """The symbol bytes of a strand's ASCII bytes, or None if it is not such bytes."""
     if not isinstance(strand, bytes):
         return None
-    symbols = tuple(_SYMBOL_OF_BASE.get(byte) for byte in strand)
-    return None if None in symbols else symbols
+    word = strand.translate(_SYMBOL_OF_BYTE)
+    return None if _NO_SYMBOL in word else word
+
+
+@lru_cache(maxsize=8)
+def _runs(max_run: int) -> tuple[bytes, ...]:
+    """Each symbol's run of max_run + 1, as symbol bytes."""
+    return tuple(bytes([s]) * (max_run + 1) for s in range(len(_BASES)))
+
+
+def _has_run(word: bytes, max_run: int) -> bool:
+    """Whether the symbol bytes hold a run longer than max_run."""
+    return len(word) > max_run and any(run in word for run in _runs(max_run))
 
 
 def _word_problems(codec, strand, state, index, expected):
@@ -334,18 +376,20 @@ def _word_problems(codec, strand, state, index, expected):
         return
     if len(word) != codec.oligo_len:
         yield "length mismatch"
-    if expected is not None and word != expected:
+    if expected is not None and word != bytes(expected):
         yield "table mismatch"
-    if codec.max_run is not None and _scan_max_run(word) > codec.max_run:
+    if codec.max_run is not None and _has_run(word, codec.max_run):
         yield "run violation"
     if codec.weight_bound is not None and (
-        abs(2 * _scan_weight(4, word) - len(word)) > 2 * codec.weight_bound
+        abs(2 * (word.count(2) + word.count(3)) - len(word)) > 2 * codec.weight_bound
     ):
         yield "weight bound violated"
-    if codec.max_run is not None and word and word[0] == _SYMBOL_OF_BASE.get(state):
+    if codec.max_run is not None and word and state is not None and (
+        word[0] == _SYMBOL_OF_BYTE[state]
+    ):
         yield "boundary violation"  # a run across the join
     try:
-        decoded = codec.decode_block(strand, state)
+        decoded = codec.decode_blocks([strand], state)[0]
     except ValueError:
         decoded = None
     if decoded != index:
@@ -365,17 +409,24 @@ def validate_codec(name: str, **params) -> BruteForceReport:
     stream_blocks.  The check reads only what the codec declares.  Every
     value of the source_bits - raw_bits coded bits goes with three fills
     of the raw bits (all 0, all 1, seeded random), and each block is
-    encoded at stream start and, for a code that limits runs, after
-    each last symbol.  Every strand must be uppercase GCAT bytes of the
-    strand length, keep the declared run and weight bounds, decode back
-    to its index, equal TABLES[name] where there is one, and, if runs
-    are limited, not start with the state's symbol.  Then a stream of
+    encoded, as a batch of one, at stream start and, for a code that
+    limits runs, after each last symbol.  Every strand must be uppercase
+    GCAT bytes of the strand length, keep the declared run and weight
+    bounds, decode back to its index, equal TABLES[name] where there is
+    one, and, if runs are limited, not start with the state's symbol.
+    These checks read the strand as symbol bytes, through one translate
+    by this module's table: a run is a symbol repeated max_run + 1 times
+    in them, and the weight their count of 2s and 3s.  Then a stream of
     random blocks goes through the batch methods, encoded and, at other
     cuts, decoded in seeded random pieces, each after the strand before
     it.  It must equal the blocks coded one at a time, each after the
     one before, pass the same checks, and keep the run bound across
-    block joins.  Raises ValueError when stream_blocks is negative or the
-    coded source space exceeds the exhaustive cap.
+    block joins.  A stream block whose (value, state) the sweep coded
+    takes the sweep's strand and outcome rather than being coded again;
+    it still counts one case, so the cases are those of coding it anew,
+    and a problem is reported once.  Raises ValueError when
+    stream_blocks is negative or the coded source space exceeds the
+    exhaustive cap.
     """
     from .constructions import make_codec
 
@@ -392,9 +443,9 @@ def validate_codec(name: str, **params) -> BruteForceReport:
 
     def check(index: int, state) -> tuple[bytes, bool]:
         """Encode index after a block ending in the byte state; the strand, and if it passed."""
-        strand = codec.encode_block(index, state)
+        strand = codec.encode_blocks([index], state)[0]
         report.cases += 1
-        symbol_state = _SYMBOL_OF_BASE.get(state)
+        symbol_state = None if state is None else _SYMBOL_OF_BYTE[state]
         expected = None if table is None else table(index, symbol_state)
         problems = [
             f"{problem}: index={index} state={symbol_state} strand={strand!r}"
@@ -406,12 +457,18 @@ def validate_codec(name: str, **params) -> BruteForceReport:
     states = (None,) if codec.max_run is None else (None, *_BASES)
     rng = random.Random(_STREAM_SEED)
     fills = dict.fromkeys((0, 2**raw - 1, rng.getrandbits(raw)))
+    values = [rng.getrandbits(k) for _ in range(stream_blocks)]
+    # The sweep's outcome for each (value, state) of a value the stream
+    # codes, so the stream reads it rather than coding the block alone again.
+    streamed = set(values)
+    swept: dict[tuple, tuple[bytes, bool]] = {}
     for value in range(2 ** (k - raw)):
         for fill in fills:
+            index = value << raw | fill
             for state in states:
-                check(value << raw | fill, state)
-
-    values = [rng.getrandbits(k) for _ in range(stream_blocks)]
+                outcome = check(index, state)
+                if index in streamed:
+                    swept[index, state] = outcome
 
     def state_before(strands: list, i: int):
         return strands[i - 1][-1] if i and strands[i - 1] else None
@@ -429,7 +486,12 @@ def validate_codec(name: str, **params) -> BruteForceReport:
         report.failures.append(f"batch encode gave {len(strands)} strands for {stream_blocks}")
     state = None
     for value, batch_strand, batch_value in zip(values, strands, decoded):
-        strand, passed = check(value, state)
+        outcome = swept.get((value, state))
+        if outcome is None:
+            strand, passed = check(value, state)
+        else:  # checked, and any problem reported, in the sweep; still one case here
+            strand, passed = outcome
+            report.cases += 1
         if passed and batch_strand != strand:
             report.failures.append(
                 f"batch mismatch: index={value} strand={batch_strand!r}, alone {strand!r}"
@@ -437,8 +499,8 @@ def validate_codec(name: str, **params) -> BruteForceReport:
         elif passed and batch_value != value:
             report.failures.append(f"batch round-trip failure: index={value} strand={strand!r}")
         state = strand[-1] if _symbols(strand) else None
-    stream = [s for strand in strands for s in _symbols(strand) or ()]
-    if codec.max_run is not None and _scan_max_run(stream) > codec.max_run:
+    stream = b"".join(filter(None, map(_symbols, strands)))
+    if codec.max_run is not None and _has_run(stream, codec.max_run):
         report.failures.append(f"stream run violation over {stream_blocks} blocks")
 
     report.elapsed = time.perf_counter() - start

@@ -251,7 +251,7 @@ class TestGaussianModels:
 @pytest.mark.parametrize(
     "call,message",
     [
-        (lambda: counting.weight_profile("ternary", 2, 4), "unknown profile kind 'ternary'"),
+        (lambda: counting.weight_profile("ternary", 2, 4), "unknown kind 'ternary'"),
         (lambda: asymptotics.combined_redundancy("ternary", 3, 0.1, 10),
          "unknown kind 'ternary'"),
         (lambda: asymptotics.combined_redundancy("ternary", 3, 0.1, 10, "exact"),

@@ -635,6 +635,65 @@ class TestVerify:
         assert out.splitlines()[-1] == "verify: PASS"
 
 
+class TestProcess:
+    """`python -m dnacodes.cli` in a child process: exit codes, output, and the heap at exit."""
+
+    @staticmethod
+    def _child(*args, cwd=None):
+        import dnacodes
+
+        src = os.path.dirname(os.path.dirname(dnacodes.__file__))
+        return subprocess.run([sys.executable, *args], capture_output=True, text=True, cwd=cwd,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=60)
+
+    def test_exit_codes_and_output(self, tmp_path):
+        counts = tmp_path / "count.txt"
+        result = self._child("-m", "dnacodes.cli", "count", "--q", "4", "--m", "3", "--n", "5",
+                             "--out", str(counts))
+        assert (result.returncode, result.stdout, result.stderr) == (0, "", "")
+        assert counts.read_text() == "996\n"
+
+        payload, strands = tmp_path / "payload.bin", tmp_path / "strands.txt"
+        payload.write_bytes(bytes(range(256)))
+        codec = ("--construction", "state-dependent", "--m", "3", "--n", "8")
+        result = self._child("-m", "dnacodes.cli", "encode", *codec, "--in", str(payload),
+                             "--out", str(strands))
+        assert result.returncode == 0
+        lines = strands.read_bytes().split(b"\n")
+        lines[2] = b"GGGGGGGG"
+        strands.write_bytes(b"\n".join(lines))
+        back = tmp_path / "back.bin"
+        result = self._child("-m", "dnacodes.cli", "decode", *codec, "--in", str(strands),
+                             "--out", str(back))
+        assert result.returncode == 1
+        assert result.stderr.splitlines() == ["error: line 3: homopolymer run exceeds 3"]
+        assert not back.exists()
+
+        result = self._child("-m", "dnacodes.cli", "count", "--no-such-flag")
+        assert result.returncode == 2
+        assert result.stdout == ""
+
+    def test_entry_freezes_the_heap_before_exit(self):
+        probe = (
+            "import gc, sys\n"
+            "from dnacodes import cli\n"
+            "sys.argv = ['dnacodes', 'count', '--q', '2', '--m', '1', '--n', '1']\n"
+            "try:\n"
+            "    cli.entry()\n"
+            "except SystemExit as exc:\n"
+            "    print(exc.code, gc.get_freeze_count() > 0)\n"
+        )
+        result = self._child("-c", probe)
+        assert result.stdout.split() == ["2", "0", "True"]
+
+    def test_main_leaves_the_heap_unfrozen(self, capsys):
+        import gc
+
+        frozen = gc.get_freeze_count()
+        assert cli.main(["count", "--q", "2", "--m", "1", "--n", "1"]) == 0
+        assert gc.get_freeze_count() == frozen
+
+
 class TestImports:
     def test_codec_commands_leave_the_root_solver_unloaded(self):
         import dnacodes

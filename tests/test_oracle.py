@@ -81,6 +81,30 @@ class TestFormulaAgreement:
                     )
 
 
+# The codecs and parameters that `dnacodes verify` checks.
+VERIFIED_CODECS = [
+    ("construction2", {"m": 2, "n": 6}),
+    ("state-independent", {"m": 3, "n": 5}),
+    ("state-dependent", {"m": 3, "n": 5}),
+    ("construction1", {"ell": 10, "balancer": "weak-knuth", "p0": 2}),
+]
+
+
+class TestByteChecks:
+    @pytest.mark.parametrize("m", range(1, 5))
+    def test_run_check_matches_the_scan(self, m):
+        for n in range(8):
+            for word in itertools.product(range(4), repeat=n):
+                assert oracle._has_run(bytes(word), m) == (oracle._scan_max_run(word) > m), word
+
+    def test_symbols_refuse_any_byte_that_is_no_uppercase_base(self):
+        assert oracle._symbols(b"GCAT") == bytes([0, 1, 2, 3])
+        assert oracle._symbols(b"") == b""
+        for byte in set(range(256)) - set(b"GCAT"):
+            assert oracle._symbols(b"GC" + bytes([byte])) is None
+        assert oracle._symbols("GCAT") is None
+
+
 class TestValidateCodec:
     @pytest.mark.parametrize(
         "name,params",
@@ -150,12 +174,53 @@ class TestValidateCodec:
     def test_catches_strands_that_are_not_uppercase_bases(self, monkeypatch):
         from dnacodes.blockcodes import StateIndependentCode
 
-        encode_block = StateIndependentCode.encode_block
-        monkeypatch.setattr(StateIndependentCode, "encode_block",
-                            lambda self, value, state=None: encode_block(self, value, state).lower())
+        encode_blocks = StateIndependentCode.encode_blocks
+
+        def lower_case(self, values, state=None):
+            return [strand.lower() for strand in encode_blocks(self, values, state)]
+
+        monkeypatch.setattr(StateIndependentCode, "encode_blocks", lower_case)
         report = oracle.validate_codec("state-independent", m=3, n=5, stream_blocks=10)
         assert report.failures
         assert all(f.startswith("not uppercase GCAT bytes") for f in report.failures)
+
+    @pytest.mark.parametrize("name,params", VERIFIED_CODECS, ids=[n for n, _ in VERIFIED_CODECS])
+    def test_codes_through_the_batch_methods_only(self, monkeypatch, name, params):
+        from dnacodes.blockcodes import BlockCode
+
+        def single_block(*args, **kwargs):
+            raise AssertionError("a single-block method was called")
+
+        monkeypatch.setattr(BlockCode, "encode_block", single_block)
+        monkeypatch.setattr(BlockCode, "decode_block", single_block)
+        report = oracle.validate_codec(name, stream_blocks=100, **params)
+        assert report.ok, report.failures[:5]
+
+    def test_catches_a_run_within_a_strand(self, monkeypatch):
+        from dnacodes.blockcodes import StateDependentCode
+
+        encode_blocks = StateDependentCode.encode_blocks
+
+        def long_run(self, values, state=None):  # the first symbol four times: m = 3
+            return [s[:1] * 4 + s[4:] for s in encode_blocks(self, values, state)]
+
+        monkeypatch.setattr(StateDependentCode, "encode_blocks", long_run)
+        report = oracle.validate_codec("state-dependent", m=3, n=5, stream_blocks=10)
+        assert any(f.startswith("run violation") for f in report.failures)
+
+    def test_catches_a_run_across_a_join(self, monkeypatch):
+        from dnacodes.blockcodes import StateDependentCode
+
+        encode_blocks = StateDependentCode.encode_blocks
+
+        def restarts(self, values, state=None):  # a batch of one keeps its state
+            if len(values) == 1:
+                return encode_blocks(self, values, state)
+            return [encode_blocks(self, [value], None)[0] for value in values]
+
+        monkeypatch.setattr(StateDependentCode, "encode_blocks", restarts)
+        report = oracle.validate_codec("state-dependent", m=3, n=5, stream_blocks=1000)
+        assert "stream run violation over 1000 blocks" in report.failures
 
 
     @pytest.mark.parametrize("method", ["encode_blocks", "decode_blocks"])
