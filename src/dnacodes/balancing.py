@@ -12,12 +12,14 @@ index-th weight-p0 word of length 2*p0 in lexicographic order, so the
 prefixes are the first balanced words, read off the zero places that
 itertools.combinations lists in lex order.  Each balancer is a binary
 block code that speaks the strand codecs' block protocol (see
-`constructions`): `encode_blocks(values, state)` takes
-source_bits-bit ints, construction1's ell data bits each, and returns
-each value's oligo_len balanced digits, prefix then body, as ASCII
-(b"0110"), and `decode_blocks(words, state)` inverts it, refusing a word
-whose weight breaks weight_bound.  No state crosses blocks, so state is
-ignored.
+`constructions`): `encode_blocks(digits, state)` takes a batch numeral
+of source_bits-digit words, construction1's ell data bits each, and
+returns each word's oligo_len balanced digits, prefix then body, as
+ASCII (b"0110"), and `decode_blocks(words, state)` inverts it into one
+numeral, refusing a word whose weight breaks weight_bound.  The flip
+itself is a translate of the word's first digits; only the search for
+the flip length reads the word as an int.  No state crosses blocks, so
+state is ignored.
 The balance construction puts these digits on a strand's high plane.
 """
 
@@ -25,19 +27,22 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import combinations, islice
+from struct import unpack
 
-from .blockcodes import BlockCode, BlockError
-from .words import int_to_digits
+from .blockcodes import BlockCode, BlockError, count_blocks
 
 __all__ = ["KnuthBalancer", "WeakKnuthBalancer"]
 
+# Inverts binary digits.
+_FLIP = bytes.maketrans(b"01", b"10")
+
 
 class _FlipBalancer(BlockCode):
-    """A code that XORs one of its flip masks onto the word and carries which in a prefix.
+    """A code that inverts one of its flip lengths of leading digits and carries which in a prefix.
 
     Subclasses set source_bits (n), p0, oligo_len = n + 2*p0 and
-    weight_bound, list the flip masks, first bit most significant, in
-    _masks, and pick a value's mask in _flip_index.  The tables are
+    weight_bound, list the flip lengths in _flip_lengths and pick the
+    flip of a word, read as an int, in _flip_index.  The tables are
     built on first use, so building a balancer allocates nothing that
     grows with n.
     """
@@ -54,27 +59,28 @@ class _FlipBalancer(BlockCode):
         cut = 2 * self.p0
         words = tuple(
             bytes(b"10"[place in zeros] for place in range(cut))
-            for zeros in islice(combinations(range(cut), self.p0), len(self._masks))
+            for zeros in islice(combinations(range(cut), self.p0), len(self._flip_lengths))
         )
         return words, {word: i for i, word in enumerate(words)}
 
-    def encode_blocks(self, values: list[int], state: int | None = None) -> list[bytes]:
-        """The prefix-and-body digit word of each source_bits-bit value."""
+    def encode_blocks(self, digits: bytes, state: int | None = None) -> list[bytes]:
+        """The prefix-and-body digit word of each source_bits-digit word of the numeral."""
         n = self.source_bits
-        prefixes, masks, flip = self._prefixes[0], self._masks, self._flip_index
-        words: list[bytes] = []
-        for value in values:
-            if value < 0 or value >> n:
-                raise BlockError(f"expected a {n}-bit word, got {value}", len(words))
-            i = flip(value)
-            words.append(prefixes[i] + int_to_digits(value ^ masks[i], n))
-        return words
+        prefixes, lengths, flip = self._prefixes[0], self._flip_lengths, self._flip_index
+        balanced: list[bytes] = []
+        for word in unpack(f"{n}s" * count_blocks(digits, n), digits):
+            i = flip(int(word, 2))
+            k0 = lengths[i]
+            balanced.append(prefixes[i] + word[:k0].translate(_FLIP) + word[k0:])
+        return balanced
 
-    def decode_blocks(self, words: list[bytes], state: int | None = None) -> list[int]:
-        """The source_bits-bit value of each prefix-and-body digit word within weight_bound."""
+    def decode_blocks(self, words: list[bytes], state: int | None = None) -> bytes:
+        """The numeral of the source_bits-digit words of these words within weight_bound."""
+        if b"".join(words).translate(None, b"01"):
+            return self._refuse_non_binary(words)
         n, cut, bound = self.source_bits, 2 * self.p0, 2 * self.weight_bound
-        index_of_prefix, masks = self._prefixes[1], self._masks
-        values: list[int] = []
+        index_of_prefix, lengths = self._prefixes[1], self._flip_lengths
+        bodies: list[bytes] = []
         try:
             for digits in words:
                 if len(digits) != self.oligo_len:
@@ -82,16 +88,23 @@ class _FlipBalancer(BlockCode):
                 prefix = digits[:cut]
                 i = index_of_prefix.get(prefix)
                 if i is None:
-                    if prefix.strip(b"01") or prefix.count(b"1") != self.p0:
+                    if prefix.count(b"1") != self.p0:
                         raise ValueError("prefix is not a balanced word")
                     raise ValueError("prefix decodes to an out-of-range flip index")
                 body = digits[cut:]  # the prefix is balanced, so the body's weight is the word's
                 if abs(2 * body.count(b"1") - n) > bound:
                     raise ValueError("word weight outside the balancer's bound")
-                values.append(int(body, 2) ^ masks[i])
+                k0 = lengths[i]
+                bodies.append(body[:k0].translate(_FLIP) + body[k0:])
         except ValueError as exc:
-            raise BlockError(str(exc), len(values)) from None
-        return values
+            raise BlockError(str(exc), len(bodies)) from None
+        return b"".join(bodies)
+
+    def _refuse_non_binary(self, words: list[bytes]) -> bytes:
+        """Raise the refusal of the first word with a byte other than 0 and 1."""
+        bad = next(i for i, word in enumerate(words) if word.translate(None, b"01"))
+        self.decode_blocks(words[:bad])  # an earlier word refused for another fault comes first
+        raise BlockError("not a word of binary digits", bad)
 
 
 class KnuthBalancer(_FlipBalancer):
@@ -112,9 +125,8 @@ class KnuthBalancer(_FlipBalancer):
         self.oligo_len = n + 2 * self.p0
 
     @cached_property
-    def _masks(self) -> tuple[int, ...]:
-        n = self.source_bits
-        return tuple(((1 << k0) - 1) << (n - k0) for k0 in range(1, n + 1))
+    def _flip_lengths(self) -> range:
+        return range(1, self.source_bits + 1)
 
     def _flip_index(self, value: int) -> int:
         """k0 - 1 for the smallest k0 whose first-k0-bit flip balances value."""
@@ -156,11 +168,16 @@ class WeakKnuthBalancer(_FlipBalancer):
         self.weight_bound = (-(-n >> p0) + 1) // 2
 
     @cached_property
-    def _masks(self) -> tuple[int, ...]:
+    def _flip_lengths(self) -> tuple[int, ...]:
         n = self.source_bits
         step = -(-n >> self.p0)  # ceil(n / 2**p0)
-        lengths = [min(1 + i * step, n) for i in range(1 << self.p0)]
-        return tuple(((1 << b) - 1) << (n - b) for b in lengths)
+        return tuple(min(1 + i * step, n) for i in range(1 << self.p0))
+
+    @cached_property
+    def _masks(self) -> tuple[int, ...]:
+        """Each flip as the int it XORs onto the word, first bit most significant."""
+        n = self.source_bits
+        return tuple(((1 << b) - 1) << (n - b) for b in self._flip_lengths)
 
     def _flip_index(self, value: int) -> int:
         """The mask that brings value closest to balance, the first of ties."""

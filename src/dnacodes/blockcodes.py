@@ -23,28 +23,36 @@ them, in words longer than 8 bases or 16 digits, are walked one at a
 time.  Nothing is memoised, so a code's memory does not grow with what
 it has coded.
 
-A block goes in as its index, a source_bits-bit int, and comes out as
-the codeword's ASCII bytes: bases b"GCAT" for the quaternary codes,
+A block goes in as its index, source_bits binary digits, and comes out
+as the codeword's ASCII bytes: bases b"GCAT" for the quaternary codes,
 digits b"01" for the binary one.  The encoder state is the previous
 block's last byte, or None at stream start.  Decoding takes the bytes
 the encoder emits: uppercase bases, or digits.
 
-Codes work a batch at a time: `encode_blocks(values, state)` returns a
-list of codewords and `decode_blocks(words, state)` a list of indices,
-each threading the state from block to block, and a refused block
-raises `BlockError` with its place in the batch.  The whole batch runs
-in one loop of the enumerator, which picks each block's root from the
-state.  `BlockCode` gives every code the single-block methods as a
-batch of one.
+Codes work a batch at a time, and a batch of indices is one numeral of
+ASCII digits (b"0110..."), the blocks' source_bits digits one after
+another: `encode_blocks(digits, state)` returns a list of codewords and
+`decode_blocks(words, state)` the numeral of their indices, each
+threading the state from block to block, and a refused block raises
+`BlockError` with its place in the batch.  A numeral that is not whole
+blocks of binary digits is refused by one check (`count_blocks`).  The
+enumerator turns the numeral's blocks into ints, runs the whole batch in
+one loop, picking each block's root from the state, and its indices go
+back into one numeral (`words.ints_to_digits`).  `BlockCode` gives every
+code the single-block methods, an int index in and out, as a batch of
+one.
 """
 
 from __future__ import annotations
 
+import gc
 from bisect import bisect_right
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
+from itertools import repeat
+from struct import unpack
 
 from . import counting
-from .words import BASES, max_run
+from .words import BASES, int_to_digits, ints_to_digits, max_run
 
 __all__ = [
     "BlockCode",
@@ -54,6 +62,7 @@ __all__ = [
     "StateIndependentCode",
     "TwoModeRllCode",
     "check_block_size",
+    "count_blocks",
     "rate_state_dependent",
     "rate_state_independent",
     "rate_two_mode",
@@ -85,23 +94,39 @@ class BlockError(ValueError):
 class BlockCode:
     """The single-block protocol of a code that implements the batch one.
 
-    A subclass defines encode_blocks(values, state) -> list of codewords
-    and decode_blocks(words, state) -> list of indices; a block is coded
-    as a batch of one, so there is one coding path.
+    A subclass defines encode_blocks(digits, state) -> list of codewords
+    and decode_blocks(words, state) -> the numeral of their indices; a
+    block is coded as a batch of one, so there is one coding path.  Here
+    a block's index is an int, and one outside 0..2**source_bits - 1 is
+    refused.
     """
 
     def encode_block(self, value: int, state: int | None = STREAM_START) -> bytes:
-        return self.encode_blocks([value], state)[0]
+        k = self.source_bits
+        if not 0 <= value < 1 << k:
+            raise BlockError(f"index {value} outside 0..2**{k} - 1", 0)
+        return self.encode_blocks(int_to_digits(value, k), state)[0]
 
     def decode_block(self, word: bytes, state: int | None = STREAM_START) -> int:
-        return self.decode_blocks([word], state)[0]
+        return int(self.decode_blocks([word], state), 2)
 
 
-def _first_outside(values: list[int], keep: int) -> int | None:
-    """Place of the first value outside 0..keep - 1, or None when every value is inside."""
-    if not values or (min(values) >= 0 and max(values) < keep):
-        return None
-    return next(i for i, value in enumerate(values) if not 0 <= value < keep)
+def count_blocks(digits: bytes, k: int) -> int:
+    """The number of k-digit blocks of a batch numeral.
+
+    BlockError names the first block that is not k binary digits: the
+    one that holds the first byte other than 0 and 1, or else the cut-off
+    block at the end.
+    """
+    if digits.translate(None, b"01") or len(digits) % k:
+        first = len(digits) - len(digits.lstrip(b"01"))  # the first byte other than 0 and 1
+        raise BlockError(f"not a block of {k} binary digits", first // k)
+    return len(digits) // k
+
+
+def _indices(digits: bytes, k: int) -> Iterator[int]:
+    """The ints of a batch numeral's k-digit blocks, once count_blocks has passed it."""
+    return map(int, unpack(f"{k}s" * count_blocks(digits, k), digits), repeat(2))
 
 
 def _floor_log2(value: int) -> int:
@@ -220,7 +245,15 @@ class _Enumerator:
             self._set_ends(0)
         # _levels[p] maps the key of a length-p prefix, 0 < p <= n, to its node.
         self._levels = [{} for _ in range(n + 1)]
-        self._build()
+        # The graph holds no reference cycle, so the cyclic collector's
+        # passes over the young nodes during the build would free nothing.
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            self._build()
+        finally:
+            if collecting:
+                gc.enable()
 
     def _add(self, p: int, children: Iterable[tuple[int, int | None]]) -> int | None:
         """A length-p prefix's node over these (symbol, child) pairs (None: left out), or None."""
@@ -359,7 +392,7 @@ class _Enumerator:
         """Each prefix of these head tables to its (start, node), for ranking."""
         return {prefix: (start, node) for head in heads for start, prefix, node in zip(*head)}
 
-    def unrank_blocks(self, heads: dict, values: list[int], state) -> list[bytes]:
+    def unrank_blocks(self, heads: dict, values: Iterable[int], state) -> list[bytes]:
         """The word of each index under the head table of its state.
 
         heads maps a state to a head table; the first index takes
@@ -506,15 +539,12 @@ class _TwoModeCode(BlockCode):
         }
         self._decode_heads = dict.fromkeys([STREAM_START, *self.alphabet], words.by_prefix(*modes))
 
-    def encode_blocks(self, values: list[int], state: int | None = STREAM_START) -> list[bytes]:
+    def encode_blocks(self, digits: bytes, state: int | None = STREAM_START) -> list[bytes]:
         """The codewords of the indices; each picks the mode whose word may follow the state."""
-        bad = _first_outside(values, self._keep)
-        if bad is not None:
-            raise BlockError(f"index {values[bad]} outside 0..2**{self.source_bits} - 1", bad)
-        heads = self._encode_heads
+        heads, values = self._encode_heads, _indices(digits, self.source_bits)
         return self._words.unrank_blocks(heads, values, state if state in heads else STREAM_START)
 
-    def decode_blocks(self, words: list[bytes], state: int | None = STREAM_START) -> list[int]:
+    def decode_blocks(self, words: list[bytes], state: int | None = STREAM_START) -> bytes:
         # state is accepted for interface uniformity and ignored: the mode
         # is visible in each word's first symbol.
         indices = self._words.rank_blocks(self._decode_heads, words, STREAM_START)
@@ -522,7 +552,7 @@ class _TwoModeCode(BlockCode):
         if len(indices) < len(words) or (indices and max(indices) >= keep):
             at = next((i for i, index in enumerate(indices) if index >= keep), len(indices))
             raise BlockError(self._refusal(indices[at] if at < len(indices) else None), at)
-        return indices
+        return ints_to_digits(indices, self.source_bits)
 
     def _refusal(self, index: int | None) -> str:
         """Why a word with this index under its mode's root (None: no path) is refused."""
@@ -603,7 +633,6 @@ class StateDependentCode(BlockCode):
         self.weight_bound = self.max_unbalance / 2
         words = _Enumerator(self.alphabet, m, n, unbalance=self.max_unbalance, skip=skip)
         self._words = words
-        self._keep = keep
         roots = [words.root(tuple(s for s in range(4) if s != state)) for state in range(4)]
         assert all(words.size(root) == keep for root in roots)
         self._roots = {STREAM_START: roots[0]} | dict(zip(self.alphabet, roots))
@@ -616,20 +645,18 @@ class StateDependentCode(BlockCode):
         if state not in self._roots:
             raise ValueError(f"state {state!r} is neither None nor an uppercase base")
 
-    def encode_blocks(self, values: list[int], state: int | None = STREAM_START) -> list[bytes]:
+    def encode_blocks(self, digits: bytes, state: int | None = STREAM_START) -> list[bytes]:
         self._check_state(state)
-        bad = _first_outside(values, self._keep)
-        if bad is not None:
-            raise BlockError(f"index {values[bad]} out of range", bad)
+        values = _indices(digits, self.source_bits)
         return self._words.unrank_blocks(self._encode_heads, values, state)
 
-    def decode_blocks(self, words: list[bytes], state: int | None = STREAM_START) -> list[int]:
+    def decode_blocks(self, words: list[bytes], state: int | None = STREAM_START) -> bytes:
         self._check_state(state)
         indices = self._words.rank_blocks(self._decode_heads, words, state)
         if len(indices) < len(words):
             at = len(indices)
             raise BlockError(self._refusal(words[at], words[at - 1][-1] if at else state), at)
-        return indices
+        return ints_to_digits(indices, self.source_bits)
 
     def _refusal(self, word: bytes, state: int | None) -> str:
         """Why the code refuses word after state: the first symbol, a dropped word, or else."""

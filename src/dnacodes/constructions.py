@@ -4,22 +4,27 @@ Every strand codec declares its shape and its promises: `source_bits`
 (k) and `oligo_len` (n) of a block, `max_run` and `weight_bound` (the
 largest |AT-content - n/2|), each None where the code promises nothing,
 and `raw_bits`, the number of trailing source bits that go uncoded onto
-one plane.  It codes a batch of blocks per call: `encode_blocks(values,
-state)` maps source_bits-bit ints to their strands' uppercase ASCII
-bytes, and `decode_blocks(strands, state)` maps strands back, where
-state is the last byte of the strand before the batch (None at stream
-start) and the codec threads it from block to block.  decode_blocks
-takes uppercase bases only and raises `BlockError`, a ValueError that
-carries the strand's place in the batch, on a strand that breaks
-oligo_len, max_run or weight_bound.  `encode_block(value, state)` and
-`decode_block(strand, state)` code a batch of one (`BlockCode`).
-`CODECS` registers each codec under its command-line name.
+one plane.  It codes a batch of blocks per call, and the batch's source
+blocks travel as one numeral of ASCII digits, source_bits digits a
+block: `encode_blocks(digits, state)` maps the numeral to its blocks'
+strands as uppercase ASCII bytes, and `decode_blocks(strands, state)`
+maps strands back to the numeral, where state is the last byte of the
+strand before the batch (None at stream start) and the codec threads it
+from block to block.  encode_blocks refuses a numeral that is not whole
+blocks of binary digits, and decode_blocks takes uppercase bases only;
+either raises `BlockError`, a ValueError that carries the block's place
+in the batch, decode_blocks on a strand that breaks oligo_len, max_run
+or weight_bound.  `encode_block(value, state)` and `decode_block(strand,
+state)` code a batch of one with the block's index as an int
+(`BlockCode`).  `CODECS` registers each codec under its command-line
+name.
 
 The binary codes speak the same protocol over the digits b"01": the
 balancers of `balancing` and the two-mode code of `blockcodes`.  A
 `PlaneCodec` puts one of them on one binary plane of the strand and n
-raw payload bits on the other, and merges and splits the planes of a
-whole batch at once.  Both constructions of the paper are
+raw payload digits on the other, and cuts, merges and splits the planes
+of a whole batch at once, never a block's digits on their own.  Both
+constructions of the paper are
 plane codecs: construction1 puts a balancer on the high plane, whose
 weight is the strand's AT-content, and construction2 puts the two-mode
 run-length code on the low plane, where every run of the strand is
@@ -28,7 +33,8 @@ also a run.
 
 from __future__ import annotations
 
-from itertools import repeat
+from itertools import chain
+from struct import unpack
 
 from .balancing import KnuthBalancer, WeakKnuthBalancer
 from .blockcodes import (
@@ -39,6 +45,7 @@ from .blockcodes import (
     StateIndependentCode,
     TwoModeRllCode,
     check_block_size,
+    count_blocks,
 )
 from .words import HIGH_DIGIT_OF_BASE, LOW_DIGIT_OF_BASE, cut, merge_planes
 
@@ -49,16 +56,18 @@ class PlaneCodec(BlockCode):
     """A binary code on one plane of the strand, raw payload on the other.
 
     The code's oligo_len n is the strand's length, and a block is the
-    code's index on top of n raw bits.  A run in the strand is a run in
-    each plane, so the strand keeps the code's max_run, across blocks
-    too: the code's state is the previous strand's digit on its plane.
-    The strand's AT-content is its high plane's weight, so only a code
-    on the high plane passes its weight_bound on.
+    code's index digits followed by n raw digits.  A run in the strand
+    is a run in each plane, so the strand keeps the code's max_run,
+    across blocks too: the code's state is the previous strand's digit
+    on its plane.  The strand's AT-content is its high plane's weight,
+    so only a code on the high plane passes its weight_bound on.
 
-    A batch goes through the code in one call.  Its planes are merged by
-    one integer addition and one translate over the whole batch, and
-    split by two translates; the joined strands or planes are cut into
-    blocks by one struct unpack.
+    A batch goes through the code in one call.  One struct unpack cuts
+    the batch numeral into each block's index and raw digits, and the
+    joins of each kind are the code's numeral and the raw plane.  The
+    planes are merged by one integer addition and one translate over the
+    whole batch, and split by two translates; decoding interleaves the
+    code's index digits with the raw plane's pieces and joins them once.
     """
 
     def __init__(self, code, plane: str):
@@ -72,19 +81,19 @@ class PlaneCodec(BlockCode):
         self.weight_bound = code.weight_bound if self._high else None
         self._digit_of_base = HIGH_DIGIT_OF_BASE if self._high else LOW_DIGIT_OF_BASE
         self._code = code
-        self._raw_mask = (1 << n) - 1
 
     def _code_state(self, state: int | None) -> int | None:
         return state if state is STREAM_START else self._digit_of_base[state]
 
-    def encode_blocks(self, values: list[int], state: int | None = STREAM_START) -> list[bytes]:
-        n, mask = self.oligo_len, self._raw_mask
-        # The code refuses a value with more than source_bits bits, or below 0.
-        coded = b"".join(self._code.encode_blocks([v >> n for v in values], self._code_state(state)))
-        raw = "".join(map(format, [v & mask for v in values], repeat(f"0{n}b"))).encode("ascii")
+    def encode_blocks(self, digits: bytes, state: int | None = STREAM_START) -> list[bytes]:
+        n = self.oligo_len
+        count = count_blocks(digits, self.source_bits)
+        pieces = unpack(f"{self.source_bits - n}s{n}s" * count, digits)
+        strands = self._code.encode_blocks(b"".join(pieces[::2]), self._code_state(state))
+        coded, raw = b"".join(strands), b"".join(pieces[1::2])
         return cut(merge_planes(raw, coded) if self._high else merge_planes(coded, raw), n)
 
-    def decode_blocks(self, strands: list[bytes], state: int | None = STREAM_START) -> list[int]:
+    def decode_blocks(self, strands: list[bytes], state: int | None = STREAM_START) -> bytes:
         n = self.oligo_len
         joined = b"".join(strands)
         low = joined.translate(LOW_DIGIT_OF_BASE)  # b"x" for a byte that is no base
@@ -92,10 +101,11 @@ class PlaneCodec(BlockCode):
             return self._refuse_malformed(strands, state)
         high = joined.translate(HIGH_DIGIT_OF_BASE)
         coded, raw = (high, low) if self._high else (low, high)
-        indices = self._code.decode_blocks(cut(coded, n), self._code_state(state))
-        return [index << n | r for index, r in zip(indices, map(int, cut(raw, n), repeat(2)))]
+        numeral = self._code.decode_blocks(cut(coded, n), self._code_state(state))
+        pieces = zip(cut(numeral, self.source_bits - n), cut(raw, n))
+        return b"".join(chain.from_iterable(pieces))
 
-    def _refuse_malformed(self, strands: list[bytes], state: int | None) -> list[int]:
+    def _refuse_malformed(self, strands: list[bytes], state: int | None) -> bytes:
         """Raise the refusal of the first strand of another length or with a byte that is no base."""
         n = self.oligo_len
         bad = next(

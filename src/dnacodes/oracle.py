@@ -14,6 +14,7 @@ formulas cannot hide here.
 from __future__ import annotations
 
 import random
+import re
 import time
 from functools import lru_cache
 
@@ -358,42 +359,43 @@ def _symbols(strand) -> bytes | None:
 
 
 @lru_cache(maxsize=8)
-def _runs(max_run: int) -> tuple[bytes, ...]:
-    """Each symbol's run of max_run + 1, as symbol bytes."""
-    return tuple(bytes([s]) * (max_run + 1) for s in range(len(_BASES)))
+def _run_pattern(max_run: int) -> re.Pattern:
+    """A pattern that finds any symbol's run of max_run + 1 in symbol bytes."""
+    return re.compile(b"|".join(bytes([s]) * (max_run + 1) for s in range(len(_BASES))))
 
 
 def _has_run(word: bytes, max_run: int) -> bool:
     """Whether the symbol bytes hold a run longer than max_run."""
-    return len(word) > max_run and any(run in word for run in _runs(max_run))
+    return len(word) > max_run and _run_pattern(max_run).search(word) is not None
 
 
-def _word_problems(codec, strand, state, index, expected):
-    """Names of the checks one encoded strand fails."""
+def _word_problems(codec, strand, state, digits, expected) -> list[str]:
+    """Names of the checks one encoded strand fails; digits is its block's numeral."""
     word = _symbols(strand)
     if word is None:
-        yield "not uppercase GCAT bytes"
-        return
+        return ["not uppercase GCAT bytes"]
+    problems = []
     if len(word) != codec.oligo_len:
-        yield "length mismatch"
+        problems.append("length mismatch")
     if expected is not None and word != bytes(expected):
-        yield "table mismatch"
+        problems.append("table mismatch")
     if codec.max_run is not None and _has_run(word, codec.max_run):
-        yield "run violation"
+        problems.append("run violation")
     if codec.weight_bound is not None and (
         abs(2 * (word.count(2) + word.count(3)) - len(word)) > 2 * codec.weight_bound
     ):
-        yield "weight bound violated"
+        problems.append("weight bound violated")
     if codec.max_run is not None and word and state is not None and (
         word[0] == _SYMBOL_OF_BYTE[state]
     ):
-        yield "boundary violation"  # a run across the join
+        problems.append("boundary violation")  # a run across the join
     try:
-        decoded = codec.decode_blocks([strand], state)[0]
+        decoded = codec.decode_blocks([strand], state)
     except ValueError:
         decoded = None
-    if decoded != index:
-        yield "round-trip failure"
+    if decoded != digits:
+        problems.append("round-trip failure")
+    return problems
 
 
 def _cuts(rng: random.Random, size: int) -> list[tuple[int, int]]:
@@ -409,7 +411,8 @@ def validate_codec(name: str, **params) -> BruteForceReport:
     stream_blocks.  The check reads only what the codec declares.  Every
     value of the source_bits - raw_bits coded bits goes with three fills
     of the raw bits (all 0, all 1, seeded random), and each block is
-    encoded, as a batch of one, at stream start and, for a code that
+    encoded, as a batch of one (its numeral of source_bits digits,
+    written once for all states), at stream start and, for a code that
     limits runs, after each last symbol.  Every strand must be uppercase
     GCAT bytes of the strand length, keep the declared run and weight
     bounds, decode back to its index, equal TABLES[name] where there is
@@ -441,17 +444,26 @@ def validate_codec(name: str, **params) -> BruteForceReport:
     if 2 ** (k - raw) > SOURCE_CAP:
         raise ValueError(f"source space 2**{k - raw} exceeds the {SOURCE_CAP} cap")
 
-    def check(index: int, state) -> tuple[bytes, bool]:
-        """Encode index after a block ending in the byte state; the strand, and if it passed."""
-        strand = codec.encode_blocks([index], state)[0]
+    width = f"0{k}b"
+
+    def numeral(index: int) -> bytes:
+        return format(index, width).encode("ascii")
+
+    def check(index: int, digits: bytes, state) -> tuple[bytes, bool]:
+        """Encode index, whose numeral is digits, after a block ending in the byte state.
+
+        The strand, and whether it passed.
+        """
+        strand = codec.encode_blocks(digits, state)[0]
         report.cases += 1
         symbol_state = None if state is None else _SYMBOL_OF_BYTE[state]
         expected = None if table is None else table(index, symbol_state)
-        problems = [
-            f"{problem}: index={index} state={symbol_state} strand={strand!r}"
-            for problem in _word_problems(codec, strand, state, index, expected)
-        ]
-        report.failures.extend(problems)
+        problems = _word_problems(codec, strand, state, digits, expected)
+        if problems:
+            report.failures.extend(
+                f"{problem}: index={index} state={symbol_state} strand={strand!r}"
+                for problem in problems
+            )
         return strand, not problems
 
     states = (None,) if codec.max_run is None else (None, *_BASES)
@@ -465,30 +477,36 @@ def validate_codec(name: str, **params) -> BruteForceReport:
     for value in range(2 ** (k - raw)):
         for fill in fills:
             index = value << raw | fill
+            digits = numeral(index)
             for state in states:
-                outcome = check(index, state)
+                outcome = check(index, digits, state)
                 if index in streamed:
                     swept[index, state] = outcome
 
     def state_before(strands: list, i: int):
         return strands[i - 1][-1] if i and strands[i - 1] else None
 
+    numerals = list(map(numeral, values))
     strands: list = []
     for a, b in _cuts(rng, stream_blocks):
-        strands += codec.encode_blocks(values[a:b], state_before(strands, a))
+        strands += codec.encode_blocks(b"".join(numerals[a:b]), state_before(strands, a))
     decoded: list = []
     for a, b in _cuts(rng, stream_blocks):
         try:
-            decoded += codec.decode_blocks(strands[a:b], state_before(strands, a))
+            batch = codec.decode_blocks(strands[a:b], state_before(strands, a))
         except ValueError:
+            batch = None
+        if batch is not None and len(batch) == k * (b - a):
+            decoded += [batch[i : i + k] for i in range(0, len(batch), k)]
+        else:
             decoded += [None] * (b - a)
     if len(strands) != stream_blocks:
         report.failures.append(f"batch encode gave {len(strands)} strands for {stream_blocks}")
     state = None
-    for value, batch_strand, batch_value in zip(values, strands, decoded):
+    for value, digits, batch_strand, batch_digits in zip(values, numerals, strands, decoded):
         outcome = swept.get((value, state))
         if outcome is None:
-            strand, passed = check(value, state)
+            strand, passed = check(value, digits, state)
         else:  # checked, and any problem reported, in the sweep; still one case here
             strand, passed = outcome
             report.cases += 1
@@ -496,7 +514,7 @@ def validate_codec(name: str, **params) -> BruteForceReport:
             report.failures.append(
                 f"batch mismatch: index={value} strand={batch_strand!r}, alone {strand!r}"
             )
-        elif passed and batch_value != value:
+        elif passed and batch_digits != digits:
             report.failures.append(f"batch round-trip failure: index={value} strand={strand!r}")
         state = strand[-1] if _symbols(strand) else None
     stream = b"".join(filter(None, map(_symbols, strands)))

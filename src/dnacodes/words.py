@@ -12,12 +12,19 @@ addition (`merge_planes`) and split by the byte translation tables
 LOW_DIGIT_OF_BASE and HIGH_DIGIT_OF_BASE, so neither loops over symbols
 in Python.  `cut` splits joined strands or planes into equal pieces with
 one struct unpack.
+
+A batch of blocks travels between the framing and the codecs as one
+numeral of ASCII digits, its blocks' k digits one after another, so
+neither side converts a block on its own; `ints_to_digits` writes the
+numeral of a list of block indices for the codes that compute them.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from struct import Struct
+from itertools import repeat
+from operator import lshift, or_
+from struct import unpack
 
 BASES = b"GCAT"
 
@@ -51,13 +58,33 @@ _BASE_OF_PLANES = bytes(0x90) + BASES + bytes(256 - 0x94)
 
 
 def cut(data: bytes, n: int) -> list[bytes]:
-    """data in n-byte pieces, by one struct unpack; len(data) must be a multiple of n."""
-    return list(Struct(f"{n}s" * (len(data) // n)).unpack(data))
+    """data in n-byte pieces, by one struct unpack; len(data) must be a multiple of n.
+
+    `struct.unpack` keeps the formats it has compiled, so cutting pieces
+    of one size again costs no new compile.
+    """
+    return list(unpack(f"{n}s" * (len(data) // n), data))
 
 
 def int_to_digits(value: int, width: int) -> bytes:
     """The width-digit binary numeral of value (0 <= value < 2**width) as ASCII digits."""
     return bin(value | 1 << width)[3:].encode("ascii")
+
+
+def ints_to_digits(values: list[int], width: int) -> bytes:
+    """The numeral of values, each width digits (0 <= value < 2**width), one after another.
+
+    Neighbours are joined pairwise by shift and or, a level at a time,
+    so each level is two C-level maps and the last leaves one integer
+    for one format; a zero put in front of an odd level keeps the value.
+    """
+    size = width * len(values)
+    while len(values) > 1:
+        if len(values) % 2:
+            values = [0, *values]
+        values = list(map(or_, map(lshift, values[::2], repeat(width)), values[1::2]))
+        width *= 2
+    return int_to_digits(values[0] if values else 0, size)
 
 
 def merge_planes(low: bytes, high: bytes) -> bytes:
@@ -69,7 +96,7 @@ def merge_planes(low: bytes, high: bytes) -> bytes:
     """
     if len(low) != len(high):
         raise ValueError(f"plane lengths differ: {len(low)} != {len(high)}")
-    if low.strip(b"01") or high.strip(b"01"):
+    if low.translate(None, b"01") or high.translate(None, b"01"):
         raise ValueError("planes must be binary digits")
     merged = int.from_bytes(low, "big") + (int.from_bytes(high, "big") << 1)
     return merged.to_bytes(len(low), "big").translate(_BASE_OF_PLANES)

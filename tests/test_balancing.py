@@ -57,7 +57,7 @@ class TestBalancedPrefixMap:
     )
     def test_prefixes_are_the_first_balanced_words(self, balancer):
         prefixes, index_of_prefix = balancer._prefixes
-        reference = balanced_words(balancer.p0)[: len(balancer._masks)]
+        reference = balanced_words(balancer.p0)[: len(balancer._flip_lengths)]
         assert prefixes == tuple(reference)
         assert index_of_prefix == {word: i for i, word in enumerate(reference)}
 
@@ -184,12 +184,30 @@ class TestBalancerObjects:
 
     def test_length_validation(self):
         b = balancing.KnuthBalancer(8)
-        with pytest.raises(ValueError):
+        with pytest.raises(BlockError):
             b.encode_block(2**8)
-        with pytest.raises(ValueError):
+        with pytest.raises(BlockError):
             b.encode_block(-1)
         with pytest.raises(ValueError):
             b.decode_block(b"0" * 13)
+        with pytest.raises(BlockError) as refused:
+            b.encode_blocks(b"0" * 8 + b"0110201")
+        assert refused.value.position == 1
+
+    @pytest.mark.parametrize(
+        "balancer",
+        [balancing.KnuthBalancer(8), balancing.WeakKnuthBalancer(10, 2)],
+    )
+    def test_word_that_is_not_binary_digits_refused_at_its_place(self, balancer):
+        words = balancer.encode_blocks(b"0" * 4 * balancer.source_bits)
+        bad = words[2][:-1] + b"2"
+        with pytest.raises(BlockError) as refused:
+            balancer.decode_blocks(words[:2] + [bad, words[3]])
+        assert (str(refused.value), refused.value.position) == ("not a word of binary digits", 2)
+        # A word before it refused for another fault is refused first.
+        with pytest.raises(BlockError) as refused:
+            balancer.decode_blocks([words[0], words[1][:-1], bad])
+        assert refused.value.position == 1
 
 
 def test_digit_words_match_the_bit_by_bit_flip():

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 import random
@@ -49,6 +50,11 @@ def rank_all(words, root, listed):
     """The indices of these words under root, by the enumerator's batch walk."""
     heads = dict.fromkeys([None, *words.alphabet], words.by_prefix(words.head(root)))
     return words.rank_blocks(heads, listed, None)
+
+
+def numeral(code, values):
+    """The batch numeral of these indices: each one's source_bits binary digits, in order."""
+    return "".join(format(value, f"0{code.source_bits}b") for value in values).encode("ascii")
 
 
 def codewords(code, state):
@@ -521,12 +527,12 @@ class TestTailTables:
         # Each block's state is the last byte of the one before, so one
         # batch meets every state; the batch's own state picks only the first.
         listed = _plain_words(code, values, None)
-        assert code.encode_blocks(values, None) == listed
-        assert code.decode_blocks(listed, None) == values
+        assert code.encode_blocks(numeral(code, values), None) == listed
+        assert code.decode_blocks(listed, None) == numeral(code, values)
         for state in code.alphabet:
             listed = _plain_words(code, values[:64], state)
-            assert code.encode_blocks(values[:64], state) == listed
-            assert code.decode_blocks(listed, state) == values[:64]
+            assert code.encode_blocks(numeral(code, values[:64]), state) == listed
+            assert code.decode_blocks(listed, state) == numeral(code, values[:64])
 
     @pytest.mark.parametrize("code", [blockcodes.StateIndependentCode(3, 8),
                                       blockcodes.TwoModeRllCode(3, 10)])
@@ -534,8 +540,8 @@ class TestTailTables:
         values = list(range(0, 2**code.source_bits, 3))
         listed = _plain_words(code, values, None)
         for state in (None, 0, ord("g"), ord("N"), 2, 300):
-            assert code.encode_blocks(values, state) == listed
-            assert code.decode_blocks(listed, state) == values
+            assert code.encode_blocks(numeral(code, values), state) == listed
+            assert code.decode_blocks(listed, state) == numeral(code, values)
 
     @pytest.mark.parametrize("alphabet,h", [(b"GCAT", 4), (b"01", 8)])
     def test_tail_length_follows_from_the_alphabet(self, alphabet, h):
@@ -565,19 +571,47 @@ class TestBatchMethods:
             with pytest.raises(ValueError, match="state"):
                 code.encode_block(5, state)
             with pytest.raises(ValueError, match="state"):
-                code.encode_blocks([5], state)
+                code.encode_blocks(numeral(code, [5]), state)
 
     @pytest.mark.parametrize("kind", sorted(CODES))
     def test_a_refused_word_carries_its_position(self, kind):
         code = CODES[kind][0](2, 6)
-        words = code.encode_blocks(list(range(6)), None)
+        words = code.encode_blocks(numeral(code, range(6)), None)
         words[4] = bytes(code.alphabet[s] for s in (1, 1, 1, 0, 1, 0))  # a run of three
         with pytest.raises(blockcodes.BlockError) as refused:
             code.decode_blocks(words, None)
         assert refused.value.position == 4
-        with pytest.raises(blockcodes.BlockError) as refused:
-            code.encode_blocks([0, 1, -1], None)
+        with pytest.raises(blockcodes.BlockError) as refused:  # a third block that is no index
+            code.encode_blocks(numeral(code, [0, 1]) + b"-" * code.source_bits, None)
         assert refused.value.position == 2
+
+
+class TestBuildCollector:
+    @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+    @pytest.mark.parametrize("fails", [False, True], ids=["built", "raised"])
+    def test_collector_paused_during_a_build_and_restored(self, monkeypatch, enabled, fails):
+        step = blockcodes._Enumerator._step
+        during = []
+
+        def watched(self, key, s):
+            during.append(gc.isenabled())
+            if fails:
+                raise RuntimeError("a build that fails")
+            return step(self, key, s)
+
+        monkeypatch.setattr(blockcodes._Enumerator, "_step", watched)
+        was = gc.isenabled()
+        try:
+            gc.enable() if enabled else gc.disable()
+            if fails:
+                with pytest.raises(RuntimeError):
+                    blockcodes._Enumerator(b"GCAT", 3, 6)
+            else:
+                blockcodes._Enumerator(b"GCAT", 3, 6)
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable() if was else gc.disable()
+        assert during and not any(during)
 
 
 class TestRefusalReasons:

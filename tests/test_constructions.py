@@ -19,6 +19,11 @@ def at_weight(strand):
     return strand.count(b"A") + strand.count(b"T")
 
 
+def numeral(codec, values):
+    """The batch numeral of these block indices: each one's source_bits binary digits."""
+    return "".join(format(value, f"0{codec.source_bits}b") for value in values).encode("ascii")
+
+
 def round_trip(codec, data):
     """data through encode_stream and decode_stream, in one chunk."""
     return b"".join(payload.decode_stream(codec, payload.encode_stream(codec, [data])))
@@ -132,13 +137,13 @@ class _Recorder:
     def __init__(self):
         self.states = []
 
-    def encode_blocks(self, values, state=None):
+    def encode_blocks(self, digits, state=None):
         self.states.append(state)
-        return [b"01" if value else b"10" for value in values]
+        return [b"01" if digit == ord("1") else b"10" for digit in digits]
 
     def decode_blocks(self, words, state=None):
         self.states.append(state)
-        return [int(digits == b"01") for digits in words]
+        return b"".join(b"1" if word == b"01" else b"0" for word in words)
 
 
 class TestPlaneCodec:
@@ -197,7 +202,7 @@ class TestPlaneCodec:
     def test_malformed_strand_refused_at_its_place(self, name, params):
         codec = make_codec(name, **params)
         n = codec.oligo_len
-        strands = codec.encode_blocks(list(range(6)))
+        strands = codec.encode_blocks(numeral(codec, range(6)))
         for at in (0, 3, 5):
             for bad in (strands[at][:-1], strands[at] + b"G", b"N" + strands[at][1:], b""):
                 with pytest.raises(BlockError) as refused:
@@ -371,15 +376,15 @@ class TestBlockProtocol:
         batched, decoded = [], []
         for a, b in pieces:
             state = strands[a - 1][-1] if a else start
-            batched += codec.encode_blocks(values[a:b], state)
-            decoded += codec.decode_blocks(strands[a:b], state)
+            batched += codec.encode_blocks(numeral(codec, values[a:b]), state)
+            decoded.append(codec.decode_blocks(strands[a:b], state))
         assert batched == strands
-        assert decoded == values
+        assert b"".join(decoded) == numeral(codec, values)
 
     @pytest.mark.parametrize("name", sorted(CODECS))
     def test_a_refused_strand_carries_its_place_in_the_batch(self, name):
         codec = _protocol_codec(name, 1)
-        strands = codec.encode_blocks(list(range(8)), None)
+        strands = codec.encode_blocks(numeral(codec, range(8)), None)
         for bad in (strands[5][:-1], b"N" + strands[5][1:], strands[5].lower()):
             damaged = strands[:5] + [bad] + strands[6:]
             with pytest.raises(BlockError) as refused:
@@ -392,8 +397,27 @@ class TestBlockProtocol:
     def test_out_of_range_index_refused(self, name):
         codec = _protocol_codec(name, 0)
         for index in (-1, 2**codec.source_bits):
-            with pytest.raises(ValueError):
+            with pytest.raises(BlockError) as refused:
                 codec.encode_block(index, None)
+            assert refused.value.position == 0
+
+    @pytest.mark.parametrize("name", sorted(CODECS))
+    def test_a_batch_that_is_not_whole_blocks_of_digits_is_refused(self, name):
+        codec = _protocol_codec(name, 1)
+        k = codec.source_bits
+        digits = numeral(codec, range(6))
+        cases = [
+            (digits[:-1], 5),  # the last block cut short
+            (digits + b"0", 6),  # a seventh block of one digit
+            (digits[: 3 * k] + b"2" + digits[3 * k + 1 :], 3),
+            (digits[:-1] + b"2", 5),
+            (digits[: 2 * k - 1] + b"2" + digits[2 * k :-1], 1),  # and cut short: the first fault
+        ]
+        for bad, at in cases:
+            with pytest.raises(BlockError) as refused:
+                codec.encode_blocks(bad, None)
+            assert refused.value.position == at
+            assert str(refused.value) == f"not a block of {k} binary digits"
 
 
 class TestPayloadFraming:

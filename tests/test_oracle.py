@@ -160,10 +160,10 @@ class TestValidateCodec:
 
         encode_blocks = KnuthBalancer.encode_blocks
 
-        def off_by_one(self, values, state=None):
+        def off_by_one(self, digits, state=None):
             return [  # |2w - n| = 2, the bound is 0
                 word[:-1] + (b"0" if word.endswith(b"1") else b"1")
-                for word in encode_blocks(self, values, state)
+                for word in encode_blocks(self, digits, state)
             ]
 
         monkeypatch.setattr(KnuthBalancer, "encode_blocks", off_by_one)
@@ -176,8 +176,8 @@ class TestValidateCodec:
 
         encode_blocks = StateIndependentCode.encode_blocks
 
-        def lower_case(self, values, state=None):
-            return [strand.lower() for strand in encode_blocks(self, values, state)]
+        def lower_case(self, digits, state=None):
+            return [strand.lower() for strand in encode_blocks(self, digits, state)]
 
         monkeypatch.setattr(StateIndependentCode, "encode_blocks", lower_case)
         report = oracle.validate_codec("state-independent", m=3, n=5, stream_blocks=10)
@@ -201,8 +201,8 @@ class TestValidateCodec:
 
         encode_blocks = StateDependentCode.encode_blocks
 
-        def long_run(self, values, state=None):  # the first symbol four times: m = 3
-            return [s[:1] * 4 + s[4:] for s in encode_blocks(self, values, state)]
+        def long_run(self, digits, state=None):  # the first symbol four times: m = 3
+            return [s[:1] * 4 + s[4:] for s in encode_blocks(self, digits, state)]
 
         monkeypatch.setattr(StateDependentCode, "encode_blocks", long_run)
         report = oracle.validate_codec("state-dependent", m=3, n=5, stream_blocks=10)
@@ -213,10 +213,12 @@ class TestValidateCodec:
 
         encode_blocks = StateDependentCode.encode_blocks
 
-        def restarts(self, values, state=None):  # a batch of one keeps its state
-            if len(values) == 1:
-                return encode_blocks(self, values, state)
-            return [encode_blocks(self, [value], None)[0] for value in values]
+        def restarts(self, digits, state=None):  # a batch of one keeps its state
+            k = self.source_bits
+            if len(digits) == k:
+                return encode_blocks(self, digits, state)
+            return [encode_blocks(self, digits[i : i + k], None)[0]
+                    for i in range(0, len(digits), k)]
 
         monkeypatch.setattr(StateDependentCode, "encode_blocks", restarts)
         report = oracle.validate_codec("state-dependent", m=3, n=5, stream_blocks=1000)
@@ -230,7 +232,8 @@ class TestValidateCodec:
         batch = getattr(StateDependentCode, method)
 
         def drops_state(self, items, state=None):  # a batch of one keeps it
-            return batch(self, items, state if len(items) == 1 else None)
+            blocks = len(items) // self.source_bits if method == "encode_blocks" else len(items)
+            return batch(self, items, state if blocks == 1 else None)
 
         monkeypatch.setattr(StateDependentCode, method, drops_state)
         report = oracle.validate_codec("state-dependent", m=3, n=5, stream_blocks=200)

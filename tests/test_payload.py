@@ -2,6 +2,7 @@
 
 import contextlib
 import functools
+import hashlib
 import io
 import os
 import random
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from dnacodes import cli, payload
-from dnacodes.blockcodes import STREAM_START
+from dnacodes.blockcodes import STREAM_START, BlockError
 from dnacodes.constructions import make_codec
 
 CHUNK = payload.CHUNK_BYTES
@@ -94,6 +95,37 @@ def _split(data, cuts):
     return [data[a:b] for a, b in zip(edges, edges[1:])]
 
 
+# SHA-256 of each route's strand file for PINNED_PAYLOAD, recorded from the
+# codecs as they coded before blocks travelled as numerals, so the pin
+# does not move with the codec it checks.
+PINNED_PAYLOAD = random.Random(22).randbytes(64 * 1024)
+PINNED_ROUTES = {
+    **ROUTES,
+    "sd-m3n64": ("state-dependent", "--m", "3", "--n", "64"),
+    "si-m3n32": ("state-independent", "--m", "3", "--n", "32"),
+}
+PINNED_DIGESTS = {
+    "c1-knuth": "3368cfd60d0c46cd22a12ce59d95a424b5a001fe91b7f5119d4fbf75cba087aa",
+    "c1-weak": "35a0fdaf88cdc4f4d669ce7563dcb17e8aacf3e38fdde3e4ee15d103bd8f439a",
+    "c2": "5570b2d5f2874eb531108197d1360e0383894b359fb9d7eacc41cf30304d872d",
+    "si": "90385823d485c6c49773c5e1ee3bd24f8b87d45fd28d6dfe78f85fd93fdea482",
+    "sd": "dfe5520a0d1a084689d3d3f46eca1b2a5ff660283b46f17196a5a38849f5f70c",
+    "sd-m3n64": "df8327d57e6e63fe1eb76c1e4112af10cc8a64b546754f577b3093c0028176e1",
+    "si-m3n32": "9910895c07835b72dee3e8000e72c64ef1bbe51ce78a0c188d6262ee472cfd48",
+}
+
+
+@pytest.mark.parametrize("route", sorted(PINNED_ROUTES))
+def test_strand_files_equal_the_pinned_digests(tmp_path, route):
+    src, strands, back = tmp_path / "in.bin", tmp_path / "s.txt", tmp_path / "out.bin"
+    src.write_bytes(PINNED_PAYLOAD)
+    args = ("--construction", *PINNED_ROUTES[route])
+    assert cli.main(["encode", *args, "--in", str(src), "--out", str(strands)]) == 0
+    assert hashlib.sha256(strands.read_bytes()).hexdigest() == PINNED_DIGESTS[route]
+    assert cli.main(["decode", *args, "--in", str(strands), "--out", str(back)]) == 0
+    assert back.read_bytes() == PINNED_PAYLOAD
+
+
 class TestChunkEdges:
     @pytest.mark.parametrize("route", sorted(ROUTES))
     def test_cli_round_trip_at_chunk_edges(self, tmp_path, route):
@@ -159,6 +191,28 @@ class TestStreamErrors:
     def test_no_blocks(self):
         with pytest.raises(ValueError, match="no blocks"):
             _bytes_of(_codec("sd"), [])
+
+    @pytest.mark.parametrize("keep,block", [(-1, 11), (1, 11), (-20, 9)],
+                             ids=["one-short", "one-over", "blocks-short"])
+    def test_a_decoded_numeral_of_another_length_names_its_block(self, keep, block):
+        codec = _codec("sd")
+        strands = _strands_of(codec, b"hello world")
+        assert (len(strands), codec.source_bits) == (11, 9)  # -20 digits cut into block 9
+
+        class Miscounts:
+            """The codec, but its numeral loses or gains digits at the end."""
+
+            source_bits = codec.source_bits
+
+            def decode_blocks(self, words, state):
+                numeral = codec.decode_blocks(words, state)
+                return numeral[:keep] if keep < 0 else numeral + b"0" * keep
+
+        k = codec.source_bits
+        with pytest.raises(BlockError, match=rf"^block {block}: the decoded numeral is not"
+                                             rf" {k} digits a block$") as refused:
+            _bytes_of(Miscounts(), strands)
+        assert refused.value.position == block - 1
 
     def test_truncated_stream_names_the_last_block(self):
         codec = _codec("c1-knuth")

@@ -1,5 +1,7 @@
+import random
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 import hypothesis.strategies as st
 
 from dnacodes import words
@@ -78,6 +80,19 @@ def test_int_digits_round_trip(value, extra):
     digits = words.int_to_digits(value, width)
     assert len(digits) == width and not digits.strip(b"01")
     assert int(digits or b"0", 2) == value
+
+
+@given(st.integers(1, 256), st.integers(0, 1000), st.sampled_from(["random", "zeros", "ones"]),
+       st.randoms(use_true_random=False))
+@example(1, 0, "random", random.Random(0))
+@example(256, 1, "ones", random.Random(0))
+def test_pairwise_join_matches_formatting_each_value(width, count, fill, rng):
+    if fill == "random":
+        values = [rng.getrandbits(width) for _ in range(count)]
+    else:
+        values = [0 if fill == "zeros" else 2**width - 1] * count
+    expected = "".join(format(value, f"0{width}b") for value in values).encode("ascii")
+    assert words.ints_to_digits(values, width) == expected
 
 
 @pytest.mark.parametrize(
