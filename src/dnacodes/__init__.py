@@ -19,8 +19,7 @@ _EXPORTS = {
         "rll_redundancy",
     ),
     "counting": (
-        "WeightProfile", "balance_redundancy", "binomial_weight_count", "near_balanced_count",
-        "rll_count", "rll_count_gf", "rll_weight_count_binary", "rll_weight_count_quaternary",
+        "WeightProfile", "balance_redundancy", "near_balanced_count", "rll_count", "rll_count_gf",
         "weight_profile",
     ),
 }

@@ -23,12 +23,9 @@ __all__ = [
     "WeightProfile",
     "admitted_weights",
     "balance_redundancy",
-    "binomial_weight_count",
     "near_balanced_count",
     "rll_count",
     "rll_count_gf",
-    "rll_weight_count_binary",
-    "rll_weight_count_quaternary",
     "weight_profile",
 ]
 
@@ -46,55 +43,26 @@ def alphabet_of(kind: str) -> int:
     return q
 
 
-def binomial_weight_count(n: int, w: int) -> int:
-    """Number of length-n quaternary words with AT-content exactly w.
-
-    Each of the w AT positions holds A or T and each remaining position
-    G or C, hence C(n, w) * 2**n.
-    """
-    if n < 1:
-        raise ValueError("length must be at least 1")
-    if not 0 <= w <= n:
-        raise ValueError(f"weight {w} out of range 0..{n}")
-    return math.comb(n, w) * 2**n
-
-
-def unbalance_bound(a):
-    """Normalize a relative-unbalance bound to an exact Fraction.
-
-    Floats are read through their decimal representation, so a bound
-    written as 0.05 means exactly 1/20.
-    """
-    from fractions import Fraction  # imported here: it loads decimal, which no codec command needs
-
-    if isinstance(a, float):
-        bound = Fraction(str(a))
-    else:
-        bound = Fraction(a)
-    if bound < 0:
-        raise ValueError("unbalance bound must be non-negative")
-    return bound
-
-
 def _bound_ratio(a) -> tuple[int, int]:
-    """A relative-unbalance bound as ints (p, d) with p/d == unbalance_bound(a).
+    """A relative-unbalance bound as ints (p, d) with p/d the bound.
 
-    A float is read from its decimal repr, digits and exponent, so the
-    paper-table path needs no Fraction; other bounds go through
-    unbalance_bound.
+    A float is read from its decimal repr, digits and exponent, so a
+    bound written as 0.05 means exactly 1/20.  Any other number (int,
+    bool, Fraction, Decimal) is read exactly by its as_integer_ratio().
     """
-    if not isinstance(a, float):
-        bound = unbalance_bound(a)
-        return bound.numerator, bound.denominator
-    if not math.isfinite(a):
-        raise ValueError(f"unbalance bound must be finite, not {a!r}")
-    mantissa, _, exponent = str(a).partition("e")
-    whole, _, fraction = mantissa.partition(".")
-    p = int(whole + fraction)
+    if isinstance(a, float):
+        if not math.isfinite(a):
+            raise ValueError(f"unbalance bound must be finite, not {a!r}")
+        mantissa, _, exponent = str(a).partition("e")
+        whole, _, fraction = mantissa.partition(".")
+        p = int(whole + fraction)
+        shift = int(exponent or 0) - len(fraction)
+        p, d = (p * 10**shift, 1) if shift >= 0 else (p, 10**-shift)
+    else:
+        p, d = a.as_integer_ratio()
     if p < 0:
         raise ValueError("unbalance bound must be non-negative")
-    shift = int(exponent or 0) - len(fraction)
-    return (p * 10**shift, 1) if shift >= 0 else (p, 10**-shift)
+    return p, d
 
 
 def admitted_weights(n: int, a, boundary: str = "strict") -> list[int]:
@@ -221,26 +189,6 @@ def _weight_row(q: int, m: int, n: int) -> tuple[int, ...]:
         starts[1].append(start1)
     row = (k * (ends0 + ends1)).to_bytes((n + 1) * width, "little")
     return tuple(int.from_bytes(row[i : i + width], "little") for i in range(0, len(row), width))
-
-
-def _weight_count(q: int, m: int, w: int, n: int) -> int:
-    if n < 1:
-        raise ValueError("length must be at least 1")
-    if m < 1:
-        raise ValueError("maximum run must be at least 1")
-    if not 0 <= w <= n:
-        raise ValueError(f"weight {w} out of range 0..{n}")
-    return _weight_row(q, m, n)[w]
-
-
-def rll_weight_count_binary(m: int, w: int, n: int) -> int:
-    """Number of n-bit words with max run m and exactly w ones."""
-    return _weight_count(2, m, w, n)
-
-
-def rll_weight_count_quaternary(m: int, w: int, n: int) -> int:
-    """Number of quaternary length-n words with max run m and AT-content w."""
-    return _weight_count(4, m, w, n)
 
 
 class WeightProfile(namedtuple("WeightProfile", "kind m n counts")):

@@ -206,12 +206,12 @@ def test_gaussian_weight_approximations():
     worst = 0.0
     for m in (2, 3, 4):
         est = 2 ** asymptotics.gaussian_weight_model("binary", m, n).log2_estimate(w)
-        exact = counting.rll_weight_count_binary(m, w, n)
+        exact = counting.weight_profile("binary", m, n).counts[w]
         rel = abs(est / exact - 1)
         worst = max(worst, rel)
         assert rel < 0.05, ("binary", m, rel)
         est = 2 ** asymptotics.gaussian_weight_model("quaternary", m, n).log2_estimate(w)
-        exact = counting.rll_weight_count_quaternary(m, w, n)
+        exact = counting.weight_profile("quaternary", m, n).counts[w]
         rel = abs(est / exact - 1)
         worst = max(worst, rel)
         assert rel < 0.05, ("quaternary", m, rel)

@@ -197,7 +197,7 @@ class TestGaussianModels:
 
     def test_balance_model_midpoint(self):
         est = 2 ** asymptotics.gaussian_weight_model("quaternary", None, 100).log2_estimate(50)
-        exact = counting.binomial_weight_count(100, 50)
+        exact = counting.weight_profile("quaternary", None, 100).counts[50]
         assert abs(est / exact - 1) < 0.02
 
     def test_density_integrates_to_one(self):
@@ -207,12 +207,12 @@ class TestGaussianModels:
 
     def test_binary_model_n200(self):
         est = 2 ** asymptotics.gaussian_weight_model("binary", 3, 200).log2_estimate(100)
-        exact = counting.rll_weight_count_binary(3, 100, 200)
+        exact = counting.weight_profile("binary", 3, 200).counts[100]
         assert abs(est / exact - 1) < 0.05
 
     def test_quaternary_model_n200(self):
         est = 2 ** asymptotics.gaussian_weight_model("quaternary", 2, 200).log2_estimate(100)
-        exact = counting.rll_weight_count_quaternary(2, 100, 200)
+        exact = counting.weight_profile("quaternary", 2, 200).counts[100]
         assert abs(est / exact - 1) < 0.05
 
     def test_plain_variance_variant_exposed(self):
@@ -221,7 +221,7 @@ class TestGaussianModels:
         adjusted = asymptotics.gaussian_weight_model("quaternary", 2, 200)
         plain = adjusted._replace(variance=200 / 4)
         assert adjusted.variance < plain.variance
-        exact = counting.rll_weight_count_quaternary(2, 100, 200)
+        exact = counting.weight_profile("quaternary", 2, 200).counts[100]
         assert abs(2 ** adjusted.log2_estimate(100) / exact - 1) < abs(
             2 ** plain.log2_estimate(100) / exact - 1
         )
@@ -267,16 +267,13 @@ class TestGaussianModels:
          "length must be at least 1"),
         (lambda: asymptotics.combined_redundancy("binary", 3, 0.1, -2),
          "length must be at least 1"),
-        (lambda: counting.rll_weight_count_binary(2, 5, 4), "weight 5 out of range 0..4"),
-        (lambda: counting.rll_weight_count_quaternary(2, -1, 4), "weight -1 out of range 0..4"),
-        (lambda: counting.rll_weight_count_binary(0, 1, 4), "maximum run must be at least 1"),
-        (lambda: counting.rll_weight_count_quaternary(2, 0, 0), "length must be at least 1"),
+        (lambda: counting.weight_profile("binary", 0, 4), "maximum run must be at least 1"),
+        (lambda: counting.weight_profile("quaternary", 2, 0), "length must be at least 1"),
     ],
     ids=[
         "profile-kind", "combined-kind", "combined-exact-kind", "penalty-kind", "model-kind",
         "model-kind-with-rll", "asymptotic-runlength-length-0", "asymptotic-runlength-length-neg",
-        "penalty-length-0", "combined-length-neg", "binary-weight", "quaternary-weight",
-        "binary-run", "quaternary-length",
+        "penalty-length-0", "combined-length-neg", "binary-run", "quaternary-length",
     ],
 )
 def test_family_refusal_texts(call, message):

@@ -738,6 +738,22 @@ class TestImports:
         # Loading fractions also loads decimal: about 3 ms of every paper-table command.
         assert not loaded & {"fractions", "decimal"}
 
+    def test_int_bounds_leave_fractions_unloaded(self):
+        import dnacodes
+
+        src = os.path.dirname(os.path.dirname(dnacodes.__file__))
+        probe = (
+            "import sys\n"
+            "from dnacodes import counting\n"
+            "counting.admitted_weights(10, 0)\n"
+            "counting.admitted_weights(10, 1)\n"
+            "counting.balance_redundancy(10, 1)\n"
+            "print(' '.join(sorted(sys.modules)))\n"
+        )
+        result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                                env={**os.environ, "PYTHONPATH": src}, check=True)
+        assert "fractions" not in result.stdout.split()
+
     def test_verify_leaves_dataclasses_and_fractions_unloaded(self, tmp_path):
         import dnacodes
 
@@ -766,8 +782,7 @@ class TestImports:
             "CapacityResult", "capacity", "combined_redundancy", "efficiency_eta",
             "gamma_binary", "gamma_quaternary", "leading_coefficient", "q_function",
             "rll_count_approx", "rll_redundancy", "WeightProfile", "balance_redundancy",
-            "binomial_weight_count", "near_balanced_count", "rll_count", "rll_count_gf",
-            "rll_weight_count_binary", "rll_weight_count_quaternary", "weight_profile",
+            "near_balanced_count", "rll_count", "rll_count_gf", "weight_profile",
         }
         for name in dnacodes.__all__:
             module = next(m for m in (asymptotics, counting) if hasattr(m, name))

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -41,22 +42,26 @@ def brute_quaternary_weight(n, w):
     )
 
 
+def binomial_counts(n):
+    """Counts by AT-content of the length-n quaternary words, no run limit."""
+    return counting.weight_profile("quaternary", None, n).counts
+
+
 class TestBinomialWeightCount:
     def test_gc_only(self):
-        assert counting.binomial_weight_count(5, 0) == 32
+        assert binomial_counts(5)[0] == 32
 
     def test_small_brute_force(self):
-        assert counting.binomial_weight_count(2, 1) == brute_quaternary_weight(2, 1) == 8
+        assert binomial_counts(2)[1] == brute_quaternary_weight(2, 1) == 8
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_total_identity(self, n):
-        assert sum(counting.binomial_weight_count(n, w) for w in range(n + 1)) == 4**n
+        assert sum(binomial_counts(n)) == 4**n
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            counting.binomial_weight_count(0, 0)
-        with pytest.raises(ValueError):
-            counting.binomial_weight_count(3, 4)
+            binomial_counts(0)
+        assert len(binomial_counts(3)) == 4  # weights 0..3 only
 
 
 class TestNearBalancedCount:
@@ -85,8 +90,8 @@ class TestNearBalancedCount:
         # inside only in inclusive mode.
         strict = counting.near_balanced_count(20, 0.05, "strict")
         inclusive = counting.near_balanced_count(20, 0.05, "inclusive")
-        assert strict == counting.binomial_weight_count(20, 10)
-        assert inclusive == sum(counting.binomial_weight_count(20, w) for w in (9, 10, 11))
+        assert strict == binomial_counts(20)[10]
+        assert inclusive == sum(binomial_counts(20)[w] for w in (9, 10, 11))
 
     def test_monotone_in_a(self):
         counts = [counting.near_balanced_count(9, a) for a in (0.0, 0.1, 0.2, 0.3, 0.5, 0.6)]
@@ -103,10 +108,10 @@ class TestAdmittedWeights:
     @pytest.mark.parametrize(
         "a",
         [0, 0.05, 0.1, 0.15, 1 / 3, 0.5, 1, 1e-05, 0.3333, 2.5, -0.0, 1e16, 3,
-         Fraction(1, 7), Fraction(21, 40)],
+         Fraction(1, 7), Fraction(21, 40), True, Decimal("0.05"), Decimal("0.15")],
     )
     def test_integer_rule_matches_fraction_rule(self, a, boundary):
-        bound = counting.unbalance_bound(a)
+        bound = Fraction(str(a)) if isinstance(a, float) else Fraction(a)
         for n in range(1, 301):
             expected = []
             for w in range(n + 1):
@@ -129,8 +134,9 @@ class TestAdmittedWeights:
 @pytest.mark.parametrize("a", [0, 0.05, 0.1, 0.25, 1 / 3, 0.5, 1e16])
 def test_near_balanced_count_sums_binomials(a, boundary):
     for n in range(1, 301):
+        counts = binomial_counts(n)
         assert counting.near_balanced_count(n, a, boundary) == sum(
-            counting.binomial_weight_count(n, w) for w in counting.admitted_weights(n, a, boundary)
+            counts[w] for w in counting.admitted_weights(n, a, boundary)
         )
 
 
@@ -185,12 +191,22 @@ class TestRllCount:
             counting.rll_count(4, 2, -1)
 
 
+def binary_count(m, w, n):
+    """n-bit words with max run m and exactly w ones."""
+    return counting.weight_profile("binary", m, n).counts[w]
+
+
+def quaternary_count(m, w, n):
+    """Quaternary length-n words with max run m and AT-content w."""
+    return counting.weight_profile("quaternary", m, n).counts[w]
+
+
 class TestWeightCounts:
     def test_alternating_only(self):
-        assert counting.rll_weight_count_binary(1, 2, 4) == 2
+        assert binary_count(1, 2, 4) == 2
 
     def test_binary_brute_forced_cases(self):
-        assert counting.rll_weight_count_binary(2, 1, 2) == 2
+        assert binary_count(2, 1, 2) == 2
         # exhaustive filter over 32 words: max run <= 3 and weight 2
         brute = sum(
             1
@@ -198,37 +214,33 @@ class TestWeightCounts:
             if sum(word) == 2
             and max(len(list(g)) for _, g in itertools.groupby(word)) <= 3
         )
-        assert counting.rll_weight_count_binary(3, 2, 5) == brute == 10
+        assert binary_count(3, 2, 5) == brute == 10
 
     def test_quaternary_gc_pairs(self):
-        assert counting.rll_weight_count_quaternary(1, 0, 2) == 2
+        assert quaternary_count(1, 0, 2) == 2
 
     def test_quaternary_total_example(self):
-        total = sum(counting.rll_weight_count_quaternary(3, w, 5) for w in range(6))
-        assert total == 996
+        assert counting.weight_profile("quaternary", 3, 5).total() == 996
 
     def test_all_at_words_are_binary_rll(self):
-        assert counting.rll_weight_count_quaternary(2, 3, 3) == counting.rll_count(2, 2, 3) == 6
+        assert quaternary_count(2, 3, 3) == counting.rll_count(2, 2, 3) == 6
 
     def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            counting.rll_weight_count_binary(2, 5, 4)
-        with pytest.raises(ValueError):
-            counting.rll_weight_count_quaternary(2, -1, 4)
+        with pytest.raises(ValueError, match="maximum run must be at least 1"):
+            counting.weight_profile("binary", 0, 4)
+        with pytest.raises(ValueError, match="length must be at least 1"):
+            counting.weight_profile("quaternary", 2, 0)
+        assert len(counting.weight_profile("binary", 2, 4).counts) == 5  # weights 0..4 only
 
     @given(st.integers(1, 4), st.integers(1, 10), st.integers(0, 10))
     def test_binary_symmetry(self, m, n, w):
         w = min(w, n)
-        assert counting.rll_weight_count_binary(m, w, n) == counting.rll_weight_count_binary(
-            m, n - w, n
-        )
+        assert binary_count(m, w, n) == binary_count(m, n - w, n)
 
     @given(st.integers(1, 4), st.integers(1, 9), st.integers(0, 9))
     def test_quaternary_symmetry(self, m, n, w):
         w = min(w, n)
-        assert counting.rll_weight_count_quaternary(
-            m, w, n
-        ) == counting.rll_weight_count_quaternary(m, n - w, n)
+        assert quaternary_count(m, w, n) == quaternary_count(m, n - w, n)
 
 
 class TestWeightRowKernel:
