@@ -14,9 +14,8 @@ from importlib import import_module
 # Each submodule, and the names this package exports from it.
 _EXPORTS = {
     "asymptotics": (
-        "CapacityResult", "capacity", "combined_redundancy", "efficiency_eta", "gamma_binary",
-        "gamma_quaternary", "leading_coefficient", "q_function", "rll_count_approx",
-        "rll_redundancy",
+        "CapacityResult", "capacity", "combined_redundancy", "efficiency_eta", "gamma",
+        "leading_coefficient", "q_function", "rll_count_approx", "rll_redundancy",
     ),
     "counting": (
         "WeightProfile", "balance_redundancy", "near_balanced_count", "rll_count", "rll_count_gf",

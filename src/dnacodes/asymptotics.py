@@ -2,12 +2,13 @@
 
 The dominant root of the run-length characteristic equation drives
 everything here: capacity, the leading coefficient of the count
-asymptote, and the run-length distributions behind the weight-variance
-factors.  All quantities are 64-bit floats; exact counts are folded in
-through log2 so nothing overflows: count estimates are computed as log2
-(the log2_* forms), and the one plain count estimate, rll_count_approx,
-reads inf once the count leaves the float range.  Pure functions
-throughout.
+asymptote, and the closed-form weight-variance factor gamma(kind, m),
+read from the run sum T(x) = x + ... + x**m and its derivatives at the
+root's reciprocal.  All quantities are 64-bit floats; exact counts are
+folded in through log2 so nothing overflows: count estimates are
+computed as log2 (the log2_* forms), and the one plain count estimate,
+rll_count_approx, reads inf once the count leaves the float range.
+Pure functions throughout.
 """
 
 from __future__ import annotations
@@ -27,15 +28,13 @@ __all__ = [
     "capacity",
     "combined_redundancy",
     "efficiency_eta",
-    "gamma_binary",
-    "gamma_quaternary",
+    "gamma",
     "gaussian_weight_model",
     "leading_coefficient",
     "log2_balance_count_approx",
     "q_function",
     "rll_count_approx",
     "rll_redundancy",
-    "runlength_distribution",
 ]
 
 _NEWTON_CAP = 200
@@ -134,18 +133,16 @@ def capacity(q: int, m: int) -> CapacityResult:
     return CapacityResult(q, m, lam, math.log2(lam), abs(_char_residual(q, m, lam)))
 
 
-def _run_sum(m: int, x: float) -> float:
-    """T(x) = x + x**2 + ... + x**m.
+def _run_sum(m: int, x: float, order: int = 0) -> float:
+    """The order-th derivative of T(x) = x + x**2 + ... + x**m.
 
     The sums here stop at their first term that underflows to 0.0: for
     x < 1 every later term is 0.0 too, so the value is unchanged and a
-    huge m costs no more than the float range allows.
+    huge m costs no more than the float range allows.  The terms start
+    at the first power that the derivative keeps.
     """
-    return sum(takewhile(bool, (x**i for i in range(1, m + 1))))
-
-
-def _run_sum_derivative(m: int, x: float) -> float:
-    return sum(takewhile(bool, (i * x ** (i - 1) for i in range(1, m + 1))))
+    terms = (math.perm(i, order) * x ** (i - order) for i in range(max(order, 1), m + 1))
+    return sum(takewhile(bool, terms))
 
 
 def leading_coefficient(q: int, m: int) -> float:
@@ -157,7 +154,7 @@ def leading_coefficient(q: int, m: int) -> float:
     lam = capacity(q, m).lam
     x = 1.0 / lam
     r = q * _run_sum(m, x)
-    p_prime = -(q - 1) * _run_sum_derivative(m, x)
+    p_prime = -(q - 1) * _run_sum(m, x, 1)
     if abs(p_prime) < 1e-12:
         raise ArithmeticError(f"degenerate denominator derivative for q={q}, m={m}")
     return -lam * r / p_prime
@@ -198,67 +195,22 @@ def efficiency_eta(m: int) -> float:
     return (1.0 + capacity(2, m).capacity_bits) / capacity(4, m).capacity_bits
 
 
-def gamma_binary(m: int) -> float:
-    """Variance factor of the binary run-constrained weight distribution.
+def gamma(kind: str, m: int) -> float:
+    """Variance factor of the run-constrained weight distribution of kind.
 
-    Run lengths occur with probability lam**-k, k = 1..m; the factor is
-    the run-length variance over its mean.
+    The weighted symbols (1s, or A and T) come in maximal blocks; one of
+    length k has probability N_{q/2}(m, k) * y**k at y = 1/lam_q(m).  The
+    blocks' generating function is F = (q/2)*T / (1 - (q/2 - 1)*T), and
+    (q-1)*T(y) = 1 makes F(y) = 1.  The factor is the block length's
+    variance over its mean, 1 + y*F''/F' - y*F' at y, which reduces to
+    1 + y*T''/T' - (2(q-1)/q)*y*T'.
     """
-    if m < 2:
+    q = counting.alphabet_of(kind)
+    if q == 2 and m < 2:
         raise ValueError("the binary variance factor needs m >= 2")
-    lam = capacity(2, m).lam
-    probs = list(takewhile(bool, (lam**-k for k in range(1, m + 1))))  # as in _run_sum
-    if abs(sum(probs) - 1.0) > 1e-12:
-        raise ArithmeticError("run-length probabilities do not sum to 1")
-    return _variance_over_mean(list(enumerate(probs, start=1)))
-
-
-@lru_cache(maxsize=None)
-def runlength_distribution(m: int) -> tuple[tuple[int, float], ...]:
-    """(Run length, probability) pairs of the AT plane of the quaternary source.
-
-    A maximal AT block of length k arises from any of the N_2(m, k)
-    alternating A/T arrangements, weighted by lam_4**-k and normalized.
-    The pairs run k = 1, 2, ... and stop once the next term drops below
-    1e-15 and the geometric tail bound (ratio 2/lam_4) is below 1e-12.
-    """
-    if m < 1:
-        raise ValueError("maximum run must be at least 1")
-    lam = capacity(4, m).lam
-    x = 1.0 / lam
-    terms: list[float] = []
-    k = 0
-    while True:
-        k += 1
-        term = float(counting.rll_count(2, m, k)) * x**k
-        terms.append(term)
-        tail_bound = (2 * x) ** (k + 1) / (1 - 2 * x)
-        if term < 1e-15 and tail_bound < 1e-12:
-            break
-        if k > 10_000:
-            raise ArithmeticError("run-length distribution failed to truncate")
-    total = sum(terms)
-    if not -1e-12 <= 1.0 - total <= 1e-9:
-        # The normalizer is exactly 1 in the infinite sum: the plain
-        # run-length series evaluates to 1 at 1/lam_4.
-        raise ArithmeticError(f"truncated run-length mass {total} out of range")
-    c = 1.0 / total
-    return tuple((i, c * t) for i, t in enumerate(terms, start=1))
-
-
-def gamma_quaternary(m: int) -> float:
-    """Variance factor of the quaternary run-constrained AT-weight distribution."""
-    return _variance_over_mean(runlength_distribution(m))
-
-
-def _variance_over_mean(probs) -> float:
-    """Run-length variance over mean, for the (run length, probability) pairs probs."""
-    mean = sum(k * p for k, p in probs)
-    return sum((k - mean) ** 2 * p for k, p in probs) / mean
-
-
-def _gamma(q: int, m: int) -> float:
-    return gamma_binary(m) if q == 2 else gamma_quaternary(m)
+    y = 1.0 / capacity(q, m).lam
+    slope = _run_sum(m, y, 1)
+    return 1.0 + y * _run_sum(m, y, 2) / slope - 2 * (q - 1) / q * y * slope
 
 
 def q_function(x: float) -> float:
@@ -291,15 +243,15 @@ def gaussian_weight_model(kind: str, m: int | None, n: int) -> GaussianApprox:
 
     kind is "binary" or "quaternary".  The mean is n/2 and the total is
     the row's exact total.  m=None drops the run constraint: variance
-    n/4 and total q**n.  A run limit shrinks the variance by the run
-    factor gamma_binary(m) or gamma_quaternary(m).
+    n/4 and total q**n.  A run limit scales the variance by the
+    closed-form block-length factor gamma(kind, m).
     """
     if n < 1:
         raise ValueError("length must be at least 1")
     q = counting.alphabet_of(kind)
     if m is None:
         return GaussianApprox(n / 2, n / 4, n * math.log2(q))
-    return GaussianApprox(n / 2, _gamma(q, m) * n / 4, math.log2(counting.rll_count(q, m, n)))
+    return GaussianApprox(n / 2, gamma(kind, m) * n / 4, math.log2(counting.rll_count(q, m, n)))
 
 
 def _admitted_share(a, scale: float) -> float:
@@ -321,8 +273,7 @@ def balance_penalty(kind: str, m: int, a: float, n: int) -> float:
     """Extra redundancy in bits for also keeping the weight within a of balance."""
     if n < 1:
         raise ValueError("length must be at least 1")
-    gamma = _gamma(counting.alphabet_of(kind), m)
-    inner = _admitted_share(a, n / gamma)
+    inner = _admitted_share(a, n / gamma(kind, m))
     if inner <= 0.0:
         raise ValueError("balance penalty undefined: admitted probability is not positive")
     return -math.log2(inner)

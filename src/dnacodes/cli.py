@@ -46,7 +46,7 @@ TABLE_IDS = (
     "gamma",
 )
 
-# The unconstrained (m -> infinity) run-length distribution is geometric
+# The unconstrained (m -> infinity) block-length distribution is geometric
 # with ratio 1/2 in either plane, whose variance factor is exactly 1.
 _GAMMA_LIMIT_ROW = ("inf", 1.0, 1.0)
 # The rate-efficiency tables: the blockcodes rate function of each, and its m columns.
@@ -111,8 +111,8 @@ def _table_rows(table_id: str, precision: int) -> list[str]:
     if table_id == "gamma":
         lines = ["m,gamma_binary,gamma_quaternary"]
         for m in (1, 2, 3, 4, 5, 10):
-            g2 = "" if m == 1 else _fmt(asymptotics.gamma_binary(m), p)
-            lines.append(f"{m},{g2},{_fmt(asymptotics.gamma_quaternary(m), p)}")
+            g2 = "" if m == 1 else _fmt(asymptotics.gamma("binary", m), p)
+            lines.append(f"{m},{g2},{_fmt(asymptotics.gamma('quaternary', m), p)}")
         label, g2, g4 = _GAMMA_LIMIT_ROW
         lines.append(f"{label},{_fmt(g2, p)},{_fmt(g4, p)}")
         return lines
@@ -416,8 +416,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, required=True, choices=(2, 4))
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--gf", action="store_true", help="extract from the generating function")
-    p.add_argument("--weight-profile", action="store_true", help="per-weight counts")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--gf", action="store_true", help="extract from the generating function")
+    source.add_argument("--weight-profile", action="store_true", help="per-weight counts")
     # No --precision: count prints only ints.
     p.add_argument("--out", help="write output to this file instead of stdout")
     p.set_defaults(func=cmd_count)

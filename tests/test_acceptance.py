@@ -169,12 +169,12 @@ def test_rate_efficiency_tables_reproduction():
 
 def test_gamma_table_reproduction():
     for m, expected in GAMMA_BINARY_TABLE.items():
-        assert abs(asymptotics.gamma_binary(m) - expected) <= 5e-5, m
+        assert abs(asymptotics.gamma("binary", m) - expected) <= 5e-5, m
     for m, expected in GAMMA_QUATERNARY_TABLE.items():
-        assert abs(asymptotics.gamma_quaternary(m) - expected) <= 5e-5, m
+        assert abs(asymptotics.gamma("quaternary", m) - expected) <= 5e-5, m
     # the unconstrained row of the table: both factors tend to exactly 1
-    assert abs(asymptotics.gamma_binary(40) - 1.0) <= 5e-5
-    assert abs(asymptotics.gamma_quaternary(40) - 1.0) <= 5e-5
+    assert abs(asymptotics.gamma("binary", 40) - 1.0) <= 5e-5
+    assert abs(asymptotics.gamma("quaternary", 40) - 1.0) <= 5e-5
     _report("weight-variance factor table, 11 entries plus limit row within 5e-5")
 
 

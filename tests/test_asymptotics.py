@@ -109,9 +109,10 @@ class TestLeadingCoefficient:
     [
         lambda m: asymptotics.leading_coefficient(2, m),
         lambda m: asymptotics.leading_coefficient(4, m),
-        asymptotics.gamma_binary,
+        lambda m: asymptotics.gamma("binary", m),
+        lambda m: asymptotics.gamma("quaternary", m),
     ],
-    ids=["A_2", "A_4", "gamma_binary"],
+    ids=["A_2", "A_4", "gamma_binary", "gamma_quaternary"],
 )
 def test_run_sums_past_the_float_range(formula):
     # Every term past m = 2000 underflows to 0.0, so m = 10**12 answers at once.
@@ -159,32 +160,42 @@ class TestEta:
 class TestGamma:
     @pytest.mark.parametrize("m,expected", [(2, 0.1708), (10, 0.9565)])
     def test_binary_reference(self, m, expected):
-        assert asymptotics.gamma_binary(m) == pytest.approx(expected, abs=5e-5)
+        assert asymptotics.gamma("binary", m) == pytest.approx(expected, abs=5e-5)
 
     @pytest.mark.parametrize("m,expected", [(1, 0.5), (3, 0.8796), (10, 0.9999)])
     def test_quaternary_reference(self, m, expected):
-        assert asymptotics.gamma_quaternary(m) == pytest.approx(expected, abs=5e-5)
+        assert asymptotics.gamma("quaternary", m) == pytest.approx(expected, abs=5e-5)
 
     def test_limits(self):
-        assert asymptotics.gamma_binary(40) == pytest.approx(1.0, abs=5e-5)
-        assert asymptotics.gamma_quaternary(40) == pytest.approx(1.0, abs=5e-5)
+        assert asymptotics.gamma("binary", 40) == pytest.approx(1.0, abs=5e-5)
+        assert asymptotics.gamma("quaternary", 40) == pytest.approx(1.0, abs=5e-5)
 
     def test_binary_m1_rejected(self):
-        with pytest.raises(ValueError):
-            asymptotics.gamma_binary(1)
+        with pytest.raises(ValueError, match="the binary variance factor needs m >= 2"):
+            asymptotics.gamma("binary", 1)
 
     def test_quaternary_monotone(self):
-        gammas = [asymptotics.gamma_quaternary(m) for m in range(1, 11)]
+        gammas = [asymptotics.gamma("quaternary", m) for m in range(1, 11)]
         assert all(a < b for a, b in zip(gammas, gammas[1:]))
         assert gammas[-1] < 1
 
-    def test_distribution_mass_and_mean(self):
-        for m in (1, 2, 5):
-            probs = asymptotics.runlength_distribution(m)
-            assert abs(sum(p for _, p in probs) - 1.0) <= 1e-12
-            assert all(p >= 0 for _, p in probs)
-            assert 1 <= sum(k * p for k, p in probs) <= 2
-            assert [k for k, _ in probs] == list(range(1, len(probs) + 1))
+    @pytest.mark.parametrize("kind", ["binary", "quaternary"])
+    def test_closed_form_matches_the_block_length_series(self, kind):
+        # A block of k weighted symbols (1s, or A and T) has probability
+        # N_{q/2}(m, k) * lam**-k: one arrangement if k <= m for binary,
+        # the binary max-run-m count for quaternary.  The series is summed
+        # to k = 200, past which its terms are below 1e-30.
+        q = counting.ALPHABET_OF_KIND[kind]
+        for m in range(2 if q == 2 else 1, 12):
+            y = 1.0 / asymptotics.capacity(q, m).lam
+            blocks = (int(k <= m) if q == 2 else counting.rll_count(2, m, k) for k in range(1, 201))
+            probs = [(k, count * y**k) for k, count in enumerate(blocks, start=1)]
+            mass = sum(p for _, p in probs)
+            assert mass == pytest.approx(1.0, abs=1e-13)
+            mean = sum(k * p for k, p in probs) / mass
+            assert 1 <= mean <= 2
+            variance = sum((k - mean) ** 2 * p for k, p in probs) / mass
+            assert asymptotics.gamma(kind, m) == pytest.approx(variance / mean, abs=1e-13), m
 
 
 class TestGaussianModels:
@@ -267,13 +278,15 @@ class TestGaussianModels:
          "length must be at least 1"),
         (lambda: asymptotics.combined_redundancy("binary", 3, 0.1, -2),
          "length must be at least 1"),
+        (lambda: asymptotics.gamma("ternary", 3), "unknown kind 'ternary'"),
         (lambda: counting.weight_profile("binary", 0, 4), "maximum run must be at least 1"),
         (lambda: counting.weight_profile("quaternary", 2, 0), "length must be at least 1"),
     ],
     ids=[
         "profile-kind", "combined-kind", "combined-exact-kind", "penalty-kind", "model-kind",
         "model-kind-with-rll", "asymptotic-runlength-length-0", "asymptotic-runlength-length-neg",
-        "penalty-length-0", "combined-length-neg", "binary-run", "quaternary-length",
+        "penalty-length-0", "combined-length-neg", "gamma-kind", "binary-run",
+        "quaternary-length",
     ],
 )
 def test_family_refusal_texts(call, message):

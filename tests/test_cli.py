@@ -120,6 +120,17 @@ class TestScalarCommands:
         _, out, _ = run_cli(capsys, "count", "--q", "4", "--m", "3", "--n", "5", "--weight-profile")
         assert "total,996" in out
 
+    def test_count_gf_and_weight_profile_together_is_usage_error(self, capsys):
+        # the weight profile reads no generating function, so --gf would be ignored
+        args = ("count", "--q", "4", "--m", "3", "--n", "5")
+        for pair in (("--gf", "--weight-profile"), ("--weight-profile", "--gf")):
+            with pytest.raises(SystemExit) as exit_info:
+                cli.main([*args, *pair])
+            assert exit_info.value.code == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.splitlines()[-1].endswith(f"argument {pair[1]}: not allowed with argument {pair[0]}")
+
     def test_capacity(self, capsys):
         _, out, _ = run_cli(capsys, "capacity", "--q", "4", "--m", "3")
         assert out.strip() == "1.9824"
@@ -780,10 +791,11 @@ class TestImports:
 
         assert set(dnacodes.__all__) == {
             "CapacityResult", "capacity", "combined_redundancy", "efficiency_eta",
-            "gamma_binary", "gamma_quaternary", "leading_coefficient", "q_function",
-            "rll_count_approx", "rll_redundancy", "WeightProfile", "balance_redundancy",
-            "near_balanced_count", "rll_count", "rll_count_gf", "weight_profile",
+            "gamma", "leading_coefficient", "q_function", "rll_count_approx", "rll_redundancy",
+            "WeightProfile", "balance_redundancy", "near_balanced_count", "rll_count",
+            "rll_count_gf", "weight_profile",
         }
+        assert len(dnacodes.__all__) == 15
         for name in dnacodes.__all__:
             module = next(m for m in (asymptotics, counting) if hasattr(m, name))
             assert getattr(dnacodes, name) is getattr(module, name)
