@@ -16,7 +16,9 @@ block code that speaks the strand codecs' block protocol (see
 of source_bits-digit words, construction1's ell data bits each, and
 returns each word's oligo_len balanced digits, prefix then body, as
 ASCII (b"0110"), and `decode_blocks(words, state)` inverts it into one
-numeral, refusing a word whose weight breaks weight_bound.  The flip
+numeral, refusing a word whose weight breaks weight_bound.  A refusal is
+a plain ValueError that says why, never where: `payload.decode_stream`
+finds the word by decoding the batch's words one at a time.  The flip
 itself is a translate of the word's first digits; only the search for
 the flip length reads the word as an int.  No state crosses blocks, so
 state is ignored.
@@ -29,7 +31,7 @@ from functools import cached_property
 from itertools import combinations, islice
 from struct import unpack
 
-from .blockcodes import BlockCode, BlockError, count_blocks
+from .blockcodes import BlockCode, count_blocks
 
 __all__ = ["KnuthBalancer", "WeakKnuthBalancer"]
 
@@ -77,34 +79,25 @@ class _FlipBalancer(BlockCode):
     def decode_blocks(self, words: list[bytes], state: int | None = None) -> bytes:
         """The numeral of the source_bits-digit words of these words within weight_bound."""
         if b"".join(words).translate(None, b"01"):
-            return self._refuse_non_binary(words)
+            raise ValueError("not a word of binary digits")
         n, cut, bound = self.source_bits, 2 * self.p0, 2 * self.weight_bound
         index_of_prefix, lengths = self._prefixes[1], self._flip_lengths
         bodies: list[bytes] = []
-        try:
-            for digits in words:
-                if len(digits) != self.oligo_len:
-                    raise ValueError(f"expected {self.oligo_len} bits, got {len(digits)}")
-                prefix = digits[:cut]
-                i = index_of_prefix.get(prefix)
-                if i is None:
-                    if prefix.count(b"1") != self.p0:
-                        raise ValueError("prefix is not a balanced word")
-                    raise ValueError("prefix decodes to an out-of-range flip index")
-                body = digits[cut:]  # the prefix is balanced, so the body's weight is the word's
-                if abs(2 * body.count(b"1") - n) > bound:
-                    raise ValueError("word weight outside the balancer's bound")
-                k0 = lengths[i]
-                bodies.append(body[:k0].translate(_FLIP) + body[k0:])
-        except ValueError as exc:
-            raise BlockError(str(exc), len(bodies)) from None
+        for digits in words:
+            if len(digits) != self.oligo_len:
+                raise ValueError(f"expected {self.oligo_len} bits, got {len(digits)}")
+            prefix = digits[:cut]
+            i = index_of_prefix.get(prefix)
+            if i is None:
+                if prefix.count(b"1") != self.p0:
+                    raise ValueError("prefix is not a balanced word")
+                raise ValueError("prefix decodes to an out-of-range flip index")
+            body = digits[cut:]  # the prefix is balanced, so the body's weight is the word's
+            if abs(2 * body.count(b"1") - n) > bound:
+                raise ValueError("word weight outside the balancer's bound")
+            k0 = lengths[i]
+            bodies.append(body[:k0].translate(_FLIP) + body[k0:])
         return b"".join(bodies)
-
-    def _refuse_non_binary(self, words: list[bytes]) -> bytes:
-        """Raise the refusal of the first word with a byte other than 0 and 1."""
-        bad = next(i for i, word in enumerate(words) if word.translate(None, b"01"))
-        self.decode_blocks(words[:bad])  # an earlier word refused for another fault comes first
-        raise BlockError("not a word of binary digits", bad)
 
 
 class KnuthBalancer(_FlipBalancer):

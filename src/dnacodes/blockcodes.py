@@ -33,8 +33,9 @@ Codes work a batch at a time, and a batch of indices is one numeral of
 ASCII digits (b"0110..."), the blocks' source_bits digits one after
 another: `encode_blocks(digits, state)` returns a list of codewords and
 `decode_blocks(words, state)` the numeral of their indices, each
-threading the state from block to block, and a refused block raises
-`BlockError` with its place in the batch.  A numeral that is not whole
+threading the state from block to block.  A refused batch raises a plain
+ValueError that says why, for the first block refused, but not where:
+`payload.decode_stream` finds the place.  A numeral that is not whole
 blocks of binary digits is refused by one check (`count_blocks`).  The
 enumerator turns the numeral's blocks into ints, runs the whole batch in
 one loop, picking each block's root from the state, and its indices go
@@ -56,7 +57,6 @@ from .words import BASES, int_to_digits, ints_to_digits, max_run
 
 __all__ = [
     "BlockCode",
-    "BlockError",
     "MAX_BLOCK_BITS",
     "StateDependentCode",
     "StateIndependentCode",
@@ -83,14 +83,6 @@ MAX_BLOCK_BITS = 256
 COUNTED_LENGTH = 4096
 
 
-class BlockError(ValueError):
-    """A block that a code refuses; position is its 0-based place in the batch."""
-
-    def __init__(self, message: str, position: int):
-        super().__init__(message)
-        self.position = position
-
-
 class BlockCode:
     """The single-block protocol of a code that implements the batch one.
 
@@ -104,7 +96,7 @@ class BlockCode:
     def encode_block(self, value: int, state: int | None = STREAM_START) -> bytes:
         k = self.source_bits
         if not 0 <= value < 1 << k:
-            raise BlockError(f"index {value} outside 0..2**{k} - 1", 0)
+            raise ValueError(f"index {value} outside 0..2**{k} - 1")
         return self.encode_blocks(int_to_digits(value, k), state)[0]
 
     def decode_block(self, word: bytes, state: int | None = STREAM_START) -> int:
@@ -112,15 +104,9 @@ class BlockCode:
 
 
 def count_blocks(digits: bytes, k: int) -> int:
-    """The number of k-digit blocks of a batch numeral.
-
-    BlockError names the first block that is not k binary digits: the
-    one that holds the first byte other than 0 and 1, or else the cut-off
-    block at the end.
-    """
+    """How many k-digit blocks a batch numeral holds; ValueError unless k binary digits each."""
     if digits.translate(None, b"01") or len(digits) % k:
-        first = len(digits) - len(digits.lstrip(b"01"))  # the first byte other than 0 and 1
-        raise BlockError(f"not a block of {k} binary digits", first // k)
+        raise ValueError(f"not a block of {k} binary digits")
     return len(digits) // k
 
 
@@ -550,16 +536,12 @@ class _TwoModeCode(BlockCode):
         indices = self._words.rank_blocks(self._decode_heads, words, STREAM_START)
         keep = self._keep
         if len(indices) < len(words) or (indices and max(indices) >= keep):
-            at = next((i for i, index in enumerate(indices) if index >= keep), len(indices))
-            raise BlockError(self._refusal(indices[at] if at < len(indices) else None), at)
+            message = f"not a codeword of this {self.kind} code"
+            past = next((index for index in indices if index >= keep), None)
+            if past is not None:
+                message += f": its index {past} is past the kept range 0..{keep - 1}"
+            raise ValueError(message)
         return ints_to_digits(indices, self.source_bits)
-
-    def _refusal(self, index: int | None) -> str:
-        """Why a word with this index under its mode's root (None: no path) is refused."""
-        message = f"not a codeword of this {self.kind} code"
-        if index is None:
-            return message
-        return f"{message}: its index {index} is past the kept range 0..{self._keep - 1}"
 
 
 class TwoModeRllCode(_TwoModeCode):
@@ -655,7 +637,7 @@ class StateDependentCode(BlockCode):
         indices = self._words.rank_blocks(self._decode_heads, words, state)
         if len(indices) < len(words):
             at = len(indices)
-            raise BlockError(self._refusal(words[at], words[at - 1][-1] if at else state), at)
+            raise ValueError(self._refusal(words[at], words[at - 1][-1] if at else state))
         return ints_to_digits(indices, self.source_bits)
 
     def _refusal(self, word: bytes, state: int | None) -> str:

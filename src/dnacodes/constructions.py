@@ -12,12 +12,13 @@ maps strands back to the numeral, where state is the last byte of the
 strand before the batch (None at stream start) and the codec threads it
 from block to block.  encode_blocks refuses a numeral that is not whole
 blocks of binary digits, and decode_blocks takes uppercase bases only;
-either raises `BlockError`, a ValueError that carries the block's place
-in the batch, decode_blocks on a strand that breaks oligo_len, max_run
-or weight_bound.  `encode_block(value, state)` and `decode_block(strand,
-state)` code a batch of one with the block's index as an int
-(`BlockCode`).  `CODECS` registers each codec under its command-line
-name.
+either raises a plain ValueError, decode_blocks on a strand that breaks
+oligo_len, max_run or weight_bound.  A refusal says why a batch is
+refused, never where: `payload.decode_stream` alone names the strand,
+by decoding a refused batch's strands one at a time.
+`encode_block(value, state)` and `decode_block(strand, state)` code a
+batch of one with the block's index as an int (`BlockCode`).  `CODECS`
+registers each codec under its command-line name.
 
 The binary codes speak the same protocol over the digits b"01": the
 balancers of `balancing` and the two-mode code of `blockcodes`.  A
@@ -40,7 +41,6 @@ from .balancing import KnuthBalancer, WeakKnuthBalancer
 from .blockcodes import (
     STREAM_START,
     BlockCode,
-    BlockError,
     StateDependentCode,
     StateIndependentCode,
     TwoModeRllCode,
@@ -98,22 +98,12 @@ class PlaneCodec(BlockCode):
         joined = b"".join(strands)
         low = joined.translate(LOW_DIGIT_OF_BASE)  # b"x" for a byte that is no base
         if strands and (set(map(len, strands)) != {n} or b"x" in low):
-            return self._refuse_malformed(strands, state)
+            raise ValueError(f"not a strand of {n} bases G, C, A, T")
         high = joined.translate(HIGH_DIGIT_OF_BASE)
         coded, raw = (high, low) if self._high else (low, high)
         numeral = self._code.decode_blocks(cut(coded, n), self._code_state(state))
         pieces = zip(cut(numeral, self.source_bits - n), cut(raw, n))
         return b"".join(chain.from_iterable(pieces))
-
-    def _refuse_malformed(self, strands: list[bytes], state: int | None) -> bytes:
-        """Raise the refusal of the first strand of another length or with a byte that is no base."""
-        n = self.oligo_len
-        bad = next(
-            i for i, strand in enumerate(strands)
-            if len(strand) != n or b"x" in strand.translate(LOW_DIGIT_OF_BASE)
-        )
-        self.decode_blocks(strands[:bad], state)  # an earlier strand the code refuses comes first
-        raise BlockError(f"not a strand of {n} bases G, C, A, T", bad)
 
 
 def _construction1(ell: int, balancer: str = "knuth", p0: int | None = None):

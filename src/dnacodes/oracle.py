@@ -427,7 +427,9 @@ def validate_codec(name: str, **params) -> BruteForceReport:
     block joins.  A stream block whose (value, state) the sweep coded
     takes the sweep's strand and outcome rather than being coded again;
     it still counts one case, so the cases are those of coding it anew,
-    and a problem is reported once.  Raises ValueError when
+    and a problem is reported once.  An encode that refuses a valid
+    index, alone or in a batch, and a batch encode that gives another
+    number of strands than blocks are failures too.  Raises ValueError when
     stream_blocks is negative or the coded source space exceeds the
     exhaustive cap.
     """
@@ -454,9 +456,13 @@ def validate_codec(name: str, **params) -> BruteForceReport:
 
         The strand, and whether it passed.
         """
-        strand = codec.encode_blocks(digits, state)[0]
         report.cases += 1
         symbol_state = None if state is None else _SYMBOL_OF_BYTE[state]
+        try:
+            strand = codec.encode_blocks(digits, state)[0]
+        except ValueError as exc:
+            report.failures.append(f"encode refused: index={index} state={symbol_state}: {exc}")
+            return None, False
         expected = None if table is None else table(index, symbol_state)
         problems = _word_problems(codec, strand, state, digits, expected)
         if problems:
@@ -484,12 +490,16 @@ def validate_codec(name: str, **params) -> BruteForceReport:
                     swept[index, state] = outcome
 
     def state_before(strands: list, i: int):
-        return strands[i - 1][-1] if i and strands[i - 1] else None
+        return strands[i - 1][-1] if 0 < i <= len(strands) and strands[i - 1] else None
 
     numerals = list(map(numeral, values))
     strands: list = []
     for a, b in _cuts(rng, stream_blocks):
-        strands += codec.encode_blocks(b"".join(numerals[a:b]), state_before(strands, a))
+        try:
+            strands += codec.encode_blocks(b"".join(numerals[a:b]), state_before(strands, a))
+        except ValueError as exc:
+            report.failures.append(f"batch encode refused blocks {a}..{b - 1}: {exc}")
+            strands += [b""] * (b - a)  # no strand, so the blocks after keep their places
     decoded: list = []
     for a, b in _cuts(rng, stream_blocks):
         try:

@@ -22,20 +22,32 @@ numeral, k digits a block, and returns the blocks' strands as ASCII
 bytes, `decode_blocks(strands, state)` returns the numeral of the
 strands' blocks, and the state is the last byte of the strand before
 the batch.
+
+A codec says why it refuses a batch, and only `decode_stream` says
+where: it decodes a refused batch a strand at a time to find the first
+refused alone, so an error costs one batch decoded strand by strand.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 
-from .blockcodes import STREAM_START, BlockError, check_block_size
+from .blockcodes import STREAM_START, check_block_size
 from .words import int_to_digits
 
-__all__ = ["CHUNK_BYTES", "decode_stream", "encode_stream"]
+__all__ = ["BlockError", "CHUNK_BYTES", "decode_stream", "encode_stream"]
 
 # Bytes per chunk: what the CLI reads at a time, and so the size of a
 # batch of strands.
 CHUNK_BYTES = 1 << 14
+
+
+class BlockError(ValueError):
+    """A block the stream refuses; position is its 0-based place in the stream."""
+
+    def __init__(self, message: str, position: int):
+        super().__init__(message)
+        self.position = position
 
 
 def _framed(chunks: Iterable[bytes], k: int) -> Iterator[bytes]:
@@ -73,11 +85,12 @@ def encode_stream(codec, chunks: Iterable[bytes]) -> Iterator[list[bytes]]:
 def decode_stream(codec, batches: Iterable[list[bytes]]) -> Iterator[bytes]:
     """Invert encode_stream: decoded bytes, a piece per batch of strands.
 
-    A strand the codec rejects raises BlockError naming its 1-based block
-    number, with its 0-based place in the stream as position; so do a
-    batch numeral of another length than k digits a strand, at the first
-    block it cannot hold whole (or the batch's last), and a bad pad
-    trailer, for the last block, once the batches run out.  The block
+    A refused batch raises BlockError at its first strand refused alone,
+    with that refusal's reason (else at its last, with the batch's), by
+    1-based block number and, as position, 0-based place in the stream;
+    so do a batch numeral of another length than k digits a strand, at
+    the first block it cannot hold whole (or the batch's last), and a bad
+    pad trailer, for the last block, once the batches run out.  The block
     size is checked on the call.
     """
     k = check_block_size(codec.source_bits)
@@ -93,9 +106,15 @@ def decode_stream(codec, batches: Iterable[list[bytes]]) -> Iterator[bytes]:
                 continue
             try:
                 numeral = decode(strands, state)
-            except BlockError as exc:
-                raise BlockError(f"block {count + exc.position + 1}: {exc}",
-                                 count + exc.position) from None
+            except ValueError as refusal:
+                for at, strand in enumerate(strands):  # each alone, after the one before
+                    try:
+                        decode([strand], state)
+                    except ValueError as alone:
+                        refusal = alone
+                        break
+                    state = strand[-1]
+                raise BlockError(f"block {count + at + 1}: {refusal}", count + at) from None
             if len(numeral) != k * len(strands):
                 bad = count + min(len(numeral) // k, len(strands) - 1)
                 raise BlockError(f"block {bad + 1}: the decoded numeral is not {k} digits a"

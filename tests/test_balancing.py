@@ -5,12 +5,18 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from dnacodes import balancing, payload
-from dnacodes.blockcodes import BlockError
 from dnacodes.constructions import make_codec
 
 
 def weight(digits):
     return digits.count(b"1")
+
+
+def stream_refusal(codec, words):
+    """The BlockError that decode_stream raises on these words as one batch."""
+    with pytest.raises(payload.BlockError) as refused:
+        b"".join(payload.decode_stream(codec, [words]))
+    return refused.value
 
 
 def exact_split(value, n):
@@ -71,7 +77,7 @@ class TestBalancedPrefixMap:
         prefix = b"1" * balancer.p0 + b"0" * balancer.p0
         assert prefix not in balancer._prefixes[1]
         body = b"01" * (balancer.source_bits // 2)
-        with pytest.raises(BlockError, match="out-of-range flip index"):
+        with pytest.raises(ValueError, match="out-of-range flip index"):
             balancer.decode_block(prefix + body)
 
 
@@ -184,15 +190,14 @@ class TestBalancerObjects:
 
     def test_length_validation(self):
         b = balancing.KnuthBalancer(8)
-        with pytest.raises(BlockError):
+        with pytest.raises(ValueError, match=r"^index 256 outside 0\.\.2\*\*8 - 1$"):
             b.encode_block(2**8)
-        with pytest.raises(BlockError):
+        with pytest.raises(ValueError, match=r"^index -1 outside"):
             b.encode_block(-1)
         with pytest.raises(ValueError):
             b.decode_block(b"0" * 13)
-        with pytest.raises(BlockError) as refused:
+        with pytest.raises(ValueError, match="^not a block of 8 binary digits$"):
             b.encode_blocks(b"0" * 8 + b"0110201")
-        assert refused.value.position == 1
 
     @pytest.mark.parametrize(
         "balancer",
@@ -201,13 +206,14 @@ class TestBalancerObjects:
     def test_word_that_is_not_binary_digits_refused_at_its_place(self, balancer):
         words = balancer.encode_blocks(b"0" * 4 * balancer.source_bits)
         bad = words[2][:-1] + b"2"
-        with pytest.raises(BlockError) as refused:
+        with pytest.raises(ValueError, match="^not a word of binary digits$"):
             balancer.decode_blocks(words[:2] + [bad, words[3]])
-        assert (str(refused.value), refused.value.position) == ("not a word of binary digits", 2)
+        refused = stream_refusal(balancer, words[:2] + [bad, words[3]])
+        assert (str(refused), refused.position) == ("block 3: not a word of binary digits", 2)
         # A word before it refused for another fault is refused first.
-        with pytest.raises(BlockError) as refused:
-            balancer.decode_blocks([words[0], words[1][:-1], bad])
-        assert refused.value.position == 1
+        refused = stream_refusal(balancer, [words[0], words[1][:-1], bad])
+        n = balancer.oligo_len
+        assert (str(refused), refused.position) == (f"block 2: expected {n} bits, got {n - 1}", 1)
 
 
 def test_digit_words_match_the_bit_by_bit_flip():

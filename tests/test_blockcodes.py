@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from dnacodes import blockcodes, counting, oracle
+from dnacodes import blockcodes, counting, oracle, payload
 from dnacodes.words import max_run
 
 
@@ -578,12 +578,16 @@ class TestBatchMethods:
         code = CODES[kind][0](2, 6)
         words = code.encode_blocks(numeral(code, range(6)), None)
         words[4] = bytes(code.alphabet[s] for s in (1, 1, 1, 0, 1, 0))  # a run of three
-        with pytest.raises(blockcodes.BlockError) as refused:
+        name = getattr(code, "kind", "state-dependent")
+        with pytest.raises(ValueError, match=f"^not a codeword of this {name} code") as reason:
             code.decode_blocks(words, None)
-        assert refused.value.position == 4
-        with pytest.raises(blockcodes.BlockError) as refused:  # a third block that is no index
-            code.encode_blocks(numeral(code, [0, 1]) + b"-" * code.source_bits, None)
-        assert refused.value.position == 2
+        # The codec says why; the stream says where.
+        with pytest.raises(payload.BlockError) as refused:
+            b"".join(payload.decode_stream(code, [words]))
+        assert (str(refused.value), refused.value.position) == (f"block 5: {reason.value}", 4)
+        k = code.source_bits
+        with pytest.raises(ValueError, match=f"^not a block of {k} binary digits$"):
+            code.encode_blocks(numeral(code, [0, 1]) + b"-" * k, None)  # a third block: no index
 
 
 class TestBuildCollector:

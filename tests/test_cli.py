@@ -301,6 +301,12 @@ class TestScalarCommands:
         assert out == ""
         assert err.splitlines() == ["error: length must be at least 1"]
 
+    def test_exact_combined_redundancy_without_admitted_words_is_usage_error(self, capsys):
+        # At odd n and a = 0 no weight lies in the window.
+        code, out, err = run_cli(capsys, "redundancy", "--family", "combined", "--q", "4",
+                                 "--m", "3", "--n", "11", "--a", "0", "--exact")
+        assert (code, out, err) == (2, "", "error: no admitted words; redundancy undefined\n")
+
     def test_count_takes_no_precision(self, capsys):
         # count prints only ints
         with pytest.raises(SystemExit) as exit_info:

@@ -9,7 +9,7 @@ import hypothesis.strategies as st
 
 from dnacodes import payload
 from dnacodes.balancing import KnuthBalancer, WeakKnuthBalancer
-from dnacodes.blockcodes import BlockError, TwoModeRllCode
+from dnacodes.blockcodes import TwoModeRllCode
 from dnacodes.cli import _line_fault
 from dnacodes.constructions import CODECS, PlaneCodec, make_codec
 from dnacodes.words import max_run, merge_planes
@@ -22,6 +22,20 @@ def at_weight(strand):
 def numeral(codec, values):
     """The batch numeral of these block indices: each one's source_bits binary digits."""
     return "".join(format(value, f"0{codec.source_bits}b") for value in values).encode("ascii")
+
+
+def stream_refusal(codec, strands):
+    """The BlockError that decode_stream raises on these strands as one batch."""
+    with pytest.raises(payload.BlockError) as refused:
+        b"".join(payload.decode_stream(codec, [strands]))
+    return refused.value
+
+
+def alone(codec, strand, state):
+    """Why the codec refuses strand alone after state."""
+    with pytest.raises(ValueError) as refused:
+        codec.decode_blocks([strand], state)
+    return str(refused.value)
 
 
 def round_trip(codec, data):
@@ -198,21 +212,32 @@ class TestPlaneCodec:
                 codec.decode_block(wrong)
 
     @pytest.mark.parametrize("name,params", [("construction1", {"ell": 8}),
-                                             ("construction2", {"m": 2, "n": 6})])
+                                             ("construction2", {"m": 2, "n": 6}),
+                                             ("construction1", {"ell": 8, "balancer": "weak-knuth",
+                                                                "p0": 2})])
     def test_malformed_strand_refused_at_its_place(self, name, params):
         codec = make_codec(name, **params)
         n = codec.oligo_len
         strands = codec.encode_blocks(numeral(codec, range(6)))
+        malformed = f"not a strand of {n} bases G, C, A, T"
         for at in (0, 3, 5):
             for bad in (strands[at][:-1], strands[at] + b"G", b"N" + strands[at][1:], b""):
-                with pytest.raises(BlockError) as refused:
-                    codec.decode_blocks(strands[:at] + [bad] + strands[at + 1:])
-                assert str(refused.value) == f"not a strand of {n} bases G, C, A, T"
-                assert refused.value.position == at
-        # A well-formed strand before it that the code refuses is refused first.
-        with pytest.raises(BlockError) as refused:
-            codec.decode_blocks(strands[:1] + [b"G" * n, strands[2], strands[3][:-1]])
-        assert refused.value.position == 1
+                damaged = strands[:at] + [bad] + strands[at + 1:]
+                with pytest.raises(ValueError) as refused:
+                    codec.decode_blocks(damaged)
+                assert str(refused.value) == malformed
+                refused = stream_refusal(codec, damaged)
+                assert (str(refused), refused.position) == (f"block {at + 1}: {malformed}", at)
+        # The stream names the earlier of a strand the code refuses and a malformed one.
+        damaged = strands[:1] + [b"G" * n, strands[2], strands[3][:-1]]
+        with pytest.raises(ValueError, match=f"^{malformed}$"):
+            codec.decode_blocks(damaged)
+        refused = stream_refusal(codec, damaged)
+        reason = alone(codec, b"G" * n, strands[0][-1])
+        assert reason != malformed
+        assert (str(refused), refused.position) == (f"block 2: {reason}", 1)
+        refused = stream_refusal(codec, strands[:1] + [strands[1][:-1], strands[2], b"G" * n])
+        assert (str(refused), refused.position) == (f"block 2: {malformed}", 1)
 
     def test_unknown_plane(self):
         with pytest.raises(ValueError, match="plane"):
@@ -387,19 +412,20 @@ class TestBlockProtocol:
         strands = codec.encode_blocks(numeral(codec, range(8)), None)
         for bad in (strands[5][:-1], b"N" + strands[5][1:], strands[5].lower()):
             damaged = strands[:5] + [bad] + strands[6:]
-            with pytest.raises(BlockError) as refused:
+            with pytest.raises(ValueError) as reason:
                 codec.decode_blocks(damaged, None)
-            assert refused.value.position == 5
-            with pytest.raises(BlockError):
-                codec.decode_block(bad, strands[4][-1])
+            assert str(reason.value) == alone(codec, bad, strands[4][-1])
+            refused = stream_refusal(codec, damaged)
+            assert (str(refused), refused.position) == (f"block 6: {reason.value}", 5)
 
     @pytest.mark.parametrize("name", sorted(CODECS))
     def test_out_of_range_index_refused(self, name):
         codec = _protocol_codec(name, 0)
-        for index in (-1, 2**codec.source_bits):
-            with pytest.raises(BlockError) as refused:
+        k = codec.source_bits
+        for index in (-1, 2**k):
+            with pytest.raises(ValueError) as refused:
                 codec.encode_block(index, None)
-            assert refused.value.position == 0
+            assert str(refused.value) == f"index {index} outside 0..2**{k} - 1"
 
     @pytest.mark.parametrize("name", sorted(CODECS))
     def test_a_batch_that_is_not_whole_blocks_of_digits_is_refused(self, name):
@@ -407,16 +433,15 @@ class TestBlockProtocol:
         k = codec.source_bits
         digits = numeral(codec, range(6))
         cases = [
-            (digits[:-1], 5),  # the last block cut short
-            (digits + b"0", 6),  # a seventh block of one digit
-            (digits[: 3 * k] + b"2" + digits[3 * k + 1 :], 3),
-            (digits[:-1] + b"2", 5),
-            (digits[: 2 * k - 1] + b"2" + digits[2 * k :-1], 1),  # and cut short: the first fault
+            digits[:-1],  # the last block cut short
+            digits + b"0",  # a seventh block of one digit
+            digits[: 3 * k] + b"2" + digits[3 * k + 1 :],
+            digits[:-1] + b"2",
+            digits[: 2 * k - 1] + b"2" + digits[2 * k :-1],  # and cut short
         ]
-        for bad, at in cases:
-            with pytest.raises(BlockError) as refused:
+        for bad in cases:
+            with pytest.raises(ValueError) as refused:
                 codec.encode_blocks(bad, None)
-            assert refused.value.position == at
             assert str(refused.value) == f"not a block of {k} binary digits"
 
 

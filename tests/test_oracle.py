@@ -1,9 +1,41 @@
 import itertools
+import re
 from functools import partial
 
 import pytest
 
-from dnacodes import counting, oracle
+from dnacodes import cli, constructions, counting, oracle
+from dnacodes.blockcodes import StateIndependentCode
+from dnacodes.words import cut
+
+
+class _Broken:
+    """StateIndependentCode(3, 5) with one fault in its batch encode."""
+
+    def __init__(self, fault):
+        self._code = code = StateIndependentCode(3, 5)
+        self._fault = fault
+        self.source_bits, self.oligo_len, self.raw_bits = code.source_bits, code.oligo_len, 0
+        self.max_run, self.weight_bound = code.max_run, code.weight_bound
+
+    def encode_blocks(self, digits, state=None):
+        k, fault = self.source_bits, self._fault
+        if fault == "refuses-index-0" and b"0" * k in cut(digits, k):
+            raise ValueError("index 0 refused")
+        strands = self._code.encode_blocks(digits, state)
+        if fault == "wrong-length":
+            return [strand[:-1] for strand in strands]
+        if fault == "first-base-is-the-state" and state is not None:
+            return [bytes([state]) + strands[0][1:], *strands[1:]]
+        if len(strands) > 1:  # a batch of one keeps its length
+            if fault == "short-batch":
+                return strands[:-1]
+            if fault == "long-batch":
+                return strands + strands[-1:]
+        return strands
+
+    def decode_blocks(self, strands, state=None):
+        return self._code.decode_blocks(strands, state)
 
 
 class TestBruteCounts:
@@ -172,8 +204,6 @@ class TestValidateCodec:
 
 
     def test_catches_strands_that_are_not_uppercase_bases(self, monkeypatch):
-        from dnacodes.blockcodes import StateIndependentCode
-
         encode_blocks = StateIndependentCode.encode_blocks
 
         def lower_case(self, digits, state=None):
@@ -224,6 +254,32 @@ class TestValidateCodec:
         report = oracle.validate_codec("state-dependent", m=3, n=5, stream_blocks=1000)
         assert "stream run violation over 1000 blocks" in report.failures
 
+
+    @pytest.mark.parametrize(
+        "fault,expected",
+        [
+            ("wrong-length", "length mismatch"),
+            ("first-base-is-the-state", "boundary violation"),
+            ("short-batch", r"batch encode gave 1\d\d strands for 200$"),
+            ("long-batch", r"batch encode gave 2\d\d strands for 200$"),
+            ("refuses-index-0", "encode refused: index=0 state=None: index 0 refused"),
+        ],
+        ids=["wrong-length", "first-base-is-the-state", "short-batch", "long-batch",
+             "refuses-index-0"],
+    )
+    def test_catches_a_broken_registered_codec(self, monkeypatch, fault, expected):
+        monkeypatch.setitem(constructions.CODECS, "broken", lambda m, n: _Broken(fault))
+        report = oracle.validate_codec("broken", m=3, n=5, stream_blocks=200)
+        assert any(re.match(expected, f) for f in report.failures), report.failures[:5]
+
+    def test_verify_fails_on_a_codec_that_refuses_a_valid_index(self, monkeypatch, capsys):
+        monkeypatch.setitem(constructions.CODECS, "state-independent",
+                            lambda m, n: _Broken("refuses-index-0"))
+        code = cli.main(["verify", "--m-max", "1", "--n-max", "2", "--stream-blocks", "50"])
+        out = capsys.readouterr().out.splitlines()
+        assert code == 1
+        assert out[-1] == "verify: FAIL (1)"
+        assert "  encode refused: index=0 state=None: index 0 refused" in out
 
     @pytest.mark.parametrize("method", ["encode_blocks", "decode_blocks"])
     def test_catches_a_codec_that_drops_state_between_batches(self, monkeypatch, method):

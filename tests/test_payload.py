@@ -15,7 +15,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from dnacodes import cli, payload
-from dnacodes.blockcodes import STREAM_START, BlockError
+from dnacodes.blockcodes import STREAM_START
+from dnacodes.payload import BlockError
 from dnacodes.constructions import make_codec
 
 CHUNK = payload.CHUNK_BYTES
@@ -214,6 +215,38 @@ class TestStreamErrors:
             _bytes_of(Miscounts(), strands)
         assert refused.value.position == block - 1
 
+    def test_a_batch_refused_with_no_strand_refused_alone_names_its_last_block(self):
+        codec = _codec("sd")
+        strands = _strands_of(codec, b"hello world")
+
+        class RefusesPairs:
+            """The codec, but it refuses every batch of more than one strand."""
+
+            source_bits = codec.source_bits
+
+            def decode_blocks(self, words, state):
+                if len(words) > 1:
+                    raise ValueError("a batch of several strands")
+                return codec.decode_blocks(words, state)
+
+        with pytest.raises(BlockError, match=rf"^block {len(strands)}: a batch of several strands$"
+                           ) as refused:
+            _bytes_of(RefusesPairs(), strands)
+        assert refused.value.position == len(strands) - 1
+        # One strand a batch, every strand decodes.
+        assert b"".join(payload.decode_stream(RefusesPairs(), [[s] for s in strands])) == (
+            b"hello world")
+
+    def test_nonzero_padding_bits_name_the_last_block(self):
+        codec = make_codec("state-dependent", m=3, n=8)
+        assert codec.source_bits == 15  # b"Z" takes 8 data bits, 14 pad bits and the trailer
+        digits = format(ord("Z"), "08b").encode() + b"0" * 13 + b"1" + format(14, "08b").encode()
+        strands = codec.encode_blocks(digits, STREAM_START)
+        assert len(strands) == 2
+        with pytest.raises(BlockError, match="^block 2: nonzero padding bits$") as refused:
+            _bytes_of(codec, strands)
+        assert refused.value.position == 1
+
     def test_truncated_stream_names_the_last_block(self):
         codec = _codec("c1-knuth")
         blocks = _strands_of(codec, b"a longer payload of bytes")
@@ -297,6 +330,15 @@ class TestDecodeErrors:
         strands.write_bytes(b"\n".join(lines) + b"\n")
         code, err = _decode(capsys, route, strands, tmp_path / "out.bin")
         assert (code, err) == (1, f"error: line 2: {message}\n")
+
+    def test_nonzero_padding_bits_name_the_last_line(self, tmp_path, capsys):
+        codec = make_codec("state-dependent", m=3, n=8)
+        digits = format(ord("Z"), "08b").encode() + b"0" * 13 + b"1" + format(14, "08b").encode()
+        strands = tmp_path / "s.txt"
+        strands.write_bytes(b"\n".join(codec.encode_blocks(digits, STREAM_START)) + b"\n")
+        code, err = _decode(capsys, "sd", strands, tmp_path / "out.bin")
+        assert (code, err) == (1, "error: line 2: block 2: nonzero padding bits\n")
+        assert not (tmp_path / "out.bin").exists()
 
     def test_pad_trailer_error_names_the_last_line(self, tmp_path, capsys):
         strands = _encode_file(tmp_path, "c1-knuth", b"payload long enough for blocks")
