@@ -32,6 +32,7 @@ from itertools import combinations, islice
 from struct import unpack
 
 from .blockcodes import BlockCode, count_blocks
+from .words import piece_format
 
 __all__ = ["KnuthBalancer", "WeakKnuthBalancer"]
 
@@ -70,7 +71,7 @@ class _FlipBalancer(BlockCode):
         n = self.source_bits
         prefixes, lengths, flip = self._prefixes[0], self._flip_lengths, self._flip_index
         balanced: list[bytes] = []
-        for word in unpack(f"{n}s" * count_blocks(digits, n), digits):
+        for word in unpack(piece_format(n) * count_blocks(digits, n), digits):
             i = flip(int(word, 2))
             k0 = lengths[i]
             balanced.append(prefixes[i] + word[:k0].translate(_FLIP) + word[k0:])

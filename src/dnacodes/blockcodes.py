@@ -53,7 +53,7 @@ from itertools import repeat
 from struct import unpack
 
 from . import counting
-from .words import BASES, int_to_digits, ints_to_digits, max_run
+from .words import BASES, int_to_digits, ints_to_digits, max_run, piece_format
 
 __all__ = [
     "BlockCode",
@@ -112,7 +112,7 @@ def count_blocks(digits: bytes, k: int) -> int:
 
 def _indices(digits: bytes, k: int) -> Iterator[int]:
     """The ints of a batch numeral's k-digit blocks, once count_blocks has passed it."""
-    return map(int, unpack(f"{k}s" * count_blocks(digits, k), digits), repeat(2))
+    return map(int, unpack(piece_format(k) * count_blocks(digits, k), digits), repeat(2))
 
 
 def _floor_log2(value: int) -> int:

@@ -7,22 +7,32 @@ encode and decode take --construction from constructions.CODECS and
 hand make_codec only the codec flags that were given.  They stream
 their files in chunks of payload.CHUNK_BYTES and code a chunk per call.
 decode hands a chunk's non-blank lines, stripped and upper-cased, to
-the codec, the one judge of a strand.  An error names the line and,
-read from the refused line's bytes, the length, base, run or AT
-constraint it breaks, or else the block.  A new or regular --out file
-appears only once the whole output has been written.
+the codec, the one judge of a strand.  An error names the line and the
+block and, read from the refused line's bytes, the length, base, run or
+AT constraint it breaks, or else the codec's reason.  A new or regular
+--out file appears only once the whole output has been written.
 Exit codes: 0 success, 1 data or validation failure, 2 usage error.
-`entry`, the console script and `python -m dnacodes.cli`, freezes the
-heap (`gc.freeze`) once `main` returns or raises, so the collections at
-interpreter exit skip every object the command left alive; the process
-exits as before.  Only `entry` does this: tests and tools that call
-`main` in process keep a heap that is still collected.
+
+A process pays only for the command it runs.  When the first argument
+names a command, `main` builds the parser of that command alone (from
+`COMMANDS`); no command, -h or an unknown name gets the full parser.
+What each command loads besides counting: encode and decode the codec
+modules (constructions, payload, words, blockcodes, balancing); tables
+asymptotics, and its three efficiency tables blockcodes and words;
+capacity and redundancy asymptotics; verify oracle; figure1 and count
+nothing more.  CSV files are written as ASCII bytes.
+`entry`, the console script and `python -m dnacodes.cli`, flushes stdout
+and stderr once `main` returns, or argparse ends it with its exit
+status, and ends the process with `os._exit`, skipping interpreter
+teardown, which has nothing left to write.  If a flush fails, it exits
+through `sys.exit`, and the interpreter's own exit reports the failure.
+Any other exception that escapes `main` ends the process as usual.
+Tests and tools that call `main` in process keep their interpreter.
 """
 
 from __future__ import annotations
 
 import argparse
-import gc
 import os
 import shutil
 import sys
@@ -31,10 +41,7 @@ from contextlib import contextmanager, suppress
 from functools import partial
 from itertools import chain
 
-from . import blockcodes, counting
-from .constructions import CODECS, make_codec
-from .payload import CHUNK_BYTES, decode_stream, encode_stream
-from .words import LOW_DIGIT_OF_BASE, max_run
+from . import counting
 
 TABLE_IDS = (
     "capacity",
@@ -73,8 +80,12 @@ def _resolve_out(out: str) -> str:
 
 
 def _emit(lines: list[str], out: str | None) -> None:
-    with _output(out, binary=False) as fh:
-        fh.write("\n".join(lines) + "\n")
+    text = "\n".join(lines) + "\n"
+    if out is None:
+        sys.stdout.write(text)
+        return
+    with _output(out) as fh:
+        fh.write(text.encode("ascii"))
 
 
 def _table_rows(table_id: str, precision: int) -> list[str]:
@@ -101,6 +112,8 @@ def _table_rows(table_id: str, precision: int) -> list[str]:
             lines.append(f"{m},{_fmt(asymptotics.efficiency_eta(m), 3)}")
         return lines
     if table_id in _EFFICIENCY_TABLES:
+        from . import blockcodes  # the rate functions, without the codec modules
+
         rate_name, ms = _EFFICIENCY_TABLES[table_id]
         rate = getattr(blockcodes, rate_name)
         lines = ["n," + ",".join(f"m={m}" for m in ms)]
@@ -216,6 +229,17 @@ def cmd_redundancy(args) -> int:
 CODEC_FLAGS = ("m", "n", "ell", "balancer", "p0")
 
 
+def make_codec(construction: str, **params):
+    """constructions.make_codec, imported here: only encode and decode load the codec modules.
+
+    Every codec of the CLI is built through this one name, so a tracer
+    that wraps `cli.make_codec` sees each build.
+    """
+    from .constructions import make_codec
+
+    return make_codec(construction, **params)
+
+
 def _build_codec(args):
     """The codec of --construction, built from the codec flags that were given."""
     params = {k: v for k, v in vars(args).items() if k in CODEC_FLAGS and v is not None}
@@ -223,8 +247,8 @@ def _build_codec(args):
 
 
 @contextmanager
-def _output(out: str | None, binary: bool):
-    """Stdout, or --out; a regular file there appears only once the writer succeeds.
+def _output(out: str | None):
+    """Binary stdout, or --out; a regular file there appears only once the writer succeeds.
 
     A new or regular --out is written to a temporary file beside it and
     renamed into place on success, keeping an existing file's mode.  A
@@ -233,19 +257,17 @@ def _output(out: str | None, binary: bool):
     is.
     """
     if out is None:
-        yield sys.stdout.buffer if binary else sys.stdout
+        yield sys.stdout.buffer
         return
     path = _resolve_out(out)
-    mode = "wb" if binary else "w"
-    encoding = None if binary else "ascii"
     exists = os.path.lexists(path)
     if exists and (os.path.islink(path) or not os.path.isfile(path)):
-        with open(path, mode, encoding=encoding) as fh:
+        with open(path, "wb") as fh:
             yield fh
         return
     part = f"{path}.{os.getpid()}.part"
     try:
-        with open(part, mode, encoding=encoding) as fh:
+        with open(part, "wb") as fh:
             yield fh
         if exists:
             shutil.copymode(path, part)
@@ -257,8 +279,10 @@ def _output(out: str | None, binary: bool):
 
 
 def cmd_encode(args) -> int:
+    from .payload import CHUNK_BYTES, encode_stream
+
     codec = _build_codec(args)
-    with open(args.infile, "rb") as src, _output(args.out, binary=True) as dst:
+    with open(args.infile, "rb") as src, _output(args.out) as dst:
         chunks = iter(partial(src.read, CHUNK_BYTES), b"")
         for strands in encode_stream(codec, chunks):
             dst.write(b"\n".join(strands))
@@ -276,6 +300,8 @@ def _frames(fh) -> Iterator[tuple[int, list[bytes]]]:
     whole.  Nothing else is checked here: the codec judges each strand,
     and `_line_fault` only explains a strand it rejected.
     """
+    from .payload import CHUNK_BYTES
+
     lineno = 0  # lines framed so far
     rest = b""  # the last line read so far, not yet ended by a newline
     for chunk in chain(iter(partial(fh.read, CHUNK_BYTES), b""), (b"\n",)):
@@ -290,6 +316,8 @@ def _frames(fh) -> Iterator[tuple[int, list[bytes]]]:
 
 def _line_fault(line: bytes, codec) -> str | None:
     """The first of length, bases, runs and AT content that a strand line breaks, or None."""
+    from .words import LOW_DIGIT_OF_BASE, max_run
+
     n, run_cap, bound = codec.oligo_len, codec.max_run, codec.weight_bound
     if len(line) != n:
         return f"expected {n} symbols, got {len(line)}"
@@ -308,6 +336,8 @@ def _line_fault(line: bytes, codec) -> str | None:
 
 
 def cmd_decode(args) -> int:
+    from .payload import decode_stream
+
     codec = _build_codec(args)
     # The last chunk handed to the decoder: its first line's number, its
     # stripped lines, and the number of strands before it.
@@ -323,7 +353,7 @@ def cmd_decode(args) -> int:
                 yield strands
                 before += len(strands)
 
-    with open(args.infile, "rb") as src, _output(args.out, binary=True) as dst:
+    with open(args.infile, "rb") as src, _output(args.out) as dst:
         pieces = decode_stream(codec, batches(src))  # a bad block size is a usage error
         try:
             for piece in pieces:
@@ -332,10 +362,14 @@ def cmd_decode(args) -> int:
             first, lines, before = frame
             numbered = [(first + i, line) for i, line in enumerate(lines) if line]
             # The refused strand; without a position, the last one handed over.
-            at = getattr(exc, "position", before + len(numbered) - 1) - before
+            position = getattr(exc, "position", None)
+            at = (before + len(numbered) - 1 if position is None else position) - before
             lineno, line = numbered[at] if numbered else (1, b"")
             fault = _line_fault(line, codec) if line else None
-            raise DataError(f"line {lineno}: {fault or exc}") from exc
+            if fault is None:
+                raise DataError(f"line {lineno}: {exc}") from exc
+            block = "" if position is None else f"block {position + 1}: "
+            raise DataError(f"line {lineno}: {block}{fault}") from exc
     return 0
 
 
@@ -388,31 +422,30 @@ def cmd_verify(args) -> int:
     return 0 if failures == 0 else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="dnacodes",
-        description="Constrained-code toolkit for DNA data storage.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _add_common(p) -> None:
+    p.add_argument("--out", help="write output to this file instead of stdout")
+    p.add_argument("--precision", type=int, default=4, help="decimals for floats")
 
-    def add_common(p):
-        p.add_argument("--out", help="write output to this file instead of stdout")
-        p.add_argument("--precision", type=int, default=4, help="decimals for floats")
 
-    p = sub.add_parser("tables", help="reference tables as CSV")
+def _add_tables(sub, name: str) -> None:
+    p = sub.add_parser(name, help="reference tables as CSV")
     p.add_argument("table", choices=TABLE_IDS)
-    add_common(p)
+    _add_common(p)
     p.set_defaults(func=cmd_tables)
 
-    p = sub.add_parser("figure1", help="balance redundancy curve as CSV")
+
+def _add_figure1(sub, name: str) -> None:
+    p = sub.add_parser(name, help="balance redundancy curve as CSV")
     p.add_argument("--a-list", default="0.05,0.10,0.15")
     p.add_argument("--n-min", type=int, default=10)
     p.add_argument("--n-max", type=int, default=200)
     p.add_argument("--boundary", choices=counting.BOUNDARY_MODES, default="strict")
-    add_common(p)
+    _add_common(p)
     p.set_defaults(func=cmd_figure1)
 
-    p = sub.add_parser("count", help="exact constrained sequence counts")
+
+def _add_count(sub, name: str) -> None:
+    p = sub.add_parser(name, help="exact constrained sequence counts")
     p.add_argument("--q", type=int, required=True, choices=(2, 4))
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
@@ -423,14 +456,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write output to this file instead of stdout")
     p.set_defaults(func=cmd_count)
 
-    p = sub.add_parser("capacity", help="constraint capacity in bits per symbol")
+
+def _add_capacity(sub, name: str) -> None:
+    p = sub.add_parser(name, help="constraint capacity in bits per symbol")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--full", action="store_true", help="also print the root and residual")
-    add_common(p)
+    _add_common(p)
     p.set_defaults(func=cmd_capacity)
 
-    p = sub.add_parser("redundancy", help="redundancy figures in bits")
+
+def _add_redundancy(sub, name: str) -> None:
+    p = sub.add_parser(name, help="redundancy figures in bits")
     p.add_argument("--family", choices=("balance", "runlength", "combined"), required=True)
     p.add_argument("--q", type=int, choices=(2, 4), help="alphabet size (default 4)")
     p.add_argument("--m", type=int)
@@ -440,23 +477,28 @@ def build_parser() -> argparse.ArgumentParser:
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--asymptotic", action="store_true", default=None)
     mode.add_argument("--exact", action="store_true", default=None)
-    add_common(p)
+    _add_common(p)
     p.set_defaults(func=cmd_redundancy)
 
-    for name, func in (("encode", cmd_encode), ("decode", cmd_decode)):
-        p = sub.add_parser(name, help=f"{name} a file")
-        p.add_argument("--construction", required=True, choices=tuple(CODECS))
-        p.add_argument("--m", type=int)
-        p.add_argument("--n", type=int)
-        p.add_argument("--ell", type=int, help="data bits per block for construction1")
-        p.add_argument("--balancer", choices=("knuth", "weak-knuth"),
-                       help="construction1's balancer (default knuth)")
-        p.add_argument("--p0", type=int, help="index bits for the weak balancer")
-        p.add_argument("--in", dest="infile", required=True)
-        p.add_argument("--out")
-        p.set_defaults(func=func)
 
-    p = sub.add_parser("verify", help="compare formulas against brute force")
+def _add_codec_command(sub, name: str) -> None:
+    from .constructions import CODECS  # the codec modules load with encode and decode
+
+    p = sub.add_parser(name, help=f"{name} a file")
+    p.add_argument("--construction", required=True, choices=tuple(CODECS))
+    p.add_argument("--m", type=int)
+    p.add_argument("--n", type=int)
+    p.add_argument("--ell", type=int, help="data bits per block for construction1")
+    p.add_argument("--balancer", choices=("knuth", "weak-knuth"),
+                   help="construction1's balancer (default knuth)")
+    p.add_argument("--p0", type=int, help="index bits for the weak balancer")
+    p.add_argument("--in", dest="infile", required=True)
+    p.add_argument("--out")
+    p.set_defaults(func=cmd_encode if name == "encode" else cmd_decode)
+
+
+def _add_verify(sub, name: str) -> None:
+    p = sub.add_parser(name, help="compare formulas against brute force")
     p.add_argument("--m-max", type=int, default=3)
     p.add_argument("--n-max", type=int, default=8)
     p.add_argument("--stream-blocks", type=int, default=1000)
@@ -464,12 +506,43 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_verify)
 
+
+# Each command, in the order of the help, and the function that adds its subparser.
+COMMANDS = {
+    "tables": _add_tables,
+    "figure1": _add_figure1,
+    "count": _add_count,
+    "capacity": _add_capacity,
+    "redundancy": _add_redundancy,
+    "encode": _add_codec_command,
+    "decode": _add_codec_command,
+    "verify": _add_verify,
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of the one command given, if it is one.
+
+    A one-command parser names every command in its usage line, so the
+    usage-error texts of both parsers are the same; the full parser
+    keeps argparse's own metavar, which its "invalid choice" and
+    "required: command" errors read.
+    """
+    parser = argparse.ArgumentParser(
+        prog="dnacodes",
+        description="Constrained-code toolkit for DNA data storage.",
+    )
+    one = command in COMMANDS
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar="{" + ",".join(COMMANDS) + "}" if one else None)
+    for name in [command] if one else COMMANDS:
+        COMMANDS[name](sub, name)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         if getattr(args, "precision", 0) < 0:  # refused before anything is computed
             raise ValueError(f"--precision must be at least 0, not {args.precision}")
@@ -485,9 +558,14 @@ def main(argv=None) -> int:
 def entry() -> None:
     try:
         code = main()
-    finally:
-        gc.freeze()  # the collections at exit then skip what the command left alive
-    sys.exit(code)
+    except SystemExit as exc:  # argparse's help and usage errors, with their status
+        code = exc.code
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (OSError, ValueError):  # the interpreter's exit flushes again and reports it
+        sys.exit(code)
+    os._exit(code)  # nothing is left to write, so teardown is skipped
 
 
 if __name__ == "__main__":

@@ -62,12 +62,13 @@ class PlaneCodec(BlockCode):
     on its plane.  The strand's AT-content is its high plane's weight,
     so only a code on the high plane passes its weight_bound on.
 
-    A batch goes through the code in one call.  One struct unpack cuts
-    the batch numeral into each block's index and raw digits, and the
-    joins of each kind are the code's numeral and the raw plane.  The
-    planes are merged by one integer addition and one translate over the
-    whole batch, and split by two translates; decoding interleaves the
-    code's index digits with the raw plane's pieces and joins them once.
+    A batch goes through the code in one call.  One struct unpack, by
+    the block layout built with the codec, cuts the batch numeral into
+    each block's index and raw digits, and the joins of each kind are
+    the code's numeral and the raw plane.  The planes are merged by one
+    integer addition and one translate over the whole batch, and split
+    by two translates; decoding interleaves the code's index digits with
+    the raw plane's pieces and joins them once.
     """
 
     def __init__(self, code, plane: str):
@@ -81,6 +82,7 @@ class PlaneCodec(BlockCode):
         self.weight_bound = code.weight_bound if self._high else None
         self._digit_of_base = HIGH_DIGIT_OF_BASE if self._high else LOW_DIGIT_OF_BASE
         self._code = code
+        self._layout = f"{code.source_bits}s{n}s"  # a block: the code's index, then raw digits
 
     def _code_state(self, state: int | None) -> int | None:
         return state if state is STREAM_START else self._digit_of_base[state]
@@ -88,7 +90,7 @@ class PlaneCodec(BlockCode):
     def encode_blocks(self, digits: bytes, state: int | None = STREAM_START) -> list[bytes]:
         n = self.oligo_len
         count = count_blocks(digits, self.source_bits)
-        pieces = unpack(f"{self.source_bits - n}s{n}s" * count, digits)
+        pieces = unpack(self._layout * count, digits)
         strands = self._code.encode_blocks(b"".join(pieces[::2]), self._code_state(state))
         coded, raw = b"".join(strands), b"".join(pieces[1::2])
         return cut(merge_planes(raw, coded) if self._high else merge_planes(coded, raw), n)

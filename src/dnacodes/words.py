@@ -11,7 +11,7 @@ case, and a binary plane as ASCII digits (b"0110"), the form `format(value,
 addition (`merge_planes`) and split by the byte translation tables
 LOW_DIGIT_OF_BASE and HIGH_DIGIT_OF_BASE, so neither loops over symbols
 in Python.  `cut` splits joined strands or planes into equal pieces with
-one struct unpack.
+one struct unpack, by the piece format of their width (`piece_format`).
 
 A batch of blocks travels between the framing and the codecs as one
 numeral of ASCII digits, its blocks' k digits one after another, so
@@ -22,6 +22,7 @@ numeral of a list of block indices for the codes that compute them.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from functools import lru_cache
 from itertools import repeat
 from operator import lshift, or_
 from struct import unpack
@@ -57,13 +58,19 @@ HIGH_DIGIT_OF_BASE = _digit_table("0011")
 _BASE_OF_PLANES = bytes(0x90) + BASES + bytes(256 - 0x94)
 
 
-def cut(data: bytes, n: int) -> list[bytes]:
-    """data in n-byte pieces, by one struct unpack; len(data) must be a multiple of n.
+@lru_cache(maxsize=None)  # widths are block and strand lengths: a few hundred at most
+def piece_format(width: int) -> str:
+    """The struct format of one width-byte piece, built once per width.
 
-    `struct.unpack` keeps the formats it has compiled, so cutting pieces
-    of one size again costs no new compile.
+    `struct.unpack` keeps its compiled formats by format string, so one
+    block's format, `piece_format(width) * 1`, is found there at once.
     """
-    return list(unpack(f"{n}s" * (len(data) // n), data))
+    return f"{width}s"
+
+
+def cut(data: bytes, n: int) -> list[bytes]:
+    """data in n-byte pieces, by one struct unpack; len(data) must be a multiple of n."""
+    return list(unpack(piece_format(n) * (len(data) // n), data))
 
 
 def int_to_digits(value: int, width: int) -> bytes:

@@ -1,6 +1,9 @@
+import argparse
 import contextlib
 import io
+import json
 import os
+import pathlib
 import subprocess
 import sys
 import tempfile
@@ -15,7 +18,10 @@ from dnacodes.constructions import CODECS
 
 
 def run_cli(capsys, *argv):
-    code = cli.main(list(argv))
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:  # argparse's help and usage errors
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -528,7 +534,7 @@ class TestEncodeDecode:
         code, out, err = run_cli(capsys, "decode", *args, "--in", str(strands),
                                  "--out", str(tmp_path / "back.bin"))
         assert (code, out) == (1, "")
-        assert err == "error: line 2: AT/GC unbalance exceeds the code bound\n"
+        assert err == "error: line 2: block 2: AT/GC unbalance exceeds the code bound\n"
 
     @pytest.mark.parametrize("balancer", [(), ("--balancer", "weak-knuth", "--p0", "2")],
                              ids=["knuth", "weak-knuth"])
@@ -546,7 +552,7 @@ class TestEncodeDecode:
         code, out, err = run_cli(capsys, "decode", *args, "--in", str(strands),
                                  "--out", str(tmp_path / "back.bin"))
         assert (code, out) == (1, "")
-        assert err == "error: line 2: AT/GC unbalance exceeds the code bound\n"
+        assert err == "error: line 2: block 2: AT/GC unbalance exceeds the code bound\n"
         assert not (tmp_path / "back.bin").exists()
 
 
@@ -652,16 +658,70 @@ class TestVerify:
         assert out.splitlines()[-1] == "verify: PASS"
 
 
+# argv -> exit code, stdout and stderr of `main`, recorded with the full
+# parser for every argv, on Python 3.11 with COLUMNS=80: argparse's texts
+# differ between Python versions.
+_RECORDED = json.loads(pathlib.Path(__file__).with_name("cli_texts.json").read_text("ascii"))
+_RECORDED_ON = (3, 11)
+
+
+class TestUsageTexts:
+    """No command, -h, each command's --help and each kind of usage error, text for text."""
+
+    @pytest.fixture(autouse=True)
+    def columns(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+
+    def test_the_table_covers_every_command_and_usage_error(self):
+        argvs = [case["argv"] for case in _RECORDED]
+        assert [] in argvs and ["nosuch"] in argvs and ["-h"] in argvs
+        assert {argv[0] for argv in argvs if argv[1:] == ["--help"]} == set(cli.COMMANDS)
+        kinds = " ".join(case["stderr"].splitlines()[-1] for case in _RECORDED if case["stderr"])
+        for kind in ("required: --n", "invalid choice", "not allowed with argument",
+                     "unrecognized arguments: extra", "invalid int value"):
+            assert kind in kinds
+
+    @pytest.mark.skipif(sys.version_info[:2] != _RECORDED_ON,
+                        reason="the texts were recorded with Python 3.11's argparse")
+    @pytest.mark.parametrize("case", _RECORDED, ids=lambda case: " ".join(case["argv"]) or "-")
+    def test_recorded_texts(self, capsys, case):
+        assert run_cli(capsys, *case["argv"]) == (
+            case["code"], case["stdout"], case["stderr"])
+
+    @pytest.mark.parametrize("case", _RECORDED, ids=lambda case: " ".join(case["argv"]) or "-")
+    def test_one_command_parser_matches_the_full_parser(self, capsys, monkeypatch, case):
+        lean = run_cli(capsys, *case["argv"])
+        full_parser = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda command=None: full_parser())
+        assert run_cli(capsys, *case["argv"]) == lean
+
+    def test_one_command_parser_holds_that_command_alone(self):
+        def commands(parser):
+            (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+            return list(sub.choices)
+
+        assert commands(cli.build_parser("count")) == ["count"]
+        assert commands(cli.build_parser()) == list(cli.COMMANDS)
+        assert commands(cli.build_parser("nosuch")) == list(cli.COMMANDS)
+
+
 class TestProcess:
-    """`python -m dnacodes.cli` in a child process: exit codes, output, and the heap at exit."""
+    """`python -m dnacodes.cli` and `entry` in a child process: exit codes and output."""
 
     @staticmethod
     def _child(*args, cwd=None):
         import dnacodes
 
         src = os.path.dirname(os.path.dirname(dnacodes.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        env.pop("PYTHONUNBUFFERED", None)  # so stdout into a pipe is block-buffered
         return subprocess.run([sys.executable, *args], capture_output=True, text=True, cwd=cwd,
-                              env={**os.environ, "PYTHONPATH": src}, timeout=60)
+                              env=env, timeout=60)
+
+    def _entry(self, argv):
+        """cli.entry() in a child process, with sys.argv[1:] = argv."""
+        probe = f"import sys\nfrom dnacodes import cli\nsys.argv[1:] = {argv!r}\ncli.entry()\n"
+        return self._child("-c", probe)
 
     def test_exit_codes_and_output(self, tmp_path):
         counts = tmp_path / "count.txt"
@@ -683,25 +743,46 @@ class TestProcess:
         result = self._child("-m", "dnacodes.cli", "decode", *codec, "--in", str(strands),
                              "--out", str(back))
         assert result.returncode == 1
-        assert result.stderr.splitlines() == ["error: line 3: homopolymer run exceeds 3"]
+        assert result.stderr.splitlines() == ["error: line 3: block 3: homopolymer run exceeds 3"]
         assert not back.exists()
 
         result = self._child("-m", "dnacodes.cli", "count", "--no-such-flag")
         assert result.returncode == 2
         assert result.stdout == ""
 
-    def test_entry_freezes_the_heap_before_exit(self):
-        probe = (
-            "import gc, sys\n"
-            "from dnacodes import cli\n"
-            "sys.argv = ['dnacodes', 'count', '--q', '2', '--m', '1', '--n', '1']\n"
-            "try:\n"
-            "    cli.entry()\n"
-            "except SystemExit as exc:\n"
-            "    print(exc.code, gc.get_freeze_count() > 0)\n"
-        )
-        result = self._child("-c", probe)
-        assert result.stdout.split() == ["2", "0", "True"]
+    def test_entry_delivers_the_output_and_exit_code_of_main(self, tmp_path, capsys):
+        """Through pipes, entry's output and exit code are main's, for exits 0, 1 and 2."""
+        payload, strands = tmp_path / "payload.bin", tmp_path / "strands.txt"
+        payload.write_bytes(bytes(range(256)) * 40)
+        codec = ["--construction", "state-dependent", "--m", "3", "--n", "8"]
+        assert cli.main(["encode", *codec, "--in", str(payload), "--out", str(strands)]) == 0
+        capsys.readouterr()
+        encoded = strands.read_text()
+        bad = tmp_path / "bad.txt"
+        bad.write_text("".join(line if i != 2 else "GGGGGGGG\n"
+                               for i, line in enumerate(encoded.splitlines(keepends=True))))
+        cases = [
+            ["figure1"],  # 574 lines, more than one buffer of stdout
+            ["encode", *codec, "--in", str(payload)],  # bytes written to stdout's buffer
+            ["decode", *codec, "--in", str(bad)],
+            ["capacity", "--q", "4", "--m", "3", "--precision", "-1"],
+        ]
+        expected = [(0, *run_cli(capsys, "figure1")[1:]), (0, encoded, ""),
+                    (1, "", "error: line 3: block 3: homopolymer run exceeds 3\n"),
+                    (2, "", "error: --precision must be at least 0, not -1\n")]
+        assert len(expected[0][1].splitlines()) == 574
+        for argv, want in zip(cases, expected):
+            result = self._entry(argv)
+            assert (result.returncode, result.stdout, result.stderr) == want, argv
+
+    def test_entry_exits_with_the_status_of_argparse(self, capsys, monkeypatch):
+        """Help and usage errors, which argparse ends with SystemExit, come out whole too."""
+        monkeypatch.setenv("COLUMNS", "80")
+        for argv, code in ((["-h"], 0), (["count", "--q", "2", "--m", "1", "--n", "1", "-x"], 2)):
+            want = run_cli(capsys, *argv)
+            assert want[0] == code
+            result = self._entry(argv)
+            assert (result.returncode, result.stdout, result.stderr) == want, argv
 
     def test_main_leaves_the_heap_unfrozen(self, capsys):
         import gc
@@ -712,6 +793,34 @@ class TestProcess:
 
 
 class TestImports:
+    @pytest.mark.parametrize("argv", [
+        ["count", "--q", "4", "--m", "3", "--n", "5"],
+        ["tables", "capacity"],
+        ["figure1", "--n-max", "20"],
+        ["capacity", "--q", "4", "--m", "3"],
+        ["redundancy", "--family", "combined", "--m", "3", "--n", "20", "--a", "0.1"],
+    ], ids=lambda argv: argv[0])
+    def test_paper_commands_leave_the_codec_modules_unloaded(self, tmp_path, argv):
+        import dnacodes
+
+        src = os.path.dirname(os.path.dirname(dnacodes.__file__))
+        out = tmp_path / "out.csv"
+        probe = (
+            "import sys\n"
+            "from dnacodes import cli\n"
+            f"code = cli.main({[*argv, '--out', str(out)]!r})\n"
+            "print(code, ' '.join(sorted(sys.modules)))\n"
+        )
+        result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                                env={**os.environ, "PYTHONPATH": src}, check=True)
+        code, *loaded = result.stdout.split()
+        assert code == "0"
+        assert out.stat().st_size > 0
+        codecs = {f"dnacodes.{name}" for name in
+                  ("constructions", "payload", "balancing", "blockcodes", "words")}
+        assert not set(loaded) & codecs
+        assert "encodings.ascii" not in loaded  # the CSV goes out as ASCII bytes
+
     def test_codec_commands_leave_the_root_solver_unloaded(self):
         import dnacodes
 

@@ -310,7 +310,7 @@ class TestDecodeErrors:
         strands.write_bytes(b"".join(raw))
         code, err = _decode(capsys, "si", strands, tmp_path / "out.bin")
         assert code == 1
-        assert err == "error: line 2: non-ASCII byte 0xc3 at position 3\n"
+        assert err == "error: line 2: block 2: non-ASCII byte 0xc3 at position 3\n"
 
     @pytest.mark.parametrize(
         "route,damage,message",
@@ -329,7 +329,7 @@ class TestDecodeErrors:
         lines[1] = damage(lines[1])
         strands.write_bytes(b"\n".join(lines) + b"\n")
         code, err = _decode(capsys, route, strands, tmp_path / "out.bin")
-        assert (code, err) == (1, f"error: line 2: {message}\n")
+        assert (code, err) == (1, f"error: line 2: block 2: {message}\n")
 
     def test_nonzero_padding_bits_name_the_last_line(self, tmp_path, capsys):
         codec = make_codec("state-dependent", m=3, n=8)
@@ -368,7 +368,7 @@ class TestDecodeErrors:
         block = 3000
         if damage == "run":
             lines[block] = "GGGGGGGG"
-            message = "homopolymer run exceeds 3"
+            message = f"block {block + 1}: homopolymer run exceeds 3"
         else:  # a codeword, but one that starts with the state's symbol
             codec = _codec_of_route("sd")
             state = ord(lines[block - 1][-1])
