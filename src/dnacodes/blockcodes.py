@@ -20,8 +20,12 @@ whether its dropped boundary words lie below (O(n**2 * m) nodes).  The
 first few symbols of a word are one row of a per-root head table and
 the last few one entry of a per-node table, so only the symbols between
 them, in words longer than 8 bases or 16 digits, are walked one at a
-time.  Nothing is memoised, so a code's memory does not grow with what
-it has coded.
+time.  A short word, of at most 8 bases or 16 digits, is one head row
+and one end, so a short code stores its kept words instead: on its
+first encode, one bytes "book" per encoder root, which a block reads as
+one slice; and the state-free two-mode codes, on their first decode,
+one dict from each kept word to its index's digits.  Both are sized by
+the code, never by what it has coded, and nothing else is memoised.
 
 A block goes in as its index, source_bits binary digits, and comes out
 as the codeword's ASCII bytes: bases b"GCAT" for the quaternary codes,
@@ -47,13 +51,14 @@ one.
 from __future__ import annotations
 
 import gc
-from bisect import bisect_right
-from collections.abc import Iterable, Iterator
+from bisect import bisect_left, bisect_right
+from collections.abc import Callable, Iterable, Iterator
+from functools import cached_property, partial
 from itertools import repeat
 from struct import unpack
 
 from . import counting
-from .words import BASES, int_to_digits, ints_to_digits, max_run, piece_format
+from .words import BASES, cut, int_to_digits, ints_to_digits, max_run, piece_format
 
 __all__ = [
     "BlockCode",
@@ -179,9 +184,16 @@ class _Enumerator:
     head table (see head), at most 256 rows.  Only the symbols in
     between, of words longer than 2h, are walked one at a time.  So a
     word of up to 2h symbols is unranked by one bisect in the head table
-    and one read of the ends, and ranked by two dict gets.  Nothing is
-    memoised: the memory a code takes does not depend on the words it
-    has coded.
+    and one read of the ends, and ranked by two dict gets.
+
+    Such a word has no middle (_cut == _j), so every word under a root
+    is a head row's prefix and one of its node's ends: one join per row
+    lists them all.  `unranker` then reads a batch from books of those
+    lists, and `numerals` gives a dict from each word to its index's
+    digits.  A code binds both once, on first use; their size is set by
+    the code (at most 256 rows of 256 ends a root), and the graph
+    memoises nothing, so the memory a code takes does not depend on the
+    words it has coded.
 
     With `unbalance` = D, every root keeps its words with |2w - n| <= D
     but the `skip` lexicographically smallest of its boundary words
@@ -409,6 +421,56 @@ class _Enumerator:
             state = word[-1]
         return words
 
+    def _book(self, head: tuple, count: int) -> bytes:
+        """The first count words under head's root, one after another, in index order.
+
+        For words without a middle: a row's words are its prefix before
+        each end of its node, one join, and rows past count are skipped.
+        """
+        starts, prefixes, nodes = head
+        rows = bisect_left(starts, count)
+        ends = self._ends
+        book = b"".join([p + p.join(ends[node]) for p, node in zip(prefixes[:rows], nodes[:rows])])
+        return book[: count * self.n]
+
+    def unranker(self, heads: dict, count: int) -> Callable[[Iterable[int], object], list[bytes]]:
+        """unrank_blocks over heads as a function of (values, state), for indices below count.
+
+        Words without a middle are read from books instead: each head's
+        first count words (one book per distinct head), a block the slice
+        of its index in its state's book.
+        """
+        if self._cut > self._j:
+            return partial(self.unrank_blocks, heads)
+        n = self.n
+        made = {head: self._book(head, count) for head in set(heads.values())}
+        books = {state: made[head] for state, head in heads.items()}
+
+        def unrank_books(values: Iterable[int], state) -> list[bytes]:
+            words: list[bytes] = []
+            append = words.append
+            for value in values:
+                at = value * n
+                word = books[state][at:at + n]
+                append(word)
+                state = word[-1]
+            return words
+
+        return unrank_books
+
+    def numerals(self, roots: Iterable[int], count: int, k: int) -> dict[bytes, bytes] | None:
+        """Each of the first count words under each root to its index's k binary digits.
+
+        None for words with a middle, whose table would grow as q**n.
+        """
+        if self._cut > self._j:
+            return None
+        pieces = cut(ints_to_digits(list(range(count)), k), k)
+        table: dict[bytes, bytes] = {}
+        for root in roots:
+            table.update(zip(cut(self._book(self.head(root), count), self.n), pieces))
+        return table
+
     def rank_blocks(self, heads: dict, words: list[bytes], state) -> list[int]:
         """The index of each word by the by_prefix dict of its state, up to the first refused word.
 
@@ -491,7 +553,10 @@ class _TwoModeCode(BlockCode):
     table's starts still rise.  A state that is no symbol (None at stream start)
     selects mode 0.  The decoder ranks a word within its mode: the two
     modes' head-table prefixes differ in the first symbol, so one dict
-    holds both.
+    holds both.  A short code decodes by one get per word in a dict of
+    both modes' kept words (`_Enumerator.numerals`), built on its first
+    decode; a word the dict misses is ranked, and ranking says why it is
+    refused.
 
     carried_bits counts source bits that travel uncoded beside each block
     (construction2's high plane); the block size check covers them too.
@@ -525,14 +590,28 @@ class _TwoModeCode(BlockCode):
         }
         self._decode_heads = dict.fromkeys([STREAM_START, *self.alphabet], words.by_prefix(*modes))
 
+    @cached_property
+    def _unrank(self) -> Callable:
+        return self._words.unranker(self._encode_heads, self._keep)
+
+    @cached_property
+    def _numerals(self) -> dict[bytes, bytes] | None:
+        return self._words.numerals(self._roots, self._keep, self.source_bits)
+
     def encode_blocks(self, digits: bytes, state: int | None = STREAM_START) -> list[bytes]:
         """The codewords of the indices; each picks the mode whose word may follow the state."""
-        heads, values = self._encode_heads, _indices(digits, self.source_bits)
-        return self._words.unrank_blocks(heads, values, state if state in heads else STREAM_START)
+        values = _indices(digits, self.source_bits)
+        return self._unrank(values, state if state in self._encode_heads else STREAM_START)
 
     def decode_blocks(self, words: list[bytes], state: int | None = STREAM_START) -> bytes:
         # state is accepted for interface uniformity and ignored: the mode
         # is visible in each word's first symbol.
+        numerals = self._numerals
+        if numerals is not None:
+            try:
+                return b"".join(map(numerals.__getitem__, words))
+            except (KeyError, TypeError):  # a word it does not hold: ranking says why
+                pass
         indices = self._words.rank_blocks(self._decode_heads, words, STREAM_START)
         keep = self._keep
         if len(indices) < len(words) or (indices and max(indices) >= keep):
@@ -610,7 +689,7 @@ class StateDependentCode(BlockCode):
         self.m = self.max_run = m
         self.n = self.oligo_len = n
         self.source_bits = check_block_size(_floor_log2(capacity))  # capacity >= 3
-        keep = 2**self.source_bits
+        self._keep = keep = 2**self.source_bits
         self.max_unbalance, skip = _pruning_boundary(m, n, capacity - keep)
         self.weight_bound = self.max_unbalance / 2
         words = _Enumerator(self.alphabet, m, n, unbalance=self.max_unbalance, skip=skip)
@@ -627,10 +706,13 @@ class StateDependentCode(BlockCode):
         if state not in self._roots:
             raise ValueError(f"state {state!r} is neither None nor an uppercase base")
 
+    @cached_property
+    def _unrank(self) -> Callable:
+        return self._words.unranker(self._encode_heads, self._keep)
+
     def encode_blocks(self, digits: bytes, state: int | None = STREAM_START) -> list[bytes]:
         self._check_state(state)
-        values = _indices(digits, self.source_bits)
-        return self._words.unrank_blocks(self._encode_heads, values, state)
+        return self._unrank(_indices(digits, self.source_bits), state)
 
     def decode_blocks(self, words: list[bytes], state: int | None = STREAM_START) -> bytes:
         self._check_state(state)

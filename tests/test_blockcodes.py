@@ -2,6 +2,7 @@ import gc
 import itertools
 import math
 import random
+import tracemalloc
 from bisect import bisect_right
 from functools import lru_cache, partial
 
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from dnacodes import blockcodes, counting, oracle, payload
+from dnacodes.constructions import make_codec
 from dnacodes.words import max_run
 
 
@@ -653,3 +655,152 @@ class TestRefusalReasons:
         with pytest.raises(ValueError, match=r"^not a codeword of this state-dependent code "
                                              r"for this state$"):
             code.decode_block(b"CAAAA", ord("G"))
+
+
+def _short_codes(q, n):
+    """The codes over q symbols at length n for m in {1, 2, 3, n}, as many as can be built."""
+    classes = (
+        (blockcodes.StateIndependentCode, blockcodes.StateDependentCode)
+        if q == 4 else (blockcodes.TwoModeRllCode,)
+    )
+    codes = []
+    for m in sorted({1, 2, 3, n}):
+        for cls in classes:
+            try:
+                codes.append(cls(m, n))
+            except ValueError:  # too few words for this code
+                pass
+    return codes
+
+
+def _checked_indices(code):
+    """Every index when 2**k <= 4096; else 0, 2**k - 1 and each head-row start +- 1."""
+    keep = 2**code.source_bits
+    if keep <= 4096:
+        return list(range(keep))
+    starts = {s + d for head in code._encode_heads.values() for s in head[0] for d in (-1, 0, 1)}
+    return sorted({0, keep - 1} | {s for s in starts if 0 <= s < keep})
+
+
+def _encode_states(code):
+    """None, each symbol, and for the two-mode codes states that are no symbol."""
+    others = () if isinstance(code, blockcodes.StateDependentCode) else (0, ord("g"), 300)
+    return [None, *code.alphabet, *others]
+
+
+class TestShortCodeTables:
+    """Words of at most 8 bases or 16 digits are read from books and a decode table."""
+
+    @pytest.mark.parametrize("q,n", [(4, n) for n in range(1, 9)] + [(2, n) for n in range(1, 17)])
+    def test_tables_equal_the_walk(self, q, n):
+        for code in _short_codes(q, n):
+            words, heads = code._words, code._encode_heads
+            assert (words._cut == words._j) == (n > 1)
+            values = _checked_indices(code)
+            for state in _encode_states(code):
+                walked = state if state in heads else None
+                expected = words.unrank_blocks(heads, values, walked)
+                assert code.encode_blocks(numeral(code, values), state) == expected, (code.m, state)
+                singles = [words.unrank_blocks(heads, [v], walked)[0] for v in values]
+                assert [code.encode_block(v, state) for v in values] == singles
+            if isinstance(code, blockcodes.StateDependentCode):
+                assert not hasattr(code, "_numerals")  # ranking needs the state
+                continue
+            keep, k = 2**code.source_bits, code.source_bits
+            accepted = {}
+            for word in map(bytes, itertools.product(code.alphabet, repeat=n)):
+                ranked = words.rank_blocks(code._decode_heads, [word], None)
+                if ranked and ranked[0] < keep:
+                    accepted[word] = format(ranked[0], f"0{k}b").encode("ascii")
+            assert code._numerals == accepted, code.m
+            assert len(accepted) == 2 * keep
+
+    @pytest.mark.parametrize(
+        "code",
+        [blockcodes.StateDependentCode(3, 9), blockcodes.StateIndependentCode(3, 10),
+         blockcodes.TwoModeRllCode(3, 17)],
+        ids=["sd-m3n9", "si-m3n10", "two-mode-m3n17"],
+    )
+    def test_words_with_a_middle_are_walked(self, code):
+        words = code._words
+        assert words._cut > words._j
+        assert code._unrank.func == words.unrank_blocks
+        assert getattr(code, "_numerals", None) is None
+
+    @pytest.mark.parametrize(
+        "route,damage,error,text",
+        [
+            ("si-m3n8", "past-kept", ValueError, "not a codeword of this state-independent code:"
+             " its index 16384 is past the kept range 0..16383"),
+            ("si-m3n8", "long", ValueError, "not a codeword of this state-independent code"),
+            ("si-m3n8", "short", ValueError, "not a codeword of this state-independent code"),
+            ("si-m3n8", "lower", ValueError, "not a codeword of this state-independent code"),
+            ("si-m3n8", "str", ValueError, "not a codeword of this state-independent code"),
+            ("si-m3n8", "bytearray", TypeError, "unhashable type: 'bytearray'"),
+            ("two-mode-m3n10", "past-kept", ValueError, "not a codeword of this two-mode code:"
+             " its index 256 is past the kept range 0..255"),
+            ("two-mode-m3n10", "long", ValueError, "not a codeword of this two-mode code"),
+            ("two-mode-m3n10", "short", ValueError, "not a codeword of this two-mode code"),
+            ("two-mode-m3n10", "str", ValueError, "not a codeword of this two-mode code"),
+            ("two-mode-m3n10", "bytearray", TypeError, "unhashable type: 'bytearray'"),
+            ("c2-m3n10", "past-kept", ValueError, "not a codeword of this two-mode code:"
+             " its index 256 is past the kept range 0..255"),
+        ],
+    )
+    def test_a_word_the_table_misses_is_refused_as_by_ranking(self, route, damage, error, text):
+        """Texts recorded from the ranking path before the decode tables existed."""
+        code = {
+            "si-m3n8": lambda: blockcodes.StateIndependentCode(3, 8),
+            "two-mode-m3n10": lambda: blockcodes.TwoModeRllCode(3, 10),
+            "c2-m3n10": lambda: make_codec("construction2", m=3, n=10),
+        }[route]()
+        rng = random.Random(7)
+        good = code.encode_blocks(numeral(code, [rng.getrandbits(code.source_bits)
+                                                 for _ in range(8)]), None)
+        inner = getattr(code, "_code", code)
+        dropped = unrank_all(inner._words, inner._roots[0], [2**inner.source_bits])[0]
+        if inner is not code:  # a strand whose low plane is that word
+            dropped = dropped.translate(bytes.maketrans(b"01", b"GC"))
+        bad = {"past-kept": dropped, "long": good[5] + good[5][:1], "short": good[5][:-1],
+               "lower": good[5].lower(), "str": good[5].decode(),
+               "bytearray": bytearray(good[5])}[damage]
+        batch = good[:5] + [bad] + good[6:]
+        with pytest.raises(error) as refused:
+            code.decode_blocks(batch, None)
+        assert type(refused.value) is error and str(refused.value) == text
+        with pytest.raises(error) as streamed:  # the second batch's block 6, block 9 in all
+            b"".join(payload.decode_stream(code, [good[:3], batch]))
+        if error is ValueError:
+            assert (str(streamed.value), streamed.value.position) == (f"block 9: {text}", 8)
+        else:
+            assert str(streamed.value) == text
+
+    @pytest.mark.parametrize(
+        "construction,params",
+        [("state-dependent", {"m": 3, "n": 8}), ("state-independent", {"m": 3, "n": 8}),
+         ("construction2", {"m": 3, "n": 10}), ("construction2", {"m": 4, "n": 12})],
+        ids=["sd-m3n8", "si-m3n8", "c2-m3n10", "c2-m4n12"],
+    )
+    def test_tables_are_built_on_first_use(self, construction, params):
+        def built(codec):
+            code = getattr(codec, "_code", codec)
+            return {name for name in ("_unrank", "_numerals") if name in vars(code)}
+
+        tracemalloc.start()
+        try:
+            codec = make_codec(construction, **params)
+            held = tracemalloc.get_traced_memory()[0]
+            assert built(codec) == set()
+            data = random.Random(3).randbytes(512)
+            strands = [s for batch in payload.encode_stream(codec, [data]) for s in batch]
+            books = tracemalloc.get_traced_memory()[0] - held
+        finally:
+            tracemalloc.stop()
+        assert built(codec) == {"_unrank"}  # an encode builds no decode table
+        code = getattr(codec, "_code", codec)
+        book = code._keep * code.n  # one book at least
+        assert books > book - (64 << 10), (books, book)
+        decoder = make_codec(construction, **params)
+        assert b"".join(payload.decode_stream(decoder, [strands])) == data
+        two_mode = not isinstance(code, blockcodes.StateDependentCode)
+        assert built(decoder) == ({"_numerals"} if two_mode else set())  # nor a decode a book

@@ -552,3 +552,12 @@ def test_block_code_memory_flat_in_input_size(tmp_path):
     small = _peak_of_round_trip(tmp_path, 256 << 10, args)
     large = _peak_of_round_trip(tmp_path, 1 << 20, args)
     assert abs(large - small) < 1 << 20, (small, large)
+
+
+def test_short_code_tables_memory_flat_in_input_size(tmp_path):
+    """A short two-mode code's books and decode table are sized by the code, not the input."""
+    args = ("--construction", "state-independent", "--m", "3", "--n", "8")
+    _peak_of_round_trip(tmp_path, 1 << 10, args)  # the codec modules' first import is no growth
+    small = _peak_of_round_trip(tmp_path, 128 << 10, args)
+    large = _peak_of_round_trip(tmp_path, 512 << 10, args)
+    assert abs(large - small) < 1 << 20, (small, large)
