@@ -1,4 +1,6 @@
 import itertools
+import json
+import pathlib
 import re
 from functools import partial
 
@@ -357,3 +359,142 @@ class TestHistogramCache:
         info = oracle._run_weight_histogram.cache_info()
         assert info.misses == len({(q, n) for q in (2, 4) for n in range(1, 11)})
         assert info.currsize == info.misses
+
+
+def _wrap_method(cls, method, fault):
+    """A patch that replaces cls.method by fault(self, original, items, state)."""
+    original = getattr(cls, method)
+
+    def patch(monkeypatch):
+        monkeypatch.setattr(cls, method, lambda self, items, state=None: fault(
+            self, original, items, state))
+
+    return patch
+
+
+def _swap_first_two(tables_name, factory):
+    """A patch that swaps the first two words of mode 0 in one of the oracle's tables."""
+
+    def patch(monkeypatch):
+        modes = factory()
+        swapped = ((modes[0][1], modes[0][0]) + modes[0][2:],) + modes[1:]
+        monkeypatch.setattr(oracle, tables_name, lambda *args: swapped)
+
+    return patch
+
+
+def _broken(fault, name="broken"):
+    def patch(monkeypatch):
+        monkeypatch.setitem(constructions.CODECS, name, lambda m, n: _Broken(fault))
+
+    return patch
+
+
+def _restarts(self, encode, digits, state):  # a batch of one keeps its state
+    k = self.source_bits
+    if len(digits) == k:
+        return encode(self, digits, state)
+    return [encode(self, digits[i : i + k], None)[0] for i in range(0, len(digits), k)]
+
+
+def _drops_state(method):
+    def fault(self, batch, items, state):  # a batch of one keeps it
+        blocks = len(items) // self.source_bits if method == "encode_blocks" else len(items)
+        return batch(self, items, state if blocks == 1 else None)
+
+    return fault
+
+
+def _no_patch(monkeypatch):
+    pass
+
+
+def _pinned_cases():
+    """Each pinned report's id: (codec name, parameters with stream_blocks, patch).
+
+    The four codecs of `dnacodes verify` with its stream, and every fault
+    that the tests above inject into validate_codec.
+    """
+    from dnacodes.balancing import KnuthBalancer
+    from dnacodes.blockcodes import StateDependentCode
+
+    sd, si = {"m": 3, "n": 5}, {"m": 3, "n": 5}
+    cases = {
+        f"verify-{name}": (name, {**params, "stream_blocks": 1000}, _no_patch)
+        for name, params in VERIFIED_CODECS
+    }
+    cases |= {
+        "swapped-two-mode-entry": (
+            "construction2", {"m": 2, "n": 6, "stream_blocks": 10},
+            _swap_first_two("two_mode_tables", lambda: oracle.two_mode_tables(2, 2, 6))),
+        "swapped-state-dependent-entry": (
+            "state-dependent", {**sd, "stream_blocks": 10},
+            _swap_first_two("state_dependent_tables", lambda: oracle.state_dependent_tables(3, 5))),
+        "balancer-one-past-its-weight-bound": (
+            "construction1", {"ell": 8, "stream_blocks": 10},
+            _wrap_method(KnuthBalancer, "encode_blocks", lambda self, encode, digits, state: [
+                word[:-1] + (b"0" if word.endswith(b"1") else b"1")
+                for word in encode(self, digits, state)])),
+        "lower-case-strands": (
+            "state-independent", {**si, "stream_blocks": 10},
+            _wrap_method(StateIndependentCode, "encode_blocks", lambda self, encode, digits, state: [
+                strand.lower() for strand in encode(self, digits, state)])),
+        "run-within-a-strand": (
+            "state-dependent", {**sd, "stream_blocks": 10},
+            _wrap_method(StateDependentCode, "encode_blocks", lambda self, encode, digits, state: [
+                s[:1] * 4 + s[4:] for s in encode(self, digits, state)])),
+        "run-across-a-join": (
+            "state-dependent", {**sd, "stream_blocks": 1000},
+            _wrap_method(StateDependentCode, "encode_blocks", _restarts)),
+        "verify-refuses-index-0": (
+            "state-independent", {**si, "stream_blocks": 50},
+            _broken("refuses-index-0", "state-independent")),
+    }
+    cases |= {
+        f"broken-{fault}": ("broken", {"m": 3, "n": 5, "stream_blocks": 200}, _broken(fault))
+        for fault in ("wrong-length", "first-base-is-the-state", "short-batch", "long-batch",
+                      "refuses-index-0")
+    }
+    cases |= {
+        f"drops-state-in-{method}": (
+            "state-dependent", {**sd, "stream_blocks": 200},
+            _wrap_method(StateDependentCode, method, _drops_state(method)))
+        for method in ("encode_blocks", "decode_blocks")
+    }
+    return cases
+
+
+def _pinned_report(case):
+    name, params, patch = _pinned_cases()[case]
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        patch(monkeypatch)
+        report = oracle.validate_codec(name, **params)
+    return {"cases": report.cases, "failures": report.failures}
+
+
+_PINNED_FILE = pathlib.Path(__file__).with_name("validate_reports.json")
+
+
+class TestPinnedReports:
+    """validate_codec's case count and failure texts, in order, as recorded in validate_reports.json.
+
+    Rewrite the file, only when a check is meant to change, with
+    `PYTHONPATH=src python tests/test_oracle.py`.
+    """
+
+    @pytest.fixture(scope="class")
+    def recorded(self):
+        return json.loads(_PINNED_FILE.read_text("ascii"))
+
+    def test_every_case_is_recorded(self, recorded):
+        assert set(recorded) == set(_pinned_cases())
+
+    @pytest.mark.parametrize("case", sorted(_pinned_cases()))
+    def test_report_matches_the_recording(self, recorded, case):
+        assert _pinned_report(case) == recorded[case]
+
+
+if __name__ == "__main__":
+    _PINNED_FILE.write_text(
+        json.dumps({case: _pinned_report(case) for case in sorted(_pinned_cases())}, indent=0)
+        + "\n", "ascii")
