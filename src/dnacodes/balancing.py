@@ -29,10 +29,8 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import combinations, islice
-from struct import unpack
 
-from .blockcodes import BlockCode, count_blocks
-from .words import piece_format
+from .blockcodes import BlockCode
 
 __all__ = ["KnuthBalancer", "WeakKnuthBalancer"]
 
@@ -68,10 +66,9 @@ class _FlipBalancer(BlockCode):
 
     def encode_blocks(self, digits: bytes, state: int | None = None) -> list[bytes]:
         """The prefix-and-body digit word of each source_bits-digit word of the numeral."""
-        n = self.source_bits
         prefixes, lengths, flip = self._prefixes[0], self._flip_lengths, self._flip_index
         balanced: list[bytes] = []
-        for word in unpack(piece_format(n) * count_blocks(digits, n), digits):
+        for word in self._blocks(digits):
             i = flip(int(word, 2))
             k0 = lengths[i]
             balanced.append(prefixes[i] + word[:k0].translate(_FLIP) + word[k0:])
@@ -81,12 +78,12 @@ class _FlipBalancer(BlockCode):
         """The numeral of the source_bits-digit words of these words within weight_bound."""
         if b"".join(words).translate(None, b"01"):
             raise ValueError("not a word of binary digits")
-        n, cut, bound = self.source_bits, 2 * self.p0, 2 * self.weight_bound
+        n, size, cut, bound = self.source_bits, self.oligo_len, 2 * self.p0, 2 * self.weight_bound
         index_of_prefix, lengths = self._prefixes[1], self._flip_lengths
         bodies: list[bytes] = []
         for digits in words:
-            if len(digits) != self.oligo_len:
-                raise ValueError(f"expected {self.oligo_len} bits, got {len(digits)}")
+            if len(digits) != size:
+                raise ValueError(f"expected {size} bits, got {len(digits)}")
             prefix = digits[:cut]
             i = index_of_prefix.get(prefix)
             if i is None:
@@ -173,8 +170,14 @@ class WeakKnuthBalancer(_FlipBalancer):
         n = self.source_bits
         return tuple(((1 << b) - 1) << (n - b) for b in self._flip_lengths)
 
+    @cached_property
+    def _gap_of_weight(self) -> list[int]:
+        """|2w - n| for each weight w of a word."""
+        n = self.source_bits
+        return [abs(2 * w - n) for w in range(n + 1)]
+
     def _flip_index(self, value: int) -> int:
         """The mask that brings value closest to balance, the first of ties."""
-        n = self.source_bits
-        gaps = [abs(2 * (value ^ mask).bit_count() - n) for mask in self._masks]
+        gap = self._gap_of_weight
+        gaps = [gap[(value ^ mask).bit_count()] for mask in self._masks]
         return gaps.index(min(gaps))

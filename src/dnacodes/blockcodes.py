@@ -39,20 +39,21 @@ another: `encode_blocks(digits, state)` returns a list of codewords and
 `decode_blocks(words, state)` the numeral of their indices, each
 threading the state from block to block.  A refused batch raises a plain
 ValueError that says why, for the first block refused, but not where:
-`payload.decode_stream` finds the place.  A numeral that is not whole
-blocks of binary digits is refused by one check (`count_blocks`).  The
-enumerator turns the numeral's blocks into ints, runs the whole batch in
-one loop, picking each block's root from the state, and its indices go
-back into one numeral (`words.ints_to_digits`).  `BlockCode` gives every
-code the single-block methods, an int index in and out, as a batch of
-one.
+`payload.decode_stream` finds the place; an item that is not bytes is
+refused too.  `BlockCode` cuts a numeral into its blocks by one check
+that it is whole blocks of binary digits and one struct unpack
+(`BlockCode._blocks`), and gives every code the single-block methods,
+an int index in and out, as a batch of one.  The enumerator reads the
+blocks as ints, runs the whole batch in one loop, picking each block's
+root from the state, and its indices go back into one numeral
+(`words.ints_to_digits`).
 """
 
 from __future__ import annotations
 
 import gc
 from bisect import bisect_left, bisect_right
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable
 from functools import cached_property, partial
 from itertools import repeat
 from struct import unpack
@@ -67,7 +68,6 @@ __all__ = [
     "StateIndependentCode",
     "TwoModeRllCode",
     "check_block_size",
-    "count_blocks",
     "rate_state_dependent",
     "rate_state_independent",
     "rate_two_mode",
@@ -96,7 +96,21 @@ class BlockCode:
     block is coded as a batch of one, so there is one coding path.  Here
     a block's index is an int, and one outside 0..2**source_bits - 1 is
     refused.
+
+    A batch numeral is cut by _blocks, by the struct layout of one block:
+    its source_bits digits whole, unless a code sets its own _layout.
     """
+
+    @cached_property
+    def _layout(self) -> str:
+        return piece_format(self.source_bits)
+
+    def _blocks(self, digits: bytes) -> tuple[bytes, ...]:
+        """The pieces of a batch numeral's blocks; ValueError unless k binary digits each."""
+        k = self.source_bits
+        if digits.translate(None, b"01") or len(digits) % k:
+            raise ValueError(f"not a block of {k} binary digits")
+        return unpack(self._layout * (len(digits) // k), digits)
 
     def encode_block(self, value: int, state: int | None = STREAM_START) -> bytes:
         k = self.source_bits
@@ -106,18 +120,6 @@ class BlockCode:
 
     def decode_block(self, word: bytes, state: int | None = STREAM_START) -> int:
         return int(self.decode_blocks([word], state), 2)
-
-
-def count_blocks(digits: bytes, k: int) -> int:
-    """How many k-digit blocks a batch numeral holds; ValueError unless k binary digits each."""
-    if digits.translate(None, b"01") or len(digits) % k:
-        raise ValueError(f"not a block of {k} binary digits")
-    return len(digits) // k
-
-
-def _indices(digits: bytes, k: int) -> Iterator[int]:
-    """The ints of a batch numeral's k-digit blocks, once count_blocks has passed it."""
-    return map(int, unpack(piece_format(k) * count_blocks(digits, k), digits), repeat(2))
 
 
 def _floor_log2(value: int) -> int:
@@ -476,8 +478,9 @@ class _Enumerator:
 
         heads maps a state to a by_prefix dict, threaded as in
         unrank_blocks.  A word that is not kept under its root (of
-        another length, a byte outside the alphabet, no path) ends the
-        list: it is the word at the list's length.
+        another length, a byte outside the alphabet, no path, an item
+        that is not bytes) ends the list: it is the word at the list's
+        length.
         """
         steps, end_index = self._steps, self._end_index
         n, j, cut = self.n, self._j, self._cut
@@ -498,7 +501,7 @@ class _Enumerator:
                 # Every end is h bytes long, so a word of another length has no place.
                 append(index + end_index[node][word[cut:]])
                 state = word[-1]
-        except (KeyError, ValueError):
+        except (KeyError, TypeError, ValueError):  # TypeError: an unhashable item, a bytearray
             pass
         return indices
 
@@ -527,6 +530,9 @@ def state_dependent_table_capacity(m: int, n: int) -> int:
 def rate_state_dependent(m: int, n: int) -> float:
     """Code rate floor(log2(3/4 * N_4(m,n))) / n in bits per symbol."""
     return _floor_log2(state_dependent_table_capacity(m, n)) / n
+
+
+_NO_STATE = "state {!r} is neither None nor an uppercase base"
 
 
 def _check_shape(m: int, n: int) -> None:
@@ -600,7 +606,7 @@ class _TwoModeCode(BlockCode):
 
     def encode_blocks(self, digits: bytes, state: int | None = STREAM_START) -> list[bytes]:
         """The codewords of the indices; each picks the mode whose word may follow the state."""
-        values = _indices(digits, self.source_bits)
+        values = map(int, self._blocks(digits), repeat(2))
         return self._unrank(values, state if state in self._encode_heads else STREAM_START)
 
     def decode_blocks(self, words: list[bytes], state: int | None = STREAM_START) -> bytes:
@@ -702,20 +708,18 @@ class StateDependentCode(BlockCode):
         ranks = [words.by_prefix(head) for head in heads]
         self._decode_heads = {STREAM_START: ranks[0]} | dict(zip(self.alphabet, ranks))
 
-    def _check_state(self, state: int | None) -> None:
-        if state not in self._roots:
-            raise ValueError(f"state {state!r} is neither None nor an uppercase base")
-
     @cached_property
     def _unrank(self) -> Callable:
         return self._words.unranker(self._encode_heads, self._keep)
 
     def encode_blocks(self, digits: bytes, state: int | None = STREAM_START) -> list[bytes]:
-        self._check_state(state)
-        return self._unrank(_indices(digits, self.source_bits), state)
+        if state not in self._roots:
+            raise ValueError(_NO_STATE.format(state))
+        return self._unrank(map(int, self._blocks(digits), repeat(2)), state)
 
     def decode_blocks(self, words: list[bytes], state: int | None = STREAM_START) -> bytes:
-        self._check_state(state)
+        if state not in self._roots:
+            raise ValueError(_NO_STATE.format(state))
         indices = self._words.rank_blocks(self._decode_heads, words, state)
         if len(indices) < len(words):
             at = len(indices)
@@ -725,6 +729,8 @@ class StateDependentCode(BlockCode):
     def _refusal(self, word: bytes, state: int | None) -> str:
         """Why the code refuses word after state: the first symbol, a dropped word, or else."""
         message = "not a codeword of this state-dependent code"
+        if not isinstance(word, bytes):
+            return message
         first = self.alphabet[0] if state is STREAM_START else state
         if word[:1] == bytes([first]):
             return f"{message}: its first symbol equals the state {chr(first)}"

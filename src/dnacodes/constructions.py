@@ -34,7 +34,7 @@ also a run.
 
 from __future__ import annotations
 
-from itertools import chain
+from operator import add
 from struct import unpack
 
 from .balancing import KnuthBalancer, WeakKnuthBalancer
@@ -45,9 +45,8 @@ from .blockcodes import (
     StateIndependentCode,
     TwoModeRllCode,
     check_block_size,
-    count_blocks,
 )
-from .words import HIGH_DIGIT_OF_BASE, LOW_DIGIT_OF_BASE, cut, merge_planes
+from .words import HIGH_DIGIT_OF_BASE, LOW_DIGIT_OF_BASE, add_planes, piece_format
 
 __all__ = ["CODECS", "PlaneCodec", "make_codec"]
 
@@ -62,13 +61,16 @@ class PlaneCodec(BlockCode):
     on its plane.  The strand's AT-content is its high plane's weight,
     so only a code on the high plane passes its weight_bound on.
 
-    A batch goes through the code in one call.  One struct unpack, by
-    the block layout built with the codec, cuts the batch numeral into
-    each block's index and raw digits, and the joins of each kind are
-    the code's numeral and the raw plane.  The planes are merged by one
-    integer addition and one translate over the whole batch, and split
-    by two translates; decoding interleaves the code's index digits with
-    the raw plane's pieces and joins them once.
+    A batch goes through the code in one call.  The numeral is checked
+    once, and one struct unpack, by the block layout built with the
+    codec, cuts it into each block's index and raw digits; the joins of
+    each kind are the code's numeral and the raw plane.  The planes are
+    merged by one integer addition and one translate over the whole
+    batch, with no second check of digits already checked, and split by
+    two translates after one check of the strands.  Decoding cuts the
+    code's numeral and the raw plane, put one after the other, with one
+    unpack, joins each block's index digits to its raw piece, and joins
+    the blocks once.
     """
 
     def __init__(self, code, plane: str):
@@ -82,30 +84,31 @@ class PlaneCodec(BlockCode):
         self.weight_bound = code.weight_bound if self._high else None
         self._digit_of_base = HIGH_DIGIT_OF_BASE if self._high else LOW_DIGIT_OF_BASE
         self._code = code
-        self._layout = f"{code.source_bits}s{n}s"  # a block: the code's index, then raw digits
-
-    def _code_state(self, state: int | None) -> int | None:
-        return state if state is STREAM_START else self._digit_of_base[state]
+        self._index_piece, self._raw_piece = piece_format(code.source_bits), piece_format(n)
+        self._layout = self._index_piece + self._raw_piece  # index, then raw digits
+        self._length = {n}
 
     def encode_blocks(self, digits: bytes, state: int | None = STREAM_START) -> list[bytes]:
-        n = self.oligo_len
-        count = count_blocks(digits, self.source_bits)
-        pieces = unpack(self._layout * count, digits)
-        strands = self._code.encode_blocks(b"".join(pieces[::2]), self._code_state(state))
-        coded, raw = b"".join(strands), b"".join(pieces[1::2])
-        return cut(merge_planes(raw, coded) if self._high else merge_planes(coded, raw), n)
+        pieces = self._blocks(digits)
+        code_state = state if state is STREAM_START else self._digit_of_base[state]
+        coded = b"".join(self._code.encode_blocks(b"".join(pieces[::2]), code_state))
+        raw = b"".join(pieces[1::2])
+        strands = add_planes(raw, coded) if self._high else add_planes(coded, raw)
+        return list(unpack(self._raw_piece * (len(pieces) // 2), strands))  # n bases a strand
 
     def decode_blocks(self, strands: list[bytes], state: int | None = STREAM_START) -> bytes:
         n = self.oligo_len
         joined = b"".join(strands)
         low = joined.translate(LOW_DIGIT_OF_BASE)  # b"x" for a byte that is no base
-        if strands and (set(map(len, strands)) != {n} or b"x" in low):
+        if b"x" in low or not self._length.issuperset(map(len, strands)):
             raise ValueError(f"not a strand of {n} bases G, C, A, T")
         high = joined.translate(HIGH_DIGIT_OF_BASE)
         coded, raw = (high, low) if self._high else (low, high)
-        numeral = self._code.decode_blocks(cut(coded, n), self._code_state(state))
-        pieces = zip(cut(numeral, self.source_bits - n), cut(raw, n))
-        return b"".join(chain.from_iterable(pieces))
+        code_state = state if state is STREAM_START else self._digit_of_base[state]
+        count = len(strands)
+        numeral = self._code.decode_blocks(list(unpack(self._raw_piece * count, coded)), code_state)
+        pieces = unpack(self._index_piece * count + self._raw_piece * count, numeral + raw)
+        return b"".join(map(add, pieces[:count], pieces[count:]))
 
 
 def _construction1(ell: int, balancer: str = "knuth", p0: int | None = None):

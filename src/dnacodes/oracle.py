@@ -17,6 +17,7 @@ import random
 import re
 import time
 from functools import lru_cache
+from operator import add
 
 SEARCH_CAP = 10**8
 SOURCE_CAP = 2**20
@@ -285,36 +286,53 @@ def state_dependent_tables(m: int, n: int):
     return _check_modes(tuple(modes))
 
 
-def _pick(modes, index: int, state):
-    """The mode-0 word, or the mode-1 word where the mode-0 word starts with state."""
-    word = modes[0][index]
-    return modes[1][index] if state is not None and word[0] == state else word
+def _symbol_bytes(modes) -> tuple[tuple[bytes, ...], ...]:
+    """Each mode's words as symbol bytes, converted once per table."""
+    return tuple(tuple(map(bytes, mode)) for mode in modes)
+
+
+def _two_mode_picker(modes):
+    """codeword(index, state): the mode-0 word, or the mode-1 word where it starts with state."""
+    first, second = _symbol_bytes(modes)
+
+    def codeword(index: int, state):
+        word = first[index]
+        return second[index] if state is not None and word[0] == state else word
+
+    return codeword
+
+
+# Raw digits to the high plane's share of each symbol: 2 for a 1.
+_TWICE_THE_DIGIT = bytes.maketrans(b"01", b"\x00\x02")
 
 
 def _two_mode_codeword(m: int, n: int):
     """construction2: the two-mode table's word on the low plane, the raw bits high."""
-    modes = two_mode_tables(2, m, n)
+    low_word = _two_mode_picker(two_mode_tables(2, m, n))
+    width = f"0{n}b"
 
     def codeword(index: int, state):
-        low = _pick(modes, index >> n, None if state is None else state & 1)
-        return tuple(bit + 2 * (index >> (n - 1 - i) & 1) for i, bit in enumerate(low))
+        low = low_word(index >> n, None if state is None else state & 1)
+        high = format(index & ((1 << n) - 1), width).encode("ascii").translate(_TWICE_THE_DIGIT)
+        return bytes(map(add, low, high))
 
     return codeword
 
 
 def _state_independent_codeword(m: int, n: int):
-    modes = two_mode_tables(4, m, n)
-    return lambda index, state: _pick(modes, index, state)
+    return _two_mode_picker(two_mode_tables(4, m, n))
 
 
 def _state_dependent_codeword(m: int, n: int):
-    modes = state_dependent_tables(m, n)
-    return lambda index, state: modes[0 if state is None else state][index]
+    modes = _symbol_bytes(state_dependent_tables(m, n))
+    by_state = {None: modes[0], **dict(enumerate(modes))}
+    return lambda index, state: by_state[state][index]
 
 
 # Ground truth of the table codes by registry name: TABLES[name](m, n) is
-# codeword(index, state), the word the codec must emit for the source
-# block whose bits read index after a block that ended in state.
+# codeword(index, state), the word, as symbol bytes, that the codec must
+# emit for the source block whose bits read index after a block that ended
+# in the symbol state (None: at stream start).
 TABLES = {
     "construction2": _two_mode_codeword,
     "state-independent": _state_independent_codeword,
@@ -369,33 +387,57 @@ def _has_run(word: bytes, max_run: int) -> bool:
     return len(word) > max_run and _run_pattern(max_run).search(word) is not None
 
 
-def _word_problems(codec, strand, state, digits, expected) -> list[str]:
-    """Names of the checks one encoded strand fails; digits is its block's numeral."""
-    word = _symbols(strand)
-    if word is None:
-        return ["not uppercase GCAT bytes"]
-    problems = []
-    if len(word) != codec.oligo_len:
-        problems.append("length mismatch")
-    if expected is not None and word != bytes(expected):
-        problems.append("table mismatch")
-    if codec.max_run is not None and _has_run(word, codec.max_run):
-        problems.append("run violation")
-    if codec.weight_bound is not None and (
-        abs(2 * (word.count(2) + word.count(3)) - len(word)) > 2 * codec.weight_bound
-    ):
-        problems.append("weight bound violated")
-    if codec.max_run is not None and word and state is not None and (
-        word[0] == _SYMBOL_OF_BYTE[state]
-    ):
-        problems.append("boundary violation")  # a run across the join
-    try:
-        decoded = codec.decode_blocks([strand], state)
-    except ValueError:
-        decoded = None
-    if decoded != digits:
-        problems.append("round-trip failure")
-    return problems
+def _checker(codec, table, failures: list[str]):
+    """check(index, digits, state, symbol): encode one block alone and name each check it fails.
+
+    The block's index has the numeral digits, and it is encoded after a
+    block that ended in the byte state, whose symbol is symbol (None at
+    stream start).  Each problem goes to failures; check returns the
+    strand, whether it passed, and the state it leaves: its last byte
+    if it is nonempty GCAT bytes, else None.  What the checks read of
+    the codec and its table is looked up once, here.
+    """
+    encode, decode = codec.encode_blocks, codec.decode_blocks
+    n, bound = codec.oligo_len, codec.weight_bound
+    runs = codec.max_run is not None
+    has_run = _run_pattern(codec.max_run).search if runs else None
+
+    def check(index: int, digits: bytes, state, symbol) -> tuple[bytes | None, bool, int | None]:
+        try:
+            strand = encode(digits, state)[0]
+        except ValueError as exc:
+            failures.append(f"encode refused: index={index} state={symbol}: {exc}")
+            return None, False, None
+        word = strand.translate(_SYMBOL_OF_BYTE) if isinstance(strand, bytes) else None
+        if word is None or _NO_SYMBOL in word:
+            problems, after = ["not uppercase GCAT bytes"], None
+        else:
+            problems, after = [], strand[-1] if word else None
+            if len(word) != n:
+                problems.append("length mismatch")
+            if table is not None and word != table(index, symbol):
+                problems.append("table mismatch")
+            if runs and has_run(word):
+                problems.append("run violation")
+            if bound is not None and (
+                abs(2 * (word.count(2) + word.count(3)) - len(word)) > 2 * bound
+            ):
+                problems.append("weight bound violated")
+            if runs and word and word[0] == symbol:  # symbol is None at stream start
+                problems.append("boundary violation")  # a run across the join
+            try:
+                decoded = decode([strand], state)
+            except ValueError:
+                decoded = None
+            if decoded != digits:
+                problems.append("round-trip failure")
+        if problems:
+            failures.extend(
+                f"{problem}: index={index} state={symbol} strand={strand!r}" for problem in problems
+            )
+        return strand, not problems, after
+
+    return check
 
 
 def _cuts(rng: random.Random, size: int) -> list[tuple[int, int]]:
@@ -419,7 +461,9 @@ def validate_codec(name: str, **params) -> BruteForceReport:
     one, and, if runs are limited, not start with the state's symbol.
     These checks read the strand as symbol bytes, through one translate
     by this module's table: a run is a symbol repeated max_run + 1 times
-    in them, and the weight their count of 2s and 3s.  Then a stream of
+    in them, the weight their count of 2s and 3s, and the table word is
+    held as symbol bytes too.  One closure (_checker) runs them all, with
+    what it reads of the codec looked up once.  Then a stream of
     random blocks goes through the batch methods, encoded and, at other
     cuts, decoded in seeded random pieces, each after the strand before
     it.  It must equal the blocks coded one at a time, each after the
@@ -427,7 +471,8 @@ def validate_codec(name: str, **params) -> BruteForceReport:
     block joins.  A stream block whose (value, state) the sweep coded
     takes the sweep's strand and outcome rather than being coded again;
     it still counts one case, so the cases are those of coding it anew,
-    and a problem is reported once.  An encode that refuses a valid
+    and a problem is reported once; the count is taken once, from the
+    sweep's size and the stream's strands.  An encode that refuses a valid
     index, alone or in a batch, and a batch encode that gives another
     number of strands than blocks are failures too.  Raises ValueError when
     stream_blocks is negative or the coded source space exceeds the
@@ -447,58 +492,37 @@ def validate_codec(name: str, **params) -> BruteForceReport:
         raise ValueError(f"source space 2**{k - raw} exceeds the {SOURCE_CAP} cap")
 
     width = f"0{k}b"
-
-    def numeral(index: int) -> bytes:
-        return format(index, width).encode("ascii")
-
-    def check(index: int, digits: bytes, state) -> tuple[bytes, bool]:
-        """Encode index, whose numeral is digits, after a block ending in the byte state.
-
-        The strand, and whether it passed.
-        """
-        report.cases += 1
-        symbol_state = None if state is None else _SYMBOL_OF_BYTE[state]
-        try:
-            strand = codec.encode_blocks(digits, state)[0]
-        except ValueError as exc:
-            report.failures.append(f"encode refused: index={index} state={symbol_state}: {exc}")
-            return None, False
-        expected = None if table is None else table(index, symbol_state)
-        problems = _word_problems(codec, strand, state, digits, expected)
-        if problems:
-            report.failures.extend(
-                f"{problem}: index={index} state={symbol_state} strand={strand!r}"
-                for problem in problems
-            )
-        return strand, not problems
-
-    states = (None,) if codec.max_run is None else (None, *_BASES)
+    failures = report.failures
+    check = _checker(codec, table, failures)
+    # Each state byte with its symbol.
+    states = [(None, None)]
+    if codec.max_run is not None:
+        states += [(state, _SYMBOL_OF_BYTE[state]) for state in _BASES]
     rng = random.Random(_STREAM_SEED)
     fills = dict.fromkeys((0, 2**raw - 1, rng.getrandbits(raw)))
     values = [rng.getrandbits(k) for _ in range(stream_blocks)]
     # The sweep's outcome for each (value, state) of a value the stream
     # codes, so the stream reads it rather than coding the block alone again.
     streamed = set(values)
-    swept: dict[tuple, tuple[bytes, bool]] = {}
+    swept: dict[tuple, tuple] = {}
     for value in range(2 ** (k - raw)):
         for fill in fills:
             index = value << raw | fill
-            digits = numeral(index)
-            for state in states:
-                outcome = check(index, digits, state)
+            digits = format(index, width).encode("ascii")
+            for state, symbol in states:
+                outcome = check(index, digits, state, symbol)
                 if index in streamed:
                     swept[index, state] = outcome
-
     def state_before(strands: list, i: int):
         return strands[i - 1][-1] if 0 < i <= len(strands) and strands[i - 1] else None
 
-    numerals = list(map(numeral, values))
+    numerals = [format(value, width).encode("ascii") for value in values]
     strands: list = []
     for a, b in _cuts(rng, stream_blocks):
         try:
             strands += codec.encode_blocks(b"".join(numerals[a:b]), state_before(strands, a))
         except ValueError as exc:
-            report.failures.append(f"batch encode refused blocks {a}..{b - 1}: {exc}")
+            failures.append(f"batch encode refused blocks {a}..{b - 1}: {exc}")
             strands += [b""] * (b - a)  # no strand, so the blocks after keep their places
     decoded: list = []
     for a, b in _cuts(rng, stream_blocks):
@@ -511,25 +535,24 @@ def validate_codec(name: str, **params) -> BruteForceReport:
         else:
             decoded += [None] * (b - a)
     if len(strands) != stream_blocks:
-        report.failures.append(f"batch encode gave {len(strands)} strands for {stream_blocks}")
+        failures.append(f"batch encode gave {len(strands)} strands for {stream_blocks}")
+    # One case a block checked: each of the sweep, and each stream block that has a strand.
+    report.cases = 2 ** (k - raw) * len(fills) * len(states) + min(stream_blocks, len(strands))
     state = None
     for value, digits, batch_strand, batch_digits in zip(values, numerals, strands, decoded):
         outcome = swept.get((value, state))
-        if outcome is None:
-            strand, passed = check(value, digits, state)
-        else:  # checked, and any problem reported, in the sweep; still one case here
-            strand, passed = outcome
-            report.cases += 1
+        if outcome is None:  # else checked, and any problem reported, in the sweep
+            outcome = check(value, digits, state, None if state is None else _SYMBOL_OF_BYTE[state])
+        strand, passed, state = outcome
         if passed and batch_strand != strand:
-            report.failures.append(
+            failures.append(
                 f"batch mismatch: index={value} strand={batch_strand!r}, alone {strand!r}"
             )
         elif passed and batch_digits != digits:
-            report.failures.append(f"batch round-trip failure: index={value} strand={strand!r}")
-        state = strand[-1] if _symbols(strand) else None
+            failures.append(f"batch round-trip failure: index={value} strand={strand!r}")
     stream = b"".join(filter(None, map(_symbols, strands)))
     if codec.max_run is not None and _has_run(stream, codec.max_run):
-        report.failures.append(f"stream run violation over {stream_blocks} blocks")
+        failures.append(f"stream run violation over {stream_blocks} blocks")
 
     report.elapsed = time.perf_counter() - start
     return report

@@ -8,9 +8,9 @@ so the AT-content of a strand equals the bit weight of its high plane.
 Codecs handle a strand as its uppercase ASCII bytes (b"GCAT"), no other
 case, and a binary plane as ASCII digits (b"0110"), the form `format(value,
 "0nb")` gives and `int(digits, 2)` reads.  Planes merge by integer
-addition (`merge_planes`) and split by the byte translation tables
-LOW_DIGIT_OF_BASE and HIGH_DIGIT_OF_BASE, so neither loops over symbols
-in Python.  `cut` splits joined strands or planes into equal pieces with
+addition (`merge_planes`, or `add_planes` for planes already checked)
+and split by the byte translation tables LOW_DIGIT_OF_BASE and
+HIGH_DIGIT_OF_BASE, so neither loops over symbols in Python.  `cut` splits joined strands or planes into equal pieces with
 one struct unpack, by the piece format of their width (`piece_format`).
 
 A batch of blocks travels between the framing and the codecs as one
@@ -95,7 +95,14 @@ def ints_to_digits(values: list[int], width: int) -> bytes:
 
 
 def merge_planes(low: bytes, high: bytes) -> bytes:
-    """The strand whose (low, high) planes are these ASCII digit strings.
+    """The strand whose (low, high) planes are these ASCII digit strings, checked to be such."""
+    if low.translate(None, b"01") or high.translate(None, b"01"):
+        raise ValueError("planes must be binary digits")
+    return add_planes(low, high)
+
+
+def add_planes(low: bytes, high: bytes) -> bytes:
+    """The strand of planes known to be binary digits; ValueError unless of one length.
 
     Each plane is read as one base-256 integer, so low + 2*high is one
     integer addition without carries, and a translate turns each byte
@@ -103,7 +110,5 @@ def merge_planes(low: bytes, high: bytes) -> bytes:
     """
     if len(low) != len(high):
         raise ValueError(f"plane lengths differ: {len(low)} != {len(high)}")
-    if low.translate(None, b"01") or high.translate(None, b"01"):
-        raise ValueError("planes must be binary digits")
     merged = int.from_bytes(low, "big") + (int.from_bytes(high, "big") << 1)
     return merged.to_bytes(len(low), "big").translate(_BASE_OF_PLANES)

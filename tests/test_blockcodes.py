@@ -350,7 +350,7 @@ class TestEnumerativeCodes:
             with pytest.raises(IndexError):  # the table has 2**k entries, no more
                 table(2**k << raw, None)
             for state in CODES[kind][1]:
-                expected = [table(i << raw, state) for i in range(2**k)]
+                expected = [tuple(table(i << raw, state)) for i in range(2**k)]  # symbol bytes
                 emitted = codewords(code, state_byte(code, state))
                 assert [symbols(w) for w in emitted] == expected, (kind, m, n, state)
 
@@ -656,6 +656,20 @@ class TestRefusalReasons:
                                              r"for this state$"):
             code.decode_block(b"CAAAA", ord("G"))
 
+    @pytest.mark.parametrize("kind", ["state-dependent", "state-independent"])
+    @pytest.mark.parametrize("item", [bytearray, str, list])
+    def test_an_item_that_is_not_bytes_is_refused_with_its_block(self, kind, item):
+        codec = make_codec(kind, m=3, n=8)
+        good = codec.encode_blocks(numeral(codec, range(8)), None)
+        bad = item(good[5].decode() if item is str else good[5])
+        batch = good[:5] + [bad] + good[6:]
+        text = f"not a codeword of this {kind} code"
+        with pytest.raises(ValueError, match=f"^{text}$"):
+            codec.decode_blocks(batch, None)
+        with pytest.raises(payload.BlockError) as streamed:  # block 6 of the second batch
+            b"".join(payload.decode_stream(codec, [good[:3], batch]))
+        assert (str(streamed.value), streamed.value.position) == (f"block 9: {text}", 8)
+
 
 def _short_codes(q, n):
     """The codes over q symbols at length n for m in {1, 2, 3, n}, as many as can be built."""
@@ -736,13 +750,13 @@ class TestShortCodeTables:
             ("si-m3n8", "short", ValueError, "not a codeword of this state-independent code"),
             ("si-m3n8", "lower", ValueError, "not a codeword of this state-independent code"),
             ("si-m3n8", "str", ValueError, "not a codeword of this state-independent code"),
-            ("si-m3n8", "bytearray", TypeError, "unhashable type: 'bytearray'"),
+            ("si-m3n8", "bytearray", ValueError, "not a codeword of this state-independent code"),
             ("two-mode-m3n10", "past-kept", ValueError, "not a codeword of this two-mode code:"
              " its index 256 is past the kept range 0..255"),
             ("two-mode-m3n10", "long", ValueError, "not a codeword of this two-mode code"),
             ("two-mode-m3n10", "short", ValueError, "not a codeword of this two-mode code"),
             ("two-mode-m3n10", "str", ValueError, "not a codeword of this two-mode code"),
-            ("two-mode-m3n10", "bytearray", TypeError, "unhashable type: 'bytearray'"),
+            ("two-mode-m3n10", "bytearray", ValueError, "not a codeword of this two-mode code"),
             ("c2-m3n10", "past-kept", ValueError, "not a codeword of this two-mode code:"
              " its index 256 is past the kept range 0..255"),
         ],

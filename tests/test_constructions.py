@@ -338,6 +338,23 @@ PROTOCOL_CASES = {
 }
 
 
+# Each registry entry at the parameters of the CI round-trip routes and of `dnacodes verify`.
+CONTRACT_CASES = [
+    ("construction1", {"ell": 64}),
+    ("construction1", {"ell": 64, "balancer": "weak-knuth", "p0": 3}),
+    ("construction1", {"ell": 10, "balancer": "weak-knuth", "p0": 2}),
+    ("construction2", {"m": 3, "n": 10}),
+    ("construction2", {"m": 12, "n": 10}),
+    ("construction2", {"m": 2, "n": 6}),
+    ("state-independent", {"m": 3, "n": 8}),
+    ("state-independent", {"m": 3, "n": 32}),
+    ("state-independent", {"m": 3, "n": 5}),
+    ("state-dependent", {"m": 3, "n": 8}),
+    ("state-dependent", {"m": 3, "n": 64}),
+    ("state-dependent", {"m": 3, "n": 5}),
+]
+
+
 @functools.lru_cache(maxsize=None)
 def _protocol_codec(name, i):
     return make_codec(name, **PROTOCOL_CASES[name][i])
@@ -405,6 +422,28 @@ class TestBlockProtocol:
             decoded.append(codec.decode_blocks(strands[a:b], state))
         assert batched == strands
         assert b"".join(decoded) == numeral(codec, values)
+
+    @pytest.mark.parametrize(
+        "name,params", CONTRACT_CASES,
+        ids=[f"{n}-{'-'.join(map(str, p.values()))}" for n, p in CONTRACT_CASES])
+    def test_empty_batches_and_blocks_one_per_call_equal_one_batch(self, name, params):
+        codec = make_codec(name, **params)
+        for state in (None, *b"GCAT"):
+            assert codec.encode_blocks(b"", state) == []
+            assert codec.decode_blocks([], state) == b""
+        rng = random.Random(2028)
+        digits = numeral(codec, [rng.getrandbits(codec.source_bits) for _ in range(200)])
+        k = codec.source_bits
+        for start in (None, ord("A")):
+            strands, state = [], start
+            for i in range(0, len(digits), k):
+                strands += codec.encode_blocks(digits[i : i + k], state)
+                state = strands[-1][-1]
+            assert codec.encode_blocks(digits, start) == strands
+            decoded = []
+            for i, strand in enumerate(strands):
+                decoded.append(codec.decode_blocks([strand], strands[i - 1][-1] if i else start))
+            assert b"".join(decoded) == codec.decode_blocks(strands, start) == digits
 
     @pytest.mark.parametrize("name", sorted(CODECS))
     def test_a_refused_strand_carries_its_place_in_the_batch(self, name):

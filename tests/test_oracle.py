@@ -437,8 +437,9 @@ def _pinned_cases():
                 for word in encode(self, digits, state)])),
         "lower-case-strands": (
             "state-independent", {**si, "stream_blocks": 10},
-            _wrap_method(StateIndependentCode, "encode_blocks", lambda self, encode, digits, state: [
-                strand.lower() for strand in encode(self, digits, state)])),
+            _wrap_method(StateIndependentCode, "encode_blocks",
+                         lambda self, encode, digits, state: [
+                             strand.lower() for strand in encode(self, digits, state)])),
         "run-within-a-strand": (
             "state-dependent", {**sd, "stream_blocks": 10},
             _wrap_method(StateDependentCode, "encode_blocks", lambda self, encode, digits, state: [
@@ -476,7 +477,7 @@ _PINNED_FILE = pathlib.Path(__file__).with_name("validate_reports.json")
 
 
 class TestPinnedReports:
-    """validate_codec's case count and failure texts, in order, as recorded in validate_reports.json.
+    """validate_codec's case counts and failure texts, in order, as in validate_reports.json.
 
     Rewrite the file, only when a check is meant to change, with
     `PYTHONPATH=src python tests/test_oracle.py`.
