@@ -384,6 +384,8 @@ def _swap_first_two(tables_name, factory):
 
 
 def _broken(fault, name="broken"):
+    """A patch that registers _Broken(fault) under name."""
+
     def patch(monkeypatch):
         monkeypatch.setitem(constructions.CODECS, name, lambda m, n: _Broken(fault))
 
@@ -418,7 +420,7 @@ def _pinned_cases():
     from dnacodes.balancing import KnuthBalancer
     from dnacodes.blockcodes import StateDependentCode
 
-    sd, si = {"m": 3, "n": 5}, {"m": 3, "n": 5}
+    m3n5 = {"m": 3, "n": 5}
     cases = {
         f"verify-{name}": (name, {**params, "stream_blocks": 1000}, _no_patch)
         for name, params in VERIFIED_CODECS
@@ -428,7 +430,7 @@ def _pinned_cases():
             "construction2", {"m": 2, "n": 6, "stream_blocks": 10},
             _swap_first_two("two_mode_tables", lambda: oracle.two_mode_tables(2, 2, 6))),
         "swapped-state-dependent-entry": (
-            "state-dependent", {**sd, "stream_blocks": 10},
+            "state-dependent", {**m3n5, "stream_blocks": 10},
             _swap_first_two("state_dependent_tables", lambda: oracle.state_dependent_tables(3, 5))),
         "balancer-one-past-its-weight-bound": (
             "construction1", {"ell": 8, "stream_blocks": 10},
@@ -436,19 +438,19 @@ def _pinned_cases():
                 word[:-1] + (b"0" if word.endswith(b"1") else b"1")
                 for word in encode(self, digits, state)])),
         "lower-case-strands": (
-            "state-independent", {**si, "stream_blocks": 10},
+            "state-independent", {**m3n5, "stream_blocks": 10},
             _wrap_method(StateIndependentCode, "encode_blocks",
                          lambda self, encode, digits, state: [
                              strand.lower() for strand in encode(self, digits, state)])),
         "run-within-a-strand": (
-            "state-dependent", {**sd, "stream_blocks": 10},
+            "state-dependent", {**m3n5, "stream_blocks": 10},
             _wrap_method(StateDependentCode, "encode_blocks", lambda self, encode, digits, state: [
                 s[:1] * 4 + s[4:] for s in encode(self, digits, state)])),
         "run-across-a-join": (
-            "state-dependent", {**sd, "stream_blocks": 1000},
+            "state-dependent", {**m3n5, "stream_blocks": 1000},
             _wrap_method(StateDependentCode, "encode_blocks", _restarts)),
         "verify-refuses-index-0": (
-            "state-independent", {**si, "stream_blocks": 50},
+            "state-independent", {**m3n5, "stream_blocks": 50},
             _broken("refuses-index-0", "state-independent")),
     }
     cases |= {
@@ -458,7 +460,7 @@ def _pinned_cases():
     }
     cases |= {
         f"drops-state-in-{method}": (
-            "state-dependent", {**sd, "stream_blocks": 200},
+            "state-dependent", {**m3n5, "stream_blocks": 200},
             _wrap_method(StateDependentCode, method, _drops_state(method)))
         for method in ("encode_blocks", "decode_blocks")
     }
