@@ -27,6 +27,11 @@ one slice; and the state-free two-mode codes, on their first decode,
 one dict from each kept word to its index's digits.  Both are sized by
 the code, never by what it has coded, and nothing else is memoised.
 
+A code's block size is one rule on word counts alone, which builds no
+graph and refuses a shape without a code: `two_mode_bits` and
+`state_dependent_bits`.  The constructors and `cli`'s efficiency tables
+read it.
+
 A block goes in as its index, source_bits binary digits, and comes out
 as the codeword's ASCII bytes: bases b"GCAT" for the quaternary codes,
 digits b"01" for the binary one.  The encoder state is the previous
@@ -68,10 +73,8 @@ __all__ = [
     "StateIndependentCode",
     "TwoModeRllCode",
     "check_block_size",
-    "rate_state_dependent",
-    "rate_state_independent",
-    "rate_two_mode",
-    "state_dependent_table_capacity",
+    "state_dependent_bits",
+    "two_mode_bits",
 ]
 
 # Encoder state at stream start: no previous symbol has been emitted.
@@ -122,12 +125,6 @@ class BlockCode:
         return int(self.decode_blocks([word], state), 2)
 
 
-def _floor_log2(value: int) -> int:
-    if value < 1:
-        raise ValueError("value must be positive")
-    return value.bit_length() - 1
-
-
 def check_block_size(k: int) -> int:
     """k, or ValueError when k source bits are not a block the framing supports."""
     if not 1 <= k <= MAX_BLOCK_BITS:
@@ -137,8 +134,8 @@ def check_block_size(k: int) -> int:
     return k
 
 
-def _refuse_uncounted(q: int, m: int, n: int, carried_bits: int = 0) -> None:
-    """Refuse a code past COUNTED_LENGTH whose block is too big by a bound from q, m and n.
+def _refuse_shape(q: int, m: int, n: int, carried_bits: int = 0) -> None:
+    """Refuse a length or run below 1, and past COUNTED_LENGTH a block too big by a bound.
 
     Both block codes take at least floor(log2 N_q(m, n)) - 1 source bits.
     For q = 4 every word without two equal neighbours counts, so
@@ -146,6 +143,10 @@ def _refuse_uncounted(q: int, m: int, n: int, carried_bits: int = 0) -> None:
     words with runs of at most two number 2 * F(n+1) >= phi**n, and
     log2(phi) > 0.694.
     """
+    if n < 1:
+        raise ValueError("length must be at least 1")
+    if m < 1:
+        raise ValueError("maximum run must be at least 1")
     if n <= COUNTED_LENGTH:
         return
     if q == 4:
@@ -506,40 +507,36 @@ class _Enumerator:
         return indices
 
 
-def rate_two_mode(m: int, n: int) -> float:
-    """Composite code rate (n - 1 + floor(log2 N_2(m,n))) / n in bits per symbol.
+def two_mode_bits(q: int, m: int, n: int, carried_bits: int = 0) -> int:
+    """Source bits of the two-mode code over q symbols: floor(log2 N_q(m, n)) - 1.
 
-    Counts both the run-constrained plane's table bits and the n - 1
-    free payload bits the companion plane contributes per block.
+    Each mode holds the N/2 words that start in its half of the alphabet.
+    ValueError for a shape without a code: fewer than 2q words, or a
+    block that, with carried_bits beside it, the framing does not support.
     """
-    return (n - 1 + _floor_log2(counting.rll_count(2, m, n))) / n
+    _refuse_shape(q, m, n, carried_bits)
+    total = counting.rll_count(q, m, n)
+    if total < 2 * q:
+        kind = "two-mode" if q == 2 else "state-independent"
+        raise ValueError(f"too few constrained words for a {kind} code (m={m}, n={n})")
+    bits = total.bit_length() - 2
+    check_block_size(bits + carried_bits)
+    return bits
 
 
-def rate_state_independent(m: int, n: int) -> float:
-    """Code rate (floor(log2 N_4(m,n)) - 1) / n in bits per symbol."""
-    return (_floor_log2(counting.rll_count(4, m, n)) - 1) / n
+def state_dependent_bits(m: int, n: int) -> int:
+    """Source bits of the state-dependent code: floor(log2(3/4 * N_4(m, n))).
 
-
-def state_dependent_table_capacity(m: int, n: int) -> int:
-    """Largest per-state table size: three quarters of the constrained count."""
+    A state's codebook holds the three quarters of the words that do not
+    start with its symbol.  ValueError for a shape without a code.
+    """
+    _refuse_shape(4, m, n)  # floor(log2(3/4 * N)) >= floor(log2 N) - 1
     total = counting.rll_count(4, m, n)
     assert total % 4 == 0, "constrained quaternary count must be a multiple of 4"
-    return 3 * (total // 4)
-
-
-def rate_state_dependent(m: int, n: int) -> float:
-    """Code rate floor(log2(3/4 * N_4(m,n))) / n in bits per symbol."""
-    return _floor_log2(state_dependent_table_capacity(m, n)) / n
+    return check_block_size((3 * (total // 4)).bit_length() - 1)  # 3/4 * N >= 3
 
 
 _NO_STATE = "state {!r} is neither None nor an uppercase base"
-
-
-def _check_shape(m: int, n: int) -> None:
-    if n < 1:
-        raise ValueError("length must be at least 1")
-    if m < 1:
-        raise ValueError("maximum run must be at least 1")
 
 
 class _TwoModeCode(BlockCode):
@@ -573,16 +570,10 @@ class _TwoModeCode(BlockCode):
     weight_bound = None
 
     def __init__(self, m: int, n: int, carried_bits: int = 0):
-        _check_shape(m, n)
         q = len(self.alphabet)
-        _refuse_uncounted(q, m, n, carried_bits)
-        total = counting.rll_count(q, m, n)
-        if total < 2 * q:
-            raise ValueError(f"too few constrained words for a {self.kind} code (m={m}, n={n})")
+        self.source_bits = two_mode_bits(q, m, n, carried_bits)
         self.m = self.max_run = m
         self.n = self.oligo_len = n
-        self.source_bits = _floor_log2(total) - 1
-        check_block_size(self.source_bits + carried_bits)
         self._keep = 2**self.source_bits
         half = q // 2
         words = _Enumerator(self.alphabet, m, n)
@@ -650,25 +641,25 @@ class StateIndependentCode(_TwoModeCode):
     raw_bits = 0
 
 
-def _pruning_boundary(m: int, n: int, drop: int) -> tuple[int, int]:
+def _pruning_boundary(m: int, n: int, keep: int) -> tuple[int, int]:
     """Unbalance D of the boundary words and how many of them are dropped.
 
-    Dropping drop words of highest |2w - n| removes every word beyond D
-    and r words at D.  A state's candidates are three quarters of the
-    words at each unbalance: the relabelings G<->C, A<->T and G<->A,
-    C<->T keep the unbalance and permute the first symbols.
+    Keeping a state's keep candidates of lowest |2w - n| keeps every word
+    below D and all but r words at D.  A state's candidates are three
+    quarters of the words at each unbalance: the relabelings G<->C, A<->T
+    and G<->A, C<->T keep the unbalance and permute the first symbols.
     """
     by_unbalance: dict[int, int] = {}
     for w, count in enumerate(counting.weight_profile("quaternary", m, n).counts):
         u = abs(2 * w - n)
         by_unbalance[u] = by_unbalance.get(u, 0) + count
-    for u in sorted(by_unbalance, reverse=True):
+    kept = 0
+    for u in sorted(by_unbalance):
         assert by_unbalance[u] % 4 == 0, "first symbols must split each unbalance evenly"
-        here = 3 * by_unbalance[u] // 4
-        if drop < here:
-            return u, drop
-        drop -= here
-    raise AssertionError("drop count exceeds the candidates")
+        kept += 3 * by_unbalance[u] // 4
+        if kept >= keep:
+            return u, kept - keep
+    raise AssertionError("keep count exceeds the candidates")
 
 
 class StateDependentCode(BlockCode):
@@ -689,14 +680,11 @@ class StateDependentCode(BlockCode):
     raw_bits = 0
 
     def __init__(self, m: int, n: int):
-        _check_shape(m, n)
-        _refuse_uncounted(4, m, n)  # floor(log2(3/4 * N)) >= floor(log2 N) - 1
-        capacity = state_dependent_table_capacity(m, n)
+        self.source_bits = state_dependent_bits(m, n)
         self.m = self.max_run = m
         self.n = self.oligo_len = n
-        self.source_bits = check_block_size(_floor_log2(capacity))  # capacity >= 3
         self._keep = keep = 2**self.source_bits
-        self.max_unbalance, skip = _pruning_boundary(m, n, capacity - keep)
+        self.max_unbalance, skip = _pruning_boundary(m, n, keep)
         self.weight_bound = self.max_unbalance / 2
         words = _Enumerator(self.alphabet, m, n, unbalance=self.max_unbalance, skip=skip)
         self._words = words

@@ -56,11 +56,12 @@ TABLE_IDS = (
 # The unconstrained (m -> infinity) block-length distribution is geometric
 # with ratio 1/2 in either plane, whose variance factor is exactly 1.
 _GAMMA_LIMIT_ROW = ("inf", 1.0, 1.0)
-# The rate-efficiency tables: the blockcodes rate function of each, and its m columns.
+# The rate-efficiency tables: each one's m columns, and its code's source bits a block of n
+# bases by the blockcodes rules (two-mode is construction2: n raw bits beside the binary code).
 _EFFICIENCY_TABLES = {
-    "two-mode": ("rate_two_mode", (2, 3, 4)),
-    "state-indep": ("rate_state_independent", (1, 2, 3, 4)),
-    "state-dep": ("rate_state_dependent", (1, 2, 3, 4)),
+    "two-mode": ((2, 3, 4), lambda rules, m, n: rules.two_mode_bits(2, m, n, n) + n),
+    "state-indep": ((1, 2, 3, 4), lambda rules, m, n: rules.two_mode_bits(4, m, n)),
+    "state-dep": ((1, 2, 3, 4), lambda rules, m, n: rules.state_dependent_bits(m, n)),
 }
 
 
@@ -112,13 +113,13 @@ def _table_rows(table_id: str, precision: int) -> list[str]:
             lines.append(f"{m},{_fmt(asymptotics.efficiency_eta(m), 3)}")
         return lines
     if table_id in _EFFICIENCY_TABLES:
-        from . import blockcodes  # the rate functions, without the codec modules
+        from . import blockcodes  # the source-bit rules, without the codec modules
 
-        rate_name, ms = _EFFICIENCY_TABLES[table_id]
-        rate = getattr(blockcodes, rate_name)
+        ms, block_bits = _EFFICIENCY_TABLES[table_id]
         lines = ["n," + ",".join(f"m={m}" for m in ms)]
         for n in range(5, 11):
-            effs = [rate(m, n) / asymptotics.capacity(4, m).capacity_bits for m in ms]
+            effs = [block_bits(blockcodes, m, n) / n / asymptotics.capacity(4, m).capacity_bits
+                    for m in ms]
             lines.append(f"{n}," + ",".join(_fmt(e, 3) for e in effs))
         return lines
     if table_id == "gamma":

@@ -8,8 +8,8 @@ so the AT-content of a strand equals the bit weight of its high plane.
 Codecs handle a strand as its uppercase ASCII bytes (b"GCAT"), no other
 case, and a binary plane as ASCII digits (b"0110"), the form `format(value,
 "0nb")` gives and `int(digits, 2)` reads.  Planes merge by integer
-addition (`merge_planes`, or `add_planes` for planes already checked)
-and split by the byte translation tables LOW_DIGIT_OF_BASE and
+addition (`add_planes`, for planes already checked to be digits) and
+split by the byte translation tables LOW_DIGIT_OF_BASE and
 HIGH_DIGIT_OF_BASE, so neither loops over symbols in Python.  `cut` splits joined strands or planes into equal pieces with
 one struct unpack, by the piece format of their width (`piece_format`).
 
@@ -92,13 +92,6 @@ def ints_to_digits(values: list[int], width: int) -> bytes:
         values = list(map(or_, map(lshift, values[::2], repeat(width)), values[1::2]))
         width *= 2
     return int_to_digits(values[0] if values else 0, size)
-
-
-def merge_planes(low: bytes, high: bytes) -> bytes:
-    """The strand whose (low, high) planes are these ASCII digit strings, checked to be such."""
-    if low.translate(None, b"01") or high.translate(None, b"01"):
-        raise ValueError("planes must be binary digits")
-    return add_planes(low, high)
 
 
 def add_planes(low: bytes, high: bytes) -> bytes:

@@ -144,26 +144,32 @@ def test_eta_table_reproduction():
     _report("rate-efficiency-limit table, 6 rows within 5e-4")
 
 
+def _efficiency(block_bits: int, m: int, n: int) -> float:
+    """A code's rate, block_bits source bits per n bases, over the quaternary capacity at m."""
+    return block_bits / n / asymptotics.capacity(4, m).capacity_bits
+
+
 def test_rate_efficiency_tables_reproduction():
+    # Rates from the block-size rules; two-mode is construction2: n raw bits per block beside it.
     for n, row in TWO_MODE_EFFICIENCY.items():
         for m, expected in zip((2, 3, 4), row):
-            got = blockcodes.rate_two_mode(m, n) / asymptotics.capacity(4, m).capacity_bits
+            got = _efficiency(blockcodes.two_mode_bits(2, m, n, carried_bits=n) + n, m, n)
             assert abs(got - expected) <= 5e-4, ("two-mode", m, n, got)
     for n, row in STATE_INDEPENDENT_EFFICIENCY.items():
         for m, expected in zip((1, 2, 3, 4), row):
-            got = blockcodes.rate_state_independent(m, n) / asymptotics.capacity(4, m).capacity_bits
+            got = _efficiency(blockcodes.two_mode_bits(4, m, n), m, n)
             assert abs(got - expected) <= 5e-4, ("state-indep", m, n, got)
     for n, row in STATE_DEPENDENT_EFFICIENCY.items():
         for m, expected in zip((1, 2, 3, 4), row):
-            got = blockcodes.rate_state_dependent(m, n) / asymptotics.capacity(4, m).capacity_bits
+            got = _efficiency(blockcodes.state_dependent_bits(m, n), m, n)
             assert abs(got - expected) <= 5e-4, ("state-dep", m, n, got)
     # worked example at m=3, n=5: 0.807 / 0.807 / 0.908 and a 9/5-rate table of 747
-    c4 = asymptotics.capacity(4, 3).capacity_bits
-    assert abs(blockcodes.rate_two_mode(3, 5) / c4 - 0.807) <= 5e-4
-    assert abs(blockcodes.rate_state_independent(3, 5) / c4 - 0.807) <= 5e-4
-    assert abs(blockcodes.rate_state_dependent(3, 5) / c4 - 0.908) <= 5e-4
-    assert blockcodes.state_dependent_table_capacity(3, 5) == 747
-    assert blockcodes.rate_state_dependent(3, 5) == pytest.approx(9 / 5)
+    construction2_bits = blockcodes.two_mode_bits(2, 3, 5, carried_bits=5) + 5
+    assert abs(_efficiency(construction2_bits, 3, 5) - 0.807) <= 5e-4
+    assert abs(_efficiency(blockcodes.two_mode_bits(4, 3, 5), 3, 5) - 0.807) <= 5e-4
+    assert abs(_efficiency(blockcodes.state_dependent_bits(3, 5), 3, 5) - 0.908) <= 5e-4
+    assert 3 * counting.rll_count(4, 3, 5) // 4 == 747
+    assert blockcodes.state_dependent_bits(3, 5) / 5 == pytest.approx(9 / 5)
     _report("rate-efficiency tables, all 66 entries within 5e-4; worked example reproduced")
 
 

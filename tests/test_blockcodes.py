@@ -12,7 +12,7 @@ import hypothesis.strategies as st
 
 from dnacodes import blockcodes, counting, oracle, payload
 from dnacodes.constructions import make_codec
-from dnacodes.words import max_run
+from dnacodes.words import BASES, max_run
 
 
 def at_weight(word):
@@ -123,15 +123,19 @@ class TestConstrainedWords:
 
 
 class TestRates:
+    """The block-size rules, which count words and build no code."""
+
     def test_two_mode_example(self):
-        assert blockcodes.rate_two_mode(3, 5) == pytest.approx(8 / 5)
+        # construction2's rate: the binary two-mode bits and n raw bits per n bases
+        assert (blockcodes.two_mode_bits(2, 3, 5, carried_bits=5) + 5) / 5 == pytest.approx(8 / 5)
 
     def test_state_independent_example(self):
-        assert blockcodes.rate_state_independent(3, 5) == pytest.approx(8 / 5)
+        assert blockcodes.two_mode_bits(4, 3, 5) / 5 == pytest.approx(8 / 5)
 
     def test_state_dependent_example(self):
-        assert blockcodes.state_dependent_table_capacity(3, 5) == 747
-        assert blockcodes.rate_state_dependent(3, 5) == pytest.approx(9 / 5)
+        # a state's table holds 747 of the 996 words, so 2**9 of them are kept
+        assert 3 * counting.rll_count(4, 3, 5) // 4 == 747
+        assert blockcodes.state_dependent_bits(3, 5) / 5 == pytest.approx(9 / 5)
 
     def test_truncation_interpretations_agree(self):
         # per-mode truncation floor(log2(N/2)) equals whole-codebook
@@ -142,11 +146,27 @@ class TestRates:
                 assert (total // 2).bit_length() - 1 == total.bit_length() - 2
 
     def test_formula_rates_equal_built_table_sizes(self):
-        for m, n in [(2, 5), (3, 5), (2, 8)]:
-            si = blockcodes.StateIndependentCode(m, n)
-            assert si.source_bits / n == blockcodes.rate_state_independent(m, n)
-            sd = blockcodes.StateDependentCode(m, n)
-            assert sd.source_bits / n == blockcodes.rate_state_dependent(m, n)
+        """Over every efficiency table's grid, each rule is the floor log2 of the built table.
+
+        A two-mode code's mode holds its root's words; a state-dependent
+        state's table, before pruning, the words of three first symbols.
+        """
+        for n in range(5, 11):
+            for m in (2, 3, 4):
+                code = blockcodes.TwoModeRllCode(m, n)
+                bits = blockcodes.two_mode_bits(2, m, n)
+                assert bits + n == make_codec("construction2", m=m, n=n).source_bits
+                assert [code._words.size(r).bit_length() - 1 for r in code._roots] == [bits] * 2
+            for m in (1, 2, 3, 4):
+                si = make_codec("state-independent", m=m, n=n)
+                bits = blockcodes.two_mode_bits(4, m, n)
+                assert si.source_bits == bits
+                assert [si._words.size(r).bit_length() - 1 for r in si._roots] == [bits] * 2
+                sd = make_codec("state-dependent", m=m, n=n)
+                words = blockcodes._Enumerator(BASES, m, n)
+                table = words.size(words.root((1, 2, 3)))  # the words not starting with G
+                assert sd.source_bits == blockcodes.state_dependent_bits(m, n)
+                assert sd.source_bits == table.bit_length() - 1
 
 
 def _stream_check(codec, m, blocks=60, seed=7):

@@ -17,6 +17,38 @@ from dnacodes import cli
 from dnacodes.constructions import CODECS
 
 
+# The three efficiency tables, whole, at the default precision.
+EFFICIENCY_CSVS = {
+    "two-mode": (
+        "n,m=2,m=3,m=4\n"
+        "5,0.832,0.807,0.802\n"
+        "6,0.780,0.841,0.835\n"
+        "7,0.817,0.865,0.859\n"
+        "8,0.845,0.883,0.877\n"
+        "9,0.809,0.897,0.891\n"
+        "10,0.832,0.908,0.902\n"
+    ),
+    "state-indep": (
+        "n,m=1,m=2,m=3,m=4\n"
+        "5,0.883,0.832,0.807,0.802\n"
+        "6,0.841,0.867,0.841,0.835\n"
+        "7,0.901,0.892,0.865,0.859\n"
+        "8,0.946,0.910,0.883,0.877\n"
+        "9,0.911,0.925,0.897,0.891\n"
+        "10,0.946,0.936,0.908,0.902\n"
+    ),
+    "state-dep": (
+        "n,m=1,m=2,m=3,m=4\n"
+        "5,0.883,0.936,0.908,0.902\n"
+        "6,0.946,0.954,0.925,0.919\n"
+        "7,0.991,0.966,0.937,0.931\n"
+        "8,0.946,0.975,0.946,0.940\n"
+        "9,0.981,0.982,0.953,0.946\n"
+        "10,0.946,0.936,0.958,0.952\n"
+    ),
+}
+
+
 def run_cli(capsys, *argv):
     try:
         code = cli.main(list(argv))
@@ -52,6 +84,10 @@ class TestTables:
         assert "7,0.901,0.892,0.865,0.859" in out
         _, out, _ = run_cli(capsys, "tables", "state-dep")
         assert "5,0.883,0.936,0.908,0.902" in out
+
+    @pytest.mark.parametrize("table", sorted(EFFICIENCY_CSVS))
+    def test_efficiency_table_is_pinned_whole(self, capsys, table):
+        assert run_cli(capsys, "tables", table) == (0, EFFICIENCY_CSVS[table], "")
 
     def test_unknown_table_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:
@@ -792,6 +828,26 @@ class TestProcess:
         assert gc.get_freeze_count() == frozen
 
 
+def _modules_loaded_by(tmp_path, argv) -> list[str]:
+    """The modules a fresh interpreter holds after `cli.main(argv)` wrote its CSV to a file."""
+    import dnacodes
+
+    src = os.path.dirname(os.path.dirname(dnacodes.__file__))
+    out = tmp_path / "out.csv"
+    probe = (
+        "import sys\n"
+        "from dnacodes import cli\n"
+        f"code = cli.main({[*argv, '--out', str(out)]!r})\n"
+        "print(code, ' '.join(sorted(sys.modules)))\n"
+    )
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": src}, check=True)
+    code, *loaded = result.stdout.split()
+    assert code == "0"
+    assert out.stat().st_size > 0
+    return loaded
+
+
 class TestImports:
     @pytest.mark.parametrize("argv", [
         ["count", "--q", "4", "--m", "3", "--n", "5"],
@@ -801,25 +857,20 @@ class TestImports:
         ["redundancy", "--family", "combined", "--m", "3", "--n", "20", "--a", "0.1"],
     ], ids=lambda argv: argv[0])
     def test_paper_commands_leave_the_codec_modules_unloaded(self, tmp_path, argv):
-        import dnacodes
-
-        src = os.path.dirname(os.path.dirname(dnacodes.__file__))
-        out = tmp_path / "out.csv"
-        probe = (
-            "import sys\n"
-            "from dnacodes import cli\n"
-            f"code = cli.main({[*argv, '--out', str(out)]!r})\n"
-            "print(code, ' '.join(sorted(sys.modules)))\n"
-        )
-        result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                                env={**os.environ, "PYTHONPATH": src}, check=True)
-        code, *loaded = result.stdout.split()
-        assert code == "0"
-        assert out.stat().st_size > 0
+        loaded = _modules_loaded_by(tmp_path, argv)
         codecs = {f"dnacodes.{name}" for name in
                   ("constructions", "payload", "balancing", "blockcodes", "words")}
         assert not set(loaded) & codecs
         assert "encodings.ascii" not in loaded  # the CSV goes out as ASCII bytes
+
+    @pytest.mark.parametrize("table", sorted(EFFICIENCY_CSVS))
+    def test_efficiency_tables_load_the_rules_not_the_codecs(self, tmp_path, table):
+        """The block-size rules come from blockcodes alone, never through the codec registry."""
+        loaded = _modules_loaded_by(tmp_path, ["tables", table])
+        assert {name for name in loaded if name.startswith("dnacodes")} == {
+            "dnacodes", "dnacodes.cli", "dnacodes.counting", "dnacodes.asymptotics",
+            "dnacodes.blockcodes", "dnacodes.words",
+        }
 
     def test_codec_commands_leave_the_root_solver_unloaded(self):
         import dnacodes

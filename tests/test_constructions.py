@@ -12,7 +12,7 @@ from dnacodes.balancing import KnuthBalancer, WeakKnuthBalancer
 from dnacodes.blockcodes import TwoModeRllCode
 from dnacodes.cli import _line_fault
 from dnacodes.constructions import CODECS, PlaneCodec, make_codec
-from dnacodes.words import max_run, merge_planes
+from dnacodes.words import add_planes, max_run
 
 
 def at_weight(strand):
@@ -46,11 +46,11 @@ def round_trip(codec, data):
 class TestPlaneMergeFormulas:
     def test_balance_merge_example(self):
         # balanced word 10 on the high plane, payload 11 low -> TC
-        assert merge_planes(b"11", b"10") == b"TC"
+        assert add_planes(b"11", b"10") == b"TC"
 
     def test_runlength_merge_example(self):
         # constrained word 0101 low, payload 0011 high -> GCAT
-        assert merge_planes(b"0101", b"0011") == b"GCAT"
+        assert add_planes(b"0101", b"0011") == b"GCAT"
 
 
 class TestConstruction1:
