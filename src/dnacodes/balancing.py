@@ -20,7 +20,8 @@ numeral, refusing a word whose weight breaks weight_bound.  A refusal is
 a plain ValueError that says why, never where: `payload.decode_stream`
 finds the word by decoding the batch's words one at a time.  The flip
 itself is a translate of the word's first digits; only the search for
-the flip length reads the word as an int.  No state crosses blocks, so
+the flip length reads the word as an int, a batch's words read in one
+conversion (`words.digits_to_ints`).  No state crosses blocks, so
 state is ignored.
 The balance construction puts these digits on a strand's high plane.
 """
@@ -31,6 +32,7 @@ from functools import cached_property
 from itertools import combinations, islice
 
 from .blockcodes import BlockCode
+from .words import digits_to_ints
 
 __all__ = ["KnuthBalancer", "WeakKnuthBalancer"]
 
@@ -68,8 +70,9 @@ class _FlipBalancer(BlockCode):
         """The prefix-and-body digit word of each source_bits-digit word of the numeral."""
         prefixes, lengths, flip = self._prefixes[0], self._flip_lengths, self._flip_index
         balanced: list[bytes] = []
-        for word in self._blocks(digits):
-            i = flip(int(word, 2))
+        pieces = self._blocks(digits)
+        for word, value in zip(pieces, digits_to_ints(pieces, self.source_bits)):
+            i = flip(value)
             k0 = lengths[i]
             balanced.append(prefixes[i] + word[:k0].translate(_FLIP) + word[k0:])
         return balanced

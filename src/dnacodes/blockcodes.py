@@ -22,10 +22,12 @@ the last few one entry of a per-node table, so only the symbols between
 them, in words longer than 8 bases or 16 digits, are walked one at a
 time.  A short word, of at most 8 bases or 16 digits, is one head row
 and one end, so a short code stores its kept words instead: on its
-first encode, one bytes "book" per encoder root, which a block reads as
-one slice; and the state-free two-mode codes, on their first decode,
-one dict from each kept word to its index's digits.  Both are sized by
-the code, never by what it has coded, and nothing else is memoised.
+first encode, one list of words per distinct encoder head, so a block
+is one index into its state's list; and the state-free two-mode codes,
+on their first decode, one dict from each kept word to its index's
+digits.  The heads share their words: a head row's words are made once.
+Both are sized by the code, never by what it has coded, and nothing
+else is memoised.
 
 A code's block size is one rule on word counts alone, which builds no
 graph and refuses a shape without a code: `two_mode_bits` and
@@ -45,12 +47,13 @@ another: `encode_blocks(digits, state)` returns a list of codewords and
 threading the state from block to block.  A refused batch raises a plain
 ValueError that says why, for the first block refused, but not where:
 `payload.decode_stream` finds the place; an item that is not bytes is
-refused too.  `BlockCode` cuts a numeral into its blocks by one check
-that it is whole blocks of binary digits and one struct unpack
-(`BlockCode._blocks`), and gives every code the single-block methods,
-an int index in and out, as a batch of one.  The enumerator reads the
-blocks as ints, runs the whole batch in one loop, picking each block's
-root from the state, and its indices go back into one numeral
+refused too, and so is a numeral that is not bytes.  `BlockCode` cuts a
+numeral into its blocks by one check that it is whole blocks of binary
+digits and one struct unpack (`BlockCode._blocks`), and gives every code
+the single-block methods, an int index in and out, as a batch of one.
+The codes read a batch's blocks as ints in one conversion
+(`words.digits_to_ints`), run the whole batch in one loop, picking each
+block's root from the state, and write the indices back as one numeral
 (`words.ints_to_digits`).
 """
 
@@ -60,11 +63,11 @@ import gc
 from bisect import bisect_left, bisect_right
 from collections.abc import Callable, Iterable
 from functools import cached_property, partial
-from itertools import repeat
+from itertools import product
 from struct import unpack
 
 from . import counting
-from .words import BASES, cut, int_to_digits, ints_to_digits, max_run, piece_format
+from .words import BASES, digits_to_ints, int_to_digits, ints_to_digits, max_run, piece_format
 
 __all__ = [
     "BlockCode",
@@ -109,9 +112,13 @@ class BlockCode:
         return piece_format(self.source_bits)
 
     def _blocks(self, digits: bytes) -> tuple[bytes, ...]:
-        """The pieces of a batch numeral's blocks; ValueError unless k binary digits each."""
+        """The pieces of a batch numeral's blocks; ValueError unless bytes, k binary digits each."""
         k = self.source_bits
-        if digits.translate(None, b"01") or len(digits) % k:
+        try:
+            stray = digits.translate(None, b"01")
+        except (AttributeError, TypeError):  # a str, or anything else without bytes' translate
+            stray = True
+        if stray or len(digits) % k:
             raise ValueError(f"not a block of {k} binary digits")
         return unpack(self._layout * (len(digits) // k), digits)
 
@@ -190,13 +197,13 @@ class _Enumerator:
     and one read of the ends, and ranked by two dict gets.
 
     Such a word has no middle (_cut == _j), so every word under a root
-    is a head row's prefix and one of its node's ends: one join per row
-    lists them all.  `unranker` then reads a batch from books of those
-    lists, and `numerals` gives a dict from each word to its index's
-    digits.  A code binds both once, on first use; their size is set by
-    the code (at most 256 rows of 256 ends a root), and the graph
-    memoises nothing, so the memory a code takes does not depend on the
-    words it has coded.
+    is a head row's prefix and one of its node's ends, so the rows list
+    them all (`_word_lists`).  `unranker` then reads a batch from
+    those lists, a block one index, and `numerals` gives a dict from
+    each word to its index's digits.  A code binds both once, on first
+    use; their size is set by the code (at most 256 rows of 256 ends a
+    root), and the graph memoises nothing, so the memory a code takes
+    does not depend on the words it has coded.
 
     With `unbalance` = D, every root keeps its words with |2w - n| <= D
     but the `skip` lexicographically smallest of its boundary words
@@ -424,54 +431,65 @@ class _Enumerator:
             state = word[-1]
         return words
 
-    def _book(self, head: tuple, count: int) -> bytes:
-        """The first count words under head's root, one after another, in index order.
+    def _word_lists(self, heads: Iterable[tuple], count: int) -> dict[tuple, list[bytes]]:
+        """Each of these head tables to the first count words under its root, in index order.
 
         For words without a middle: a row's words are its prefix before
-        each end of its node, one join, and rows past count are skipped.
+        each end of its node, made once for all the heads that hold the
+        row, so those heads share the words; rows past count are skipped.
         """
-        starts, prefixes, nodes = head
-        rows = bisect_left(starts, count)
         ends = self._ends
-        book = b"".join([p + p.join(ends[node]) for p, node in zip(prefixes[:rows], nodes[:rows])])
-        return book[: count * self.n]
+        rows: dict[tuple[bytes, int], list[bytes]] = {}
+        lists: dict[tuple, list[bytes]] = {}
+        for head in heads:
+            starts, prefixes, nodes = head
+            listed: list[bytes] = []
+            for row in zip(prefixes[: bisect_left(starts, count)], nodes):
+                if row not in rows:
+                    prefix, node = row
+                    rows[row] = [prefix + end for end in ends[node]]
+                listed += rows[row]
+            lists[head] = listed[:count]  # a copy of its own length, without the growth slack
+        return lists
 
     def unranker(self, heads: dict, count: int) -> Callable[[Iterable[int], object], list[bytes]]:
         """unrank_blocks over heads as a function of (values, state), for indices below count.
 
-        Words without a middle are read from books instead: each head's
-        first count words (one book per distinct head), a block the slice
-        of its index in its state's book.
+        Words without a middle are read from lists instead: each distinct
+        head's first count words, a block the item of its index in its
+        state's list.
         """
         if self._cut > self._j:
             return partial(self.unrank_blocks, heads)
-        n = self.n
-        made = {head: self._book(head, count) for head in set(heads.values())}
-        books = {state: made[head] for state, head in heads.items()}
+        made = self._word_lists(set(heads.values()), count)
+        lists = {state: made[head] for state, head in heads.items()}
 
-        def unrank_books(values: Iterable[int], state) -> list[bytes]:
+        def unrank_lists(values: Iterable[int], state) -> list[bytes]:
             words: list[bytes] = []
             append = words.append
             for value in values:
-                at = value * n
-                word = books[state][at:at + n]
+                word = lists[state][value]
                 append(word)
                 state = word[-1]
             return words
 
-        return unrank_books
+        return unrank_lists
 
-    def numerals(self, roots: Iterable[int], count: int, k: int) -> dict[bytes, bytes] | None:
-        """Each of the first count words under each root to its index's k binary digits.
+    def numerals(self, roots: Iterable[int], k: int) -> dict[bytes, bytes] | None:
+        """Each of the first 2**k words under each root to its index's k binary digits.
 
         None for words with a middle, whose table would grow as q**n.
+        Every k-digit numeral, in order, is each high half before each low half.
         """
         if self._cut > self._j:
             return None
-        pieces = cut(ints_to_digits(list(range(count)), k), k)
+        half = k // 2
+        high = list(map(bytes, product(b"01", repeat=half)))
+        low = list(map(bytes, product(b"01", repeat=k - half)))
+        pieces = [first + last for first in high for last in low]
         table: dict[bytes, bytes] = {}
-        for root in roots:
-            table.update(zip(cut(self._book(self.head(root), count), self.n), pieces))
+        for listed in self._word_lists([self.head(root) for root in roots], 1 << k).values():
+            table.update(zip(listed, pieces))
         return table
 
     def rank_blocks(self, heads: dict, words: list[bytes], state) -> list[int]:
@@ -593,11 +611,11 @@ class _TwoModeCode(BlockCode):
 
     @cached_property
     def _numerals(self) -> dict[bytes, bytes] | None:
-        return self._words.numerals(self._roots, self._keep, self.source_bits)
+        return self._words.numerals(self._roots, self.source_bits)
 
     def encode_blocks(self, digits: bytes, state: int | None = STREAM_START) -> list[bytes]:
         """The codewords of the indices; each picks the mode whose word may follow the state."""
-        values = map(int, self._blocks(digits), repeat(2))
+        values = digits_to_ints(self._blocks(digits), self.source_bits)
         return self._unrank(values, state if state in self._encode_heads else STREAM_START)
 
     def decode_blocks(self, words: list[bytes], state: int | None = STREAM_START) -> bytes:
@@ -703,7 +721,7 @@ class StateDependentCode(BlockCode):
     def encode_blocks(self, digits: bytes, state: int | None = STREAM_START) -> list[bytes]:
         if state not in self._roots:
             raise ValueError(_NO_STATE.format(state))
-        return self._unrank(map(int, self._blocks(digits), repeat(2)), state)
+        return self._unrank(digits_to_ints(self._blocks(digits), self.source_bits), state)
 
     def decode_blocks(self, words: list[bytes], state: int | None = STREAM_START) -> bytes:
         if state not in self._roots:

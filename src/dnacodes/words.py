@@ -10,13 +10,21 @@ case, and a binary plane as ASCII digits (b"0110"), the form `format(value,
 "0nb")` gives and `int(digits, 2)` reads.  Planes merge by integer
 addition (`add_planes`, for planes already checked to be digits) and
 split by the byte translation tables LOW_DIGIT_OF_BASE and
-HIGH_DIGIT_OF_BASE, so neither loops over symbols in Python.  `cut` splits joined strands or planes into equal pieces with
-one struct unpack, by the piece format of their width (`piece_format`).
+HIGH_DIGIT_OF_BASE, so neither loops over symbols in Python.  The
+codecs cut joined strands or planes into equal pieces with one struct
+unpack, by the piece format of their width (`piece_format`).
 
 A batch of blocks travels between the framing and the codecs as one
 numeral of ASCII digits, its blocks' k digits one after another, so
-neither side converts a block on its own; `ints_to_digits` writes the
-numeral of a list of block indices for the codes that compute them.
+neither side converts a block on its own.  `digits_to_ints` reads a
+batch's k-digit pieces as ints for the codes that compute with indices,
+and `ints_to_digits` writes the numeral of a list of block indices.  For
+two or more blocks of at most 64 bits both go through fixed-width struct
+words (B, H, I or Q): a batch of pieces is padded to words by one join
+and read by one `int(..., 2)` and one unpack, and a list of indices is
+packed into words by one pack and squeezed into k-bit fields by a few
+whole-batch integer operations.  A struct format of such a batch is one
+word code with a repeat count, never one code per block.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ from collections.abc import Sequence
 from functools import lru_cache
 from itertools import repeat
 from operator import lshift, or_
-from struct import unpack
+from struct import pack, unpack
 
 BASES = b"GCAT"
 
@@ -68,24 +76,65 @@ def piece_format(width: int) -> str:
     return f"{width}s"
 
 
-def cut(data: bytes, n: int) -> list[bytes]:
-    """data in n-byte pieces, by one struct unpack; len(data) must be a multiple of n."""
-    return list(unpack(piece_format(n) * (len(data) // n), data))
-
-
 def int_to_digits(value: int, width: int) -> bytes:
     """The width-digit binary numeral of value (0 <= value < 2**width) as ASCII digits."""
     return bin(value | 1 << width)[3:].encode("ascii")
 
 
-def ints_to_digits(values: list[int], width: int) -> bytes:
+# The struct code of the unsigned word of each size in bits.
+_WORD_CODE = {8: "B", 16: "H", 32: "I", 64: "Q"}
+
+
+def _word_bits(width: int) -> int:
+    """Bits of the smallest struct word that holds width bits (width <= 64)."""
+    return max(8, 1 << (width - 1).bit_length())
+
+
+def digits_to_ints(pieces: Sequence[bytes], width: int) -> Sequence[int]:
+    """The value of each width-digit binary piece, as int(piece, 2) reads it.
+
+    Two or more pieces of at most 64 digits are padded in front to the
+    digits of a struct word by one join, read as one integer and cut
+    into words by one unpack; others are read one at a time.
+    """
+    count = len(pieces)
+    if count == 1:
+        return [int(pieces[0], 2)]
+    if count == 0 or width > 64:
+        return [int(piece, 2) for piece in pieces]
+    bits = _word_bits(width)
+    pad = b"0" * (bits - width)
+    joined = int(pad + pad.join(pieces), 2)
+    return unpack(f">{count}{_WORD_CODE[bits]}", joined.to_bytes(count * bits // 8, "big"))
+
+
+def ints_to_digits(values: Sequence[int], width: int) -> bytes:
     """The numeral of values, each width digits (0 <= value < 2**width), one after another.
 
-    Neighbours are joined pairwise by shift and or, a level at a time,
-    so each level is two C-level maps and the last leaves one integer
-    for one format; a zero put in front of an odd level keeps the value.
+    Two or more values of at most 64 bits are packed into struct words
+    by one pack, read as one integer, and squeezed a level at a time:
+    each level moves the upper field of every pair of neighbouring slots
+    down onto the lower one by one mask, one xor, one shift and one or
+    over the whole batch, so the slots double and the gaps close.
+    Others are joined pairwise by shift and or, a level at a time, so
+    each level is two C-level maps and the last leaves one integer for
+    one format; a zero put in front of an odd level keeps the value.
     """
-    size = width * len(values)
+    count = len(values)
+    if count == 1:
+        return int_to_digits(values[0], width)
+    size = width * count
+    if count and width <= 64:
+        slot = _word_bits(width)
+        joined = int.from_bytes(pack(f">{count}{_WORD_CODE[slot]}", *values), "big")
+        while count > 1 and slot > width:  # fields that fill their words have no gaps
+            count = (count + 1) // 2
+            half = slot // 8
+            low = joined & int.from_bytes((bytes(half) + b"\xff" * half) * count, "big")
+            joined = low | (joined ^ low) >> (slot - width)
+            slot *= 2
+            width *= 2
+        return int_to_digits(joined, size)
     while len(values) > 1:
         if len(values) % 2:
             values = [0, *values]

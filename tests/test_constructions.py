@@ -483,6 +483,30 @@ class TestBlockProtocol:
                 codec.encode_blocks(bad, None)
             assert str(refused.value) == f"not a block of {k} binary digits"
 
+    @pytest.mark.parametrize("name", sorted(CODECS))
+    def test_a_numeral_that_is_not_bytes_is_refused(self, name):
+        codec = _protocol_codec(name, 1)
+        k = codec.source_bits
+        digits = numeral(codec, range(3))
+        for bad in (digits.decode(), list(digits), 5, None):
+            with pytest.raises(ValueError) as refused:
+                codec.encode_blocks(bad, None)
+            assert type(refused.value) is ValueError
+            assert str(refused.value) == f"not a block of {k} binary digits"
+        assert codec.encode_blocks(bytearray(digits), None) == codec.encode_blocks(digits, None)
+
+    @pytest.mark.parametrize("name,i", [(name, i) for name in sorted(CODECS) for i in range(3)])
+    def test_an_empty_and_a_one_block_batch_encode(self, name, i):
+        """The sizes where the batch conversion of indices takes another path than a full batch."""
+        codec = _protocol_codec(name, i)
+        last = 2**codec.source_bits - 1
+        for state in (None, *b"GCAT"):
+            assert codec.encode_blocks(b"", state) == []
+            for value in (0, 1, last // 3, last):
+                strands = codec.encode_blocks(numeral(codec, [value]), state)
+                assert strands == [codec.encode_block(value, state)]
+                assert codec.decode_blocks(strands, state) == numeral(codec, [value])
+
 
 class TestPayloadFraming:
     @settings(max_examples=60, deadline=None)

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from dnacodes import words
@@ -58,12 +58,6 @@ def test_conversions_reject_bad_values():
         words.add_planes(b"01", b"011")
 
 
-@given(st.binary(max_size=60), st.integers(1, 9))
-def test_cut_matches_slicing(data, n):
-    data = data[: len(data) - len(data) % n]
-    assert words.cut(data, n) == [data[i : i + n] for i in range(0, len(data), n)]
-
-
 @given(st.integers(0, 2**70), st.integers(0, 8))
 def test_int_digits_round_trip(value, extra):
     width = value.bit_length() + extra
@@ -72,17 +66,40 @@ def test_int_digits_round_trip(value, extra):
     assert int(digits or b"0", 2) == value
 
 
-@given(st.integers(1, 256), st.integers(0, 1000), st.sampled_from(["random", "zeros", "ones"]),
-       st.randoms(use_true_random=False))
-@example(1, 0, "random", random.Random(0))
-@example(256, 1, "ones", random.Random(0))
-def test_pairwise_join_matches_formatting_each_value(width, count, fill, rng):
+# Widths at and past each struct word's size, where the batch conversions change word or path.
+EDGE_WIDTHS = [1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 128, 255, 256]
+
+
+def filled(width, count, fill, rng):
     if fill == "random":
-        values = [rng.getrandbits(width) for _ in range(count)]
-    else:
-        values = [0 if fill == "zeros" else 2**width - 1] * count
-    expected = "".join(format(value, f"0{width}b") for value in values).encode("ascii")
-    assert words.ints_to_digits(values, width) == expected
+        return [rng.getrandbits(width) for _ in range(count)]
+    return [0 if fill == "zeros" else 2**width - 1] * count
+
+
+def check_batch_conversions(width, values):
+    pieces = [format(value, f"0{width}b").encode("ascii") for value in values]
+    assert words.ints_to_digits(values, width) == b"".join(pieces)
+    assert list(words.digits_to_ints(pieces, width)) == [int(piece, 2) for piece in pieces]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.sampled_from(EDGE_WIDTHS), st.integers(1, 256)),
+       st.one_of(st.sampled_from([0, 1, 2, 3]), st.integers(0, 2000)),
+       st.sampled_from(["random", "zeros", "ones"]), st.randoms(use_true_random=False))
+@example(1, 0, "random", random.Random(0))
+@example(64, 2, "ones", random.Random(0))
+@example(65, 2000, "random", random.Random(0))
+@example(256, 1, "ones", random.Random(0))
+def test_batch_conversions_match_each_value(width, count, fill, rng):
+    check_batch_conversions(width, filled(width, count, fill, rng))
+
+
+def test_batch_conversions_at_every_edge_width_and_batch_size():
+    rng = random.Random(2030)
+    for width in EDGE_WIDTHS:
+        for count in (0, 1, 2, 3, 1999, 2000):
+            for fill in ("random", "zeros", "ones"):
+                check_batch_conversions(width, filled(width, count, fill, rng))
 
 
 @pytest.mark.parametrize(
