@@ -79,7 +79,11 @@ class _FlipBalancer(BlockCode):
 
     def decode_blocks(self, words: list[bytes], state: int | None = None) -> bytes:
         """The numeral of the source_bits-digit words of these words within weight_bound."""
-        if b"".join(words).translate(None, b"01"):
+        try:
+            stray = b"".join(words).translate(None, b"01")
+        except TypeError:  # an item that is not bytes: a str, None, an int
+            stray = True
+        if stray:
             raise ValueError("not a word of binary digits")
         n, size, cut, bound = self.source_bits, self.oligo_len, 2 * self.p0, 2 * self.weight_bound
         index_of_prefix, lengths = self._prefixes[1], self._flip_lengths

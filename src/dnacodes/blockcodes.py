@@ -67,7 +67,7 @@ from itertools import product
 from struct import unpack
 
 from . import counting
-from .words import BASES, digits_to_ints, int_to_digits, ints_to_digits, max_run, piece_format
+from .words import BASES, digits_to_ints, int_to_digits, ints_to_digits, max_run
 
 __all__ = [
     "BlockCode",
@@ -109,7 +109,7 @@ class BlockCode:
 
     @cached_property
     def _layout(self) -> str:
-        return piece_format(self.source_bits)
+        return f"{self.source_bits}s"
 
     def _blocks(self, digits: bytes) -> tuple[bytes, ...]:
         """The pieces of a batch numeral's blocks; ValueError unless bytes, k binary digits each."""
@@ -417,15 +417,14 @@ class _Enumerator:
             index = value - starts[k]
             node = nodes[k]
             word = prefixes[k]
-            if middle:
-                walked = bytearray()
-                for _ in middle:
-                    below, symbols, children = steps[node]
-                    k = bisect_right(below, index) - 1
-                    index -= below[k]
-                    walked.append(symbols[k])
-                    node = children[k]
-                word += walked
+            walked = bytearray()
+            for _ in middle:
+                below, symbols, children = steps[node]
+                k = bisect_right(below, index) - 1
+                index -= below[k]
+                walked.append(symbols[k])
+                node = children[k]
+            word += walked
             word += ends[node][index]
             append(word)
             state = word[-1]
@@ -501,8 +500,7 @@ class _Enumerator:
         that is not bytes) ends the list: it is the word at the list's
         length.
         """
-        steps, end_index = self._steps, self._end_index
-        n, j, cut = self.n, self._j, self._cut
+        steps, end_index, j, cut = self._steps, self._end_index, self._j, self._cut
         middle = cut > j
         indices: list[int] = []
         append = indices.append
@@ -510,14 +508,12 @@ class _Enumerator:
             for word in words:
                 index, node = heads[state][word[:j]]
                 if middle:
-                    if len(word) != n:
-                        break
                     for s in word[j:cut]:
                         below, symbols, children = steps[node]
                         k = symbols.index(s)
                         index += below[k]
                         node = children[k]
-                # Every end is h bytes long, so a word of another length has no place.
+                # Only nodes at the cut have ends, each h bytes, so no other length has a place.
                 append(index + end_index[node][word[cut:]])
                 state = word[-1]
         except (KeyError, TypeError, ValueError):  # TypeError: an unhashable item, a bytearray

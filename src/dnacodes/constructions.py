@@ -24,12 +24,13 @@ The binary codes speak the same protocol over the digits b"01": the
 balancers of `balancing` and the two-mode code of `blockcodes`.  A
 `PlaneCodec` puts one of them on one binary plane of the strand and n
 raw payload digits on the other, and cuts, merges and splits the planes
-of a whole batch at once, never a block's digits on their own.  Both
-constructions of the paper are
-plane codecs: construction1 puts a balancer on the high plane, whose
-weight is the strand's AT-content, and construction2 puts the two-mode
-run-length code on the low plane, where every run of the strand is
-also a run.
+of a whole batch at once, never a block's digits on their own.  The
+code's state is the strand state's digit on its plane, read from a dict
+of the four bases, and None for any other state.  Both constructions of
+the paper are plane codecs: construction1 puts a balancer on the high
+plane, whose weight is the strand's AT-content, and construction2 puts
+the two-mode run-length code on the low plane, where every run of the
+strand is also a run.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .blockcodes import (
     TwoModeRllCode,
     check_block_size,
 )
-from .words import HIGH_DIGIT_OF_BASE, LOW_DIGIT_OF_BASE, add_planes, piece_format
+from .words import BASES, HIGH_DIGIT_OF_BASE, LOW_DIGIT_OF_BASE, add_planes
 
 __all__ = ["CODECS", "PlaneCodec", "make_codec"]
 
@@ -82,29 +83,32 @@ class PlaneCodec(BlockCode):
         self.max_run = code.max_run
         self._high = plane == "high"
         self.weight_bound = code.weight_bound if self._high else None
-        self._digit_of_base = HIGH_DIGIT_OF_BASE if self._high else LOW_DIGIT_OF_BASE
+        digit = HIGH_DIGIT_OF_BASE if self._high else LOW_DIGIT_OF_BASE
+        self._state_digit = {base: digit[base] for base in BASES}
         self._code = code
-        self._index_piece, self._raw_piece = piece_format(code.source_bits), piece_format(n)
+        self._index_piece, self._raw_piece = f"{code.source_bits}s", f"{n}s"
         self._layout = self._index_piece + self._raw_piece  # index, then raw digits
         self._length = {n}
 
     def encode_blocks(self, digits: bytes, state: int | None = STREAM_START) -> list[bytes]:
         pieces = self._blocks(digits)
-        code_state = state if state is STREAM_START else self._digit_of_base[state]
+        code_state = self._state_digit.get(state)
         coded = b"".join(self._code.encode_blocks(b"".join(pieces[::2]), code_state))
         raw = b"".join(pieces[1::2])
         strands = add_planes(raw, coded) if self._high else add_planes(coded, raw)
         return list(unpack(self._raw_piece * (len(pieces) // 2), strands))  # n bases a strand
 
     def decode_blocks(self, strands: list[bytes], state: int | None = STREAM_START) -> bytes:
-        n = self.oligo_len
-        joined = b"".join(strands)
+        try:
+            joined = b"".join(strands)
+        except TypeError:  # an item that is not bytes: refused below, as a byte that is no base
+            joined = b"x"
         low = joined.translate(LOW_DIGIT_OF_BASE)  # b"x" for a byte that is no base
         if b"x" in low or not self._length.issuperset(map(len, strands)):
-            raise ValueError(f"not a strand of {n} bases G, C, A, T")
+            raise ValueError(f"not a strand of {self.oligo_len} bases G, C, A, T")
         high = joined.translate(HIGH_DIGIT_OF_BASE)
         coded, raw = (high, low) if self._high else (low, high)
-        code_state = state if state is STREAM_START else self._digit_of_base[state]
+        code_state = self._state_digit.get(state)
         count = len(strands)
         numeral = self._code.decode_blocks(list(unpack(self._raw_piece * count, coded)), code_state)
         pieces = unpack(self._index_piece * count + self._raw_piece * count, numeral + raw)

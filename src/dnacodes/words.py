@@ -10,9 +10,7 @@ case, and a binary plane as ASCII digits (b"0110"), the form `format(value,
 "0nb")` gives and `int(digits, 2)` reads.  Planes merge by integer
 addition (`add_planes`, for planes already checked to be digits) and
 split by the byte translation tables LOW_DIGIT_OF_BASE and
-HIGH_DIGIT_OF_BASE, so neither loops over symbols in Python.  The
-codecs cut joined strands or planes into equal pieces with one struct
-unpack, by the piece format of their width (`piece_format`).
+HIGH_DIGIT_OF_BASE, so neither loops over symbols in Python.
 
 A batch of blocks travels between the framing and the codecs as one
 numeral of ASCII digits, its blocks' k digits one after another, so
@@ -24,15 +22,14 @@ words (B, H, I or Q): a batch of pieces is padded to words by one join
 and read by one `int(..., 2)` and one unpack, and a list of indices is
 packed into words by one pack and squeezed into k-bit fields by a few
 whole-batch integer operations.  A struct format of such a batch is one
-word code with a repeat count, never one code per block.
+word code with a repeat count, never one code per block.  Wider blocks
+are read and written one at a time.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from functools import lru_cache
 from itertools import repeat
-from operator import lshift, or_
 from struct import pack, unpack
 
 BASES = b"GCAT"
@@ -64,16 +61,6 @@ def _digit_table(digit_of_symbol: str) -> bytes:
 LOW_DIGIT_OF_BASE = _digit_table("0101")
 HIGH_DIGIT_OF_BASE = _digit_table("0011")
 _BASE_OF_PLANES = bytes(0x90) + BASES + bytes(256 - 0x94)
-
-
-@lru_cache(maxsize=None)  # widths are block and strand lengths: a few hundred at most
-def piece_format(width: int) -> str:
-    """The struct format of one width-byte piece, built once per width.
-
-    `struct.unpack` keeps its compiled formats by format string, so one
-    block's format, `piece_format(width) * 1`, is found there at once.
-    """
-    return f"{width}s"
 
 
 def int_to_digits(value: int, width: int) -> bytes:
@@ -116,31 +103,24 @@ def ints_to_digits(values: Sequence[int], width: int) -> bytes:
     each level moves the upper field of every pair of neighbouring slots
     down onto the lower one by one mask, one xor, one shift and one or
     over the whole batch, so the slots double and the gaps close.
-    Others are joined pairwise by shift and or, a level at a time, so
-    each level is two C-level maps and the last leaves one integer for
-    one format; a zero put in front of an odd level keeps the value.
+    Wider values are written one at a time and joined once.
     """
     count = len(values)
     if count == 1:
         return int_to_digits(values[0], width)
+    if width > 64:
+        return b"".join(map(int_to_digits, values, repeat(width)))
     size = width * count
-    if count and width <= 64:
-        slot = _word_bits(width)
-        joined = int.from_bytes(pack(f">{count}{_WORD_CODE[slot]}", *values), "big")
-        while count > 1 and slot > width:  # fields that fill their words have no gaps
-            count = (count + 1) // 2
-            half = slot // 8
-            low = joined & int.from_bytes((bytes(half) + b"\xff" * half) * count, "big")
-            joined = low | (joined ^ low) >> (slot - width)
-            slot *= 2
-            width *= 2
-        return int_to_digits(joined, size)
-    while len(values) > 1:
-        if len(values) % 2:
-            values = [0, *values]
-        values = list(map(or_, map(lshift, values[::2], repeat(width)), values[1::2]))
+    slot = _word_bits(width)
+    joined = int.from_bytes(pack(f">{count}{_WORD_CODE[slot]}", *values), "big")
+    while count > 1 and slot > width:  # fields that fill their words have no gaps
+        count = (count + 1) // 2
+        half = slot // 8
+        low = joined & int.from_bytes((bytes(half) + b"\xff" * half) * count, "big")
+        joined = low | (joined ^ low) >> (slot - width)
+        slot *= 2
         width *= 2
-    return int_to_digits(values[0] if values else 0, size)
+    return int_to_digits(joined, size)
 
 
 def add_planes(low: bytes, high: bytes) -> bytes:

@@ -215,6 +215,22 @@ class TestBalancerObjects:
         n = balancer.oligo_len
         assert (str(refused), refused.position) == (f"block 2: expected {n} bits, got {n - 1}", 1)
 
+    @pytest.mark.parametrize(
+        "balancer",
+        [balancing.KnuthBalancer(8), balancing.WeakKnuthBalancer(10, 2)],
+    )
+    @pytest.mark.parametrize("item", [str, None, int])
+    def test_an_item_that_is_not_bytes_is_refused_with_its_block(self, balancer, item):
+        words = balancer.encode_blocks(b"01" * 4 * balancer.source_bits)
+        bad = {str: words[5].decode(), None: None, int: 5}[item]
+        batch = words[:5] + [bad] + words[6:]
+        with pytest.raises(ValueError) as refused:
+            balancer.decode_blocks(batch)
+        assert type(refused.value) is ValueError
+        assert str(refused.value) == "not a word of binary digits"
+        refused = stream_refusal(balancer, batch)
+        assert (str(refused), refused.position) == ("block 6: not a word of binary digits", 5)
+
 
 def test_digit_words_match_the_bit_by_bit_flip():
     # The integer flips against a flip done one digit at a time.

@@ -692,6 +692,34 @@ class TestRefusalReasons:
             b"".join(payload.decode_stream(codec, [good[:3], batch]))
         assert (str(streamed.value), streamed.value.position) == (f"block 9: {text}", 8)
 
+    @pytest.mark.parametrize(
+        "code",
+        [blockcodes.StateDependentCode(3, 9), blockcodes.StateIndependentCode(3, 10),
+         blockcodes.TwoModeRllCode(3, 17)],
+        ids=["sd-m3n9", "si-m3n10", "two-mode-m3n17"],
+    )
+    def test_a_kept_word_of_another_length_is_refused_with_its_block(self, code):
+        """Every proper prefix of a kept word, and the word with 1 to h + 1 symbols more."""
+        words = code._words
+        assert words._cut > words._j  # the words have a middle walk
+        h = code.n - words._cut
+        good = code.encode_blocks(numeral(code, range(8)), None)
+        word = good[5]
+        # Symbols that alternate, from one that differs from the word's last: no run grows.
+        a, b = code.alphabet[:2] if word[-1] != code.alphabet[0] else code.alphabet[1::-1]
+        extra = bytes([a, b] * (h + 1))
+        text = f"not a codeword of this {getattr(code, 'kind', 'state-dependent')} code"
+        if isinstance(code, blockcodes.StateDependentCode):
+            text += " for this state"
+        others = [word[:i] for i in range(len(word))] + [word + extra[:i] for i in range(1, h + 2)]
+        for other in others:
+            batch = good[:5] + [other] + good[6:]
+            with pytest.raises(ValueError, match=f"^{text}$"):
+                code.decode_blocks(batch, None)
+            with pytest.raises(payload.BlockError) as streamed:
+                b"".join(payload.decode_stream(code, [batch]))
+            assert (str(streamed.value), streamed.value.position) == (f"block 6: {text}", 5)
+
 
 def _short_codes(q, n):
     """The codes over q symbols at length n for m in {1, 2, 3, n}, as many as can be built."""

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import random
 import time
 from fractions import Fraction
@@ -9,7 +10,7 @@ import hypothesis.strategies as st
 
 from dnacodes import payload
 from dnacodes.balancing import KnuthBalancer, WeakKnuthBalancer
-from dnacodes.blockcodes import TwoModeRllCode
+from dnacodes.blockcodes import _NO_STATE, TwoModeRllCode
 from dnacodes.cli import _line_fault
 from dnacodes.constructions import CODECS, PlaneCodec, make_codec
 from dnacodes.words import add_planes, max_run
@@ -355,6 +356,25 @@ CONTRACT_CASES = [
 ]
 
 
+# The sha256 of each codec's strands at its three PROTOCOL_CASES, 64 blocks
+# drawn by random.Random(2031) from stream start and after each base, a
+# strand a line: the strands a base state gives, pinned.
+BASE_STATE_STRANDS = {
+    "construction1": "9a9e62087ce309ce3461f8cac46fbbaae9a2f0d7bdf82cb413dd3341512c4f52",
+    "construction2": "e93cb66fafb62d0d05dcdbdbcd393a9e00b90cad2290454f49e9b1efab709666",
+    "state-dependent": "4118ef830efadfc2e4b42eaddd4ca72dcb74ebcc3226a6401c95771929ba255f",
+    "state-independent": "1bb613727931e69b8759a0a17dcf15e2ac9d32517aa284192e2b9a0599f9062c",
+}
+
+# The expected refusal of an item that is not bytes, by codec; n is the strand length.
+NOT_BYTES_REFUSAL = {
+    "construction1": "not a strand of {n} bases G, C, A, T",
+    "construction2": "not a strand of {n} bases G, C, A, T",
+    "state-dependent": "not a codeword of this state-dependent code",
+    "state-independent": "not a codeword of this state-independent code",
+}
+
+
 @functools.lru_cache(maxsize=None)
 def _protocol_codec(name, i):
     return make_codec(name, **PROTOCOL_CASES[name][i])
@@ -456,6 +476,44 @@ class TestBlockProtocol:
             assert str(reason.value) == alone(codec, bad, strands[4][-1])
             refused = stream_refusal(codec, damaged)
             assert (str(refused), refused.position) == (f"block 6: {reason.value}", 5)
+
+    @pytest.mark.parametrize("name", sorted(CODECS))
+    @pytest.mark.parametrize("item", [str, None, int])
+    def test_an_item_that_is_not_bytes_is_refused_with_its_block(self, name, item):
+        codec = _protocol_codec(name, 1)
+        good = codec.encode_blocks(numeral(codec, range(8)), None)
+        bad = {str: good[5].decode(), None: None, int: 5}[item]
+        batch = good[:5] + [bad] + good[6:]
+        text = NOT_BYTES_REFUSAL[name].format(n=codec.oligo_len)
+        with pytest.raises(ValueError) as refused:
+            codec.decode_blocks(batch, None)
+        assert type(refused.value) is ValueError and str(refused.value) == text
+        refused = stream_refusal(codec, batch)
+        assert (str(refused), refused.position) == (f"block 6: {text}", 5)
+
+    @pytest.mark.parametrize("name", sorted(CODECS))
+    def test_a_state_is_none_or_a_base(self, name):
+        """A base state gives the recorded strands; any other is refused, or coded as None."""
+        digest = hashlib.sha256()
+        for i in range(3):
+            codec = _protocol_codec(name, i)
+            rng = random.Random(2031)
+            digits = numeral(codec, [rng.getrandbits(codec.source_bits) for _ in range(64)])
+            for state in (None, *b"GCAT"):
+                strands = codec.encode_blocks(digits, state)
+                assert codec.decode_blocks(strands, state) == digits
+                digest.update(b"\n".join(strands) + b"\n")
+            start = codec.encode_blocks(digits, None)
+            for state in (ord("g"), 0, 255, 256, 300, -1):
+                if name != "state-dependent":
+                    assert codec.encode_blocks(digits, state) == start
+                    assert codec.decode_blocks(start, state) == digits
+                    continue
+                for call, batch in ((codec.encode_blocks, digits), (codec.decode_blocks, start)):
+                    with pytest.raises(ValueError) as refused:
+                        call(batch, state)
+                    assert str(refused.value) == _NO_STATE.format(state)
+        assert digest.hexdigest() == BASE_STATE_STRANDS[name]
 
     @pytest.mark.parametrize("name", sorted(CODECS))
     def test_out_of_range_index_refused(self, name):
