@@ -222,8 +222,8 @@ class GaussianApprox(namedtuple("GaussianApprox", "mean variance log2_total")):
     """Gaussian model of a weight distribution: count ~ total * density(w).
 
     Fields mean, variance and log2_total.  The total is kept as its
-    log2, so models of any length stay finite, and so are the log2
-    density and estimate; a caller that wants the count writes 2 ** x.
+    log2, so models of any length stay finite, and so is the log2 count
+    estimate at weight w, log2_total + log2_density(w); 2 ** x is the count.
     """
 
     __slots__ = ()
@@ -233,9 +233,6 @@ class GaussianApprox(namedtuple("GaussianApprox", "mean variance log2_total")):
             raise ValueError("variance must be positive")
         z2 = (u - self.mean) ** 2 / self.variance
         return -(0.5 * z2 + 0.5 * math.log(2 * math.pi * self.variance)) / math.log(2)
-
-    def log2_estimate(self, w: float) -> float:
-        return self.log2_total + self.log2_density(w)
 
 
 def gaussian_weight_model(kind: str, m: int | None, n: int) -> GaussianApprox:

@@ -45,9 +45,9 @@ class _FlipBalancer(BlockCode):
 
     Subclasses set source_bits (n), p0, oligo_len = n + 2*p0 and
     weight_bound, list the flip lengths in _flip_lengths and pick the
-    flip of a word, read as an int, in _flip_index.  The tables are
-    built on first use, so building a balancer allocates nothing that
-    grows with n.
+    flip of a word, read as an int, in _flip_index.  The exact
+    balancer's flip lengths are a range; every other table is built on
+    first use, so building a balancer allocates nothing that grows with n.
     """
 
     max_run = None
@@ -88,20 +88,23 @@ class _FlipBalancer(BlockCode):
         n, size, cut, bound = self.source_bits, self.oligo_len, 2 * self.p0, 2 * self.weight_bound
         index_of_prefix, lengths = self._prefixes[1], self._flip_lengths
         bodies: list[bytes] = []
-        for digits in words:
-            if len(digits) != size:
-                raise ValueError(f"expected {size} bits, got {len(digits)}")
-            prefix = digits[:cut]
-            i = index_of_prefix.get(prefix)
-            if i is None:
-                if prefix.count(b"1") != self.p0:
-                    raise ValueError("prefix is not a balanced word")
-                raise ValueError("prefix decodes to an out-of-range flip index")
-            body = digits[cut:]  # the prefix is balanced, so the body's weight is the word's
-            if abs(2 * body.count(b"1") - n) > bound:
-                raise ValueError("word weight outside the balancer's bound")
-            k0 = lengths[i]
-            bodies.append(body[:k0].translate(_FLIP) + body[k0:])
+        try:
+            for digits in words:
+                if len(digits) != size:
+                    raise ValueError(f"expected {size} bits, got {len(digits)}")
+                prefix = digits[:cut]
+                i = index_of_prefix.get(prefix)
+                if i is None:
+                    if prefix.count(b"1") != self.p0:
+                        raise ValueError("prefix is not a balanced word")
+                    raise ValueError("prefix decodes to an out-of-range flip index")
+                body = digits[cut:]  # the prefix is balanced, so the body's weight is the word's
+                if abs(2 * body.count(b"1") - n) > bound:
+                    raise ValueError("word weight outside the balancer's bound")
+                k0 = lengths[i]
+                bodies.append(body[:k0].translate(_FLIP) + body[k0:])
+        except (AttributeError, TypeError):  # a bytearray or memoryview that joined as digits
+            raise ValueError("not a word of binary digits") from None
         return b"".join(bodies)
 
 
@@ -121,10 +124,7 @@ class KnuthBalancer(_FlipBalancer):
         self.source_bits = n
         self.p0 = max(1, (n - 1).bit_length())
         self.oligo_len = n + 2 * self.p0
-
-    @cached_property
-    def _flip_lengths(self) -> range:
-        return range(1, self.source_bits + 1)
+        self._flip_lengths = range(1, n + 1)
 
     def _flip_index(self, value: int) -> int:
         """k0 - 1 for the smallest k0 whose first-k0-bit flip balances value."""

@@ -107,6 +107,8 @@ class BlockCode:
     its source_bits digits whole, unless a code sets its own _layout.
     """
 
+    raw_bits = 0  # trailing source bits left uncoded; a plane codec sets its own
+
     @cached_property
     def _layout(self) -> str:
         return f"{self.source_bits}s"
@@ -652,7 +654,6 @@ class StateIndependentCode(_TwoModeCode):
     """
 
     alphabet, kind = BASES, "state-independent"
-    raw_bits = 0
 
 
 def _pruning_boundary(m: int, n: int, keep: int) -> tuple[int, int]:
@@ -691,7 +692,6 @@ class StateDependentCode(BlockCode):
     """
 
     alphabet = BASES
-    raw_bits = 0
 
     def __init__(self, m: int, n: int):
         self.source_bits = state_dependent_bits(m, n)

@@ -53,9 +53,14 @@ TABLE_IDS = (
     "gamma",
 )
 
-# The unconstrained (m -> infinity) block-length distribution is geometric
-# with ratio 1/2 in either plane, whose variance factor is exactly 1.
-_GAMMA_LIMIT_ROW = ("inf", 1.0, 1.0)
+# The binary/quaternary tables: each one's m rows, the least m of its binary
+# column (blank below it), and its value at q and m by the asymptotics functions.
+_TWIN_TABLES = {
+    "capacity": (range(1, 7), 1, lambda lib, q, m: lib.capacity(q, m).capacity_bits),
+    "coefficient": (range(1, 7), 2, lambda lib, q, m: lib.leading_coefficient(q, m)),
+    "gamma": ((1, 2, 3, 4, 5, 10), 2,
+              lambda lib, q, m: lib.gamma(counting.KIND_OF_ALPHABET[q], m)),
+}
 # The rate-efficiency tables: each one's m columns, and its code's source bits a block of n
 # bases by the blockcodes rules (two-mode is construction2: n raw bits beside the binary code).
 _EFFICIENCY_TABLES = {
@@ -90,47 +95,34 @@ def _emit(lines: list[str], out: str | None) -> None:
 
 
 def _table_rows(table_id: str, precision: int) -> list[str]:
+    """The CSV lines of a table: its header, then each key with its cells, a None cell blank."""
     from . import asymptotics  # only the paper's tables load the root solver
 
-    p = precision
-    if table_id == "capacity":
-        lines = ["m,capacity_binary,capacity_quaternary"]
-        for m in range(1, 7):
-            c2 = asymptotics.capacity(2, m).capacity_bits
-            c4 = asymptotics.capacity(4, m).capacity_bits
-            lines.append(f"{m},{_fmt(c2, p)},{_fmt(c4, p)}")
-        return lines
-    if table_id == "coefficient":
-        lines = ["m,coefficient_binary,coefficient_quaternary"]
-        for m in range(1, 7):
-            a2 = "" if m == 1 else _fmt(asymptotics.leading_coefficient(2, m), p)
-            a4 = _fmt(asymptotics.leading_coefficient(4, m), p)
-            lines.append(f"{m},{a2},{a4}")
-        return lines
-    if table_id == "eta":
-        lines = ["m,eta"]
-        for m in range(2, 8):
-            lines.append(f"{m},{_fmt(asymptotics.efficiency_eta(m), 3)}")
-        return lines
-    if table_id in _EFFICIENCY_TABLES:
+    if table_id in _TWIN_TABLES:
+        ms, least_binary, value = _TWIN_TABLES[table_id]
+        header = f"m,{table_id}_binary,{table_id}_quaternary"
+        rows = [(m, [value(asymptotics, 2, m) if m >= least_binary else None,
+                     value(asymptotics, 4, m)]) for m in ms]
+        if table_id == "gamma":
+            # The unconstrained (m -> infinity) block-length distribution is geometric
+            # with ratio 1/2 in either plane, whose variance factor is exactly 1.
+            rows.append(("inf", [1.0, 1.0]))
+    elif table_id == "eta":
+        header, precision = "m,eta", 3
+        rows = [(m, [asymptotics.efficiency_eta(m)]) for m in range(2, 8)]
+    elif table_id in _EFFICIENCY_TABLES:
         from . import blockcodes  # the source-bit rules, without the codec modules
 
         ms, block_bits = _EFFICIENCY_TABLES[table_id]
-        lines = ["n," + ",".join(f"m={m}" for m in ms)]
-        for n in range(5, 11):
-            effs = [block_bits(blockcodes, m, n) / n / asymptotics.capacity(4, m).capacity_bits
-                    for m in ms]
-            lines.append(f"{n}," + ",".join(_fmt(e, 3) for e in effs))
-        return lines
-    if table_id == "gamma":
-        lines = ["m,gamma_binary,gamma_quaternary"]
-        for m in (1, 2, 3, 4, 5, 10):
-            g2 = "" if m == 1 else _fmt(asymptotics.gamma("binary", m), p)
-            lines.append(f"{m},{g2},{_fmt(asymptotics.gamma('quaternary', m), p)}")
-        label, g2, g4 = _GAMMA_LIMIT_ROW
-        lines.append(f"{label},{_fmt(g2, p)},{_fmt(g4, p)}")
-        return lines
-    raise ValueError(f"unknown table id {table_id!r}")
+        header, precision = "n," + ",".join(f"m={m}" for m in ms), 3
+        rows = [(n, [block_bits(blockcodes, m, n) / n / asymptotics.capacity(4, m).capacity_bits
+                     for m in ms]) for n in range(5, 11)]
+    else:
+        raise ValueError(f"unknown table id {table_id!r}")
+    lines = [header]
+    for key, row in rows:
+        lines.append(",".join([str(key)] + ["" if c is None else _fmt(c, precision) for c in row]))
+    return lines
 
 
 def cmd_tables(args) -> int:
@@ -186,24 +178,24 @@ def cmd_capacity(args) -> int:
     return 0
 
 
-_REDUNDANCY_NEEDS = {"balance": ("a",), "runlength": ("m",), "combined": ("m", "a")}
-# The optional flags of redundancy (None unless given), and those each
-# family reads; a family refuses the others.
+# The optional flags of redundancy (None unless given), and the ones each
+# family needs and the ones it reads; a family refuses the others.
 _REDUNDANCY_FLAGS = ("q", "m", "a", "boundary", "asymptotic", "exact")
-_REDUNDANCY_READS = {
-    "balance": ("a", "boundary"),
-    "runlength": ("q", "m", "asymptotic", "exact"),
-    "combined": _REDUNDANCY_FLAGS,
+_REDUNDANCY_ARGS = {
+    "balance": (("a",), ("a", "boundary")),
+    "runlength": (("m",), ("q", "m", "asymptotic", "exact")),
+    "combined": (("m", "a"), _REDUNDANCY_FLAGS),
 }
 
 
 def cmd_redundancy(args) -> int:
     family = args.family
-    missing = [f"--{name}" for name in _REDUNDANCY_NEEDS[family] if getattr(args, name) is None]
+    needs, reads = _REDUNDANCY_ARGS[family]
+    missing = [f"--{name}" for name in needs if getattr(args, name) is None]
     if missing:
         raise ValueError(f"redundancy --family {family} needs {' and '.join(missing)}")
     unused = [f"--{name}" for name in _REDUNDANCY_FLAGS
-              if name not in _REDUNDANCY_READS[family] and getattr(args, name) is not None]
+              if name not in reads and getattr(args, name) is not None]
     if unused:
         raise ValueError(f"redundancy --family {family} takes no {', '.join(unused)}")
     if family == "combined" and args.boundary is not None and not args.exact:

@@ -29,7 +29,7 @@ are read and written one at a time.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from itertools import repeat
+from itertools import groupby, repeat
 from struct import pack, unpack
 
 BASES = b"GCAT"
@@ -37,15 +37,7 @@ BASES = b"GCAT"
 
 def max_run(seq: Sequence[int]) -> int:
     """Length of the longest block of identical consecutive symbols."""
-    best = 0
-    cur = 0
-    prev = object()
-    for s in seq:
-        cur = cur + 1 if s == prev else 1
-        prev = s
-        if cur > best:
-            best = cur
-    return best
+    return max((sum(1 for _ in run) for _, run in groupby(seq)), default=0)
 
 
 def _digit_table(digit_of_symbol: str) -> bytes:

@@ -211,12 +211,14 @@ def test_gaussian_weight_approximations():
     n, w = 200, 100
     worst = 0.0
     for m in (2, 3, 4):
-        est = 2 ** asymptotics.gaussian_weight_model("binary", m, n).log2_estimate(w)
+        model = asymptotics.gaussian_weight_model("binary", m, n)
+        est = 2 ** (model.log2_total + model.log2_density(w))
         exact = counting.weight_profile("binary", m, n).counts[w]
         rel = abs(est / exact - 1)
         worst = max(worst, rel)
         assert rel < 0.05, ("binary", m, rel)
-        est = 2 ** asymptotics.gaussian_weight_model("quaternary", m, n).log2_estimate(w)
+        model = asymptotics.gaussian_weight_model("quaternary", m, n)
+        est = 2 ** (model.log2_total + model.log2_density(w))
         exact = counting.weight_profile("quaternary", m, n).counts[w]
         rel = abs(est / exact - 1)
         worst = max(worst, rel)

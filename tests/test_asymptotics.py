@@ -207,7 +207,8 @@ class TestGaussianModels:
             )
 
     def test_balance_model_midpoint(self):
-        est = 2 ** asymptotics.gaussian_weight_model("quaternary", None, 100).log2_estimate(50)
+        model = asymptotics.gaussian_weight_model("quaternary", None, 100)
+        est = 2 ** (model.log2_total + model.log2_density(50))
         exact = counting.weight_profile("quaternary", None, 100).counts[50]
         assert abs(est / exact - 1) < 0.02
 
@@ -217,12 +218,14 @@ class TestGaussianModels:
         assert total == pytest.approx(1.0, abs=1e-6)
 
     def test_binary_model_n200(self):
-        est = 2 ** asymptotics.gaussian_weight_model("binary", 3, 200).log2_estimate(100)
+        model = asymptotics.gaussian_weight_model("binary", 3, 200)
+        est = 2 ** (model.log2_total + model.log2_density(100))
         exact = counting.weight_profile("binary", 3, 200).counts[100]
         assert abs(est / exact - 1) < 0.05
 
     def test_quaternary_model_n200(self):
-        est = 2 ** asymptotics.gaussian_weight_model("quaternary", 2, 200).log2_estimate(100)
+        model = asymptotics.gaussian_weight_model("quaternary", 2, 200)
+        est = 2 ** (model.log2_total + model.log2_density(100))
         exact = counting.weight_profile("quaternary", 2, 200).counts[100]
         assert abs(est / exact - 1) < 0.05
 
@@ -233,8 +236,8 @@ class TestGaussianModels:
         plain = adjusted._replace(variance=200 / 4)
         assert adjusted.variance < plain.variance
         exact = counting.weight_profile("quaternary", 2, 200).counts[100]
-        assert abs(2 ** adjusted.log2_estimate(100) / exact - 1) < abs(
-            2 ** plain.log2_estimate(100) / exact - 1
+        assert abs(2 ** (adjusted.log2_total + adjusted.log2_density(100)) / exact - 1) < abs(
+            2 ** (plain.log2_total + plain.log2_density(100)) / exact - 1
         )
 
     def test_near_balanced_approximation(self):
@@ -324,7 +327,7 @@ class TestLargeLengths:
     def test_gaussian_models_stay_finite_in_log2(self, kind, m, n):
         model = asymptotics.gaussian_weight_model(kind, m, n)
         assert math.isfinite(model.log2_total)
-        assert math.isfinite(model.log2_estimate(n // 2))
+        assert math.isfinite(model.log2_total + model.log2_density(n // 2))
         assert math.isfinite(model.log2_density(n // 2))
 
     @pytest.mark.parametrize("q,m,n", [(4, 3, 600), (2, 2, 2000), (4, 3, 10**6)])
@@ -351,7 +354,8 @@ class TestLargeLengths:
         model = asymptotics.gaussian_weight_model(kind, m, n)
         for w in (n // 2, n // 3):
             old = _float_estimate(kind, m, w, n)
-            assert model.log2_estimate(w) == pytest.approx(math.log2(old), rel=1e-9)
+            estimate = model.log2_total + model.log2_density(w)
+            assert estimate == pytest.approx(math.log2(old), rel=1e-9)
 
 
 class TestCombinedRedundancy:

@@ -219,10 +219,12 @@ class TestBalancerObjects:
         "balancer",
         [balancing.KnuthBalancer(8), balancing.WeakKnuthBalancer(10, 2)],
     )
-    @pytest.mark.parametrize("item", [str, None, int])
+    # A bytearray's or memoryview's digits pass the batch's digit check, and fail a later step.
+    @pytest.mark.parametrize("item", [str, bytearray, memoryview, None, int])
     def test_an_item_that_is_not_bytes_is_refused_with_its_block(self, balancer, item):
         words = balancer.encode_blocks(b"01" * 4 * balancer.source_bits)
-        bad = {str: words[5].decode(), None: None, int: 5}[item]
+        bad = {str: words[5].decode(), bytearray: bytearray(words[5]),
+               memoryview: memoryview(words[5]), None: None, int: 5}[item]
         batch = words[:5] + [bad] + words[6:]
         with pytest.raises(ValueError) as refused:
             balancer.decode_blocks(batch)

@@ -49,6 +49,86 @@ EFFICIENCY_CSVS = {
 }
 
 
+# The binary/quaternary tables and eta, whole, at --precision 4 and 12; eta keeps
+# three decimals at any precision, like the efficiency tables.
+PINNED_CSVS = {
+    ("capacity", 4): (
+        "m,capacity_binary,capacity_quaternary\n"
+        "1,0.0000,1.5850\n"
+        "2,0.6942,1.9227\n"
+        "3,0.8791,1.9824\n"
+        "4,0.9468,1.9957\n"
+        "5,0.9752,1.9989\n"
+        "6,0.9881,1.9997\n"
+    ),
+    ("capacity", 12): (
+        "m,capacity_binary,capacity_quaternary\n"
+        "1,0.000000000000,1.584962500721\n"
+        "2,0.694241913631,1.922687994985\n"
+        "3,0.879146421607,1.982354052641\n"
+        "4,0.946777246799,1.995716505146\n"
+        "5,0.975225336064,1.998939056141\n"
+        "6,0.988108652236,1.999735519680\n"
+    ),
+    ("coefficient", 4): (
+        "m,coefficient_binary,coefficient_quaternary\n"
+        "1,,1.3333\n"
+        "2,1.4472,1.1031\n"
+        "3,1.2368,1.0341\n"
+        "4,1.1327,1.0110\n"
+        "5,1.0759,1.0034\n"
+        "6,1.0435,1.0010\n"
+    ),
+    ("coefficient", 12): (
+        "m,coefficient_binary,coefficient_quaternary\n"
+        "1,,1.333333333333\n"
+        "2,1.447213595500,1.103102447139\n"
+        "3,1.236839844639,1.034074937022\n"
+        "4,1.132685775405,1.011034089497\n"
+        "5,1.075852233638,1.003445757859\n"
+        "6,1.043544988573,1.001040074152\n"
+    ),
+    ("gamma", 4): (
+        "m,gamma_binary,gamma_quaternary\n"
+        "1,,0.5000\n"
+        "2,0.1708,0.7410\n"
+        "3,0.3449,0.8796\n"
+        "4,0.5059,0.9497\n"
+        "5,0.6426,0.9808\n"
+        "10,0.9565,0.9999\n"
+        "inf,1.0000,1.0000\n"
+    ),
+    ("gamma", 12): (
+        "m,gamma_binary,gamma_quaternary\n"
+        "1,,0.500000000000\n"
+        "2,0.170820393250,0.740990253031\n"
+        "3,0.344912467980,0.879614879812\n"
+        "4,0.505903552304,0.949735572850\n"
+        "5,0.642621217431,0.980792064090\n"
+        "10,0.956537530314,0.999926565938\n"
+        "inf,1.000000000000,1.000000000000\n"
+    ),
+    ("eta", 4): (
+        "m,eta\n"
+        "2,0.881\n"
+        "3,0.948\n"
+        "4,0.975\n"
+        "5,0.988\n"
+        "6,0.994\n"
+        "7,0.997\n"
+    ),
+    ("eta", 12): (
+        "m,eta\n"
+        "2,0.881\n"
+        "3,0.948\n"
+        "4,0.975\n"
+        "5,0.988\n"
+        "6,0.994\n"
+        "7,0.997\n"
+    ),
+}
+
+
 def run_cli(capsys, *argv):
     try:
         code = cli.main(list(argv))
@@ -88,6 +168,11 @@ class TestTables:
     @pytest.mark.parametrize("table", sorted(EFFICIENCY_CSVS))
     def test_efficiency_table_is_pinned_whole(self, capsys, table):
         assert run_cli(capsys, "tables", table) == (0, EFFICIENCY_CSVS[table], "")
+
+    @pytest.mark.parametrize("table,precision", sorted(PINNED_CSVS))
+    def test_table_is_pinned_whole_at_each_precision(self, capsys, table, precision):
+        expected = PINNED_CSVS[table, precision]
+        assert run_cli(capsys, "tables", table, "--precision", str(precision)) == (0, expected, "")
 
     def test_unknown_table_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
-from dnacodes import words
+from dnacodes import oracle, words
 
 
 def split(strand: bytes) -> tuple[bytes, bytes]:
@@ -108,3 +108,18 @@ def test_batch_conversions_at_every_edge_width_and_batch_size():
 )
 def test_max_run(seq, expected):
     assert words.max_run(seq) == expected
+
+
+# Byte strings built from runs, so long runs come often, and the empty one.
+_RUNS = st.lists(st.tuples(st.sampled_from(b"GCAT"), st.integers(1, 12)), max_size=12)
+
+
+@given(st.one_of(
+    _RUNS.map(lambda runs: b"".join(bytes([base]) * length for base, length in runs)),
+    st.binary(max_size=40),
+    st.lists(st.integers(-2, 2), max_size=40).map(tuple),
+))
+@example(b"")
+@example(())
+def test_max_run_matches_the_oracle_scan(seq):
+    assert words.max_run(seq) == oracle._scan_max_run(seq)
