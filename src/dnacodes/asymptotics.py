@@ -67,6 +67,14 @@ def _char_residual(q: int, m: int, x: float) -> float:
     return (u * power - q * v * power + (q - 1) * v ** (m + 1)) / (v * power)
 
 
+def _check_length(n: int) -> None:
+    """ValueError for a length below 1 or beyond the float range."""
+    if n < 1:
+        raise ValueError("length must be at least 1")
+    if n > sys.float_info.max:
+        raise ValueError(f"length n={n} is beyond the float range")
+
+
 def _deflated(q: int, m: int, x: float) -> tuple[float, float]:
     """The characteristic factor without the root at 1, and its slope, at x.
 
@@ -103,9 +111,10 @@ def capacity(q: int, m: int) -> CapacityResult:
         # an ulp, so the root is q itself.  There the characteristic
         # polynomial x**m * (x - q) + q - 1 is exactly q - 1, and the
         # residual (q - 1) / q**m, taken in floating point (it underflows
-        # to 0) rather than by building q**m exactly.
+        # to 0) rather than by building q**m exactly.  From m = 2000 on it
+        # is 0.0 whatever q, so m is capped there to stay a float.
         lam = float(q)
-        residual = (q - 1) * 2.0 ** (-m * math.log2(q))
+        residual = (q - 1) * 2.0 ** (-min(m, 2000) * math.log2(q))
         return CapacityResult(q, m, lam, math.log2(lam), residual)
     lo, hi = float(q - 1), float(q)
     if lo == hi:
@@ -181,8 +190,7 @@ def rll_redundancy(q: int, m: int, n: int, mode: str = "exact") -> float:
     if mode == "exact":
         return n * math.log2(q) - math.log2(counting.rll_count(q, m, n))
     if mode == "asymptotic":
-        if n < 1:
-            raise ValueError("length must be at least 1")
+        _check_length(n)
         res = capacity(q, m)
         return n * (math.log2(q) - res.capacity_bits) - math.log2(leading_coefficient(q, m))
     raise ValueError(f"unknown mode {mode!r}")
@@ -243,8 +251,7 @@ def gaussian_weight_model(kind: str, m: int | None, n: int) -> GaussianApprox:
     n/4 and total q**n.  A run limit scales the variance by the
     closed-form block-length factor gamma(kind, m).
     """
-    if n < 1:
-        raise ValueError("length must be at least 1")
+    _check_length(n)
     q = counting.alphabet_of(kind)
     if m is None:
         return GaussianApprox(n / 2, n / 4, n * math.log2(q))
@@ -260,16 +267,14 @@ def _admitted_share(a, scale: float) -> float:
 
 def log2_balance_count_approx(n: int, a: float) -> float:
     """log2 of the Gaussian near-balanced count: 2n + log2(1 - 2*Q(2*a*sqrt(n)))."""
-    if n < 1:
-        raise ValueError("length must be at least 1")
+    _check_length(n)
     admitted = _admitted_share(a, n)
     return 2.0 * n + math.log2(admitted) if admitted > 0 else -math.inf
 
 
 def balance_penalty(kind: str, m: int, a: float, n: int) -> float:
     """Extra redundancy in bits for also keeping the weight within a of balance."""
-    if n < 1:
-        raise ValueError("length must be at least 1")
+    _check_length(n)
     inner = _admitted_share(a, n / gamma(kind, m))
     if inner <= 0.0:
         raise ValueError("balance penalty undefined: admitted probability is not positive")

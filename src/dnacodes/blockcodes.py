@@ -63,7 +63,7 @@ import gc
 from bisect import bisect_left, bisect_right
 from collections.abc import Callable, Iterable
 from functools import cached_property, partial
-from itertools import product
+from itertools import chain, product
 from struct import unpack
 
 from . import counting
@@ -185,18 +185,17 @@ class _Enumerator:
     Children without kept words are left out, so a word that breaks the
     run limit, the window or the first-symbol rule has no path.
 
-    A word is read in three parts.  Its last h symbols, h the largest
-    length below n with q**h <= 256 (4 bases, 8 digits), read as a
-    base-q number, are a one-byte code.  A node h symbols short of the
-    end or deeper holds its tail: the sorted codes of its kept suffixes
-    in one bytes object, built from its children's tails by translate.
-    A node h symbols short of the end also holds its ends: those
-    suffixes as bytes, in order, and a dict from each to its place.
+    A word is read in three parts, h the largest length below n with
+    q**h <= 256 (4 bases, 8 digits), so a table of h symbols has at most
+    256 rows.  A node at most h symbols from the end holds its ends, its
+    kept suffixes in order: each child's ends behind its symbol (node
+    0's one end is b"").  A node h symbols from the end, at the cut, also
+    holds their places in a dict, shared by all cut nodes of equal ends.
     A word's first j = min(h, n - h) symbols are a row of the root's
-    head table (see head), at most 256 rows.  Only the symbols in
-    between, of words longer than 2h, are walked one at a time.  So a
-    word of up to 2h symbols is unranked by one bisect in the head table
-    and one read of the ends, and ranked by two dict gets.
+    head table (see head).  Only the symbols in between, of words longer
+    than 2h, are walked one at a time: a word of up to 2h symbols is
+    unranked by one bisect in the head table and one read of the ends,
+    and ranked by two dict gets.
 
     Such a word has no middle (_cut == _j), so every word under a root
     is a head row's prefix and one of its node's ends, so the rows list
@@ -232,27 +231,19 @@ class _Enumerator:
         h = 0
         while q ** (h + 1) <= 256 and h < n - 1:
             h += 1
-        self._cut = n - h  # where the tail starts
+        self._cut = n - h  # where the ends start
         self._j = min(h, n - h)  # length of the head tables' prefixes
-        # Each tail code's suffix bytes.
-        self._suffix = [
-            bytes(alphabet[code // q**i % q] for i in range(h - 1, -1, -1)) for code in range(q**h)
-        ]
-        # The translate tables that add s * q**i to every tail code, for s < q and i < h.
-        offsets = {s * q**i for i in range(h) for s in range(q)}
-        self._adding = {o: bytes(range(o, 256)) + bytes(range(o)) for o in offsets}
-        # Per node: (starts, symbol bytes, children), the number of kept
-        # words below it, and its tail from the walk's end on (else
-        # None).  Node 0 is the complete kept word.
+        # Per node: (starts, symbol bytes, children) and the number of kept
+        # words below it.  Node 0 is the complete kept word.
         self._steps: list[tuple] = [((), b"", ())]
         self._sizes = [1]
-        self._tails: list[bytes | None] = [b"\0"]
-        # Per node h symbols short of the end: its ends, and their places.
+        # Per node from the cut on: its ends, and at the cut their places;
+        # each (symbol, child) pair's ends behind the symbol, and each distinct
+        # cut ends with their places (kept past the build for _boundary_chain).
         self._ends: dict[int, tuple[bytes, ...]] = {}
         self._end_index: dict[int, dict[bytes, int]] = {}
-        self._ends_of_tail: dict[bytes, tuple] = {}
-        if h == 0:  # node 0 is h symbols short of the end
-            self._set_ends(0)
+        self._prefixed, self._shared = {}, {}
+        self._keep_ends(0, n, (b"",))
         # _levels[p] maps the key of a length-p prefix, 0 < p <= n, to its node.
         self._levels = [{} for _ in range(n + 1)]
         # The graph holds no reference cycle, so the cyclic collector's
@@ -277,23 +268,22 @@ class _Enumerator:
         symbols, nodes = zip(*children)
         self._steps.append((tuple(starts), bytes(map(self.alphabet.__getitem__, symbols)), nodes))
         sizes.append(total)
-        tail = None
-        if p >= self._cut:
-            place = self.q ** (self.n - p - 1)  # what the first symbol of a suffix weighs in its code
-            tail = b"".join(self._tails[c].translate(self._adding[s * place]) for s, c in children)
-        self._tails.append(tail)
         node = len(sizes) - 1
-        if p == self._cut:
-            self._set_ends(node)
+        if p >= self._cut:
+            prefixed, ends = self._prefixed, self._ends
+            for s, child in children:
+                if (s, child) not in prefixed:
+                    prefixed[s, child] = tuple(map(self.alphabet[s : s + 1].__add__, ends[child]))
+            self._keep_ends(node, p, tuple(chain.from_iterable(map(prefixed.__getitem__, children))))
         return node
 
-    def _set_ends(self, node: int) -> None:
-        """Give node the ends of its tail, shared with every node of the same tail."""
-        tail = self._tails[node]
-        if tail not in self._ends_of_tail:
-            ends = tuple(map(self._suffix.__getitem__, tail))
-            self._ends_of_tail[tail] = ends, dict(zip(ends, range(len(ends))))
-        self._ends[node], self._end_index[node] = self._ends_of_tail[tail]
+    def _keep_ends(self, node: int, p: int, ends: tuple[bytes, ...]) -> None:
+        """Give a length-p prefix's node its ends; at the cut, shared by equal ends, with places."""
+        if p == self._cut:
+            if (held := self._shared.get(ends)) is None:
+                held = self._shared[ends] = ends, dict(zip(ends, range(len(ends))))
+            ends, self._end_index[node] = held
+        self._ends[node] = ends
 
     def _step(self, key: tuple, s: int) -> tuple | None:
         """The key of a prefix of this key with s appended, or None when s breaks the run limit."""
@@ -515,7 +505,7 @@ class _Enumerator:
                         k = symbols.index(s)
                         index += below[k]
                         node = children[k]
-                # Only nodes at the cut have ends, each h bytes, so no other length has a place.
+                # Only cut nodes have places, for ends of h bytes, so no other length has one.
                 append(index + end_index[node][word[cut:]])
                 state = word[-1]
         except (KeyError, TypeError, ValueError):  # TypeError: an unhashable item, a bytearray

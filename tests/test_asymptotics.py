@@ -107,16 +107,21 @@ class TestLeadingCoefficient:
 @pytest.mark.parametrize(
     "formula",
     [
+        lambda m: asymptotics.capacity(2, m)[2:],
+        lambda m: asymptotics.capacity(4, m)[2:],
         lambda m: asymptotics.leading_coefficient(2, m),
         lambda m: asymptotics.leading_coefficient(4, m),
         lambda m: asymptotics.gamma("binary", m),
         lambda m: asymptotics.gamma("quaternary", m),
+        asymptotics.efficiency_eta,
     ],
-    ids=["A_2", "A_4", "gamma_binary", "gamma_quaternary"],
+    ids=["C_2", "C_4", "A_2", "A_4", "gamma_binary", "gamma_quaternary", "eta"],
 )
 def test_run_sums_past_the_float_range(formula):
-    # Every term past m = 2000 underflows to 0.0, so m = 10**12 answers at once.
-    assert formula(10**12) == formula(2000)
+    # Every term past m = 2000 underflows to 0.0, so a larger m, even one
+    # beyond the float range, answers at once and as m = 2000 does.
+    for m in (10**12, 10**400):
+        assert formula(m) == formula(2000)
 
 
 class TestRedundancy:
@@ -262,6 +267,10 @@ class TestGaussianModels:
             asymptotics.gaussian_weight_model("ternary", 2, 10)
 
 
+HUGE = 10**400  # beyond the float range
+BEYOND = f"length n={HUGE} is beyond the float range"
+
+
 @pytest.mark.parametrize(
     "call,message",
     [
@@ -284,12 +293,20 @@ class TestGaussianModels:
         (lambda: asymptotics.gamma("ternary", 3), "unknown kind 'ternary'"),
         (lambda: counting.weight_profile("binary", 0, 4), "maximum run must be at least 1"),
         (lambda: counting.weight_profile("quaternary", 2, 0), "length must be at least 1"),
+        (lambda: asymptotics.rll_redundancy(4, 3, HUGE, "asymptotic"), BEYOND),
+        (lambda: asymptotics.combined_redundancy("quaternary", 3, 0.1, HUGE), BEYOND),
+        (lambda: asymptotics.balance_penalty("binary", 3, 0.1, HUGE), BEYOND),
+        (lambda: asymptotics.log2_balance_count_approx(HUGE, 0.1), BEYOND),
+        (lambda: asymptotics.gaussian_weight_model("quaternary", None, HUGE), BEYOND),
+        (lambda: asymptotics.gaussian_weight_model("binary", 3, HUGE), BEYOND),
     ],
     ids=[
         "profile-kind", "combined-kind", "combined-exact-kind", "penalty-kind", "model-kind",
         "model-kind-with-rll", "asymptotic-runlength-length-0", "asymptotic-runlength-length-neg",
         "penalty-length-0", "combined-length-neg", "gamma-kind", "binary-run",
-        "quaternary-length",
+        "quaternary-length", "asymptotic-runlength-huge-length", "combined-huge-length",
+        "penalty-huge-length", "balance-count-huge-length", "model-huge-length",
+        "model-with-rll-huge-length",
     ],
 )
 def test_family_refusal_texts(call, message):

@@ -477,11 +477,14 @@ class TestEnumerativeProperties:
             assert abs(2 * at_weight(symbols(word)) - n) <= code.max_unbalance
 
 
-def _plain_unrank(words, root, index):
-    """The index-th word under root by one bisect per symbol, without the tail tables."""
+def _plain_unrank(words, root, index, length=None):
+    """The index-th word under root by one bisect per symbol, without head tables or ends.
+
+    length stops the walk early, after that many symbols (default: all n).
+    """
     word = bytearray()
     node = root
-    for _ in range(words.n):
+    for _ in range(words.n if length is None else length):
         starts, symbols, children = words._steps[node]
         k = bisect_right(starts, index) - 1
         index -= starts[k]
@@ -491,7 +494,7 @@ def _plain_unrank(words, root, index):
 
 
 def _plain_rank(words, root, word):
-    """The index of word under root by one lookup per symbol, or None; no head or tail table."""
+    """The index of word under root by one lookup per symbol, or None; no head table or ends."""
     index, node = 0, root
     for s in word:
         starts, symbols, children = words._steps[node]
@@ -569,18 +572,32 @@ class TestTailTables:
 
     @pytest.mark.parametrize("alphabet,h", [(b"GCAT", 4), (b"01", 8)])
     def test_tail_length_follows_from_the_alphabet(self, alphabet, h):
-        for n in (1, 2, h - 1, h, h + 1, 2 * h, 3 * h):
-            words = blockcodes._Enumerator(alphabet, 2, n)
-            # The tail never takes the first symbol, so from n = 2 on a head prefix has one.
+        # Without a window, and with one, under which cut nodes of other weights share ends.
+        for n, unbalance in itertools.product((1, 2, h - 1, h, h + 1, 2 * h, 3 * h), (None, 2)):
+            words = blockcodes._Enumerator(alphabet, 2, n, unbalance)
+            # The ends never take the first symbol, so from n = 2 on a head prefix has one.
             assert words._cut == max(1, n - h)
             assert words._j == min(words._cut, n - words._cut)
-            tails = [t for t in words._tails if t is not None]
-            assert all(list(t) == sorted(set(t)) for t in tails)
-            assert all(len(t) <= 256 for t in tails)
             starts, prefixes, nodes = words.head(words.root(tuple(range(len(alphabet)))))
             assert len(prefixes) <= 256
             assert list(starts) == sorted(starts)
             assert all(len(prefix) == words._j for prefix in prefixes)
+            # Only the nodes at the cut have places; each holds its kept suffixes.
+            cut_nodes = set(words._levels[words._cut].values())
+            assert set(words._end_index) == cut_nodes
+            length, shared = n - words._cut, {}
+            for node in cut_nodes:
+                ends, places = words._ends[node], words._end_index[node]
+                assert len(ends) <= 256
+                assert all(len(end) == length for end in ends)
+                ranked = list(map(symbols, ends))
+                assert all(low < high for low, high in zip(ranked, ranked[1:]))
+                walked = [_plain_unrank(words, node, i, length) for i in range(words.size(node))]
+                assert list(ends) == walked
+                assert places == {end: i for i, end in enumerate(ends)}
+                # Cut nodes with equal ends share one tuple and one dict.
+                first_ends, first_places = shared.setdefault(ends, (ends, places))
+                assert first_ends is ends and first_places is places
 
 
 class TestBatchMethods:

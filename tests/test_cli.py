@@ -294,6 +294,35 @@ class TestScalarCommands:
         assert out == ""
         assert err.splitlines() == [f"error: alphabet size q={q} is beyond the float range"]
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("capacity", "--q", "4"),
+            ("capacity", "--q", "4", "--full"),
+            ("redundancy", "--family", "runlength", "--q", "4", "--n", "10", "--asymptotic"),
+            ("redundancy", "--family", "combined", "--q", "4", "--n", "10", "--a", "0.1"),
+        ],
+        ids=["capacity", "capacity-full", "runlength", "combined"],
+    )
+    def test_a_run_limit_past_the_float_range_answers_as_m_2000(self, capsys, args):
+        code, out, err = run_cli(capsys, *args, "--m", str(10**400))
+        assert (code, err) == (0, "")
+        assert out == run_cli(capsys, *args, "--m", "2000")[1]
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("--family", "runlength", "--q", "4", "--m", "3", "--asymptotic"),
+            ("--family", "combined", "--q", "4", "--m", "3", "--a", "0.1"),
+        ],
+        ids=["runlength", "combined"],
+    )
+    def test_a_length_past_the_float_range_is_usage_error(self, capsys, args):
+        n = str(10**400)
+        code, out, err = run_cli(capsys, "redundancy", *args, "--n", n)
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [f"error: length n={n} is beyond the float range"]
+
     @pytest.mark.parametrize("a", ["nan", "inf", "-0.1"])
     @pytest.mark.parametrize(
         "args",
