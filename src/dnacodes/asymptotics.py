@@ -187,8 +187,9 @@ def rll_redundancy(q: int, m: int, n: int, mode: str = "exact") -> float:
     """
     if q not in (2, 4):
         raise ValueError("alphabet size must be 2 or 4")
-    if mode == "exact":
-        return n * math.log2(q) - math.log2(counting.rll_count(q, m, n))
+    if mode == "exact":  # the count first: it refuses a length too long for n * log2(q)
+        count = counting.rll_count(q, m, n)
+        return n * math.log2(q) - math.log2(count)
     if mode == "asymptotic":
         _check_length(n)
         res = capacity(q, m)

@@ -10,20 +10,14 @@ the best, trading exact balance for a shorter index.
 Either way the chosen index travels inside a fixed balanced prefix: the
 index-th weight-p0 word of length 2*p0 in lexicographic order, so the
 prefixes are the first balanced words, read off the zero places that
-itertools.combinations lists in lex order.  Each balancer is a binary
-block code that speaks the strand codecs' block protocol (see
-`constructions`): `encode_blocks(digits, state)` takes a batch numeral
-of source_bits-digit words, construction1's ell data bits each, and
-returns each word's oligo_len balanced digits, prefix then body, as
-ASCII (b"0110"), and `decode_blocks(words, state)` inverts it into one
-numeral, refusing a word whose weight breaks weight_bound.  A refusal is
-a plain ValueError that says why, never where: `payload.decode_stream`
-finds the word by decoding the batch's words one at a time.  The flip
-itself is a translate of the word's first digits; only the search for
-the flip length reads the word as an int, a batch's words read in one
-conversion (`words.digits_to_ints`).  No state crosses blocks, so
-state is ignored.
-The balance construction puts these digits on a strand's high plane.
+itertools.combinations lists in lex order.  A balanced word is the
+prefix, then the body: the source word, construction1's ell data bits,
+with its first k0 digits flipped.  Each balancer is a binary block code
+of the batch protocol (see `constructions`) over the digits b"01" that
+ignores the state.  The flip itself is a translate of the word's first
+digits; only the search for the flip length reads the word as an int, a
+batch's words read in one conversion (`words.digits_to_ints`).  The
+balance construction puts these digits on a strand's high plane.
 """
 
 from __future__ import annotations
@@ -79,16 +73,12 @@ class _FlipBalancer(BlockCode):
 
     def decode_blocks(self, words: list[bytes], state: int | None = None) -> bytes:
         """The numeral of the source_bits-digit words of these words within weight_bound."""
-        try:
-            stray = b"".join(words).translate(None, b"01")
-        except TypeError:  # an item that is not bytes: a str, None, an int
-            stray = True
-        if stray:
-            raise ValueError("not a word of binary digits")
         n, size, cut, bound = self.source_bits, self.oligo_len, 2 * self.p0, 2 * self.weight_bound
         index_of_prefix, lengths = self._prefixes[1], self._flip_lengths
         bodies: list[bytes] = []
         try:
+            if b"".join(words).translate(None, b"01"):
+                raise ValueError("not a word of binary digits")
             for digits in words:
                 if len(digits) != size:
                     raise ValueError(f"expected {size} bits, got {len(digits)}")
@@ -103,7 +93,7 @@ class _FlipBalancer(BlockCode):
                     raise ValueError("word weight outside the balancer's bound")
                 k0 = lengths[i]
                 bodies.append(body[:k0].translate(_FLIP) + body[k0:])
-        except (AttributeError, TypeError):  # a bytearray or memoryview that joined as digits
+        except (AttributeError, TypeError):  # an item that is not bytes, e.g. a str or bytearray
             raise ValueError("not a word of binary digits") from None
         return b"".join(bodies)
 

@@ -34,27 +34,15 @@ graph and refuses a shape without a code: `two_mode_bits` and
 `state_dependent_bits`.  The constructors and `cli`'s efficiency tables
 read it.
 
-A block goes in as its index, source_bits binary digits, and comes out
-as the codeword's ASCII bytes: bases b"GCAT" for the quaternary codes,
-digits b"01" for the binary one.  The encoder state is the previous
-block's last byte, or None at stream start.  Decoding takes the bytes
-the encoder emits: uppercase bases, or digits.
-
-Codes work a batch at a time, and a batch of indices is one numeral of
-ASCII digits (b"0110..."), the blocks' source_bits digits one after
-another: `encode_blocks(digits, state)` returns a list of codewords and
-`decode_blocks(words, state)` the numeral of their indices, each
-threading the state from block to block.  A refused batch raises a plain
-ValueError that says why, for the first block refused, but not where:
-`payload.decode_stream` finds the place; an item that is not bytes is
-refused too, and so is a numeral that is not bytes.  `BlockCode` cuts a
-numeral into its blocks by one check that it is whole blocks of binary
-digits and one struct unpack (`BlockCode._blocks`), and gives every code
-the single-block methods, an int index in and out, as a batch of one.
-The codes read a batch's blocks as ints in one conversion
-(`words.digits_to_ints`), run the whole batch in one loop, picking each
-block's root from the state, and write the indices back as one numeral
-(`words.ints_to_digits`).
+The codes speak the batch protocol of `constructions`.  A codeword is
+ASCII bytes over one of two alphabets: bases b"GCAT" for the quaternary
+codes, digits b"01" for the binary one, and the state is the previous
+block's last byte.  `BlockCode._blocks` cuts a batch numeral into its
+blocks by one check that it is whole blocks of binary digits and one
+struct unpack.  The codes read a batch's blocks as ints in one
+conversion (`words.digits_to_ints`), run the whole batch in one loop,
+picking each block's root from the state, and write the indices back as
+one numeral (`words.ints_to_digits`).
 """
 
 from __future__ import annotations
@@ -653,15 +641,15 @@ def _pruning_boundary(m: int, n: int, keep: int) -> tuple[int, int]:
     below D and all but r words at D.  A state's candidates are three
     quarters of the words at each unbalance: the relabelings G<->C, A<->T
     and G<->A, C<->T keep the unbalance and permute the first symbols.
+    The weight row is symmetric, so the walk goes outward from the middle:
+    unbalance u holds the words of weights (n - u)/2 and (n + u)/2.
     """
-    by_unbalance: dict[int, int] = {}
-    for w, count in enumerate(counting.weight_profile("quaternary", m, n).counts):
-        u = abs(2 * w - n)
-        by_unbalance[u] = by_unbalance.get(u, 0) + count
+    counts = counting.weight_profile("quaternary", m, n).counts
     kept = 0
-    for u in sorted(by_unbalance):
-        assert by_unbalance[u] % 4 == 0, "first symbols must split each unbalance evenly"
-        kept += 3 * by_unbalance[u] // 4
+    for u in range(n % 2, n + 1, 2):
+        words = counts[(n - u) // 2] + (counts[(n + u) // 2] if u else 0)
+        assert words % 4 == 0, "first symbols must split each unbalance evenly"
+        kept += 3 * words // 4
         if kept >= keep:
             return u, kept - keep
     raise AssertionError("keep count exceeds the candidates")

@@ -352,17 +352,15 @@ def cmd_decode(args) -> int:
             for piece in pieces:
                 dst.write(piece)
         except ValueError as exc:  # explained by its strand's line fault, if it has one
-            first, lines, before = frame
-            numbered = [(first + i, line) for i, line in enumerate(lines) if line]
-            # The refused strand; without a position, the last one handed over.
             position = getattr(exc, "position", None)
-            at = (before + len(numbered) - 1 if position is None else position) - before
-            lineno, line = numbered[at] if numbered else (1, b"")
-            fault = _line_fault(line, codec) if line else None
+            if position is None:  # the stream places every refusal of a strand: there was none
+                raise DataError(f"line 1: {exc}") from exc
+            first, lines, before = frame
+            lineno, line = [(first + i, s) for i, s in enumerate(lines) if s][position - before]
+            fault = _line_fault(line, codec)
             if fault is None:
                 raise DataError(f"line {lineno}: {exc}") from exc
-            block = "" if position is None else f"block {position + 1}: "
-            raise DataError(f"line {lineno}: {block}{fault}") from exc
+            raise DataError(f"line {lineno}: block {position + 1}: {fault}") from exc
     return 0
 
 

@@ -16,6 +16,7 @@ by functools.lru_cache and safe for concurrent use.
 from __future__ import annotations
 
 import math
+import sys
 from collections import deque, namedtuple
 from functools import lru_cache
 
@@ -85,12 +86,19 @@ def admitted_weights(n: int, a, boundary: str = "strict") -> list[int]:
     return list(range(max(0, (n - reach + 1) // 2), min(n, (n + reach) // 2) + 1))
 
 
+def _check_indexable(n: int) -> None:
+    """ValueError for a length past sys.maxsize: no word that long can be indexed."""
+    if n > sys.maxsize:
+        raise ValueError(f"length n={n} is beyond sys.maxsize, so no word that long can be indexed")
+
+
 def near_balanced_count(n: int, a, boundary: str = "strict") -> int:
     """Number of length-n quaternary words whose relative unbalance stays within a.
 
     The sum over the admitted weights of C(n, w) * 2**n: one binomial,
     each next one by the ratio (n - w) / (w + 1), and one shift by n.
     """
+    _check_indexable(n)
     weights = admitted_weights(n, a, boundary)
     total, c = 0, math.comb(n, weights[0]) if weights else 0
     for w in weights:
@@ -114,6 +122,7 @@ def _check_rll_args(q: int, m: int, n: int) -> None:
         raise ValueError("maximum run must be at least 1")
     if n < 0:
         raise ValueError("length must be non-negative")
+    _check_indexable(n)
 
 
 def rll_count(q: int, m: int, n: int) -> int:
@@ -212,6 +221,7 @@ def weight_profile(kind: str, m: int | None, n: int) -> WeightProfile:
     """
     if n < 1:
         raise ValueError("length must be at least 1")
+    _check_indexable(n)
     q = alphabet_of(kind)
     if m is None:
         counts = tuple(math.comb(n, w) * (q // 2) ** n for w in range(n + 1))

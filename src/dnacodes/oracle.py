@@ -50,18 +50,6 @@ def _check_space(q: int, n: int) -> None:
         raise ValueError(f"search space {q}**{n} exceeds the {SEARCH_CAP} word cap")
 
 
-def _largest_length(q: int) -> int:
-    n = 0
-    while q ** (n + 1) <= SEARCH_CAP:
-        n += 1
-    return n
-
-
-# One histogram per (q, n) that a scan may reach for the weight alphabets,
-# so a grid over m and n scans each space once.
-_HISTOGRAM_SLOTS = sum(_largest_length(q) for q in (2, 4))
-
-
 def _half_classes(symbols, length: int) -> dict[tuple, int]:
     """Word counts of one length by class, from one visit of every word.
 
@@ -94,7 +82,8 @@ def _half_classes(symbols, length: int) -> dict[tuple, int]:
     return counts
 
 
-@lru_cache(maxsize=_HISTOGRAM_SLOTS)
+# One histogram per (q, n); _check_space refuses a space past the cap before it is cached.
+@lru_cache(maxsize=None)
 def _run_weight_histogram(q: int, n: int) -> dict[tuple[int, int], int]:
     """(max run, weight) -> word count over the q**n words, from their two halves.
 
@@ -161,11 +150,9 @@ def _fold_at_cut(rows) -> tuple[dict, dict]:
 
 
 def brute_rll_count(q: int, m: int, n: int) -> int:
-    """Count words with every run <= m by direct scan."""
+    """Count words with every run <= m by direct scan; the empty word's longest run is 0."""
     if q < 2 or m < 1 or n < 0:
         raise ValueError("need q >= 2, m >= 1, n >= 0")
-    if n == 0:
-        return 1
     hist = _run_weight_histogram(q, n)
     return sum(count for (run, _), count in hist.items() if run <= m)
 
@@ -408,8 +395,8 @@ def _checker(codec, table, failures: list[str]):
         except ValueError as exc:
             failures.append(f"encode refused: index={index} state={symbol}: {exc}")
             return None, False, None
-        word = strand.translate(_SYMBOL_OF_BYTE) if isinstance(strand, bytes) else None
-        if word is None or _NO_SYMBOL in word:
+        word = _symbols(strand)
+        if word is None:
             problems, after = ["not uppercase GCAT bytes"], None
         else:
             problems, after = [], strand[-1] if word else None

@@ -16,16 +16,11 @@ the last k + 8 bits, which may be pad and trailer, until the stream
 ends.  So `encode_stream` and `decode_stream` keep at most about one
 chunk in memory, whatever the payload size.
 
-Strands travel in batches, one list per chunk, and a codec codes a
-batch per call: `encode_blocks(digits, state)` takes the batch's
-numeral, k digits a block, and returns the blocks' strands as ASCII
-bytes, `decode_blocks(strands, state)` returns the numeral of the
-strands' blocks, and the state is the last byte of the strand before
-the batch.
-
-A codec says why it refuses a batch, and only `decode_stream` says
-where: it decodes a refused batch a strand at a time to find the first
-refused alone, so an error costs one batch decoded strand by strand.
+Strands travel in batches, one list per chunk, each coded by one call
+of the codec's batch protocol (see `constructions`).  A codec says why
+it refuses a batch, and only `decode_stream` says where: it decodes a
+refused batch a strand at a time to find the first refused alone, so an
+error costs one batch decoded strand by strand.
 """
 
 from __future__ import annotations

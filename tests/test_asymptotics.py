@@ -299,6 +299,15 @@ BEYOND = f"length n={HUGE} is beyond the float range"
         (lambda: asymptotics.log2_balance_count_approx(HUGE, 0.1), BEYOND),
         (lambda: asymptotics.gaussian_weight_model("quaternary", None, HUGE), BEYOND),
         (lambda: asymptotics.gaussian_weight_model("binary", 3, HUGE), BEYOND),
+        (lambda: asymptotics.rll_redundancy(4, 3, 10, "bogus"), "unknown mode 'bogus'"),
+        (lambda: asymptotics.combined_redundancy("quaternary", 3, 0.1, 10, "bogus"),
+         "unknown mode 'bogus'"),
+        (lambda: asymptotics.rll_count_approx(4, 3, 0), "length must be at least 1"),
+        (lambda: asymptotics.GaussianApprox(0.0, 0.0, 0.0).log2_density(1.0),
+         "variance must be positive"),
+        (lambda: counting.admitted_weights(0, 0.1), "length must be at least 1"),
+        (lambda: counting.admitted_weights(10, 0.1, "open"),
+         "boundary must be one of ('strict', 'inclusive')"),
     ],
     ids=[
         "profile-kind", "combined-kind", "combined-exact-kind", "penalty-kind", "model-kind",
@@ -306,7 +315,8 @@ BEYOND = f"length n={HUGE} is beyond the float range"
         "penalty-length-0", "combined-length-neg", "gamma-kind", "binary-run",
         "quaternary-length", "asymptotic-runlength-huge-length", "combined-huge-length",
         "penalty-huge-length", "balance-count-huge-length", "model-huge-length",
-        "model-with-rll-huge-length",
+        "model-with-rll-huge-length", "runlength-mode", "combined-mode", "count-approx-length-0",
+        "density-variance-0", "admitted-length-0", "admitted-boundary",
     ],
 )
 def test_family_refusal_texts(call, message):

@@ -100,6 +100,15 @@ class TestConstrainedWords:
         with pytest.raises(ValueError, match="needs a weight window"):
             blockcodes._Enumerator(b"GCAT", 3, 8, skip=1)
 
+    def test_root_refusals(self):
+        with pytest.raises(ValueError) as refused:
+            blockcodes._Enumerator(b"GCAT", 3, 5).root(())
+        assert str(refused.value) == "no codewords start with these symbols"
+        words = blockcodes._Enumerator(b"GCAT", 3, 5, unbalance=1, skip=10**6)
+        with pytest.raises(ValueError) as refused:
+            words.root((1, 2, 3))
+        assert str(refused.value) == "skip exceeds the number of boundary words"
+
     @pytest.mark.parametrize(
         "q,m,n,unbalance,skip,parts",
         [

@@ -178,6 +178,9 @@ class TestTables:
         with pytest.raises(SystemExit) as err:
             cli.main(["tables", "bogus"])
         assert err.value.code == 2
+        with pytest.raises(ValueError) as refused:  # the row writer's own guard, past argparse
+            cli._table_rows("bogus", 4)
+        assert str(refused.value) == "unknown table id 'bogus'"
 
 
 class TestFigure1:
@@ -859,14 +862,14 @@ class TestProcess:
     """`python -m dnacodes.cli` and `entry` in a child process: exit codes and output."""
 
     @staticmethod
-    def _child(*args, cwd=None):
+    def _child(*args, cwd=None, timeout=60):
         import dnacodes
 
         src = os.path.dirname(os.path.dirname(dnacodes.__file__))
         env = {**os.environ, "PYTHONPATH": src}
         env.pop("PYTHONUNBUFFERED", None)  # so stdout into a pipe is block-buffered
         return subprocess.run([sys.executable, *args], capture_output=True, text=True, cwd=cwd,
-                              env=env, timeout=60)
+                              env=env, timeout=timeout)
 
     def _entry(self, argv):
         """cli.entry() in a child process, with sys.argv[1:] = argv."""
@@ -933,6 +936,31 @@ class TestProcess:
             assert want[0] == code
             result = self._entry(argv)
             assert (result.returncode, result.stdout, result.stderr) == want, argv
+
+    @pytest.mark.parametrize(
+        "argv,n",
+        [
+            (("redundancy", "--family", "runlength", "--q", "4", "--m", "3"), 10**400),
+            (("redundancy", "--family", "balance", "--a", "0.1"), 10**24),
+            (("redundancy", "--family", "balance", "--a", "0.1", "--boundary", "inclusive"),
+             10**24),
+            (("count", "--q", "4", "--m", "3"), 10**24),
+            (("count", "--q", "4", "--m", "3", "--gf"), 10**24),
+            (("count", "--q", "4", "--m", "3", "--weight-profile"), 10**24),
+            (("redundancy", "--family", "runlength", "--q", "4", "--m", "3"), 10**24),
+            (("redundancy", "--family", "combined", "--q", "4", "--m", "3", "--a", "0.1",
+              "--exact"), 10**24),
+        ],
+        ids=["runlength-huge", "balance", "balance-inclusive", "count", "count-gf",
+             "count-weight-profile", "runlength", "combined-exact"],
+    )
+    def test_an_exact_count_past_the_longest_indexable_word_is_usage_error(self, argv, n):
+        """Refused at once, in one line: an exact count is O(n) work, and n > sys.maxsize."""
+        result = self._child("-m", "dnacodes.cli", *argv, "--n", str(n), timeout=10)
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr.splitlines() == [
+            f"error: length n={n} is beyond sys.maxsize, so no word that long can be indexed"
+        ]
 
     def test_main_leaves_the_heap_unfrozen(self, capsys):
         import gc

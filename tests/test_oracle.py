@@ -24,6 +24,8 @@ class _Broken:
         blocks = [digits[i : i + k] for i in range(0, len(digits), k)]
         if fault == "refuses-index-0" and b"0" * k in blocks:
             raise ValueError("index 0 refused")
+        if fault == "refuses-batches" and len(blocks) > 1:
+            raise ValueError("batch refused")
         strands = self._code.encode_blocks(digits, state)
         if fault == "wrong-length":
             return [strand[:-1] for strand in strands]
@@ -74,6 +76,26 @@ class TestBruteCounts:
                 oracle.brute_balance_count(n, 0.1)
         with pytest.raises(ValueError, match="length"):
             oracle._run_weight_histogram.__wrapped__(4, -1)
+
+    @pytest.mark.parametrize(
+        "call,message",
+        [
+            (lambda: oracle.brute_weight_count(4, 3, 11, 10), "need m >= 1, n >= 1, 0 <= w <= n"),
+            (lambda: oracle.brute_balance_count(5, 0.1, "open"),
+             "boundary must be 'strict' or 'inclusive'"),
+            (lambda: oracle.brute_balance_count(5, -0.1), "unbalance bound must be non-negative"),
+            (lambda: oracle.constrained_words(4, 3, 0), "length must be at least 1"),
+            (lambda: oracle.constrained_words(4, 0, 3), "maximum run must be at least 1"),
+            (lambda: oracle.validate_codec("state-dependent", m=3, n=5, stream_blocks=-1),
+             "stream_blocks must be at least 0, not -1"),
+        ],
+        ids=["weight-past-length", "balance-boundary", "balance-negative-bound", "words-length-0",
+             "words-run-0", "negative-stream"],
+    )
+    def test_refusal_texts(self, call, message):
+        with pytest.raises(ValueError) as refused:
+            call()
+        assert str(refused.value) == message
 
 
 def _per_word_histogram(q, n):
@@ -265,9 +287,10 @@ class TestValidateCodec:
             ("short-batch", r"batch encode gave 1\d\d strands for 200$"),
             ("long-batch", r"batch encode gave 2\d\d strands for 200$"),
             ("refuses-index-0", "encode refused: index=0 state=None: index 0 refused"),
+            ("refuses-batches", r"batch encode refused blocks \d+\.\.\d+: batch refused$"),
         ],
         ids=["wrong-length", "first-base-is-the-state", "short-batch", "long-batch",
-             "refuses-index-0"],
+             "refuses-index-0", "refuses-batches"],
     )
     def test_catches_a_broken_registered_codec(self, monkeypatch, fault, expected):
         monkeypatch.setitem(constructions.CODECS, "broken", lambda m, n: _Broken(fault))
